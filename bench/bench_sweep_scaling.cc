@@ -10,22 +10,18 @@
  *   sweep/unbatched : the engine with four workers and one runTrace job
  *                     per point (the PR-2 dispatch);
  *   sweep/batched   : the engine with four workers dispatching whole
- *                     trace groups, each run as one batched pass over a
- *                     shared decoded stream from the repository's
- *                     tier 2 -- the decode is paid once per trace per
- *                     process, not once per group.
+ *                     trace groups, each run as one batched pass that
+ *                     streams its trace block by block.
  *
  * Every variant must produce bit-identical RunResults; the bench exits
- * nonzero on any mismatch, and also if the sweeps failed to share
- * decoded streams across groups (decoded-tier hits must be > 0).  A
- * host-SIMD section times every runnable SoA step kernel on a wide
- * (12-config) group and enforces the 2x gate: the best vector path must
- * at least double the scalar SoA reference's points/s.  The
- * headline numbers are the wall-clock speedups over the unbatched sweep
- * and the serial/uncached baseline, plus a decode-amortization
- * comparison: the same trace group timed as the *first* group on a
- * trace (decode included) and as a *warm* group (decoded-tier hit).
- * The per-tier TraceRepository::summary() table is printed at the end.
+ * nonzero on any mismatch.  A host-SIMD section times every runnable
+ * SoA step kernel on a wide (12-config) group and enforces the 2x gate:
+ * the best vector path must at least double the scalar SoA reference's
+ * points/s.  The headline numbers are the wall-clock speedups over the
+ * unbatched sweep and the serial/uncached baseline.  These grids run in
+ * milliseconds, so the timings are smoke checks, not evidence for a
+ * default.  The per-tier TraceRepository::summary() table is printed at
+ * the end.
  */
 
 #include <algorithm>
@@ -97,21 +93,15 @@ main()
                                       allSimdKinds.end());
     const std::vector<unsigned> ways = {2, 4, 8};
 
-    // decoded is pinned on explicitly: the decoded-hit gate below must
-    // not turn into a spurious failure on a host that exported the
-    // VMMX_SWEEP_DECODED=0 escape hatch.
     SweepOptions serialOpts;
     serialOpts.threads = 1;
     serialOpts.batch = false;
-    serialOpts.decoded = true;
     SweepOptions poolOpts;
     poolOpts.threads = 4;
     poolOpts.batch = false;
-    poolOpts.decoded = true;
     SweepOptions batchOpts;
     batchOpts.threads = 4;
     batchOpts.batch = true;
-    batchOpts.decoded = true;
 
     Sweep serialSweep(serialOpts);
     serialSweep.addKernelGrid(kernels, kinds, ways);
@@ -173,64 +163,6 @@ main()
     table.addRow({"sweep/batched (4t)", TextTable::num(tBatched, 3),
                   pps(tBatched), TextTable::num(tBase / tBatched)});
     table.print(std::cout);
-
-    // ---- decode amortization: first group vs warm group --------------
-    // One trace group (3 widths of idct/vmmx128) timed against a
-    // *private* repository so the tier states are exact: "first group"
-    // pays the full-trace decode (raw tier pre-warmed, decoded tier
-    // cold), "warm group" replays the decoded-tier stream.  This is the
-    // per-group cost every group after the first now avoids.
-    double tDecodeFirst = 0, tDecodeWarm = 0;
-    {
-        const TraceKey key{false, "idct", SimdKind::VMMX128,
-                           TraceRepository::kernelImageBytes,
-                           TraceRepository::defaultSeed};
-        std::vector<MachineConfig> machines;
-        for (unsigned way : ways)
-            machines.push_back(makeMachine(SimdKind::VMMX128, way));
-
-        double tFirst = 1e9, tWarm = 1e9;
-        std::vector<RunResult> firstRuns, warmRuns;
-        for (int r = 0; r < reps; ++r) {
-            TraceRepository repo(nullptr, 0, 0);
-            { auto prewarm = repo.raw(key); } // raw tier hot, decode cold
-            auto t0 = clock::now();
-            {
-                auto stream = repo.decoded(key); // pays the decode
-                firstRuns = runTraceBatch(machines, stream.stream());
-            }
-            auto t1 = clock::now();
-            {
-                auto stream = repo.decoded(key); // decoded-tier hit
-                warmRuns = runTraceBatch(machines, stream.stream());
-            }
-            auto t2 = clock::now();
-            tFirst = std::min(tFirst, seconds(t0, t1));
-            tWarm = std::min(tWarm, seconds(t1, t2));
-        }
-        for (size_t i = 0; i < firstRuns.size(); ++i)
-            if (!(firstRuns[i] == warmRuns[i])) {
-                identical = false;
-                std::cout << "MISMATCH first-vs-warm group at config " << i
-                          << "\n";
-            }
-
-        auto gpps = [&](double t) {
-            return TextTable::num(machines.size() / t, 1);
-        };
-        TextTable amort({"group on one trace", "wall s", "points/s",
-                         "speedup"});
-        amort.addRow({"first (decode+run)", TextTable::num(tFirst, 3),
-                      gpps(tFirst), TextTable::num(1.0)});
-        amort.addRow({"warm (cached decode)", TextTable::num(tWarm, 3),
-                      gpps(tWarm), TextTable::num(tFirst / tWarm)});
-        std::cout << '\n';
-        amort.print(std::cout);
-        std::cout << "decode amortization (warm vs first group): "
-                  << TextTable::num(tFirst / tWarm) << "x\n";
-        tDecodeFirst = tFirst;
-        tDecodeWarm = tWarm;
-    }
 
     // ---- host-SIMD step kernels on a wide group ----------------------
     // One trace replayed on 12 knob variants -- wide enough that every
@@ -337,18 +269,10 @@ main()
     }
 
     // Repository summary: the per-tier occupancy/hit table, including
-    // any VMMX_TRACE_CACHE_BUDGET / VMMX_DECODED_CACHE_BUDGET.
+    // any VMMX_TRACE_CACHE_BUDGET.
     std::cout << '\n' << TraceRepository::instance().summary() << '\n';
     std::cout << "results bit-identical across variants: "
               << (identical ? "yes" : "NO") << '\n';
-
-    // The sweeps above replay 24 traces across groups, threads and
-    // repetitions; if decode sharing works, almost all of those lookups
-    // are decoded-tier hits.
-    u64 decodedHits = TraceRepository::instance().decodedStats().hits;
-    std::cout << "decoded-tier hits across groups: " << decodedHits << " ("
-              << (decodedHits > 0 ? "PASS" : "FAIL: no decode reuse")
-              << ")\n";
 
     double batchSpeedup = tPooled / tBatched;
     std::cout << "batched vs unbatched sweep (same 4-thread pool): "
@@ -412,14 +336,10 @@ main()
     rec.metric("sweepBatched.pointsPerSec", nPoints / tBatched);
     rec.metric("batchedSpeedupVsSerialUncached", speedup);
     rec.metric("batchedSpeedupVsUnbatched", batchSpeedup);
-    rec.metric("decode.firstGroupSec", tDecodeFirst);
-    rec.metric("decode.warmGroupSec", tDecodeWarm);
-    rec.metric("decode.amortization", tDecodeFirst / tDecodeWarm);
     rec.metric("telemetry.enabledSec", tTelem);
     rec.metric("telemetry.disabledSec", tBatched);
     rec.metric("telemetry.enabledOverheadPct", telemOverheadPct);
     rec.metric("telemetry.spansPerRun", double(spansPerRun));
-    rec.metric("decodedTierHits", double(decodedHits));
     rec.note("simd.active", simd::pathName(simd::bestPath()));
     for (const auto &[path, pps12] : simdPps)
         rec.metric("simd." + path + ".pointsPerSec", pps12);
@@ -427,6 +347,5 @@ main()
     if (rec.write())
         std::cout << "perf record written to " << rec.path() << '\n';
 
-    return identical && simdIdentical && simdGate && decodedHits > 0 ? 0
-                                                                     : 1;
+    return identical && simdIdentical && simdGate ? 0 : 1;
 }

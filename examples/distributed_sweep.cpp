@@ -7,13 +7,14 @@
  * Dispatch is group based: the driver shards the grid by *trace group*
  * (the points that replay one trace -- here, the two widths of each
  * (kernel, flavour) pair), each group crosses the wire as one unit, and
- * the worker runs it as a single batched pass that decodes and streams
- * the trace once for all of the group's machine configurations.  The
+ * the worker runs it as a single batched pass that streams the trace
+ * once, block by block, for all of the group's machine configurations.  The
  * journal still records one entry per point, so batched and per-point
  * (VMMX_SWEEP_BATCH=0) runs share journals and aggregation format.
  *
- *   run 1: workers generate every trace, spill it to the store, and the
- *          driver journals each finished point;
+ *   run 1: workers generate every trace, writing it through to the
+ *          store as it streams, and the driver journals each finished
+ *          point;
  *   run 2: the same grid is served with zero trace regenerations --
  *          traces come off disk, and the completed points come straight
  *          from the journal without spawning a single worker.

@@ -39,9 +39,9 @@ main()
     spec.report.pivot = ReportSpec::Metric::Speedup;
 
     // The grid points replaying one trace form a single batched group:
-    // each flavour's mpeg2enc trace is generated once in the shared
-    // trace repository and decoded once process-wide while all three
-    // machine widths step against it.
+    // each flavour's mpeg2enc trace is generated once and streamed block
+    // by block while all three machine widths step against it, so the
+    // whole trace is never held in memory.
     Study study(spec);
     auto results = study.run();
     study.writeReport(std::cout, results);

@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <sstream>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
 #include "common/env.hh"
@@ -63,6 +64,14 @@ sanitizerName()
         return VMMX_SANITIZE_NAME;
 #endif
     return "none";
+}
+
+u64
+peakRssKiB()
+{
+    rusage self{};
+    ::getrusage(RUSAGE_SELF, &self);
+    return u64(self.ru_maxrss); // KiB on Linux
 }
 
 // ---- span tracing --------------------------------------------------------
@@ -295,6 +304,7 @@ Registry::dumpText(std::ostream &os) const
     MetricsSnapshot snap = snapshot();
     for (const auto &[name, v] : snap.values)
         os << name << ' ' << v << '\n';
+    os << "host.peakRssKiB " << peakRssKiB() << '\n';
     std::vector<UnitRecord> us = units();
     std::ostringstream num;
     num << std::fixed << std::setprecision(1);
@@ -352,7 +362,8 @@ Registry::dumpJson(std::ostream &os) const
         os << "\n  }";
     }
     sep();
-    os << "  \"host\": {\n    \"sanitizer\": \"" << jsonEscape(sanitizerName())
+    os << "  \"host\": {\n    \"peakRssKiB\": " << peakRssKiB()
+       << ",\n    \"sanitizer\": \"" << jsonEscape(sanitizerName())
        << "\"\n  }";
     sep();
     os << "  \"units\": [";

@@ -79,6 +79,11 @@ u64 nowNs();
  *  so sanitizer-build numbers are never mistaken for real timings. */
 const char *sanitizerName();
 
+/** Peak resident set size of this process so far, in KiB (getrusage
+ *  ru_maxrss).  Stamped into the host section of metrics dumps: memory
+ *  is half of where the simulator's cost goes. */
+u64 peakRssKiB();
+
 // ---- span tracing --------------------------------------------------------
 
 /** One completed scoped timer.  pid/workerId key the merged timeline:

@@ -581,8 +581,6 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
     setup.storeDir =
         opts.storeDir.empty() ? TraceStore::defaultDir() : opts.storeDir;
     setup.cacheBudget = opts.cacheBudget;
-    setup.decodedBudget = opts.decodedBudget;
-    setup.decoded = opts.decoded;
     setup.quiet = opts.quiet;
     setup.faultSpec = opts.faultSpec;
     setup.telemetry = telemetry::enabled();
@@ -822,11 +820,9 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
             warn("worker fleet exhausted; running %zu remaining points "
                  "in-driver", remaining);
         auto store = std::make_unique<TraceStore>(setup.storeDir);
-        TraceRepository repo(store.get(), opts.cacheBudget,
-                             opts.decodedBudget);
+        TraceRepository repo(store.get(), opts.cacheBudget);
         ExecutionPolicy pol;
         pol.batch = opts.batch;
-        pol.decoded = opts.decoded;
         pol.repo = &repo;
         for (u32 u = 0; u < units.size() && remaining > 0; ++u) {
             std::vector<u32> subset;
@@ -835,7 +831,10 @@ runSweep(const std::vector<SweepPoint> &points, const DistOptions &opts,
                     subset.push_back(i);
             if (subset.empty())
                 continue;
-            runSweepUnit(points, subset, pol, results);
+            // Each unit runs once here, so a batched schedule streams
+            // its traces; per-point units share theirs through tier 1.
+            runSweepUnit(points, subset, pol, /*retain=*/!opts.batch,
+                         results);
             for (u32 i : subset) {
                 have[i] = true;
                 --remaining;

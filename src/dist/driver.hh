@@ -8,8 +8,8 @@
  * speak the length-prefixed frame protocol of dist/protocol.hh over a
  * socketpair.  The schedulable unit is a *trace group* -- the points
  * that replay one trace, which a worker executes as a single batched
- * pass (runTraceBatch) so the trace is decoded and streamed once per
- * group even across process boundaries; DistOptions::batch = false
+ * pass (replayUnit) so the trace is streamed once per group even across
+ * process boundaries; DistOptions::batch = false
  * falls back to one point per unit.  Each worker starts with a
  * contiguous shard of the units; a worker that drains its own shard
  * steals units from the tail of the largest remaining shard, so
@@ -159,8 +159,6 @@ struct DistOptions
     std::string storeDir;
     /** Per-worker raw-tier (tier 1) RAM budget; 0 = unlimited. */
     u64 cacheBudget = TraceRepository::rawBudgetFromEnv();
-    /** Per-worker decoded-tier (tier 2) RAM budget; 0 = unlimited. */
-    u64 decodedBudget = TraceRepository::decodedBudgetFromEnv();
     /** Crash-resume journal file; "" disables journaling. */
     std::string journalPath;
     /** Shard by trace group and batch each group on the worker (one
@@ -168,9 +166,6 @@ struct DistOptions
      *  pre-batching behaviour.  Results are bit-identical either way,
      *  and the journal format does not change. */
     bool batch = sweepBatchFromEnv();
-    /** Workers serve jobs from their repository's decoded tier; off =
-     *  decode on the fly per dispatch.  Bit-identical either way. */
-    bool decoded = sweepDecodedFromEnv();
     /** Suppress worker warn()/inform() output. */
     bool quiet = vmmx::quiet();
     /** Binary to self-exec as the worker ("" forks without exec).  The

@@ -32,8 +32,6 @@ struct SetupMsgMirror
     u32 version;
     std::string storeDir;
     u64 cacheBudget;
-    u64 decodedBudget;
-    bool decoded;
     bool quiet;
     u32 workerId;
     std::string faultSpec;
@@ -126,8 +124,6 @@ encode(const SetupMsg &m)
     w.fixed32(m.version);
     w.str(m.storeDir);
     w.varint(m.cacheBudget);
-    w.varint(m.decodedBudget);
-    w.boolean(m.decoded);
     w.boolean(m.quiet);
     w.fixed32(m.workerId);
     w.str(m.faultSpec);
@@ -144,8 +140,6 @@ decode(const std::vector<u8> &frame, SetupMsg &m)
     m.version = r.fixed32();
     m.storeDir = r.str();
     m.cacheBudget = r.varint();
-    m.decodedBudget = r.varint();
-    m.decoded = r.boolean();
     m.quiet = r.boolean();
     m.workerId = r.fixed32();
     m.faultSpec = r.str();

@@ -29,14 +29,14 @@
 namespace vmmx::dist
 {
 
-/** v6: each Event unit record also names the host-SIMD step-kernel
- *  path that produced it, so merged driver metrics attribute worker
- *  throughput to the right kernel.  (v5 added Event telemetry frames
+/** v7: Setup drops the decoded-tier switch and budget -- workers
+ *  stream every trace.  (v6 named the host-SIMD step-kernel path in
+ *  each Event unit record; v5 added Event telemetry frames
  *  -- buffered spans + per-unit timing records interleaved with
  *  Results, purely observational; v4 supervised workers with spawn
  *  ordinals and fault specs; v3 the tiered-repository budgets; v2
  *  JobGroup frames.) */
-constexpr u32 protocolVersion = 6;
+constexpr u32 protocolVersion = 7;
 
 enum class Msg : u8
 {
@@ -55,8 +55,6 @@ struct SetupMsg
     u32 version = protocolVersion;
     std::string storeDir;   ///< trace store directory ("" = no store)
     u64 cacheBudget = 0;    ///< worker raw-tier RAM budget (0 = unlimited)
-    u64 decodedBudget = 0;  ///< worker decoded-tier budget (0 = unlimited)
-    bool decoded = true;    ///< serve jobs from the decoded tier
     bool quiet = true;
     u32 workerId = 0;       ///< spawn ordinal (fault scoping, stable per
                             ///< process across respawns of a slot)

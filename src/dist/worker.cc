@@ -8,7 +8,7 @@
 #include "common/env.hh"
 #include "common/logging.hh"
 #include "dist/protocol.hh"
-#include "harness/runner.hh"
+#include "harness/executor.hh"
 #include "sim/simd_dispatch.hh"
 #include "trace/trace_repo.hh"
 
@@ -159,8 +159,7 @@ workerServe(int fd)
     std::unique_ptr<TraceStore> store;
     if (!setup.storeDir.empty())
         store = std::make_unique<TraceStore>(setup.storeDir);
-    TraceRepository repo(store.get(), setup.cacheBudget,
-                         setup.decodedBudget);
+    TraceRepository repo(store.get(), setup.cacheBudget);
 
     int rc = 1;
     while (wire::readFrame(fd, frame)) {
@@ -199,15 +198,14 @@ workerServe(int fd)
         }
         fault.onUnit(group.indices); // may exit or stall here
 
-        // All points of a group replay the same trace by construction;
-        // resolve it once through the worker's repository.  Explicit
-        // traces travel inside the frame -- each frame decodes to a
-        // fresh object, so the repository's identity-keyed decoded tier
-        // could never hit across frames; those run through the raw
-        // overload, whose blockwise decode needs only bounded scratch.
+        // All points of a group replay the same trace by construction.
+        // A JobGroup is the only unit replaying its trace, so the trace
+        // streams from the store (or the generator) block by block and
+        // nothing is retained; single-point Jobs of an unbatched
+        // schedule share their trace through tier 1.  Explicit traces
+        // travel inside the frame.
         const SweepPoint &lead = group.points[0];
-        bool explicitTrace = lead.workload == SweepPoint::Workload::Trace;
-        if (explicitTrace && !lead.trace) {
+        if (lead.workload == SweepPoint::Workload::Trace && !lead.trace) {
             wire::writeFrame(
                 fd, encodeError("job " + std::to_string(group.indices[0]) +
                                 " carries no trace"));
@@ -232,19 +230,8 @@ workerServe(int fd)
                     : leadLabel + " simd=" +
                           simd::pathName(
                               simd::pathFor(group.points.size())));
-            if (setup.decoded && !explicitTrace) {
-                TraceRepository::DecodedHandle stream =
-                    repo.decoded(traceKeyFor(lead));
-                traceLength = stream.records();
-                runs = runTraceBatch(machines, stream.stream());
-            } else {
-                TraceRepository::TraceHandle trace =
-                    explicitTrace
-                        ? TraceRepository::TraceHandle(lead.trace)
-                        : repo.raw(traceKeyFor(lead));
-                traceLength = trace->size();
-                runs = runTraceBatch(machines, *trace);
-            }
+            runs = replayUnit(lead, machines, repo,
+                              /*retain=*/type == Msg::Job, traceLength);
         }
         if (telemetry::enabled()) {
             telemetry::UnitRecord rec;

@@ -7,9 +7,9 @@
  * self-exec'd processes (`vmmx_sweepd --worker --fd N`); both run the
  * same serve loop.  Each worker owns a private tiered TraceRepository
  * so its per-tier statistics describe exactly the jobs it ran, with the
- * shared on-disk TraceStore as the cross-process tier 0 and the decoded
- * tier amortizing the per-record decode across all of the worker's
- * groups on the same trace.
+ * shared on-disk TraceStore as the cross-process tier 0.  Trace groups
+ * stream their trace from the store (or the generator, writing through
+ * to the store) block by block and retain nothing.
  */
 
 #ifndef VMMX_DIST_WORKER_HH

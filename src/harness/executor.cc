@@ -16,38 +16,81 @@ namespace vmmx
 namespace
 {
 
-/** Raw (tier-1) trace of @p point, pinned while borrowed. */
-TraceRepository::TraceHandle
-resolveRaw(const SweepPoint &point, TraceRepository &repo)
+/**
+ * Per unit of @p units: whether another unit replays its trace too.
+ * Such a trace is resolved through tier 1 and kept for the next replay;
+ * a trace replayed by one unit only -- every trace of a batched
+ * schedule -- is streamed and never retained.
+ */
+std::vector<bool>
+sharedTraceUnits(const std::vector<SweepPoint> &points,
+                 const std::vector<std::vector<u32>> &units)
 {
-    if (point.workload == SweepPoint::Workload::Trace)
-        return TraceRepository::TraceHandle(point.trace);
-    return repo.raw(traceKeyFor(point));
-}
-
-/** Decoded (tier-2) stream of @p point, pinned while borrowed. */
-TraceRepository::DecodedHandle
-resolveDecoded(const SweepPoint &point, TraceRepository &repo)
-{
-    if (point.workload == SweepPoint::Workload::Trace)
-        return repo.decoded(point.trace);
-    return repo.decoded(traceKeyFor(point));
-}
-
-/** Resolve @p lead's trace once (decoded tier or raw) and replay it on
- *  every machine; the single tier-dispatch site. */
-std::vector<RunResult>
-resolveAndRun(const SweepPoint &lead, std::span<const MachineConfig> machines,
-              TraceRepository &repo, bool useDecoded, u64 &traceLength)
-{
-    if (useDecoded) {
-        TraceRepository::DecodedHandle stream = resolveDecoded(lead, repo);
-        traceLength = stream.records();
-        return runTraceBatch(machines, stream.stream());
+    std::vector<u32> leads(units.size());
+    std::vector<u32> unitOf(points.size());
+    for (u32 u = 0; u < units.size(); ++u) {
+        leads[u] = units[u][0];
+        unitOf[leads[u]] = u;
     }
-    TraceRepository::TraceHandle trace = resolveRaw(lead, repo);
-    traceLength = trace->size();
-    return runTraceBatch(machines, *trace);
+    std::vector<bool> shared(units.size(), false);
+    for (const auto &group : groupPointsByTrace(points, leads))
+        if (group.size() > 1)
+            for (u32 lead : group)
+                shared[unitOf[lead]] = true;
+    return shared;
+}
+
+/**
+ * The bookkeeping around one unit's replay -- its machines, the
+ * telemetry span and unit record, and its submission-order result
+ * slots.  @p replay runs the machines over the unit's trace and reports
+ * the trace length.
+ */
+template <typename Replay>
+void
+runUnit(const std::vector<SweepPoint> &points, const std::vector<u32> &unit,
+        std::vector<SweepResult> &results, Replay &&replay)
+{
+    std::vector<MachineConfig> machines;
+    machines.reserve(unit.size());
+    for (u32 i : unit)
+        machines.push_back(makeMachine(points[i].kind, points[i].way,
+                                       points[i].overrides));
+    u64 unitStartNs = telemetry::enabled() ? telemetry::nowNs() : 0;
+    std::string leadLabel =
+        telemetry::enabled() ? points[unit[0]].label() : std::string();
+    u64 traceLength = 0;
+    std::vector<RunResult> runs;
+    {
+        TELEMETRY_SPAN("simulate",
+                       leadLabel.empty()
+                           ? std::string()
+                           : leadLabel + " simd=" +
+                                 simd::pathName(simd::pathFor(unit.size())));
+        runs = replay(std::span<const MachineConfig>(machines), traceLength);
+    }
+    if (telemetry::enabled()) {
+        telemetry::UnitRecord rec;
+        rec.traceHash = wire::fnv1a(leadLabel.data(), leadLabel.size());
+        rec.label = leadLabel;
+        rec.points = u32(unit.size());
+        rec.records = traceLength;
+        rec.wallNs = telemetry::nowNs() - unitStartNs;
+        // Attribute the unit's throughput to the step kernel that
+        // produced it: width-1 units take the fused serial (scalar)
+        // step, wider units the dispatched host-SIMD path.
+        simd::Path path = simd::pathFor(unit.size());
+        rec.simd = simd::pathName(path);
+        telemetry::Registry &reg = telemetry::Registry::instance();
+        reg.setGauge("sim.simd", u64(path));
+        reg.addUnit(std::move(rec));
+    }
+    for (size_t k = 0; k < unit.size(); ++k) {
+        SweepResult &r = results[unit[k]];
+        r.point = points[unit[k]];
+        r.traceLength = traceLength;
+        r.result = runs[k];
+    }
 }
 
 /** The resolved thread count of @p policy, capped at @p units. */
@@ -79,9 +122,7 @@ ExecutionPolicy::fromEnv()
 {
     ExecutionPolicy p;
     p.batch = env::flag("VMMX_SWEEP_BATCH", p.batch);
-    p.decoded = env::flag("VMMX_SWEEP_DECODED", p.decoded);
     p.rawBudget = env::byteSize("VMMX_TRACE_CACHE_BUDGET");
-    p.decodedBudget = env::byteSize("VMMX_DECODED_CACHE_BUDGET");
     p.storeDir = env::str("VMMX_TRACE_STORE");
     p.maxRespawns = dist::maxRespawnsFromEnv();
     p.unitTimeoutMs = dist::unitTimeoutMsFromEnv();
@@ -120,74 +161,48 @@ parseBackend(const std::string &text, ExecutionPolicy::Backend &b)
     return true;
 }
 
-SweepResult
-runSweepPoint(const SweepPoint &point, const ExecutionPolicy &policy,
-              bool useDecoded)
+std::vector<RunResult>
+replayUnit(const SweepPoint &lead, std::span<const MachineConfig> machines,
+           TraceRepository &repo, bool retain, u64 &traceLength)
 {
-    MachineConfig machine = makeMachine(point.kind, point.way,
-                                        point.overrides);
+    TraceReplay replay(machines);
+    if (lead.workload == SweepPoint::Workload::Trace) {
+        replay.borrow(*lead.trace);
+    } else if (retain) {
+        TraceRepository::TraceHandle trace = repo.raw(traceKeyFor(lead));
+        replay.borrow(*trace);
+    } else {
+        repo.stream(traceKeyFor(lead), replay);
+    }
+    traceLength = replay.records();
+    return replay.finish();
+}
+
+SweepResult
+runSweepPoint(const SweepPoint &point, const ExecutionPolicy &policy)
+{
+    TraceRepository::TraceHandle trace =
+        point.workload == SweepPoint::Workload::Trace
+            ? TraceRepository::TraceHandle(point.trace)
+            : policy.repository().raw(traceKeyFor(point));
     SweepResult r;
     r.point = point;
-    r.result = resolveAndRun(point, {&machine, 1}, policy.repository(),
-                             useDecoded, r.traceLength)[0];
+    r.traceLength = trace->size();
+    r.result =
+        runTrace(makeMachine(point.kind, point.way, point.overrides), *trace);
     return r;
 }
 
 void
 runSweepUnit(const std::vector<SweepPoint> &points,
              const std::vector<u32> &unit, const ExecutionPolicy &policy,
-             std::vector<SweepResult> &results)
+             bool retain, std::vector<SweepResult> &results)
 {
-    if (!policy.batch) {
-        results[unit[0]] = runSweepPoint(points[unit[0]], policy,
-                                         policy.decoded);
-        return;
-    }
-    // One trace resolution and one trace pass for the whole group; with
-    // the decoded tier on, even the decode happened at most once per
-    // process, not once per group.
-    std::vector<MachineConfig> machines;
-    machines.reserve(unit.size());
-    for (u32 i : unit)
-        machines.push_back(makeMachine(points[i].kind, points[i].way,
-                                       points[i].overrides));
-    u64 unitStartNs = telemetry::enabled() ? telemetry::nowNs() : 0;
-    std::string leadLabel =
-        telemetry::enabled() ? points[unit[0]].label() : std::string();
-    u64 traceLength = 0;
-    std::vector<RunResult> runs;
-    {
-        TELEMETRY_SPAN("simulate",
-                       leadLabel.empty()
-                           ? std::string()
-                           : leadLabel + " simd=" +
-                                 simd::pathName(simd::pathFor(unit.size())));
-        runs = resolveAndRun(points[unit[0]], machines,
-                             policy.repository(), policy.decoded,
-                             traceLength);
-    }
-    if (telemetry::enabled()) {
-        telemetry::UnitRecord rec;
-        rec.traceHash = wire::fnv1a(leadLabel.data(), leadLabel.size());
-        rec.label = leadLabel;
-        rec.points = u32(unit.size());
-        rec.records = traceLength;
-        rec.wallNs = telemetry::nowNs() - unitStartNs;
-        // Attribute the unit's throughput to the step kernel that
-        // produced it: width-1 units take the fused serial (scalar)
-        // step, wider units the dispatched host-SIMD path.
-        simd::Path path = simd::pathFor(unit.size());
-        rec.simd = simd::pathName(path);
-        telemetry::Registry &reg = telemetry::Registry::instance();
-        reg.setGauge("sim.simd", u64(path));
-        reg.addUnit(std::move(rec));
-    }
-    for (size_t k = 0; k < unit.size(); ++k) {
-        SweepResult &r = results[unit[k]];
-        r.point = points[unit[k]];
-        r.traceLength = traceLength;
-        r.result = runs[k];
-    }
+    runUnit(points, unit, results,
+            [&](std::span<const MachineConfig> machines, u64 &traceLength) {
+                return replayUnit(points[unit[0]], machines,
+                                  policy.repository(), retain, traceLength);
+            });
 }
 
 std::vector<SweepResult>
@@ -196,12 +211,62 @@ SerialExecutor::run(const std::vector<SweepPoint> &points,
 {
     std::vector<std::vector<u32>> units =
         buildSweepUnits(points, allIndices(points.size()), policy.batch);
+    std::vector<bool> shared = sharedTraceUnits(points, units);
+    TraceRepository &repo = policy.repository();
+    // Units whose keyed trace is streamed once: the producer thread
+    // below generates (or reads) them ahead of the simulation.
+    auto produced = [&](size_t u) {
+        return !shared[u] &&
+               points[units[u][0]].workload != SweepPoint::Workload::Trace;
+    };
+
+    // One producer walks the schedule ahead of the calling thread,
+    // streaming trace after trace into a ring a few blocks deep, so
+    // generating the next blocks overlaps stepping the current ones.
+    // Unit order, simulation and results stay on the calling thread.
+    TraceRing ring;
+    std::thread producer([&] {
+        try {
+            for (size_t u = 0; u < units.size(); ++u) {
+                if (!produced(u))
+                    continue;
+                repo.stream(traceKeyFor(points[units[u][0]]), ring);
+                ring.endTrace();
+            }
+        } catch (...) {
+            ring.fail(std::current_exception());
+        }
+    });
+    // Join on every way out of this function; closing the ring first
+    // releases a producer still waiting for room.
+    struct Joiner
+    {
+        TraceRing &ring;
+        std::thread &thread;
+        ~Joiner()
+        {
+            ring.close();
+            thread.join();
+        }
+    } joiner{ring, producer};
+
     std::vector<SweepResult> results(points.size());
     telemetry::Progress progress("sweep", points.size());
     u64 done = 0;
-    for (const auto &unit : units) {
-        runSweepUnit(points, unit, policy, results);
-        done += unit.size();
+    for (size_t u = 0; u < units.size(); ++u) {
+        if (produced(u)) {
+            runUnit(points, units[u], results,
+                    [&](std::span<const MachineConfig> machines,
+                        u64 &traceLength) {
+                        TraceReplay replay(machines);
+                        ring.drain(replay);
+                        traceLength = replay.records();
+                        return replay.finish();
+                    });
+        } else {
+            runSweepUnit(points, units[u], policy, shared[u], results);
+        }
+        done += units[u].size();
         progress.update(done);
     }
     progress.finish(done);
@@ -214,12 +279,13 @@ ThreadPoolExecutor::run(const std::vector<SweepPoint> &points,
 {
     std::vector<std::vector<u32>> units =
         buildSweepUnits(points, allIndices(points.size()), policy.batch);
+    std::vector<bool> shared = sharedTraceUnits(points, units);
     unsigned threads = effectiveThreads(policy, units.size());
 
     if (threads <= 1) {
         std::vector<SweepResult> results(points.size());
-        for (const auto &unit : units)
-            runSweepUnit(points, unit, policy, results);
+        for (size_t u = 0; u < units.size(); ++u)
+            runSweepUnit(points, units[u], policy, shared[u], results);
         return results;
     }
 
@@ -234,7 +300,7 @@ ThreadPoolExecutor::run(const std::vector<SweepPoint> &points,
     auto worker = [&]() {
         for (size_t u = next.fetch_add(1); u < units.size();
              u = next.fetch_add(1)) {
-            runSweepUnit(points, units[u], policy, results);
+            runSweepUnit(points, units[u], policy, shared[u], results);
             progress.update(done.fetch_add(units[u].size()) +
                             units[u].size());
         }
@@ -258,10 +324,8 @@ ProcessExecutor::run(const std::vector<SweepPoint> &points,
     dopts.processes = policy.processes;
     dopts.storeDir = policy.storeDir;
     dopts.cacheBudget = policy.rawBudget;
-    dopts.decodedBudget = policy.decodedBudget;
     dopts.journalPath = policy.journalPath;
     dopts.batch = policy.batch;
-    dopts.decoded = policy.decoded;
     dopts.maxRespawns = policy.maxRespawns;
     dopts.unitTimeoutMs = policy.unitTimeoutMs;
     dopts.maxUnitAttempts = policy.maxUnitAttempts;

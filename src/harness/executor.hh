@@ -16,7 +16,15 @@
  * groups when ExecutionPolicy::batch, single points otherwise) and all
  * write results into submission-order slots, so for any grid and any
  * policy the three result vectors are bit-identical -- asserted by
- * tests/test_study.cc and CI.  A future remote backend (the ROADMAP's
+ * tests/test_study.cc and CI.
+ *
+ * Every unit replays its trace as a stream (replayUnit): a trace that
+ * only one unit of the schedule replays -- every trace of a batched
+ * schedule -- goes from the generator or the trace store straight into
+ * the unit's batched step in 32K-record blocks and is never held whole.
+ * The serial backend runs the generator on a producer thread one ring
+ * of blocks ahead of the simulation.  Traces several units replay, and
+ * explicit traces, stream from their resident tier-1 vector.  A future remote backend (the ROADMAP's
  * TCP rung) is one more implementation of this interface; nothing above
  * it has to change.
  *
@@ -28,6 +36,7 @@
 #ifndef VMMX_HARNESS_EXECUTOR_HH
 #define VMMX_HARNESS_EXECUTOR_HH
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -54,15 +63,10 @@ struct ExecutionPolicy
     /** Schedule whole trace groups (one batched pass per group); off =
      *  one point per unit.  Bit-identical either way. */
     bool batch = true;
-    /** Serve jobs from the repository's decoded tier; off = decode on
-     *  the fly per job.  Bit-identical either way. */
-    bool decoded = true;
     /** Raw (tier-1) trace RAM budget; 0 = unlimited.  Applied to the
      *  per-worker repositories of the Process backend; in-process
      *  backends only apply it where the caller asks (vmmx_study). */
     u64 rawBudget = 0;
-    /** Decoded (tier-2) RAM budget; 0 = unlimited. */
-    u64 decodedBudget = 0;
     /** Trace store directory (Process backend); "" = default dir. */
     std::string storeDir;
     /** Crash-resume journal (Process backend); "" = no journal. */
@@ -90,8 +94,7 @@ struct ExecutionPolicy
     std::vector<std::string> execArgs;
 
     /** The built-in defaults with the legacy environment knobs layered
-     *  on top: VMMX_SWEEP_BATCH, VMMX_SWEEP_DECODED,
-     *  VMMX_TRACE_CACHE_BUDGET, VMMX_DECODED_CACHE_BUDGET,
+     *  on top: VMMX_SWEEP_BATCH, VMMX_TRACE_CACHE_BUDGET,
      *  VMMX_TRACE_STORE, VMMX_MAX_RESPAWNS, VMMX_UNIT_TIMEOUT_MS,
      *  VMMX_MAX_UNIT_ATTEMPTS. */
     static ExecutionPolicy fromEnv();
@@ -105,9 +108,7 @@ struct ExecutionPolicy
     {
         return backend == o.backend && threads == o.threads &&
                processes == o.processes && batch == o.batch &&
-               decoded == o.decoded && rawBudget == o.rawBudget &&
-               decodedBudget == o.decodedBudget &&
-               storeDir == o.storeDir && journalPath == o.journalPath &&
+               rawBudget == o.rawBudget && storeDir == o.storeDir && journalPath == o.journalPath &&
                maxRespawns == o.maxRespawns &&
                unitTimeoutMs == o.unitTimeoutMs &&
                maxUnitAttempts == o.maxUnitAttempts;
@@ -174,22 +175,38 @@ std::vector<SweepResult> runPoints(const std::vector<SweepPoint> &points,
                                    const ExecutionPolicy &policy);
 
 /**
- * Run one grid point under @p policy on the calling thread.
- * @p useDecoded false forces the decode-on-the-fly reference path
- * regardless of policy.decoded (Sweep::runSerial's baseline).
+ * Replay @p lead's trace on every machine in @p machines in one
+ * streamed pass and return the results in @p machines order;
+ * @p traceLength receives the record count.  An explicit trace streams
+ * from its own vector; with @p retain, the trace is resolved through
+ * the repository's tier 1 (kept for the other units replaying it);
+ * otherwise the repository streams it without retaining it
+ * (TraceRepository::stream).  The one unit-replay function of the
+ * executors, the dist worker and the driver's in-driver fallback.
  */
-SweepResult runSweepPoint(const SweepPoint &point,
-                          const ExecutionPolicy &policy, bool useDecoded);
+std::vector<RunResult> replayUnit(const SweepPoint &lead,
+                                  std::span<const MachineConfig> machines,
+                                  TraceRepository &repo, bool retain,
+                                  u64 &traceLength);
 
 /**
- * Run one schedulable unit -- a whole trace group resolved and replayed
- * in a single batched pass when policy.batch, a single point otherwise
- * -- writing into the submission-order slots of @p results.  The common
- * inner loop of the Serial and ThreadPool executors.
+ * Run one grid point on the calling thread the reference way: resolve
+ * the whole trace through tier 1, then replay it (Sweep::runSerial's
+ * materialize-then-replay oracle).
+ */
+SweepResult runSweepPoint(const SweepPoint &point,
+                          const ExecutionPolicy &policy);
+
+/**
+ * Run one schedulable unit -- a whole trace group replayed in a single
+ * batched pass when policy.batch, a single point otherwise -- writing
+ * into the submission-order slots of @p results.  @p retain: another
+ * unit replays the same trace (see replayUnit).  The common inner
+ * loop of the executors.
  */
 void runSweepUnit(const std::vector<SweepPoint> &points,
                   const std::vector<u32> &unit,
-                  const ExecutionPolicy &policy,
+                  const ExecutionPolicy &policy, bool retain,
                   std::vector<SweepResult> &results);
 
 } // namespace vmmx

@@ -52,9 +52,7 @@ struct ExecutionPolicyMirror
     unsigned threads;
     unsigned processes;
     bool batch;
-    bool decoded;
     u64 rawBudget;
-    u64 decodedBudget;
     std::string storeDir;
     std::string journalPath;
     unsigned maxRespawns;
@@ -365,9 +363,7 @@ formatStudySpec(const StudySpec &spec)
     os << "threads = " << e.threads << "\n";
     os << "processes = " << e.processes << "\n";
     os << "batch = " << flagText(e.batch) << "\n";
-    os << "decoded = " << flagText(e.decoded) << "\n";
     os << "raw_budget = " << e.rawBudget << "\n";
-    os << "decoded_budget = " << e.decodedBudget << "\n";
     checkSpecValue("store directory", e.storeDir, /*listItem=*/false);
     os << "store = " << e.storeDir << "\n";
     checkSpecValue("journal path", e.journalPath, /*listItem=*/false);
@@ -500,14 +496,13 @@ parseStudySpec(const std::string &text, StudySpec &spec, std::string &err)
             } else if (key == "batch") {
                 if (!parseFlagValue(spec.exec.batch))
                     return false;
-            } else if (key == "decoded") {
-                if (!parseFlagValue(spec.exec.decoded))
-                    return false;
+            } else if (key == "decoded" || key == "decoded_budget") {
+                return fail("'" + key + "' is no longer an [exec] key: "
+                            "the executors now stream traces block by "
+                            "block, so there is no decoded tier to "
+                            "configure");
             } else if (key == "raw_budget") {
                 if (!parseBudgetValue(spec.exec.rawBudget))
-                    return false;
-            } else if (key == "decoded_budget") {
-                if (!parseBudgetValue(spec.exec.decodedBudget))
                     return false;
             } else if (key == "store") {
                 spec.exec.storeDir = value;

@@ -1,11 +1,6 @@
 #include "harness/runner.hh"
 
-#include <memory>
-
 namespace vmmx
-{
-
-namespace
 {
 
 /**
@@ -14,13 +9,13 @@ namespace
  * nothing mutable and the batched pass is bit-identical to N
  * independent runs.
  */
-struct Batch
+struct MachineBatch
 {
     std::vector<std::unique_ptr<MemorySystem>> mems;
     std::vector<std::unique_ptr<SimContext>> ctxs;
     std::vector<SimContext *> span;
 
-    explicit Batch(std::span<const MachineConfig> machines)
+    explicit MachineBatch(std::span<const MachineConfig> machines)
     {
         mems.reserve(machines.size());
         ctxs.reserve(machines.size());
@@ -50,22 +45,59 @@ struct Batch
     }
 };
 
-} // namespace
+TraceReplay::TraceReplay(std::span<const MachineConfig> machines)
+    : machines_(machines.begin(), machines.end())
+{
+    restart();
+}
+
+TraceReplay::~TraceReplay() = default;
+
+void
+TraceReplay::put(std::vector<InstRecord> &block)
+{
+    borrow(block);
+    block.clear();
+}
+
+void
+TraceReplay::borrow(std::span<const InstRecord> records)
+{
+    run_->feed(records);
+    records_ += records.size();
+}
+
+void
+TraceReplay::restart()
+{
+    // Cold caches and pipelines: nothing of the abandoned pass survives.
+    run_.reset();
+    batch_ = std::make_unique<MachineBatch>(machines_);
+    run_ = std::make_unique<BatchRun>(batch_->span);
+    records_ = 0;
+}
+
+std::vector<RunResult>
+TraceReplay::finish()
+{
+    run_->finish();
+    return batch_->collect();
+}
 
 std::vector<RunResult>
 runTraceBatch(std::span<const MachineConfig> machines,
               const std::vector<InstRecord> &trace)
 {
-    Batch batch(machines);
-    runBatch(trace, batch.span);
-    return batch.collect();
+    TraceReplay replay(machines);
+    replay.borrow(trace);
+    return replay.finish();
 }
 
 std::vector<RunResult>
 runTraceBatch(std::span<const MachineConfig> machines,
               const DecodedStream &stream)
 {
-    Batch batch(machines);
+    MachineBatch batch(machines);
     runBatch(stream, batch.span);
     return batch.collect();
 }

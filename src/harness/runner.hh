@@ -4,6 +4,10 @@
  * on a whole batch of configurations in a single pass over the trace --
  * and returns the combined core + memory statistics per configuration.
  *
+ * TraceReplay is the streaming form: a TraceSink that steps the batch
+ * through a trace block by block as a source hands it over, and the
+ * raw-trace entry points below feed it the whole resident trace.
+ *
  * Both entry points come in two shapes: the raw-trace overloads decode
  * on the fly (block-wise), while the DecodedStream overloads replay an
  * already-decoded stream -- typically a TraceRepository tier-2 handle,
@@ -15,11 +19,13 @@
 #ifndef VMMX_HARNESS_RUNNER_HH
 #define VMMX_HARNESS_RUNNER_HH
 
+#include <memory>
 #include <span>
 #include <vector>
 
 #include "harness/machine.hh"
 #include "sim/core.hh"
+#include "trace/trace_stream.hh"
 
 namespace vmmx
 {
@@ -38,6 +44,39 @@ struct RunResult
 
     /** Bit-exact comparison (sweep determinism checks). */
     bool operator==(const RunResult &o) const = default;
+};
+
+struct MachineBatch; // runner.cc: memory systems + contexts of one pass
+
+/**
+ * The consumer end of a trace stream: every configuration of a batch
+ * of machines steps through each block as it arrives, from cold caches
+ * (BatchRun: one decode per block, shared by all configurations).  A
+ * restart() rebuilds every configuration cold, so records of an
+ * abandoned pass never reach a result.  finish() once, after the last
+ * block; results are bit-identical to runTraceBatch() over the whole
+ * trace, however it was split.
+ */
+class TraceReplay : public TraceSink
+{
+  public:
+    explicit TraceReplay(std::span<const MachineConfig> machines);
+    ~TraceReplay() override;
+
+    void put(std::vector<InstRecord> &block) override;
+    void borrow(std::span<const InstRecord> records) override;
+    void restart() override;
+
+    /** Records replayed since the start (or the last restart). */
+    u64 records() const { return records_; }
+    /** Results in @p machines order. */
+    std::vector<RunResult> finish();
+
+  private:
+    std::vector<MachineConfig> machines_;
+    std::unique_ptr<MachineBatch> batch_;
+    std::unique_ptr<BatchRun> run_;
+    u64 records_ = 0;
 };
 
 /**

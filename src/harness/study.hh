@@ -8,7 +8,7 @@
  *   grid axes        kernels/apps, flavours, machine widths, and
  *                    optional ablation override sets (cross product)
  *   ExecutionPolicy  which backend runs the grid and how (threads,
- *                    processes, batching, decoded tier, budgets);
+ *                    processes, batching, budgets);
  *                    defaults come from the legacy VMMX_* environment
  *                    variables through one parser (common/env.hh)
  *   ReportSpec       which derived metrics to print -- speedup against

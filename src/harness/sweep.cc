@@ -16,12 +16,6 @@ sweepBatchFromEnv()
     return env::flag("VMMX_SWEEP_BATCH", true);
 }
 
-bool
-sweepDecodedFromEnv()
-{
-    return env::flag("VMMX_SWEEP_DECODED", true);
-}
-
 std::string
 SweepPoint::label() const
 {
@@ -161,7 +155,6 @@ Sweep::policy() const
     policy.threads = opts_.threads;
     policy.processes = opts_.processes;
     policy.batch = opts_.batch;
-    policy.decoded = opts_.decoded;
     policy.repo = opts_.repo;
     if (!opts_.storeDir.empty())
         policy.storeDir = opts_.storeDir;
@@ -173,15 +166,11 @@ Sweep::policy() const
 std::vector<SweepResult>
 Sweep::runSerial() const
 {
-    // The determinism baseline: per-point jobs that decode on the fly,
-    // bypassing the decoded tier entirely (but still resolving raw
-    // traces through the repository).
     ExecutionPolicy serial = policy();
     std::vector<SweepResult> results;
     results.reserve(points_.size());
     for (const auto &point : points_)
-        results.push_back(runSweepPoint(point, serial,
-                                        /*useDecoded=*/false));
+        results.push_back(runSweepPoint(point, serial));
     return results;
 }
 

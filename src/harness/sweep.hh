@@ -88,10 +88,6 @@ struct SweepResult
  *  (common/env.hh, the one environment parser); unset = on. */
 bool sweepBatchFromEnv();
 
-/** Default for SweepOptions::decoded: $VMMX_SWEEP_DECODED via
- *  env::flag(); unset = on. */
-bool sweepDecodedFromEnv();
-
 /** Legacy execution knobs; Sweep::run() maps these onto an
  *  ExecutionPolicy (harness/executor.hh), which new code should use
  *  directly. */
@@ -106,11 +102,6 @@ struct SweepOptions
      *  (runTraceBatch).  Off: one runTrace job per point, as before the
      *  batched engine.  Results are bit-identical either way. */
     bool batch = sweepBatchFromEnv();
-    /** Resolve jobs through the repository's decoded tier (one decode
-     *  per trace per process).  Off: every job decodes on the fly, the
-     *  pre-repository behaviour.  Results are bit-identical either
-     *  way. */
-    bool decoded = sweepDecodedFromEnv();
 
     // ---- multi-process backend (src/dist/) ---------------------------
     /** Worker process count; 0 stays on the in-process thread pool.
@@ -191,8 +182,9 @@ class Sweep
     std::vector<SweepResult> run() const;
 
     /** Reference serial per-point loop on the calling thread (the
-     *  determinism baseline; never batches).  Still resolves traces
-     *  through the cache. */
+     *  determinism baseline): every trace is resolved whole through the
+     *  repository's tier 1, then replayed -- materialize-then-replay,
+     *  never batched or streamed. */
     std::vector<SweepResult> runSerial() const;
 
   private:

@@ -294,25 +294,33 @@ SimContext::finish()
     return stats_;
 }
 
-void
-runBatch(const std::vector<InstRecord> &trace,
-         std::span<SimContext *const> ctxs)
+BatchRun::BatchRun(std::span<SimContext *const> ctxs) : ctxs_(ctxs)
 {
     for (SimContext *ctx : ctxs) {
         vmmx_assert(ctx != nullptr, "null context in batch");
         ctx->reset();
     }
-    if (ctxs.empty())
-        return;
+    if (ctxs.size() > 1) {
+        batch_ = std::make_unique<SimBatch>(ctxs);
+        step_ = simd::stepFn(simd::activePath());
+    }
+}
 
-    if (ctxs.size() == 1) {
+BatchRun::~BatchRun() = default;
+
+void
+BatchRun::feed(std::span<const InstRecord> records)
+{
+    if (ctxs_.size() == 1) {
         // Single configuration: fuse decode and step so no block buffer
         // is materialized (this is the runTrace / OoOCore::run path).
-        SimContext &ctx = *ctxs[0];
-        for (const InstRecord &inst : trace)
+        SimContext &ctx = *ctxs_[0];
+        for (const InstRecord &inst : records)
             ctx.step(decodeInst(inst));
         return;
     }
+    if (!batch_)
+        return;
 
     // Batched: decode each block once, then advance every context
     // through it record-major in SoA form -- one DecodedInst drives
@@ -320,16 +328,30 @@ runBatch(const std::vector<InstRecord> &trace,
     // the kernel width picked once per process by the cpuid dispatch.
     // The step order per context is unchanged, so results stay
     // bit-identical to the serial fused path above.
-    SimBatch batch(ctxs);
-    simd::StepFn step = simd::stepFn(simd::activePath());
-    std::vector<DecodedInst> block(std::min(decodeBlock, trace.size()));
-    for (size_t base = 0; base < trace.size(); base += decodeBlock) {
-        size_t n = std::min(decodeBlock, trace.size() - base);
+    if (block_.size() < std::min(decodeBlock, records.size()))
+        block_.resize(std::min(decodeBlock, records.size()));
+    for (size_t base = 0; base < records.size(); base += decodeBlock) {
+        size_t n = std::min(decodeBlock, records.size() - base);
         for (size_t i = 0; i < n; ++i)
-            block[i] = decodeInst(trace[base + i]);
-        step(batch, block.data(), n);
+            block_[i] = decodeInst(records[base + i]);
+        step_(*batch_, block_.data(), n);
     }
-    batch.finish();
+}
+
+void
+BatchRun::finish()
+{
+    if (batch_)
+        batch_->finish();
+}
+
+void
+runBatch(const std::vector<InstRecord> &trace,
+         std::span<SimContext *const> ctxs)
+{
+    BatchRun run(ctxs);
+    run.feed(trace);
+    run.finish();
 }
 
 void

@@ -23,7 +23,8 @@
  *
  * runBatch() comes in two shapes.  Given a raw trace it processes it in
  * cache-resident blocks, decoding each block once before every context
- * steps through it.  Given an already-decoded DecodedStream (the
+ * steps through it; BatchRun is the same loop for a trace that arrives
+ * block by block from a stream.  Given an already-decoded DecodedStream (the
  * repository's tier 2) it skips decode entirely and streams the warm
  * blocks -- the per-record step order is identical, so both shapes are
  * bit-identical to running each context over the full trace alone, the
@@ -33,6 +34,7 @@
 #ifndef VMMX_SIM_SIM_CONTEXT_HH
 #define VMMX_SIM_SIM_CONTEXT_HH
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -42,6 +44,7 @@
 #include "sim/params.hh"
 #include "sim/resources.hh"
 #include "sim/runstats.hh"
+#include "sim/simd_dispatch.hh"
 #include "trace/decoded.hh"
 
 namespace vmmx
@@ -137,6 +140,37 @@ class SimContext
     void resetStores();
 
     RunStats stats_;
+};
+
+/**
+ * runBatch() over a trace that arrives in pieces, the consumer of every
+ * trace stream: construct it over the contexts (which it resets), feed()
+ * the records in order, then finish().  Each piece is decoded in
+ * cache-resident blocks that every context steps through before the
+ * next block is decoded -- a single context fuses decode and step, a
+ * batch steps record-major in SoA form -- so the results are
+ * bit-identical to runBatch() over the concatenated trace however it
+ * was split.
+ */
+class BatchRun
+{
+  public:
+    explicit BatchRun(std::span<SimContext *const> ctxs);
+    ~BatchRun();
+    BatchRun(const BatchRun &) = delete;
+    BatchRun &operator=(const BatchRun &) = delete;
+
+    void feed(std::span<const InstRecord> records);
+    /** Flush the batch state back into the contexts; collect results
+     *  with SimContext::finish(). */
+    void finish();
+
+  private:
+    std::span<SimContext *const> ctxs_;
+    /** SoA view of a multi-context batch; null for a single context. */
+    std::unique_ptr<SimBatch> batch_;
+    simd::StepFn step_ = nullptr;
+    std::vector<DecodedInst> block_;
 };
 
 /**

@@ -56,6 +56,27 @@ Program::emit(InstRecord rec)
 {
     rec.region = region_;
     trace_.push_back(rec);
+    // blockRecords_ is 0 when accumulating, which a non-empty trace
+    // never matches.
+    if (trace_.size() == blockRecords_)
+        sink_->put(trace_);
+}
+
+void
+Program::streamTo(TraceSink &sink, size_t blockRecords)
+{
+    vmmx_assert(blockRecords > 0, "stream blocks must hold records");
+    vmmx_assert(trace_.empty(), "streamTo() must precede the first emit");
+    sink_ = &sink;
+    blockRecords_ = blockRecords;
+}
+
+void
+Program::finishStream()
+{
+    vmmx_assert(sink_ != nullptr, "finishStream() without streamTo()");
+    if (!trace_.empty())
+        sink_->put(trace_);
 }
 
 u32

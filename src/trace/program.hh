@@ -30,6 +30,7 @@
 #include "emu/vword.hh"
 #include "isa/inst.hh"
 #include "isa/simd_kind.hh"
+#include "trace/trace_stream.hh"
 
 namespace vmmx
 {
@@ -68,6 +69,15 @@ class Program
     const std::vector<InstRecord> &trace() const { return trace_; }
     std::vector<InstRecord> takeTrace() { return std::move(trace_); }
     MemImage &mem() { return mem_; }
+
+    /**
+     * Stream the trace instead of accumulating it: from now on every
+     * @p blockRecords emitted records go to @p sink as one block, and
+     * finishStream() hands over the last, partial block.  The blocks
+     * concatenate to exactly what takeTrace() would have returned.
+     */
+    void streamTo(TraceSink &sink, size_t blockRecords = traceBlockRecords);
+    void finishStream();
 
     // ---- vectorised-region markers (Figure 6 attribution) ----
     void beginVectorRegion() { region_ = 1; }
@@ -201,6 +211,9 @@ class Program
     unsigned width_;
 
     std::vector<InstRecord> trace_;
+    /** Streaming target (null: accumulate) and its block size. */
+    TraceSink *sink_ = nullptr;
+    size_t blockRecords_ = 0;
     u16 region_ = 0;
     u16 vl_;
 

@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <limits>
 #include <sstream>
 
 namespace vmmx
@@ -96,13 +97,11 @@ TraceKey::describe() const
 }
 
 void
-encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w)
+TraceEncoder::add(std::span<const InstRecord> records)
 {
-    w.varint(trace.size());
-    Addr prevAddr = 0;
-    u32 prevStatic = 0;
-    u16 prevRegion = 0;
-    for (const InstRecord &i : trace) {
+    wire::Writer &w = body_;
+    count_ += records.size();
+    for (const InstRecord &i : records) {
         const bool hasMem = i.addr != 0 || i.rowBytes != 0 || i.stride != 0;
         u8 flags = u8(static_cast<u8>(i.ew) << flagEwShift);
         if (i.taken)
@@ -111,7 +110,7 @@ encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w)
             flags |= flagHasMem;
         if (i.vl != 0)
             flags |= flagHasVl;
-        if (i.region != prevRegion)
+        if (i.region != prevRegion_)
             flags |= flagNewRegion;
 
         w.byte(static_cast<u8>(i.op));
@@ -123,17 +122,17 @@ encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w)
                 w.byte(r->idx);
         // Static ids advance by small steps inside a basic block and jump
         // back at loop edges: signed deltas stay short either way.
-        w.svarint(s64(i.staticId) - s64(prevStatic));
-        prevStatic = i.staticId;
+        w.svarint(s64(i.staticId) - s64(prevStatic_));
+        prevStatic_ = i.staticId;
         if (flags & flagNewRegion) {
             w.varint(i.region);
-            prevRegion = i.region;
+            prevRegion_ = i.region;
         }
         if (hasMem) {
             // Two's-complement delta: exact for any u64 pair, short for
             // the common near-sequential access patterns.
-            w.svarint(s64(i.addr - prevAddr));
-            prevAddr = i.addr;
+            w.svarint(s64(i.addr - prevAddr_));
+            prevAddr_ = i.addr;
             w.varint(i.rowBytes);
             // Unit-stride rows (stride == rowBytes) encode as zero.
             w.svarint(s64(i.stride) - s64(i.rowBytes));
@@ -143,21 +142,38 @@ encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w)
     }
 }
 
-bool
-decodeTrace(wire::Reader &r, std::vector<InstRecord> &out)
+void
+TraceEncoder::finish(wire::Writer &w) const
 {
-    u64 count = r.varint();
-    if (!r.ok())
-        return false;
-    // A record is at least 5 bytes; reject absurd counts before reserving.
-    if (count > r.remaining())
-        return false;
+    w.varint(count_);
+    w.bytes(body_.buffer().data(), body_.size());
+}
+
+void
+encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w)
+{
+    TraceEncoder enc;
+    enc.add(trace);
+    enc.finish(w);
+}
+
+bool
+TraceDecoder::begin(wire::Reader &r)
+{
+    remaining_ = r.varint();
+    // A record is at least 5 bytes; reject absurd counts up front.
+    return r.ok() && remaining_ <= r.remaining();
+}
+
+bool
+TraceDecoder::next(wire::Reader &r, std::vector<InstRecord> &out,
+                   size_t maxRecords)
+{
+    size_t n = size_t(std::min<u64>(remaining_, maxRecords));
+    remaining_ -= n;
     out.clear();
-    out.reserve(size_t(count));
-    Addr prevAddr = 0;
-    u32 prevStatic = 0;
-    u16 prevRegion = 0;
-    for (u64 n = 0; n < count; ++n) {
+    out.reserve(n);
+    for (size_t k = 0; k < n; ++k) {
         InstRecord i;
         u8 op = r.byte();
         if (op >= static_cast<u8>(Opcode::NUM_OPCODES))
@@ -175,17 +191,17 @@ decodeTrace(wire::Reader &r, std::vector<InstRecord> &out)
         // Delta applications happen in u64 arithmetic: a hostile or
         // corrupt delta plus the running value must wrap (and then fail
         // validation downstream), never overflow a signed add.
-        i.staticId = u32(u64(prevStatic) + u64(r.svarint()));
-        prevStatic = i.staticId;
+        i.staticId = u32(u64(prevStatic_) + u64(r.svarint()));
+        prevStatic_ = i.staticId;
         if (flags & flagNewRegion) {
             i.region = u16(r.varint());
-            prevRegion = i.region;
+            prevRegion_ = i.region;
         } else {
-            i.region = prevRegion;
+            i.region = prevRegion_;
         }
         if (flags & flagHasMem) {
-            i.addr = prevAddr + u64(r.svarint());
-            prevAddr = i.addr;
+            i.addr = prevAddr_ + u64(r.svarint());
+            prevAddr_ = i.addr;
             i.rowBytes = u16(r.varint());
             i.stride = s32(u64(r.svarint()) + u64(i.rowBytes));
         }
@@ -196,6 +212,14 @@ decodeTrace(wire::Reader &r, std::vector<InstRecord> &out)
         out.push_back(i);
     }
     return true;
+}
+
+bool
+decodeTrace(wire::Reader &r, std::vector<InstRecord> &out)
+{
+    TraceDecoder dec;
+    return dec.begin(r) &&
+           dec.next(r, out, std::numeric_limits<size_t>::max());
 }
 
 void

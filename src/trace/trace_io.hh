@@ -22,6 +22,7 @@
 #define VMMX_TRACE_TRACE_IO_HH
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,47 @@ void encodeTrace(const std::vector<InstRecord> &trace, wire::Writer &w);
  * @return false (leaving @p out unspecified) on a malformed stream.
  */
 bool decodeTrace(wire::Reader &r, std::vector<InstRecord> &out);
+
+/**
+ * encodeTrace() for a trace that arrives in blocks: add() them in order,
+ * then finish() appends bytes identical to encodeTrace() of their
+ * concatenation.  The encoded records are buffered until finish()
+ * because the record count leads the encoding.
+ */
+class TraceEncoder
+{
+  public:
+    void add(std::span<const InstRecord> records);
+    void finish(wire::Writer &w) const;
+
+  private:
+    wire::Writer body_;
+    u64 count_ = 0;
+    Addr prevAddr_ = 0;
+    u32 prevStatic_ = 0;
+    u16 prevRegion_ = 0;
+};
+
+/**
+ * decodeTrace() a block at a time: begin() reads the record count, then
+ * each next() decodes up to @p maxRecords further records into @p out
+ * (replacing its contents) until remaining() is 0.  Either call returns
+ * false on malformed input, which leaves @p out unspecified.
+ */
+class TraceDecoder
+{
+  public:
+    bool begin(wire::Reader &r);
+    bool next(wire::Reader &r, std::vector<InstRecord> &out,
+              size_t maxRecords);
+    u64 remaining() const { return remaining_; }
+
+  private:
+    u64 remaining_ = 0;
+    Addr prevAddr_ = 0;
+    u32 prevStatic_ = 0;
+    u16 prevRegion_ = 0;
+};
 
 void serialize(wire::Writer &w, const TraceKey &key);
 bool deserialize(wire::Reader &r, TraceKey &key);

@@ -16,6 +16,68 @@
 namespace vmmx
 {
 
+namespace
+{
+
+/** Prepare the workload @p key names in @p mem and emit it into @p p. */
+void
+emitWorkload(const TraceKey &key, MemImage &mem, Program &p)
+{
+    Rng rng(key.seed);
+    if (key.isApp) {
+        auto a = makeApp(key.name);
+        a->prepare(mem, rng);
+        a->emit(p);
+    } else {
+        auto k = makeKernel(key.name);
+        k->prepare(mem, rng);
+        k->emit(p);
+    }
+}
+
+/** Generated blocks on their way to a sink, copied into a store
+ *  writer first (the write-through of a streamed generation). */
+class StoreTee : public TraceSink
+{
+  public:
+    StoreTee(TraceStore::Writer &out, TraceSink &next)
+        : out_(out), next_(next)
+    {
+    }
+    void
+    put(std::vector<InstRecord> &block) override
+    {
+        out_.add(block);
+        next_.put(block);
+    }
+    void restart() override { next_.restart(); }
+
+  private:
+    TraceStore::Writer &out_;
+    TraceSink &next_;
+};
+
+} // namespace
+
+std::vector<InstRecord>
+generateTrace(const TraceKey &key)
+{
+    MemImage mem(key.imageBytes);
+    Program p(mem, key.kind);
+    emitWorkload(key, mem, p);
+    return p.takeTrace();
+}
+
+void
+generateTrace(const TraceKey &key, TraceSink &sink)
+{
+    MemImage mem(key.imageBytes);
+    Program p(mem, key.kind);
+    p.streamTo(sink);
+    emitWorkload(key, mem, p);
+    p.finishStream();
+}
+
 /**
  * One trace across all RAM tiers.  The build mutex serializes
  * materialization per entry; the atomics are readable without it (the
@@ -249,22 +311,7 @@ TraceRepository::materializeRaw(Entry &e)
         TELEMETRY_SPAN("trace.generate", telemetry::enabled()
                                              ? e.key.name
                                              : std::string());
-        const TraceKey &key = e.key;
-        MemImage mem(key.imageBytes);
-        Rng rng(key.seed);
-        if (key.isApp) {
-            auto a = makeApp(key.name);
-            a->prepare(mem, rng);
-            Program p(mem, key.kind);
-            a->emit(p);
-            trace = p.takeTrace();
-        } else {
-            auto k = makeKernel(key.name);
-            k->prepare(mem, rng);
-            Program p(mem, key.kind);
-            k->emit(p);
-            trace = p.takeTrace();
-        }
+        trace = generateTrace(e.key);
     }
 
     e.raw = std::make_shared<const std::vector<InstRecord>>(std::move(trace));
@@ -305,6 +352,51 @@ TraceRepository::raw(const TraceKey &key)
     entry->rawPins.fetch_add(1, std::memory_order_relaxed);
     touchRawAndEnforce(entry.get());
     return TraceHandle(std::move(t), std::move(entry));
+}
+
+void
+TraceRepository::stream(const TraceKey &key, TraceSink &sink)
+{
+    // A copy an earlier raw() lookup left resident replays in place.
+    std::shared_ptr<Entry> entry;
+    {
+        std::lock_guard<std::mutex> lock(registryMu_);
+        auto it = keyed_.find(key);
+        if (it != keyed_.end())
+            entry = it->second;
+    }
+    if (entry) {
+        SharedTrace resident;
+        {
+            std::lock_guard<std::mutex> build(entry->build);
+            resident = entry->raw;
+        }
+        if (resident) {
+            ++rawHits_;
+            sink.borrow(*resident);
+            return;
+        }
+    }
+
+    const std::string label =
+        telemetry::enabled() ? key.name : std::string();
+    if (store_) {
+        TELEMETRY_SPAN("trace.diskLoad", label);
+        if (store_->stream(key, sink)) {
+            ++diskLoads_;
+            return;
+        }
+    }
+    TELEMETRY_SPAN("trace.generate", label);
+    ++generations_;
+    if (!store_) {
+        generateTrace(key, sink);
+        return;
+    }
+    TraceStore::Writer out(*store_, key);
+    StoreTee tee(out, sink);
+    generateTrace(key, tee);
+    out.commit();
 }
 
 TraceRepository::DecodedHandle

@@ -10,6 +10,13 @@
  *                    so the per-record decode is paid once per process,
  *                    not once per sweep group
  *
+ * stream() bypasses the RAM tiers: it hands a trace replayed exactly
+ * once to a TraceSink block by block -- read from tier 0, or generated
+ * and written through to it -- and keeps nothing.  That is how the
+ * executors replay every batched schedule; the RAM tiers serve traces
+ * that are replayed several times (unbatched schedules, explicit traces)
+ * and direct library users.
+ *
  * Trace generation is execution driven and deterministic in the
  * TraceKey, so every tier is content addressed by construction: a key
  * maps to exactly one raw trace and exactly one decoded stream, and a
@@ -190,6 +197,17 @@ class TraceRepository
     /** Generic keyed lookup (distributed workers). */
     TraceHandle raw(const TraceKey &key);
 
+    // ---- streaming (no RAM tier) -------------------------------------
+    /**
+     * Hand the trace for @p key to @p sink in blocks without retaining
+     * it: replayed in place from a resident tier-1 copy if there is one
+     * (a raw hit), else read from the store (a disk load), else
+     * generated (a generation) -- written through to the store when one
+     * is attached, published once complete.  For a trace replayed once;
+     * each call streams it again.
+     */
+    void stream(const TraceKey &key, TraceSink &sink);
+
     // ---- tier-2 lookups (decoded streams) ----------------------------
     /** Decoded stream for @p key; fills through raw/disk/generate. */
     DecodedHandle decoded(const TraceKey &key);
@@ -208,9 +226,9 @@ class TraceRepository
 
     TierStats rawStats() const;
     TierStats decodedStats() const;
-    /** Traces actually generated (tier-1 fills from scratch). */
+    /** Traces actually generated (tier-1 fills and streams). */
     u64 generations() const { return generations_.load(); }
-    /** Tier-1 fills served by decoding the on-disk store. */
+    /** Traces read from the on-disk store (tier-1 fills and streams). */
     u64 diskLoads() const { return diskLoads_.load(); }
     /** Tier-2 fills (full-trace decodes). */
     u64 decodes() const { return decodes_.load(); }
@@ -263,6 +281,12 @@ class TraceRepository
     std::atomic<u64> rawEvictions_{0};
     std::atomic<u64> decodedEvictions_{0};
 };
+
+/** Run the workload @p key names and return its whole trace. */
+std::vector<InstRecord> generateTrace(const TraceKey &key);
+
+/** Run the workload @p key names, streaming its trace into @p sink. */
+void generateTrace(const TraceKey &key, TraceSink &sink);
 
 } // namespace vmmx
 

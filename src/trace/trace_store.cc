@@ -64,44 +64,57 @@ TraceStore::path(const TraceKey &key) const
     return (fs::path(dir_) / name.str()).string();
 }
 
-SharedTrace
-TraceStore::load(const TraceKey &key)
+void
+TraceStore::reject(const TraceKey &key, const char *why)
 {
-    const std::string file = path(key);
-    std::ifstream in(file, std::ios::binary);
+    warn("trace store: '%s' %s; regenerating", path(key).c_str(), why);
+    ++misses_;
+}
+
+bool
+TraceStore::open(const TraceKey &key, std::vector<u8> &bytes,
+                 wire::Reader &r)
+{
+    std::ifstream in(path(key), std::ios::binary);
     if (!in) {
         ++misses_;
-        return nullptr;
+        return false;
     }
-    std::vector<u8> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
     in.close();
 
     // Checksum covers everything before the trailing fixed64.
     if (bytes.size() < 8 + 8) {
-        warn("trace store: '%s' is truncated; regenerating", file.c_str());
-        ++misses_;
-        return nullptr;
+        reject(key, "is truncated");
+        return false;
     }
     wire::Reader tail(bytes.data() + bytes.size() - 8, 8);
-    u64 want = tail.fixed64();
-    u64 got = wire::fnv1a(bytes.data(), bytes.size() - 8);
-    if (want != got) {
-        warn("trace store: checksum mismatch in '%s'; regenerating",
-             file.c_str());
-        ++misses_;
-        return nullptr;
+    if (tail.fixed64() != wire::fnv1a(bytes.data(), bytes.size() - 8)) {
+        reject(key, "fails its checksum");
+        return false;
     }
 
-    wire::Reader r(bytes.data(), bytes.size() - 8);
+    r = wire::Reader(bytes.data(), bytes.size() - 8);
     TraceKey stored;
-    auto trace = std::make_shared<std::vector<InstRecord>>();
     if (r.fixed32() != storeMagic || r.fixed32() != storeVersion ||
-        !deserialize(r, stored) || !(stored == key) ||
-        !decodeTrace(r, *trace) || !r.atEnd()) {
-        warn("trace store: '%s' is not a valid trace for %s; regenerating",
-             file.c_str(), key.describe().c_str());
-        ++misses_;
+        !deserialize(r, stored) || !(stored == key)) {
+        reject(key, ("is not a stored trace for " + key.describe()).c_str());
+        return false;
+    }
+    return true;
+}
+
+SharedTrace
+TraceStore::load(const TraceKey &key)
+{
+    std::vector<u8> bytes;
+    wire::Reader r(nullptr, 0);
+    if (!open(key, bytes, r))
+        return nullptr;
+    auto trace = std::make_shared<std::vector<InstRecord>>();
+    if (!decodeTrace(r, *trace) || !r.atEnd()) {
+        reject(key, "holds malformed records");
         return nullptr;
     }
     ++loads_;
@@ -109,17 +122,60 @@ TraceStore::load(const TraceKey &key)
 }
 
 bool
+TraceStore::stream(const TraceKey &key, TraceSink &sink)
+{
+    std::vector<u8> bytes;
+    wire::Reader r(nullptr, 0);
+    if (!open(key, bytes, r))
+        return false;
+    TraceDecoder dec;
+    std::vector<InstRecord> block;
+    bool ok = dec.begin(r);
+    bool started = false;
+    while (ok && dec.remaining() > 0) {
+        ok = dec.next(r, block, traceBlockRecords);
+        if (ok) {
+            sink.put(block);
+            started = true;
+        }
+    }
+    if (!ok || !r.atEnd()) {
+        // The checksum only proves the bytes are the ones written;
+        // records that do not decode must not leave a partial trace in
+        // the sink.
+        reject(key, "holds malformed records");
+        if (started)
+            sink.restart();
+        return false;
+    }
+    ++loads_;
+    return true;
+}
+
+bool
 TraceStore::save(const TraceKey &key, const std::vector<InstRecord> &trace)
+{
+    Writer out(*this, key);
+    out.add(trace);
+    return out.commit();
+}
+
+bool
+TraceStore::Writer::commit()
 {
     wire::Writer w;
     w.fixed32(storeMagic);
     w.fixed32(storeVersion);
-    serialize(w, key);
-    encodeTrace(trace, w);
+    serialize(w, key_);
+    enc_.finish(w);
     w.fixed64(wire::fnv1a(w.buffer().data(), w.size()));
 
-    const std::string file = path(key);
-    const std::string tmp = file + ".tmp." + std::to_string(::getpid());
+    // A per-writer temporary name: concurrent writers of one key, in
+    // this process or another, each publish a complete file.
+    static std::atomic<u64> writers{0};
+    const std::string file = store_.path(key_);
+    const std::string tmp = file + ".tmp." + std::to_string(::getpid()) +
+                            "." + std::to_string(writers++);
     {
         std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
         if (!out || !out.write(asChars(w.buffer().data()),
@@ -137,7 +193,7 @@ TraceStore::save(const TraceKey &key, const std::vector<InstRecord> &trace)
         std::remove(tmp.c_str());
         return false;
     }
-    ++saves_;
+    ++store_.saves_;
     return true;
 }
 

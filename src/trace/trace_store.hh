@@ -23,6 +23,7 @@
 #include <string>
 
 #include "trace/trace_io.hh"
+#include "trace/trace_stream.hh"
 
 namespace vmmx
 {
@@ -47,8 +48,40 @@ class TraceStore
     /** @return the stored trace, or null on miss/corruption. */
     SharedTrace load(const TraceKey &key);
 
+    /**
+     * Stream the stored trace for @p key into @p sink, decoding it a
+     * block at a time after the whole-file checksum and the header have
+     * been verified.  @return false on a miss; nothing reaches @p sink
+     * then, except that records found malformed after some blocks were
+     * put make the sink restart() (warned, and counted as a miss).
+     */
+    bool stream(const TraceKey &key, TraceSink &sink);
+
     /** Persist @p trace atomically. @return false on I/O failure. */
     bool save(const TraceKey &key, const std::vector<InstRecord> &trace);
+
+    /**
+     * save() for a trace that arrives in blocks: add() them in order,
+     * then commit() publishes a file byte-identical to save() of their
+     * concatenation, with the same atomic rename.  The encoded records
+     * (a few bytes each) are buffered until commit().
+     */
+    class Writer
+    {
+      public:
+        Writer(TraceStore &store, TraceKey key)
+            : store_(store), key_(std::move(key))
+        {
+        }
+        void add(std::span<const InstRecord> records) { enc_.add(records); }
+        /** @return false on I/O failure. */
+        bool commit();
+
+      private:
+        TraceStore &store_;
+        TraceKey key_;
+        TraceEncoder enc_;
+    };
 
     /** @return true when a valid-looking file exists for @p key. */
     bool contains(const TraceKey &key) const;
@@ -58,6 +91,13 @@ class TraceStore
     u64 misses() const { return misses_.load(); }
 
   private:
+    /** Read @p key's file, verify its checksum and header, and leave
+     *  @p r at the encoded trace.  @return false (counted as a miss) if
+     *  the file is absent or damaged. */
+    bool open(const TraceKey &key, std::vector<u8> &bytes, wire::Reader &r);
+    /** Damaged file: warn and count a miss. */
+    void reject(const TraceKey &key, const char *why);
+
     std::string dir_;
     std::atomic<u64> loads_{0};
     std::atomic<u64> saves_{0};

@@ -3,9 +3,10 @@
  * Study-API tests: the spec-file text format must round-trip exactly
  * (parse -> format -> parse is the identity), the three Executor
  * backends must produce bit-identical SweepResult vectors on a
- * randomized grid (the seam the future TCP backend plugs into), and
- * the report's derived metrics must agree with hand-computed values
- * straight off the RunStats fields.
+ * randomized grid (the seam the future TCP backend plugs into) -- each
+ * streaming its traces and each matching the materialize-then-replay
+ * oracle (Sweep::runSerial) -- and the report's derived metrics must
+ * agree with hand-computed values straight off the RunStats fields.
  */
 
 #include <gtest/gtest.h>
@@ -76,9 +77,7 @@ backend = serial
 threads = 3
 processes = 5
 batch = off
-decoded = on
 raw_budget = 64k
-decoded_budget = 2M
 store = /tmp/some-store
 journal = /tmp/some.vmjl
 max_respawns = 5
@@ -112,9 +111,7 @@ precision = 3
     EXPECT_EQ(spec.exec.threads, 3u);
     EXPECT_EQ(spec.exec.processes, 5u);
     EXPECT_FALSE(spec.exec.batch);
-    EXPECT_TRUE(spec.exec.decoded);
     EXPECT_EQ(spec.exec.rawBudget, u64(64) << 10);
-    EXPECT_EQ(spec.exec.decodedBudget, u64(2) << 20);
     EXPECT_EQ(spec.exec.storeDir, "/tmp/some-store");
     EXPECT_EQ(spec.exec.journalPath, "/tmp/some.vmjl");
     EXPECT_EQ(spec.exec.maxRespawns, 5u);
@@ -199,6 +196,14 @@ TEST_F(StudyTest, SpecFileParseErrors)
                                 spec, err));
     EXPECT_FALSE(parseStudySpec("[report]\nbaseline = mmx64\n", spec, err));
     EXPECT_FALSE(parseStudySpec("no equals sign here\n", spec, err));
+
+    // The decoded tier's knobs are gone; a spec still setting them is
+    // told why instead of being silently accepted.
+    for (const char *text : {"[exec]\ndecoded = on\n",
+                             "[exec]\ndecoded_budget = 2M\n"}) {
+        EXPECT_FALSE(parseStudySpec(text, spec, err)) << text;
+        EXPECT_NE(err.find("stream traces"), std::string::npos) << err;
+    }
 }
 
 // ---- grid expansion ------------------------------------------------------
@@ -300,6 +305,66 @@ TEST_F(StudyTest, BackendsBitIdenticalOnRandomizedGrid)
                 << "processes diverge at " << serial[i].point.label();
             EXPECT_EQ(serial[i].point.label(), threads[i].point.label());
             EXPECT_EQ(serial[i].point.label(), processes[i].point.label());
+        }
+    }
+}
+
+// The streaming contract: every backend streams the traces of its
+// schedule (generated ahead on a producer thread for the serial backend,
+// read from or written through to the store for workers) and must
+// match the materialize-then-replay oracle point for point -- batched
+// and unbatched, and with explicit-trace points in the grid.
+TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
+{
+    std::mt19937 rng(0x57ea);
+    SharedTrace explicitTrace =
+        repo.kernel("comp", SimdKind::VMMX64).shared();
+    for (bool batch : {true, false}) {
+        StudySpec spec = randomizedSpec(rng);
+        Study study(spec);
+        std::vector<SweepPoint> points = study.points();
+        for (unsigned way : {2u, 8u}) {
+            SweepPoint p;
+            p.workload = SweepPoint::Workload::Trace;
+            p.name = "explicit";
+            p.kind = SimdKind::VMMX64;
+            p.way = way;
+            p.trace = explicitTrace;
+            points.push_back(p);
+        }
+
+        // The oracle resolves every trace whole, in its own repository.
+        TraceRepository oracleRepo(nullptr, 0, 0);
+        ExecutionPolicy oracle;
+        oracle.repo = &oracleRepo;
+        std::vector<SweepResult> expect;
+        for (const SweepPoint &p : points)
+            expect.push_back(runSweepPoint(p, oracle));
+
+        for (auto backend : {ExecutionPolicy::Backend::Serial,
+                             ExecutionPolicy::Backend::ThreadPool,
+                             ExecutionPolicy::Backend::Process}) {
+            TraceRepository fresh;
+            ExecutionPolicy policy;
+            policy.repo = &fresh;
+            policy.batch = batch;
+            policy.threads = 3;
+            policy.processes = 2;
+            policy.storeDir = storeDir() + (batch ? "-b" : "-u");
+            auto got = executorFor(backend).run(points, policy);
+            ASSERT_EQ(got.size(), expect.size());
+            for (size_t i = 0; i < expect.size(); ++i)
+                EXPECT_TRUE(got[i].sameRun(expect[i]))
+                    << name(backend) << (batch ? " batched" : " unbatched")
+                    << " diverges at " << expect[i].point.label();
+            if (backend == ExecutionPolicy::Backend::Process)
+                continue;
+            // In-process: a batched schedule streams every keyed trace
+            // once and keeps none of them.
+            if (batch) {
+                EXPECT_EQ(fresh.rawStats().bytes, 0u) << name(backend);
+            }
+            EXPECT_EQ(fresh.decodes(), 0u) << name(backend);
         }
     }
 }

@@ -7,8 +7,9 @@
  * running N machine configurations through one trace pass
  * (runTraceBatch, or a Sweep with batch on) must be bit-identical to N
  * independent runTrace() calls, for any batch size and any knob
- * overrides -- and replaying the repository's pre-decoded tier-2 stream
- * must be bit-identical to decoding on the fly.
+ * overrides -- replaying the repository's pre-decoded tier-2 stream
+ * must be bit-identical to decoding on the fly, and batched schedules
+ * stream their traces instead of keeping them.
  */
 
 #include <gtest/gtest.h>
@@ -150,70 +151,60 @@ TEST_F(SweepTest, ParallelSweepBitIdenticalToSerial)
         EXPECT_TRUE(a[i].sameRun(c[i])) << "point " << i;
 }
 
-TEST_F(SweepTest, SweepSharesDecodedStreamsAcrossPoints)
+TEST_F(SweepTest, SweepStreamsBatchedTracesAndSharesUnbatchedOnes)
 {
-    TraceRepository unbounded(nullptr, 0, 0);
-    SweepOptions opts;
-    opts.repo = &unbounded;
-    opts.threads = 4;
-    opts.batch = false; // per-point jobs: each point looks its trace up
-    opts.decoded = true;
-    Sweep sweep(opts);
-    // 3 widths x 2 flavours of one kernel: 6 points, 2 distinct traces.
-    sweep.addKernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128},
+    auto build = [](Sweep &s) {
+        // 3 widths x 2 flavours of one kernel: 6 points, 2 traces.
+        s.addKernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128},
                         {2, 4, 8});
-    auto results = sweep.run();
-    EXPECT_EQ(results.size(), 6u);
-    // Each trace was generated and decoded exactly once; the other four
-    // per-point lookups were decoded-tier hits.
-    EXPECT_EQ(unbounded.generations(), 2u);
-    EXPECT_EQ(unbounded.decodes(), 2u);
-    EXPECT_EQ(unbounded.decodedStats().hits, 4u);
+    };
 
-    // Same trace => same dynamic length at every width.
-    EXPECT_EQ(results[0].traceLength, results[1].traceLength);
-    EXPECT_EQ(results[0].traceLength, results[2].traceLength);
-
-    // Batched: the whole group resolves its stream once, so the second
-    // sweep adds one decoded hit per distinct trace -- and identical
-    // results, with still no regeneration or re-decode.
-    SweepOptions batched = opts;
+    // Batched: each trace is replayed by exactly one group, so it is
+    // streamed from the generator into the group's pass and never kept.
+    TraceRepository streamed(nullptr, 0, 0);
+    SweepOptions batched;
+    batched.repo = &streamed;
+    batched.threads = 4;
     batched.batch = true;
     Sweep grouped(batched);
-    grouped.addKernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128},
-                          {2, 4, 8});
-    auto batchedResults = grouped.run();
-    EXPECT_EQ(unbounded.generations(), 2u);
-    EXPECT_EQ(unbounded.decodes(), 2u);
-    EXPECT_EQ(unbounded.decodedStats().hits, 6u);
+    build(grouped);
+    auto groupedResults = grouped.run();
+    EXPECT_EQ(streamed.generations(), 2u);
+    EXPECT_EQ(streamed.rawStats().bytes, 0u);
+    EXPECT_EQ(streamed.size(), 0u);
+    EXPECT_EQ(streamed.decodes(), 0u);
+
+    // Unbatched: three per-point units replay each trace, so it is
+    // generated once into tier 1 and the other four lookups are hits.
+    TraceRepository shared(nullptr, 0, 0);
+    SweepOptions perPoint = batched;
+    perPoint.repo = &shared;
+    perPoint.batch = false;
+    Sweep points(perPoint);
+    build(points);
+    auto results = points.run();
+    ASSERT_EQ(results.size(), 6u);
+    EXPECT_EQ(shared.generations(), 2u);
+    EXPECT_EQ(shared.rawStats().hits, 4u);
+    EXPECT_GT(shared.rawStats().bytes, 0u);
+
+    // Same trace => same dynamic length at every width; both schedules
+    // agree bit for bit.
+    EXPECT_EQ(results[0].traceLength, results[1].traceLength);
+    EXPECT_EQ(results[0].traceLength, results[2].traceLength);
     for (size_t i = 0; i < results.size(); ++i)
-        EXPECT_TRUE(results[i].sameRun(batchedResults[i])) << "point " << i;
-}
+        EXPECT_TRUE(results[i].sameRun(groupedResults[i])) << "point " << i;
 
-TEST_F(SweepTest, DecodedTierOffMatchesDecodedTierOn)
-{
-    SweepOptions on;
-    on.repo = &repo;
-    on.threads = 2;
-    on.decoded = true;
-    SweepOptions off = on;
-    off.decoded = false;
-
-    auto build = [](Sweep &s) {
-        s.addKernelGrid({"ltpfilt", "comp"},
-                        {SimdKind::VMMX64, SimdKind::MMX128}, {2, 8});
-    };
-    Sweep withTier(on);
-    Sweep without(off);
-    build(withTier);
-    build(without);
-
-    auto a = withTier.run();
-    auto b = without.run();
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_TRUE(a[i].sameRun(b[i]))
-            << "point " << i << " (" << a[i].point.label() << ")";
+    // A batched sweep over traces already resident replays them in
+    // place (raw hits) instead of generating again.
+    batched.repo = &shared;
+    Sweep again(batched);
+    build(again);
+    auto againResults = again.run();
+    EXPECT_EQ(shared.generations(), 2u);
+    EXPECT_EQ(shared.rawStats().hits, 6u);
+    for (size_t i = 0; i < results.size(); ++i)
+        EXPECT_TRUE(results[i].sameRun(againResults[i])) << "point " << i;
 }
 
 TEST_F(SweepTest, LabelIncludesAblationOverrides)

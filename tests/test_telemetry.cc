@@ -109,6 +109,11 @@ TEST_F(TelemetryTest, RegistryCountersGaugesAndSortedDump)
     reg.dumpText(os);
     const std::string text = os.str();
     EXPECT_LT(text.find("a.gauge 9"), text.find("z.count 5"));
+
+    // The host's peak RSS rides along, nonzero in any live process.
+    size_t rss = text.find("host.peakRssKiB ");
+    ASSERT_NE(rss, std::string::npos) << text;
+    EXPECT_GT(std::stoull(text.substr(rss + 16)), 0u);
 }
 
 TEST_F(TelemetryTest, RegistryFederatesStatGroups)
@@ -162,6 +167,10 @@ TEST_F(TelemetryTest, DumpJsonNestsByDottedPrefixWithUnits)
     // along ("none" in a plain build).
     EXPECT_NE(json.find("\"host\""), std::string::npos);
     EXPECT_NE(json.find("\"sanitizer\": \""), std::string::npos);
+    // ...and so does the process's peak RSS, nonzero in any process.
+    size_t rss = json.find("\"peakRssKiB\": ");
+    ASSERT_NE(rss, std::string::npos) << json;
+    EXPECT_GT(std::stoull(json.substr(rss + 14)), 0u);
     EXPECT_NE(json.find("\"label\":\"idct/vmmx128/4-way\""),
               std::string::npos);
     EXPECT_NE(json.find("\"traceHash\":42"), std::string::npos);

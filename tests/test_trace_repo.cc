@@ -3,21 +3,33 @@
  * Tiered TraceRepository tests: the decoded tier amortizes the
  * per-record decode process-wide, pins protect borrowed traces and
  * decoded streams against eviction, evicted copies re-materialize from
- * the tier below (decoded from raw, raw from disk), and -- the headline
- * guarantee -- results are bit-identical no matter how tiny the
- * budgets, because budgets only ever change *when* memory is reclaimed,
- * never *what* a run computes.
+ * the tier below (decoded from raw, raw from disk), and results are
+ * bit-identical no matter how tiny the budgets, because budgets only
+ * ever change *when* memory is reclaimed, never *what* a run computes.
+ *
+ * The streaming half: a trace handed over block by block -- by the
+ * generator, by the store reader, through the producer/consumer ring --
+ * is the same record sequence as the materialized trace, so the
+ * streamed replay is bit-identical to runTrace() however the blocks are
+ * cut; a store file written through while streaming is byte-identical
+ * to TraceStore::save(); and a store file whose records turn out
+ * malformed part way never leaves a partially stepped trace behind.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <random>
+#include <stdexcept>
+#include <thread>
 #include <unistd.h>
 
 #include "common/logging.hh"
-#include "harness/sweep.hh"
+#include "harness/executor.hh"
+#include "kernels/kernel.hh"
+#include "trace/program.hh"
 #include "trace/trace_repo.hh"
 #include "trace/trace_store.hh"
 
@@ -219,16 +231,18 @@ TEST_F(TraceRepoTest, BudgetFromEnvParsesSuffixes)
     }
 }
 
-// The ISSUE acceptance test: a randomized ablation grid swept with a
-// 1-byte decoded budget (set through the environment, as CI does) is
-// bit-identical to the unbounded sweep -- constant eviction and
-// re-decode changes memory behaviour only, never results.
-TEST_F(TraceRepoTest, RandomizedGridTinyDecodedBudgetBitIdentical)
+// A randomized ablation grid swept per point (so traces are shared
+// through tier 1) with a 1-byte raw budget over a store -- set through
+// the environment, as CI does -- is bit-identical to the unbounded
+// sweep: constant eviction and reload from disk change memory
+// behaviour only, never results.
+TEST_F(TraceRepoTest, RandomizedGridTinyRawBudgetBitIdentical)
 {
-    ::setenv("VMMX_DECODED_CACHE_BUDGET", "1", 1);
-    TraceRepository tiny; // budgets read from the environment
-    ::unsetenv("VMMX_DECODED_CACHE_BUDGET");
-    ASSERT_EQ(tiny.decodedBudget(), 1u);
+    TraceStore store(storeDir());
+    ::setenv("VMMX_TRACE_CACHE_BUDGET", "1", 1);
+    TraceRepository tiny(&store); // budgets read from the environment
+    ::unsetenv("VMMX_TRACE_CACHE_BUDGET");
+    ASSERT_EQ(tiny.rawBudget(), 1u);
     TraceRepository unbounded(nullptr, 0, 0);
 
     std::mt19937 rng(0x5eed);
@@ -250,9 +264,9 @@ TEST_F(TraceRepoTest, RandomizedGridTinyDecodedBudgetBitIdentical)
     SweepOptions tinyOpts;
     tinyOpts.repo = &tiny;
     tinyOpts.threads = 4;
-    SweepOptions bigOpts;
+    tinyOpts.batch = false;
+    SweepOptions bigOpts = tinyOpts;
     bigOpts.repo = &unbounded;
-    bigOpts.threads = 4;
 
     // One grid, built once so both sweeps see identical points (the
     // builder draws from the RNG).
@@ -273,8 +287,292 @@ TEST_F(TraceRepoTest, RandomizedGridTinyDecodedBudgetBitIdentical)
             << "point " << i << " (" << a[i].point.label() << ")";
 
     // The tiny-budget run really did exercise the eviction path.
-    EXPECT_GT(tiny.decodedStats().evictions, 0u);
-    EXPECT_LE(tiny.decodedStats().bytes, unbounded.decodedStats().bytes);
+    EXPECT_GT(tiny.rawStats().evictions, 0u);
+    EXPECT_GT(tiny.diskLoads(), 0u);
+}
+
+// ---- streaming ------------------------------------------------------------
+
+/** Collects streamed blocks as they arrive. */
+struct CollectSink : TraceSink
+{
+    std::vector<std::vector<InstRecord>> blocks;
+    int restarts = 0;
+
+    void
+    put(std::vector<InstRecord> &block) override
+    {
+        blocks.push_back(block);
+        block.clear();
+    }
+    void
+    restart() override
+    {
+        blocks.clear();
+        ++restarts;
+    }
+    std::vector<InstRecord>
+    joined() const
+    {
+        std::vector<InstRecord> all;
+        for (const auto &b : blocks)
+            all.insert(all.end(), b.begin(), b.end());
+        return all;
+    }
+};
+
+/** A kernel trace longer than one stream block (49946 records). */
+const TraceKey &
+longKey()
+{
+    static const TraceKey key{false, "ycc", SimdKind::MMX64,
+                              TraceRepository::kernelImageBytes,
+                              TraceRepository::defaultSeed};
+    return key;
+}
+
+std::vector<MachineConfig>
+threeWidths(SimdKind kind)
+{
+    return {makeMachine(kind, 2), makeMachine(kind, 4),
+            makeMachine(kind, 8)};
+}
+
+TEST_F(TraceRepoTest, ProgramSinkBlocksConcatenateToTakeTrace)
+{
+    const std::vector<InstRecord> whole = generateTrace(longKey());
+    ASSERT_GT(whole.size(), traceBlockRecords);
+
+    // The repository's generator: full blocks, then the remainder.
+    CollectSink generated;
+    generateTrace(longKey(), generated);
+    ASSERT_EQ(generated.blocks.size(), 2u);
+    EXPECT_EQ(generated.blocks[0].size(), traceBlockRecords);
+    EXPECT_TRUE(generated.joined() == whole);
+
+    // A Program streaming in small blocks, driven by hand.
+    CollectSink small;
+    {
+        auto k = makeKernel(longKey().name);
+        MemImage mem(longKey().imageBytes);
+        Rng rng(longKey().seed);
+        k->prepare(mem, rng);
+        Program p(mem, longKey().kind);
+        p.streamTo(small, 1000);
+        k->emit(p);
+        p.finishStream();
+        EXPECT_TRUE(p.trace().empty());
+    }
+    ASSERT_EQ(small.blocks.size(), (whole.size() + 999) / 1000);
+    for (size_t b = 0; b + 1 < small.blocks.size(); ++b)
+        EXPECT_EQ(small.blocks[b].size(), 1000u) << "block " << b;
+    EXPECT_TRUE(small.joined() == whole);
+}
+
+TEST_F(TraceRepoTest, StreamedReplayMatchesRunTraceForAnySplit)
+{
+    const std::vector<InstRecord> whole = generateTrace(longKey());
+    ASSERT_GT(whole.size(), size_t(32769));
+    // One configuration takes the fused step, three the SoA batch.
+    std::vector<MachineConfig> three = threeWidths(longKey().kind);
+    std::vector<std::vector<MachineConfig>> groups = {{three[1]}, three};
+    for (const auto &machines : groups) {
+        std::vector<RunResult> expect;
+        for (const MachineConfig &m : machines)
+            expect.push_back(runTrace(m, whole));
+        for (size_t split : {size_t(1), size_t(7), size_t(32767),
+                             size_t(32768), size_t(32769), whole.size()}) {
+            TraceReplay replay(machines);
+            std::vector<InstRecord> block;
+            for (size_t base = 0; base < whole.size(); base += split) {
+                size_t n = std::min(split, whole.size() - base);
+                block.assign(whole.begin() + std::ptrdiff_t(base),
+                             whole.begin() + std::ptrdiff_t(base + n));
+                replay.put(block);
+                EXPECT_TRUE(block.empty());
+            }
+            EXPECT_EQ(replay.records(), whole.size());
+            std::vector<RunResult> got = replay.finish();
+            ASSERT_EQ(got.size(), expect.size());
+            for (size_t i = 0; i < expect.size(); ++i)
+                EXPECT_TRUE(got[i] == expect[i])
+                    << machines.size() << " configs, split " << split
+                    << ", config " << i;
+        }
+    }
+}
+
+// The serial executor's pipeline in miniature: a producer thread
+// streams traces through the ring (with a restart mid-trace, as a
+// malformed store read would send) while this thread replays them.
+TEST_F(TraceRepoTest, RingCarriesTracesBetweenThreads)
+{
+    const std::vector<InstRecord> whole = generateTrace(longKey());
+    std::vector<MachineConfig> machines = threeWidths(longKey().kind);
+    std::vector<RunResult> expect = runTraceBatch(machines, whole);
+
+    TraceRing ring(2);
+    std::thread producer([&] {
+        for (int trace = 0; trace < 3; ++trace) {
+            if (trace == 1) {
+                // An abandoned first attempt: half the trace, then a
+                // restart before the real one.
+                ring.borrow(std::span<const InstRecord>(whole).first(
+                    whole.size() / 2));
+                ring.restart();
+            }
+            generateTrace(longKey(), ring);
+            ring.endTrace();
+        }
+    });
+    for (int trace = 0; trace < 3; ++trace) {
+        TraceReplay replay(machines);
+        ring.drain(replay);
+        EXPECT_EQ(replay.records(), whole.size()) << "trace " << trace;
+        std::vector<RunResult> got = replay.finish();
+        for (size_t i = 0; i < expect.size(); ++i)
+            EXPECT_TRUE(got[i] == expect[i])
+                << "trace " << trace << ", config " << i;
+    }
+    producer.join();
+}
+
+// Failure crosses the ring both ways: the producer's exception reaches
+// the consumer after the entries queued before it, and a closed ring
+// turns the producer's next put into an exception it can unwind on.
+TEST_F(TraceRepoTest, RingForwardsFailureBothWays)
+{
+    TraceRing ring(2);
+    std::vector<InstRecord> block(3);
+    ring.put(block);
+    ring.endTrace();
+    ring.fail(std::make_exception_ptr(std::runtime_error("generator")));
+    CollectSink sink;
+    ring.drain(sink);
+    EXPECT_EQ(sink.joined().size(), 3u);
+    EXPECT_THROW(ring.drain(sink), std::runtime_error);
+
+    TraceRing closed(1);
+    std::thread producer([&] {
+        std::vector<InstRecord> b(1);
+        // The first put fits, the second waits for room until close().
+        EXPECT_THROW(
+            {
+                closed.put(b);
+                b.resize(1);
+                closed.put(b);
+            },
+            std::runtime_error);
+    });
+    closed.close();
+    producer.join();
+}
+
+std::vector<u8>
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+}
+
+TEST_F(TraceRepoTest, WriteThroughStoreFileMatchesSave)
+{
+    TraceStore streamed(storeDir() + "-streamed");
+    TraceStore saved(storeDir() + "-saved");
+    for (const TraceKey &k : {key(0), longKey()}) {
+        TraceRepository repo(&streamed, 0, 0);
+        CollectSink sink;
+        repo.stream(k, sink); // a miss: generated and written through
+        EXPECT_EQ(repo.generations(), 1u);
+        EXPECT_EQ(streamed.saves(), k == key(0) ? 1u : 2u);
+
+        std::vector<InstRecord> whole = generateTrace(k);
+        EXPECT_TRUE(sink.joined() == whole);
+        ASSERT_TRUE(saved.save(k, whole));
+        std::vector<u8> a = readFile(streamed.path(k));
+        ASSERT_FALSE(a.empty());
+        EXPECT_TRUE(a == readFile(saved.path(k))) << k.describe();
+
+        // ...and it streams back from disk without regenerating.
+        CollectSink again;
+        repo.stream(k, again);
+        EXPECT_EQ(repo.generations(), 1u);
+        EXPECT_EQ(repo.diskLoads(), 1u);
+        EXPECT_TRUE(again.joined() == whole);
+        EXPECT_EQ(repo.rawStats().bytes, 0u);
+    }
+}
+
+TEST_F(TraceRepoTest, MalformedStoreRecordsAreAMissNotAPartialTrace)
+{
+    const TraceKey &k = longKey();
+    const std::vector<InstRecord> whole = generateTrace(k);
+    TraceStore store(storeDir());
+    ASSERT_TRUE(store.save(k, whole));
+
+    // Damage the opcode of record 40000 -- in the second block, after a
+    // whole block has streamed -- and re-seal the file with a valid
+    // checksum, so only the record decoder can notice.
+    const size_t bad = 40000;
+    ASSERT_GT(whole.size(), bad);
+    auto encodedBytes = [](std::span<const InstRecord> records) {
+        wire::Writer w;
+        TraceEncoder enc;
+        enc.add(records);
+        enc.finish(w);
+        wire::Writer count;
+        count.varint(records.size());
+        return w.size() - count.size(); // without the count prefix
+    };
+    std::vector<u8> file = readFile(store.path(k));
+    size_t body = file.size() - 8 - encodedBytes(whole);
+    size_t at = body + encodedBytes(std::span(whole).first(bad));
+    ASSERT_EQ(file[at], u8(whole[bad].op));
+    file[at] = 0xff;
+    u64 sum = wire::fnv1a(file.data(), file.size() - 8);
+    for (int b = 0; b < 8; ++b)
+        file[file.size() - 8 + size_t(b)] = u8(sum >> (8 * b));
+    auto reseal = [&] {
+        std::ofstream out(store.path(k), std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(file.data()),
+                  std::streamsize(file.size()));
+    };
+    reseal();
+
+    // The store reader: one block went out before the damage showed,
+    // so the sink is told to restart and left empty; a counted miss.
+    CollectSink sink;
+    EXPECT_FALSE(store.stream(k, sink));
+    EXPECT_EQ(sink.restarts, 1);
+    EXPECT_TRUE(sink.blocks.empty());
+    EXPECT_EQ(store.misses(), 1u);
+    EXPECT_EQ(store.load(k), nullptr);
+    EXPECT_EQ(store.misses(), 2u);
+
+    // A unit replaying the trace: the partial pass is discarded, the
+    // trace regenerated (and the file repaired by the write-through),
+    // and the results are exactly the regenerated run's.
+    std::vector<MachineConfig> machines = threeWidths(k.kind);
+    std::vector<RunResult> expect = runTraceBatch(machines, whole);
+    TraceRepository repo(&store, 0, 0);
+    SweepPoint lead;
+    lead.workload = SweepPoint::Workload::Kernel;
+    lead.name = k.name;
+    lead.kind = k.kind;
+    u64 length = 0;
+    std::vector<RunResult> got =
+        replayUnit(lead, machines, repo, /*retain=*/false, length);
+    EXPECT_EQ(length, whole.size());
+    EXPECT_EQ(repo.diskLoads(), 0u);
+    EXPECT_EQ(repo.generations(), 1u);
+    EXPECT_EQ(store.misses(), 3u);
+    ASSERT_EQ(got.size(), expect.size());
+    for (size_t i = 0; i < expect.size(); ++i)
+        EXPECT_TRUE(got[i] == expect[i]) << "config " << i;
+    SharedTrace repaired = store.load(k);
+    ASSERT_NE(repaired, nullptr);
+    EXPECT_TRUE(*repaired == whole);
 }
 
 } // namespace

@@ -13,9 +13,12 @@
  *   vmmx_study --backend processes --processes 4 specs/fig5.study
  *   vmmx_study --report-only specs/fig5.study   # tables only (CI diffs)
  *
- * --check reruns the grid through the SerialExecutor and exits nonzero
- * unless every point is bit-identical -- the backend-equivalence
- * guarantee of harness/executor.hh, asserted here on real specs.
+ * --check reruns the grid through the materialize-then-replay reference
+ * (every trace resolved whole, then replayed point by point, as
+ * Sweep::runSerial does) and exits nonzero unless every point is
+ * bit-identical -- the backend-equivalence guarantee of
+ * harness/executor.hh, asserted here on real specs for the streaming
+ * backends.
  */
 
 #include <chrono>
@@ -75,8 +78,8 @@ usage(int rc)
         "  --report-only   print only the report tables (no title or\n"
         "                  timing lines; what CI diffs against benches)\n"
         "  --dump-spec     print the canonical spec text and exit\n"
-        "  --check         also run the serial reference executor and\n"
-        "                  exit nonzero unless bit-identical\n"
+        "  --check         also run the materialize-then-replay reference\n"
+        "                  and exit nonzero unless bit-identical\n"
         "  --verbose       keep warn()/inform() output\n"
         "  --metrics-json FILE  write the run's metrics registry (repo\n"
         "                  tiers, dist counters, per-unit timing) as JSON\n"
@@ -213,12 +216,11 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // The spec's budgets supersede whatever the environment set on the
-    // process-wide repository (the [exec] section is the declarative
-    // home of those knobs; the VMMX_* variables are only its defaults).
+    // The spec's raw budget supersedes whatever the environment set on
+    // the process-wide repository (the [exec] section is the declarative
+    // home of that knob; the VMMX_* variable is only its default).
     TraceRepository &repo = spec.exec.repository();
     repo.setRawBudget(spec.exec.rawBudget);
-    repo.setDecodedBudget(spec.exec.decodedBudget);
 
     auto points = study.points();
     if (points.empty())
@@ -256,8 +258,7 @@ main(int argc, char **argv)
                   << " backend ("
                   << (spec.exec.batch ? "batched trace groups"
                                       : "per-point jobs")
-                  << ", decoded tier "
-                  << (spec.exec.decoded ? "on" : "off") << ")\n\n";
+                  << ")\n\n";
     }
 
     auto start = std::chrono::steady_clock::now();
@@ -306,18 +307,21 @@ main(int argc, char **argv)
         std::fclose(progressFile);
 
     if (check) {
-        ExecutionPolicy serial = spec.exec;
-        serial.backend = ExecutionPolicy::Backend::Serial;
-        auto expect = runPoints(points, serial);
+        // A private repository: the reference shares nothing with the
+        // run it checks.
+        TraceRepository referenceRepo(nullptr, 0, 0);
+        ExecutionPolicy reference;
+        reference.repo = &referenceRepo;
         size_t mismatches = 0;
-        for (size_t i = 0; i < expect.size(); ++i) {
-            if (!results[i].sameRun(expect[i])) {
-                std::cout << "MISMATCH at " << expect[i].point.label()
+        for (size_t i = 0; i < points.size(); ++i) {
+            SweepResult expect = runSweepPoint(points[i], reference);
+            if (!results[i].sameRun(expect)) {
+                std::cout << "MISMATCH at " << expect.point.label()
                           << '\n';
                 ++mismatches;
             }
         }
-        std::cout << "check vs serial executor: "
+        std::cout << "check vs serial reference: "
                   << (mismatches ? "FAIL" : "bit-identical") << '\n';
         if (mismatches)
             return 1;

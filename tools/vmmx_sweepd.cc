@@ -78,9 +78,6 @@ usage(int rc)
         "  --cache-budget B   per-worker raw-trace RAM budget, e.g. 256M\n"
         "                     (default $VMMX_TRACE_CACHE_BUDGET;\n"
         "                     0 = unlimited)\n"
-        "  --decoded-budget B per-worker decoded-stream RAM budget\n"
-        "                     (default $VMMX_DECODED_CACHE_BUDGET;\n"
-        "                     0 = unlimited)\n"
         "  --journal FILE     crash-resume journal; rerun with the same\n"
         "                     file to resume an interrupted sweep\n"
         "  --journal-sync     fdatasync the journal after every entry so\n"
@@ -105,9 +102,6 @@ usage(int rc)
         "                     inherited by every worker process.\n"
         "  --no-batch         one point per dispatch instead of batched\n"
         "                     trace groups (or set VMMX_SWEEP_BATCH=0)\n"
-        "  --no-decoded       decode per dispatch instead of serving the\n"
-        "                     repository's decoded tier (or set\n"
-        "                     VMMX_SWEEP_DECODED=0)\n"
         "  --check            verify against the serial in-process sweep\n"
         "  --verbose          keep worker warn()/inform() output\n"
         "  --metrics-json FILE  write the run's metrics registry (repo\n"
@@ -178,8 +172,6 @@ main(int argc, char **argv)
             dopts.storeDir = value(i);
         else if (arg == "--cache-budget")
             dopts.cacheBudget = parseBudget("--cache-budget", value(i));
-        else if (arg == "--decoded-budget")
-            dopts.decodedBudget = parseBudget("--decoded-budget", value(i));
         else if (arg == "--journal")
             dopts.journalPath = value(i);
         else if (arg == "--journal-sync")
@@ -219,8 +211,6 @@ main(int argc, char **argv)
             ::setenv("VMMX_SIMD", p.c_str(), 1);
         } else if (arg == "--no-batch")
             dopts.batch = false;
-        else if (arg == "--no-decoded")
-            dopts.decoded = false;
         else if (arg == "--check")
             check = true;
         else if (arg == "--verbose")
@@ -275,8 +265,7 @@ main(int argc, char **argv)
     std::cout << "vmmx_sweepd: " << grid.size() << " grid points over "
               << dopts.processes << " worker processes ("
               << (dopts.batch ? "batched trace groups" : "per-point jobs")
-              << ", decoded tier "
-              << (dopts.decoded ? "on" : "off") << ")\n";
+              << ")\n";
     dist::DistStats stats;
     auto results = dist::runSweep(grid.points(), dopts, &stats);
 
@@ -295,16 +284,13 @@ main(int argc, char **argv)
         return b ? std::to_string(b) + " B" : std::string("unlimited");
     };
     std::cout << "dist-budgets: raw " << budgetStr(dopts.cacheBudget)
-              << ", decoded " << budgetStr(dopts.decodedBudget)
               << " per worker\n";
     for (size_t wi = 0; wi < stats.perWorker.size(); ++wi) {
         const auto &w = stats.perWorker[wi];
         std::cout << "dist-worker " << wi << ": " << w.generations
                   << " generations, " << w.hits << " raw hits, "
-                  << w.diskLoads << " disk loads, " << w.decodes
-                  << " decodes, " << w.decodedHits << " decoded hits, "
-                  << w.bytesResident / 1024 << " KiB raw + "
-                  << w.decodedBytes / 1024 << " KiB decoded resident\n";
+                  << w.diskLoads << " disk loads, "
+                  << w.bytesResident / 1024 << " KiB raw resident\n";
     }
     // Every spawn's fate (the "dist-" prefix keeps these filterable:
     // respawn ordinals and exit details legitimately differ run to run).
