@@ -5,23 +5,21 @@
  *
  *   serial/uncached : the pre-sweep-engine path (regenerate the trace at
  *                     every point, run points one by one);
- *   serial/cached   : the sweep engine pinned to one thread, per-point
- *                     jobs (trace repository active, no thread pool);
+ *   serial/cached   : the serial executor with per-point jobs (trace
+ *                     repository active, no thread pool);
  *   sweep/unbatched : the engine with four workers and one runTrace job
  *                     per point (the PR-2 dispatch);
  *   sweep/batched   : the engine with four workers dispatching whole
  *                     trace groups, each run as one batched pass that
  *                     streams its trace block by block.
  *
- * Every variant must produce bit-identical RunResults; the bench exits
- * nonzero on any mismatch.  A host-SIMD section times every runnable
- * SoA step kernel on a wide (12-config) group and enforces the 2x gate:
- * the best vector path must at least double the scalar SoA reference's
- * points/s.  The headline numbers are the wall-clock speedups over the
- * unbatched sweep and the serial/uncached baseline.  These grids run in
- * milliseconds, so the timings are smoke checks, not evidence for a
- * default.  The per-tier TraceRepository::summary() table is printed at
- * the end.
+ * A host-SIMD section times every runnable SoA step kernel on a wide
+ * (12-config) group.  These grids run in milliseconds, so every timing
+ * here is informational smoke output, not evidence for a default: the
+ * exit status depends on bit-identity alone -- every variant, every
+ * SIMD path and a telemetry-on rerun must reproduce the serial/uncached
+ * RunResults exactly.  The per-tier TraceRepository::summary() table is
+ * printed at the end.
  */
 
 #include <algorithm>
@@ -86,34 +84,24 @@ main()
     // dominated by trace generation and re-streaming -- exactly the
     // regime the shared repository and the batched pass are for (the
     // long-trace kernels are covered by fig4/fig5).
-    const std::vector<std::string> kernels = {"motion1", "motion2", "comp",
-                                              "addblock", "ltppar",
-                                              "ltpfilt"};
-    const std::vector<SimdKind> kinds(allSimdKinds.begin(),
-                                      allSimdKinds.end());
-    const std::vector<unsigned> ways = {2, 4, 8};
+    StudySpec spec;
+    spec.kernels = {"motion1", "motion2", "comp", "addblock", "ltppar",
+                    "ltpfilt"};
+    const std::vector<SweepPoint> points = Study(spec).points();
+    const size_t nTraces = groupPointsByTrace(points).size();
 
-    SweepOptions serialOpts;
-    serialOpts.threads = 1;
-    serialOpts.batch = false;
-    SweepOptions poolOpts;
-    poolOpts.threads = 4;
-    poolOpts.batch = false;
-    SweepOptions batchOpts;
-    batchOpts.threads = 4;
-    batchOpts.batch = true;
+    ExecutionPolicy serialPolicy;
+    serialPolicy.backend = ExecutionPolicy::Backend::Serial;
+    serialPolicy.batch = false;
+    ExecutionPolicy poolPolicy;
+    poolPolicy.threads = 4;
+    poolPolicy.batch = false;
+    ExecutionPolicy batchPolicy;
+    batchPolicy.threads = 4;
 
-    Sweep serialSweep(serialOpts);
-    serialSweep.addKernelGrid(kernels, kinds, ways);
-    Sweep poolSweep(poolOpts);
-    poolSweep.addKernelGrid(kernels, kinds, ways);
-    Sweep batchSweep(batchOpts);
-    batchSweep.addKernelGrid(kernels, kinds, ways);
-
-    const size_t nPoints = serialSweep.size();
+    const size_t nPoints = points.size();
     std::cout << "sweep scaling: " << nPoints
-              << " (kernel, flavour, width) points, "
-              << kernels.size() * kinds.size()
+              << " (kernel, flavour, width) points, " << nTraces
               << " distinct traces / batch groups\n\n";
 
     using clock = std::chrono::steady_clock;
@@ -121,19 +109,19 @@ main()
 
     // Warm up: fault in the allocator and populate the trace repository
     // so every variant is timed at steady state (min of three reps).
-    auto batched = batchSweep.run();
+    auto batched = runPoints(points, batchPolicy);
 
     double tBase = 1e9, tCached = 1e9, tPooled = 1e9, tBatched = 1e9;
     std::vector<SweepResult> baseline, cached, pooled;
     for (int r = 0; r < reps; ++r) {
         auto t0 = clock::now();
-        baseline = runSerialUncached(serialSweep.points());
+        baseline = runSerialUncached(points);
         auto t1 = clock::now();
-        cached = serialSweep.run(); // 1 thread: repository only
+        cached = runPoints(points, serialPolicy); // repository only
         auto t2 = clock::now();
-        pooled = poolSweep.run(); // 4 threads + repo, per-point jobs
+        pooled = runPoints(points, poolPolicy); // 4 threads, per-point jobs
         auto t3 = clock::now();
-        batched = batchSweep.run(); // 4 threads + repo + trace groups
+        batched = runPoints(points, batchPolicy); // 4 threads, groups
         auto t4 = clock::now();
         tBase = std::min(tBase, seconds(t0, t1));
         tCached = std::min(tCached, seconds(t1, t2));
@@ -171,15 +159,13 @@ main()
     // timed on the same pre-decoded stream, so the only variable is the
     // step kernel; the fused per-config serial loop (runTrace x 12, the
     // oracle every path must match bit-for-bit) is the baseline row.
-    // The acceptance gate: the best path must clear 2x the points/s of
-    // the scalar SoA reference on this wide group.  The group runs the
-    // rgb trace -- the longest, most compute-dominated kernel -- because
-    // the gate measures the vectorized timing phases; the short branchy
-    // kernels spend most of their stepping in the per-lane scalar
-    // sub-phases (memory disambiguation, free lists, ROB ring) that no
-    // path can vectorize, and bound every kernel near 1.5x by Amdahl.
+    // The group runs the rgb trace -- the longest, most
+    // compute-dominated kernel -- so the vectorized timing phases show;
+    // the short branchy kernels spend most of their stepping in the
+    // per-lane scalar sub-phases (memory disambiguation, free lists, ROB
+    // ring) that no path can vectorize.
     double simdBestSpeedup = 1.0;
-    bool simdIdentical = true, simdGate = true;
+    bool simdIdentical = true;
     std::map<std::string, double> simdPps;
     {
         std::vector<MachineConfig> wideGroup;
@@ -193,8 +179,8 @@ main()
         auto trace = simdRepo.kernel("rgb", SimdKind::VMMX128);
         auto stream = simdRepo.decoded(trace.shared());
 
-        // The idct group is sub-millisecond per pass; time several
-        // passes per rep so the 2x gate rests on stable numbers.
+        // The group is sub-millisecond per pass; time several passes
+        // per rep.
         constexpr int passes = 20;
         std::vector<RunResult> oracle;
         double tSerial = 1e9;
@@ -254,18 +240,8 @@ main()
         simd::setActivePathAuto();
         std::cout << '\n';
         simdTable.print(std::cout);
-        // The gate only binds where a vector path can actually run; a
-        // scalar-only host (or build) still reports its numbers.
-        bool vectorRunnable = (usable & ~u32(1)) != 0;
-        if (vectorRunnable) {
-            simdGate = simdBestSpeedup >= 2.0;
-            std::cout << "best SIMD path vs scalar SoA reference: "
-                      << TextTable::num(simdBestSpeedup) << "x ("
-                      << (simdGate ? "PASS" : "FAIL: below 2x") << ")\n";
-        } else {
-            std::cout << "no vector path compiled+supported on this host; "
-                         "2x gate skipped\n";
-        }
+        std::cout << "best SIMD path vs scalar SoA reference: "
+                  << TextTable::num(simdBestSpeedup) << "x\n";
     }
 
     // Repository summary: the per-tier occupancy/hit table, including
@@ -281,29 +257,15 @@ main()
 
     double speedup = tBase / tBatched;
     std::cout << "batched sweep speedup vs serial/uncached: "
-              << TextTable::num(speedup) << "x ("
-              << (speedup >= 2.0 ? "PASS" : "below 2x on this host")
-              << ")\n";
+              << TextTable::num(speedup) << "x\n";
 
-    // ---- telemetry overhead: the same batched sweep, spans on --------
-    // tBatched above ran with telemetry disabled -- the default mode,
-    // whose only cost over not compiling the hooks in at all is one
-    // relaxed atomic load + branch per unit/span site.  Rerun the
-    // batched sweep with spans and per-unit records enabled and compare:
-    // the delta is the full tracing cost, and results must stay
-    // bit-identical (telemetry is purely observational).
-    double tTelem = 1e9;
+    // ---- telemetry on: the same batched sweep, spans recorded --------
+    // Telemetry is purely observational, so the instrumented rerun must
+    // stay bit-identical.
     size_t spansPerRun = 0;
     {
         telemetry::setEnabled(true);
-        std::vector<SweepResult> telem;
-        for (int r = 0; r < reps; ++r) {
-            telemetry::Tracer::instance().clear();
-            telemetry::Registry::instance().clear();
-            auto t0 = clock::now();
-            telem = batchSweep.run();
-            tTelem = std::min(tTelem, seconds(t0, clock::now()));
-        }
+        std::vector<SweepResult> telem = runPoints(points, batchPolicy);
         spansPerRun = telemetry::Tracer::instance().size();
         telemetry::Tracer::instance().clear();
         telemetry::Registry::instance().clear();
@@ -315,20 +277,14 @@ main()
                           << baseline[i].point.label() << ")\n";
             }
     }
-    double telemOverheadPct = (tTelem / tBatched - 1.0) * 100.0;
-    std::cout << "telemetry disabled (baseline above): "
-              << TextTable::num(tBatched, 3)
-              << " s; enabled (spans + unit records, " << spansPerRun
-              << " spans/run): " << TextTable::num(tTelem, 3) << " s -> "
-              << TextTable::num(telemOverheadPct, 1)
-              << "% overhead; disabled-mode overhead is one atomic "
-                 "load+branch per span site\n";
+    std::cout << "telemetry on (spans + unit records): " << spansPerRun
+              << " spans/run, results "
+              << (identical ? "bit-identical" : "DIFFER") << '\n';
 
     // Machine-readable perf record for CI trend tracking.
     PerfRecord rec("sweep_scaling");
     rec.note("grid", std::to_string(nPoints) + " points, " +
-                         std::to_string(kernels.size() * kinds.size()) +
-                         " trace groups");
+                         std::to_string(nTraces) + " trace groups");
     rec.metric("points", double(nPoints));
     rec.metric("serialUncached.pointsPerSec", nPoints / tBase);
     rec.metric("serialCached.pointsPerSec", nPoints / tCached);
@@ -336,9 +292,6 @@ main()
     rec.metric("sweepBatched.pointsPerSec", nPoints / tBatched);
     rec.metric("batchedSpeedupVsSerialUncached", speedup);
     rec.metric("batchedSpeedupVsUnbatched", batchSpeedup);
-    rec.metric("telemetry.enabledSec", tTelem);
-    rec.metric("telemetry.disabledSec", tBatched);
-    rec.metric("telemetry.enabledOverheadPct", telemOverheadPct);
     rec.metric("telemetry.spansPerRun", double(spansPerRun));
     rec.note("simd.active", simd::pathName(simd::bestPath()));
     for (const auto &[path, pps12] : simdPps)
@@ -347,5 +300,5 @@ main()
     if (rec.write())
         std::cout << "perf record written to " << rec.path() << '\n';
 
-    return identical && simdIdentical && simdGate ? 0 : 1;
+    return identical && simdIdentical ? 0 : 1;
 }

@@ -2,15 +2,16 @@
  * @file
  * Tables III and IV: the modelled processor and memory configurations.
  *
- * The machine grid is enumerated through the sweep API (same helper the
- * timing sweeps use), so the rows here are exactly the machines a
- * default (flavour x width) sweep would run.
+ * The rows come from makeMachine(), the constructor behind every grid
+ * point's machine, so they are exactly the machines a default
+ * (flavour x width) study runs.
  */
 
 #include <iostream>
+#include <vector>
 
 #include "common/table.hh"
-#include "harness/sweep.hh"
+#include "harness/machine.hh"
 
 using namespace vmmx;
 
@@ -19,17 +20,16 @@ main()
 {
     // Enumerate the canonical grid once; Table III prints every machine,
     // Table IV prints the memory system per width (flavour-invariant).
-    Sweep grid;
+    std::vector<MachineConfig> machines;
     for (unsigned way : {2u, 4u, 8u})
         for (auto kind : allSimdKinds)
-            grid.addKernel("idct", kind, way);
+            machines.push_back(makeMachine(kind, way));
 
     std::cout << "Table III: modelled processors\n\n";
     TextTable t3({"config", "phys SIMD", "fetch/commit", "int FUs",
                   "FP FUs", "SIMD issue", "SIMD FUs", "lanes",
                   "mem ports", "ROB", "IQ"});
-    for (const SweepPoint &pt : grid.points()) {
-        auto m = makeMachine(pt.kind, pt.way, pt.overrides);
+    for (const MachineConfig &m : machines) {
         t3.addRow({m.label(), std::to_string(m.core.physSimd),
                    std::to_string(m.core.way),
                    std::to_string(m.core.intFus),
@@ -46,10 +46,9 @@ main()
     std::cout << "\nTable IV: memory hierarchy\n\n";
     TextTable t4({"config", "L1", "L1 ports", "L2", "fill B/cyc",
                   "vec port B/cyc", "mem latency"});
-    for (const SweepPoint &pt : grid.points()) {
-        if (pt.kind != SimdKind::VMMX128)
+    for (const MachineConfig &m : machines) {
+        if (m.kind != SimdKind::VMMX128)
             continue;
-        auto m = makeMachine(pt.kind, pt.way, pt.overrides);
         auto cache = [](const CacheParams &c) {
             return std::to_string(c.sizeBytes / 1024) + "KB/" +
                    std::to_string(c.assoc) + "way/" +

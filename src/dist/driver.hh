@@ -2,33 +2,36 @@
  * @file
  * Driver side of the distributed sweep subsystem.
  *
- * runSweep() shards a grid of SweepPoints across N worker processes.
- * Workers are spawned from this process (fork, or fork+exec of
- * DistOptions::execPath for binaries that install the self-exec hook) and
- * speak the length-prefixed frame protocol of dist/protocol.hh over a
- * socketpair.  The schedulable unit is a *trace group* -- the points
- * that replay one trace, which a worker executes as a single batched
- * pass (replayUnit) so the trace is streamed once per group even across
- * process boundaries; DistOptions::batch = false
- * falls back to one point per unit.  Each worker starts with a
+ * runSweep() shards a grid of SweepPoints across N worker processes as
+ * an ExecutionPolicy (harness/executor.hh) describes -- it is the
+ * ProcessExecutor backend.  Workers are spawned from this process
+ * (fork, or fork+exec of ExecutionPolicy::execPath for binaries that
+ * install the self-exec hook) and speak the length-prefixed frame
+ * protocol of dist/protocol.hh over a socketpair.  The schedulable unit
+ * is a *trace group* -- the points that replay one trace, which a
+ * worker executes as a single batched pass (replayUnit) so the trace is
+ * streamed once per group even across process boundaries;
+ * ExecutionPolicy::batch = false falls back to one point per unit.
+ * Each worker starts with a
  * contiguous shard of the units; a worker that drains its own shard
  * steals units from the tail of the largest remaining shard, so
  * stragglers (one worker stuck on mpeg2enc) cannot serialize the sweep.
  *
  * The driver is a *supervisor*: a worker that dies (EOF, signal,
  * nonzero exit), sends a malformed or Error frame, or blows the
- * per-unit deadline (DistOptions::unitTimeoutMs) does not kill the run.
- * Its in-flight units are reclaimed -- only the still-missing points of
- * each -- and its slot is respawned with bounded exponential backoff,
- * up to DistOptions::maxRespawns times.  The attempt count of the unit
+ * per-unit deadline (ExecutionPolicy::unitTimeoutMs) does not kill the
+ * run.  Its in-flight units are reclaimed -- only the still-missing
+ * points of each -- and its slot is respawned with bounded exponential
+ * backoff, up to ExecutionPolicy::maxRespawns times.  The attempt count
+ * of the unit
  * that was *executing* at death is charged; a unit that has killed
  * maxUnitAttempts workers is quarantined (its remaining points reported
  * failed, never retried).  When the whole fleet is gone and respawn
  * budgets are spent, the driver degrades gracefully: the remaining
  * units run in-driver through the serial unit runner.  Every recovery
  * path is reported in DistStats, and all of them are deterministically
- * exercisable via DistOptions::faultSpec / $VMMX_FAULT_SPEC (grammar in
- * common/env.hh).
+ * exercisable via ExecutionPolicy::faultSpec / $VMMX_FAULT_SPEC (grammar
+ * in common/env.hh).
  *
  * Completed results are journaled to disk as they arrive (optional), so
  * a crashed or interrupted sweep resumes from where it stopped: rerun
@@ -39,7 +42,8 @@
  * Aggregation is by submission index into a pre-sized result vector, so
  * the output order -- and, because per-job state is private and traces
  * are immutable and deterministic in their TraceKey -- every byte of the
- * results is identical to Sweep::runSerial() on the same grid.  That
+ * results is identical to the materialize-then-replay reference
+ * (runSweepPoint) on the same grid.  That
  * same property is what makes recovery safe: re-running the missing
  * subset of a trace group yields per-point results identical to the
  * full pass, so recovered and degraded runs stay bit-identical too.
@@ -51,24 +55,10 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.hh"
-#include "harness/sweep.hh"
-#include "trace/trace_repo.hh"
+#include "harness/executor.hh"
 
 namespace vmmx::dist
 {
-
-/** One worker's end-of-session trace-repository tier counters. */
-struct WorkerTierStats
-{
-    u64 generations = 0;   ///< traces built from scratch
-    u64 hits = 0;          ///< raw-tier RAM hits
-    u64 diskLoads = 0;     ///< tier-1 fills from the disk tier
-    u64 decodes = 0;       ///< decoded-tier fills
-    u64 decodedHits = 0;   ///< decoded-tier RAM hits
-    u64 bytesResident = 0; ///< raw bytes resident at exit
-    u64 decodedBytes = 0;  ///< decoded bytes resident at exit
-};
 
 /** How one worker spawn ended (one entry per spawn, including clean
  *  ones, in the order the driver learned of them). */
@@ -85,7 +75,7 @@ struct WorkerExit
         Error,     ///< sent an explicit Error frame
     };
 
-    unsigned slot = 0;  ///< worker slot (index into DistStats::perWorker)
+    unsigned slot = 0;  ///< worker slot (0 .. DistStats::workers - 1)
     u32 spawnId = 0;    ///< spawn ordinal (the faultSpec "workerN" id)
     Cause cause = Cause::Clean;
     std::string detail; ///< human-readable status ("exit 137", ...)
@@ -106,11 +96,6 @@ struct DistStats
     u64 decodes = 0;     ///< decoded streams built across workers
     u64 decodedHits = 0; ///< decoded-tier lookups served from worker RAM
     u64 decodedBytes = 0; ///< decoded bytes held across workers at exit
-    /** The same counters per worker slot, accumulated across that
-     *  slot's spawns (the per-worker tier report of vmmx_sweepd).  A
-     *  spawn that dies before its Done handshake never reports; its
-     *  tier counters are lost with it. */
-    std::vector<WorkerTierStats> perWorker;
     // Driver-side scheduling counters.  Jobs count grid points (the
     // journal/aggregation unit); groups count the batched trace groups
     // those points were dispatched in.
@@ -143,70 +128,25 @@ struct DistStats
  *  process-wide telemetry registry, for --metrics-json exports. */
 void publishMetrics(const DistStats &st);
 
-// Environment defaults for the supervision knobs (common/env.hh
-// semantics: unset = built-in default, junk warns and falls back).
-unsigned maxRespawnsFromEnv();     ///< $VMMX_MAX_RESPAWNS, default 3
-unsigned maxUnitAttemptsFromEnv(); ///< $VMMX_MAX_UNIT_ATTEMPTS, default 3
-u64 unitTimeoutMsFromEnv();        ///< $VMMX_UNIT_TIMEOUT_MS, default 0
-bool journalSyncFromEnv();         ///< $VMMX_JOURNAL_SYNC, default off
-std::string faultSpecFromEnv();    ///< $VMMX_FAULT_SPEC, default ""
-
-struct DistOptions
-{
-    /** Worker process count (>= 1). */
-    unsigned processes = 2;
-    /** Trace store directory; "" uses TraceStore::defaultDir(). */
-    std::string storeDir;
-    /** Per-worker raw-tier (tier 1) RAM budget; 0 = unlimited. */
-    u64 cacheBudget = TraceRepository::rawBudgetFromEnv();
-    /** Crash-resume journal file; "" disables journaling. */
-    std::string journalPath;
-    /** Shard by trace group and batch each group on the worker (one
-     *  trace pass per group); off = one point per unit, the
-     *  pre-batching behaviour.  Results are bit-identical either way,
-     *  and the journal format does not change. */
-    bool batch = sweepBatchFromEnv();
-    /** Suppress worker warn()/inform() output. */
-    bool quiet = vmmx::quiet();
-    /** Binary to self-exec as the worker ("" forks without exec).  The
-     *  target's main() must call maybeWorkerMain() first. */
-    std::string execPath;
-    /** Extra argv for execPath, before the appended "--worker --fd N". */
-    std::vector<std::string> execArgs;
-    /** Times one worker slot is respawned after a death before the
-     *  slot is abandoned; 0 = never respawn. */
-    unsigned maxRespawns = maxRespawnsFromEnv();
-    /** Wall-clock deadline per dispatched unit, in milliseconds; a
-     *  worker that exceeds it is declared hung, SIGKILLed, and treated
-     *  as crashed.  0 disables the deadline. */
-    u64 unitTimeoutMs = unitTimeoutMsFromEnv();
-    /** Workers a single unit may kill before it is quarantined rather
-     *  than retried (>= 1). */
-    unsigned maxUnitAttempts = maxUnitAttemptsFromEnv();
-    /** Deterministic fault plan forwarded to every worker spawn (""
-     *  = none); grammar in common/env.hh (FaultAction). */
-    std::string faultSpec = faultSpecFromEnv();
-    /** fdatasync() the journal after every appended entry, so results
-     *  survive a host crash, not just a driver crash.  Default off:
-     *  the sync costs more than most grid points. */
-    bool journalSync = journalSyncFromEnv();
-};
-
 /** Stable signature of a grid (journal validation). */
 u64 gridSignature(const std::vector<SweepPoint> &points);
 
 /**
- * Run every point of @p points across supervised worker processes and
- * return the results in submission order, bit-identical to the serial
- * sweep.  Worker failures are recovered (respawn, reassign, degrade to
- * in-driver execution); only driver-side invariant violations are
- * fatal.  Quarantined points -- see DistStats::quarantinedPoints --
- * come back as default-constructed results.  An interrupted journaled
- * run resumes on the next invocation.
+ * Run every point of @p points across supervised worker processes as
+ * @p policy describes (processes, store, raw budget, journal, batching,
+ * supervision knobs, fault plan, self-exec binary) and return the
+ * results in submission order, bit-identical to the serial reference;
+ * statistics go to policy.distStats when set, and workers are quiet
+ * when vmmx::quiet() is.  An unparsable policy.faultSpec is fatal
+ * before any worker spawns.  Worker failures are recovered (respawn,
+ * reassign, degrade to in-driver execution); only driver-side invariant
+ * violations are fatal.  Quarantined points -- see
+ * DistStats::quarantinedPoints -- come back as default-constructed
+ * results.  An interrupted journaled run resumes on the next
+ * invocation.
  */
 std::vector<SweepResult> runSweep(const std::vector<SweepPoint> &points,
-                                  const DistOptions &opts,
-                                  DistStats *stats = nullptr);
+                                  const ExecutionPolicy &policy);
 
 } // namespace vmmx::dist
 

@@ -4,7 +4,7 @@
  * grid points over one file descriptor until the driver sends Done.
  *
  * Workers are either forked children of the driver (library backend) or
- * self-exec'd processes (`vmmx_sweepd --worker --fd N`); both run the
+ * self-exec'd processes (`vmmx_study --worker --fd N`); both run the
  * same serve loop.  Each worker owns a private tiered TraceRepository
  * so its per-tier statistics describe exactly the jobs it ran, with the
  * shared on-disk TraceStore as the cross-process tier 0.  Trace groups
@@ -28,7 +28,7 @@ int workerServe(int fd);
  * Self-exec entry hook: if @p argv requests worker mode
  * ("--worker --fd N"), serve on that descriptor and _exit() -- never
  * returns in that case.  Call first thing in main() of any binary used
- * as a DistOptions::execPath target.  @return false when argv is not a
+ * as an ExecutionPolicy::execPath target.  @return false when argv is not a
  * worker invocation.
  */
 bool maybeWorkerMain(int argc, char **argv);

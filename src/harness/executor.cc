@@ -124,9 +124,12 @@ ExecutionPolicy::fromEnv()
     p.batch = env::flag("VMMX_SWEEP_BATCH", p.batch);
     p.rawBudget = env::byteSize("VMMX_TRACE_CACHE_BUDGET");
     p.storeDir = env::str("VMMX_TRACE_STORE");
-    p.maxRespawns = dist::maxRespawnsFromEnv();
-    p.unitTimeoutMs = dist::unitTimeoutMsFromEnv();
-    p.maxUnitAttempts = dist::maxUnitAttemptsFromEnv();
+    p.maxRespawns = env::number("VMMX_MAX_RESPAWNS", p.maxRespawns);
+    p.unitTimeoutMs = env::number("VMMX_UNIT_TIMEOUT_MS", 0);
+    p.maxUnitAttempts =
+        env::number("VMMX_MAX_UNIT_ATTEMPTS", p.maxUnitAttempts);
+    p.faultSpec = env::str("VMMX_FAULT_SPEC");
+    p.journalSync = env::flag("VMMX_JOURNAL_SYNC", p.journalSync);
     return p;
 }
 
@@ -279,15 +282,12 @@ ThreadPoolExecutor::run(const std::vector<SweepPoint> &points,
 {
     std::vector<std::vector<u32>> units =
         buildSweepUnits(points, allIndices(points.size()), policy.batch);
-    std::vector<bool> shared = sharedTraceUnits(points, units);
     unsigned threads = effectiveThreads(policy, units.size());
-
-    if (threads <= 1) {
-        std::vector<SweepResult> results(points.size());
-        for (size_t u = 0; u < units.size(); ++u)
-            runSweepUnit(points, units[u], policy, shared[u], results);
-        return results;
-    }
+    // One effective thread is the serial schedule, producer ring and
+    // progress reporting included.
+    if (threads <= 1)
+        return SerialExecutor().run(points, policy);
+    std::vector<bool> shared = sharedTraceUnits(points, units);
 
     // Units are independent (per-configuration MemorySystem/SimContext,
     // immutable shared trace artifacts); workers pull the next undone
@@ -320,18 +320,7 @@ std::vector<SweepResult>
 ProcessExecutor::run(const std::vector<SweepPoint> &points,
                      const ExecutionPolicy &policy) const
 {
-    dist::DistOptions dopts;
-    dopts.processes = policy.processes;
-    dopts.storeDir = policy.storeDir;
-    dopts.cacheBudget = policy.rawBudget;
-    dopts.journalPath = policy.journalPath;
-    dopts.batch = policy.batch;
-    dopts.maxRespawns = policy.maxRespawns;
-    dopts.unitTimeoutMs = policy.unitTimeoutMs;
-    dopts.maxUnitAttempts = policy.maxUnitAttempts;
-    dopts.execPath = policy.execPath;
-    dopts.execArgs = policy.execArgs;
-    return dist::runSweep(points, dopts, policy.distStats);
+    return dist::runSweep(points, policy);
 }
 
 const Executor &

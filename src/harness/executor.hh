@@ -45,6 +45,11 @@
 namespace vmmx
 {
 
+namespace dist
+{
+struct DistStats; // dist/driver.hh
+}
+
 /**
  * How to execute a grid: backend choice plus every knob the backends
  * understand.  The declarative subset (everything up to journalPath)
@@ -71,14 +76,15 @@ struct ExecutionPolicy
     std::string storeDir;
     /** Crash-resume journal (Process backend); "" = no journal. */
     std::string journalPath;
-    /** Process backend: respawns per worker slot before it is
-     *  abandoned; 0 = never respawn (see DistOptions::maxRespawns). */
+    /** Process backend: times one worker slot is respawned after a
+     *  death before the slot is abandoned; 0 = never respawn. */
     unsigned maxRespawns = 3;
-    /** Process backend: per-unit wall-clock deadline in ms; 0 = none
-     *  (see DistOptions::unitTimeoutMs). */
+    /** Process backend: wall-clock deadline per dispatched unit in ms;
+     *  a worker past it is declared hung, SIGKILLed and treated as
+     *  crashed.  0 = no deadline. */
     u64 unitTimeoutMs = 0;
-    /** Process backend: attempts before a worker-killing unit is
-     *  quarantined (see DistOptions::maxUnitAttempts). */
+    /** Process backend: workers a single unit may kill before it is
+     *  quarantined rather than retried (>= 1). */
     unsigned maxUnitAttempts = 3;
 
     // ---- runtime-only wiring (not part of the declarative spec) ------
@@ -88,15 +94,24 @@ struct ExecutionPolicy
     /** Optional out-param for Process-backend statistics. */
     dist::DistStats *distStats = nullptr;
     /** Self-exec worker binary for the Process backend ("" forks
-     *  without exec); see DistOptions::execPath. */
+     *  without exec); its main() must call dist::maybeWorkerMain()
+     *  first. */
     std::string execPath;
     /** Extra argv for execPath, before the appended "--worker --fd N". */
     std::vector<std::string> execArgs;
+    /** Process backend: deterministic fault plan forwarded to every
+     *  worker spawn ("" = none; grammar in common/env.hh, FaultAction).
+     *  A plan that does not parse is fatal before any worker spawns. */
+    std::string faultSpec;
+    /** Process backend: fdatasync() the journal after every appended
+     *  entry, so results survive a host crash, not just a driver crash.
+     *  Off by default: the sync costs more than most grid points. */
+    bool journalSync = false;
 
-    /** The built-in defaults with the legacy environment knobs layered
-     *  on top: VMMX_SWEEP_BATCH, VMMX_TRACE_CACHE_BUDGET,
+    /** The built-in defaults with the environment knobs layered on
+     *  top: VMMX_SWEEP_BATCH, VMMX_TRACE_CACHE_BUDGET,
      *  VMMX_TRACE_STORE, VMMX_MAX_RESPAWNS, VMMX_UNIT_TIMEOUT_MS,
-     *  VMMX_MAX_UNIT_ATTEMPTS. */
+     *  VMMX_MAX_UNIT_ATTEMPTS, VMMX_FAULT_SPEC, VMMX_JOURNAL_SYNC. */
     static ExecutionPolicy fromEnv();
 
     /** The repository this policy resolves traces through. */
@@ -149,7 +164,8 @@ class SerialExecutor : public Executor
                                  const ExecutionPolicy &policy) const override;
 };
 
-/** In-process thread pool over the shared unit schedule. */
+/** In-process thread pool over the shared unit schedule; with one
+ *  effective thread it is the SerialExecutor. */
 class ThreadPoolExecutor : public Executor
 {
   public:
@@ -158,7 +174,7 @@ class ThreadPoolExecutor : public Executor
                                  const ExecutionPolicy &policy) const override;
 };
 
-/** Sharded worker processes (the src/dist/ subsystem). */
+/** Sharded worker processes (dist::runSweep). */
 class ProcessExecutor : public Executor
 {
   public:
@@ -191,8 +207,9 @@ std::vector<RunResult> replayUnit(const SweepPoint &lead,
 
 /**
  * Run one grid point on the calling thread the reference way: resolve
- * the whole trace through tier 1, then replay it (Sweep::runSerial's
- * materialize-then-replay oracle).
+ * the whole trace through tier 1, then replay it.  A loop over the grid
+ * is the materialize-then-replay oracle every backend is checked
+ * against (vmmx_study --check and the tests).
  */
 SweepResult runSweepPoint(const SweepPoint &point,
                           const ExecutionPolicy &policy);

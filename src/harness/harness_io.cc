@@ -41,8 +41,9 @@ static_assert(sizeof(Config) == sizeof(std::map<std::string, std::string>),
 // identical order guarantee identical sizeof, and a field added to the
 // real struct but not here (and not to its codec/report) trips the
 // assert.  ExecutionPolicy's declarative fields round-trip through the
-// [exec] spec section (formatStudySpec/parseStudySpec below); DistStats
-// feeds its own summary() and the vmmx_sweepd per-worker report.
+// [exec] spec section (formatStudySpec/parseStudySpec below) and its
+// runtime wiring is read by the executors and dist::runSweep; DistStats
+// feeds its own summary() and dist::publishMetrics().
 namespace
 {
 
@@ -62,6 +63,8 @@ struct ExecutionPolicyMirror
     dist::DistStats *distStats;
     std::string execPath;
     std::vector<std::string> execArgs;
+    std::string faultSpec;
+    bool journalSync;
 };
 
 struct SweepPointMirror
@@ -78,7 +81,6 @@ struct DistStatsMirror
 {
     u64 generations, hits, diskLoads, storeSaves, bytesResident, decodes,
         decodedHits, decodedBytes;
-    std::vector<dist::WorkerTierStats> perWorker;
     u64 jobsRun, jobsResumed, groupsRun, steals;
     unsigned workers;
     u64 respawns, reassignedUnits, retries, quarantinedUnits;
@@ -96,12 +98,12 @@ static_assert(sizeof(SweepPoint) == sizeof(SweepPointMirror),
 
 static_assert(sizeof(ExecutionPolicy) == sizeof(ExecutionPolicyMirror),
               "ExecutionPolicy gained or lost a field: update the [exec] "
-              "spec codec, operator==, ProcessExecutor's DistOptions "
-              "mapping, and this mirror in lockstep");
+              "spec codec, operator==, fromEnv(), dist::runSweep, and "
+              "this mirror in lockstep");
 
 static_assert(sizeof(dist::DistStats) == sizeof(DistStatsMirror),
-              "DistStats gained or lost a field: update summary(), the "
-              "vmmx_sweepd report, and this mirror in lockstep");
+              "DistStats gained or lost a field: update summary(), "
+              "publishMetrics(), and this mirror in lockstep");
 
 void
 serialize(wire::Writer &w, const Config &c)
@@ -386,6 +388,179 @@ formatStudySpec(const StudySpec &spec)
     return os.str();
 }
 
+namespace
+{
+
+bool
+knownSection(const std::string &section)
+{
+    return section == "grid" || section == "exec" || section == "report";
+}
+
+/**
+ * Set @p key of @p section ("" = the top level) to @p value with the
+ * validation of a spec line.  @return "" on success, else what is wrong
+ * with the line.
+ */
+std::string
+setSpecKey(StudySpec &spec, const std::string &section,
+           const std::string &key, const std::string &value)
+{
+    auto wantFlag = [&](bool &out) {
+        return env::parseFlag(value.c_str(), out)
+                   ? std::string()
+                   : "'" + key + "' wants on/off, got '" + value + "'";
+    };
+    auto wantBytes = [&](u64 &out) {
+        return env::parseByteSize(value.c_str(), out)
+                   ? std::string()
+                   : "'" + key + "' wants a byte size, got '" + value +
+                         "'";
+    };
+    auto wantNumber = [&](unsigned &out) {
+        return env::parseUnsigned(value.c_str(), out)
+                   ? std::string()
+                   : "'" + key + "' wants a number, got '" + value + "'";
+    };
+
+    if (section.empty()) {
+        if (key != "title")
+            return "unknown top-level key '" + key + "'";
+        spec.title = value;
+        return "";
+    }
+
+    if (section == "grid") {
+        if (key == "kernels") {
+            spec.kernels = splitList(value);
+        } else if (key == "apps") {
+            spec.apps = splitList(value);
+        } else if (key == "kinds") {
+            spec.kinds.clear();
+            for (const auto &k : splitList(value)) {
+                SimdKind kind;
+                if (!lookupSimdKind(k, kind))
+                    return "unknown SIMD flavour '" + k + "'";
+                spec.kinds.push_back(kind);
+            }
+        } else if (key == "ways") {
+            spec.ways.clear();
+            for (const auto &w : splitList(value)) {
+                unsigned way = 0;
+                if (!env::parseUnsigned(w.c_str(), way) || way == 0)
+                    return "bad machine width '" + w + "'";
+                spec.ways.push_back(way);
+            }
+        } else if (key == "override") {
+            Config set;
+            for (const auto &assignment : splitList(value)) {
+                size_t aeq = assignment.find('=');
+                if (aeq == std::string::npos || aeq == 0)
+                    return "override wants comma-separated knob=value "
+                           "pairs, got '" + assignment + "'";
+                set.set(trim(assignment.substr(0, aeq)),
+                        trim(assignment.substr(aeq + 1)));
+            }
+            spec.overrideSets.push_back(std::move(set));
+        } else {
+            return "unknown [grid] key '" + key + "'";
+        }
+        return "";
+    }
+
+    if (section == "exec") {
+        ExecutionPolicy &e = spec.exec;
+        if (key == "backend") {
+            if (!parseBackend(value, e.backend))
+                return "unknown backend '" + value +
+                       "' (want serial/threads/processes)";
+            return "";
+        }
+        if (key == "threads")
+            return wantNumber(e.threads);
+        if (key == "processes") {
+            if (!env::parseUnsigned(value.c_str(), e.processes) ||
+                e.processes == 0)
+                return "'processes' must be >= 1";
+            return "";
+        }
+        if (key == "batch")
+            return wantFlag(e.batch);
+        if (key == "decoded" || key == "decoded_budget")
+            return "'" + key + "' is no longer an [exec] key: the "
+                   "executors now stream traces block by block, so there "
+                   "is no decoded tier to configure";
+        if (key == "raw_budget")
+            return wantBytes(e.rawBudget);
+        if (key == "store") {
+            e.storeDir = value;
+            return "";
+        }
+        if (key == "journal") {
+            e.journalPath = value;
+            return "";
+        }
+        if (key == "max_respawns")
+            return wantNumber(e.maxRespawns);
+        if (key == "unit_timeout_ms") {
+            // Plain count, not a byte size; 32 bits of milliseconds is
+            // 49 days of deadline, enough for any unit.
+            unsigned ms = 0;
+            std::string what = wantNumber(ms);
+            if (what.empty())
+                e.unitTimeoutMs = ms;
+            return what;
+        }
+        if (key == "max_unit_attempts") {
+            if (!env::parseUnsigned(value.c_str(), e.maxUnitAttempts) ||
+                e.maxUnitAttempts == 0)
+                return "'max_unit_attempts' must be >= 1";
+            return "";
+        }
+        return "unknown [exec] key '" + key + "'";
+    }
+
+    ReportSpec &r = spec.report;
+    if (key == "layout") {
+        if (!parseLayout(value, r.layout))
+            return "unknown layout '" + value + "' (want points/pivot)";
+    } else if (key == "metrics") {
+        r.metrics.clear();
+        for (const auto &m : splitList(value)) {
+            ReportSpec::Metric metric;
+            if (!parseMetric(m, metric))
+                return "unknown metric '" + m + "'";
+            r.metrics.push_back(metric);
+        }
+    } else if (key == "pivot_metric") {
+        if (!parseMetric(value, r.pivot))
+            return "unknown metric '" + value + "'";
+    } else if (key == "baseline") {
+        size_t slash = value.find('/');
+        if (slash == std::string::npos)
+            return "baseline wants kind/way, e.g. mmx64/2";
+        if (!lookupSimdKind(value.substr(0, slash), r.baselineKind))
+            return "unknown SIMD flavour '" + value.substr(0, slash) + "'";
+        if (!env::parseUnsigned(value.substr(slash + 1).c_str(),
+                                r.baselineWay) ||
+            r.baselineWay == 0)
+            return "bad baseline width '" + value.substr(slash + 1) + "'";
+    } else if (key == "geomean") {
+        return wantFlag(r.geomean);
+    } else if (key == "precision") {
+        unsigned precision = 0;
+        std::string what = wantNumber(precision);
+        if (what.empty())
+            r.precision = int(precision);
+        return what;
+    } else {
+        return "unknown [report] key '" + key + "'";
+    }
+    return "";
+}
+
+} // namespace
+
 bool
 parseStudySpec(const std::string &text, StudySpec &spec, std::string &err)
 {
@@ -394,180 +569,56 @@ parseStudySpec(const std::string &text, StudySpec &spec, std::string &err)
     std::istringstream in(text);
     std::string rawLine, section;
     int lineNo = 0;
-    auto fail = [&](const std::string &what) {
-        err = "line " + std::to_string(lineNo) + ": " + what;
-        return false;
-    };
-
     while (std::getline(in, rawLine)) {
         ++lineNo;
         std::string line = trim(rawLine);
         if (line.empty() || line[0] == '#')
             continue;
 
+        std::string what;
         if (line.front() == '[') {
-            if (line.back() != ']')
-                return fail("malformed section header '" + line + "'");
             section = line.substr(1, line.size() - 2);
-            if (section != "grid" && section != "exec" &&
-                section != "report")
-                return fail("unknown section [" + section + "]");
-            continue;
-        }
-
-        size_t eq = line.find('=');
-        if (eq == std::string::npos)
-            return fail("expected 'key = value', got '" + line + "'");
-        std::string key = trim(line.substr(0, eq));
-        std::string value = trim(line.substr(eq + 1));
-
-        auto parseFlagValue = [&](bool &out) {
-            if (!env::parseFlag(value.c_str(), out))
-                return fail("'" + key + "' wants on/off, got '" + value +
-                            "'");
-            return true;
-        };
-        auto parseBudgetValue = [&](u64 &out) {
-            if (!env::parseByteSize(value.c_str(), out))
-                return fail("'" + key + "' wants a byte size, got '" +
-                            value + "'");
-            return true;
-        };
-        auto parseUnsignedValue = [&](unsigned &out) {
-            if (!env::parseUnsigned(value.c_str(), out))
-                return fail("'" + key + "' wants a number, got '" + value +
-                            "'");
-            return true;
-        };
-
-        if (section.empty()) {
-            if (key == "title")
-                spec.title = value;
+            if (line.back() != ']')
+                what = "malformed section header '" + line + "'";
+            else if (!knownSection(section))
+                what = "unknown section [" + section + "]";
+        } else {
+            size_t eq = line.find('=');
+            if (eq == std::string::npos)
+                what = "expected 'key = value', got '" + line + "'";
             else
-                return fail("unknown top-level key '" + key + "'");
-        } else if (section == "grid") {
-            if (key == "kernels")
-                spec.kernels = splitList(value);
-            else if (key == "apps")
-                spec.apps = splitList(value);
-            else if (key == "kinds") {
-                spec.kinds.clear();
-                for (const auto &k : splitList(value)) {
-                    SimdKind kind;
-                    if (!lookupSimdKind(k, kind))
-                        return fail("unknown SIMD flavour '" + k + "'");
-                    spec.kinds.push_back(kind);
-                }
-            } else if (key == "ways") {
-                spec.ways.clear();
-                for (const auto &w : splitList(value)) {
-                    unsigned way = 0;
-                    if (!env::parseUnsigned(w.c_str(), way) || way == 0)
-                        return fail("bad machine width '" + w + "'");
-                    spec.ways.push_back(way);
-                }
-            } else if (key == "override") {
-                Config set;
-                for (const auto &assignment : splitList(value)) {
-                    size_t aeq = assignment.find('=');
-                    if (aeq == std::string::npos || aeq == 0)
-                        return fail("override wants comma-separated "
-                                    "knob=value pairs, got '" +
-                                    assignment + "'");
-                    set.set(trim(assignment.substr(0, aeq)),
-                            trim(assignment.substr(aeq + 1)));
-                }
-                spec.overrideSets.push_back(std::move(set));
-            } else {
-                return fail("unknown [grid] key '" + key + "'");
-            }
-        } else if (section == "exec") {
-            if (key == "backend") {
-                if (!parseBackend(value, spec.exec.backend))
-                    return fail("unknown backend '" + value +
-                                "' (want serial/threads/processes)");
-            } else if (key == "threads") {
-                if (!parseUnsignedValue(spec.exec.threads))
-                    return false;
-            } else if (key == "processes") {
-                if (!parseUnsignedValue(spec.exec.processes) ||
-                    spec.exec.processes == 0)
-                    return fail("'processes' must be >= 1");
-            } else if (key == "batch") {
-                if (!parseFlagValue(spec.exec.batch))
-                    return false;
-            } else if (key == "decoded" || key == "decoded_budget") {
-                return fail("'" + key + "' is no longer an [exec] key: "
-                            "the executors now stream traces block by "
-                            "block, so there is no decoded tier to "
-                            "configure");
-            } else if (key == "raw_budget") {
-                if (!parseBudgetValue(spec.exec.rawBudget))
-                    return false;
-            } else if (key == "store") {
-                spec.exec.storeDir = value;
-            } else if (key == "journal") {
-                spec.exec.journalPath = value;
-            } else if (key == "max_respawns") {
-                if (!parseUnsignedValue(spec.exec.maxRespawns))
-                    return false;
-            } else if (key == "unit_timeout_ms") {
-                // Plain count, not a byte size; 32 bits of milliseconds
-                // is 49 days of deadline, enough for any unit.
-                unsigned ms = 0;
-                if (!parseUnsignedValue(ms))
-                    return false;
-                spec.exec.unitTimeoutMs = ms;
-            } else if (key == "max_unit_attempts") {
-                if (!parseUnsignedValue(spec.exec.maxUnitAttempts) ||
-                    spec.exec.maxUnitAttempts == 0)
-                    return fail("'max_unit_attempts' must be >= 1");
-            } else {
-                return fail("unknown [exec] key '" + key + "'");
-            }
-        } else if (section == "report") {
-            if (key == "layout") {
-                if (!parseLayout(value, spec.report.layout))
-                    return fail("unknown layout '" + value +
-                                "' (want points/pivot)");
-            } else if (key == "metrics") {
-                spec.report.metrics.clear();
-                for (const auto &m : splitList(value)) {
-                    ReportSpec::Metric metric;
-                    if (!parseMetric(m, metric))
-                        return fail("unknown metric '" + m + "'");
-                    spec.report.metrics.push_back(metric);
-                }
-            } else if (key == "pivot_metric") {
-                if (!parseMetric(value, spec.report.pivot))
-                    return fail("unknown metric '" + value + "'");
-            } else if (key == "baseline") {
-                size_t slash = value.find('/');
-                if (slash == std::string::npos)
-                    return fail("baseline wants kind/way, e.g. mmx64/2");
-                if (!lookupSimdKind(value.substr(0, slash),
-                                    spec.report.baselineKind))
-                    return fail("unknown SIMD flavour '" +
-                                value.substr(0, slash) + "'");
-                if (!env::parseUnsigned(value.substr(slash + 1).c_str(),
-                                        spec.report.baselineWay) ||
-                    spec.report.baselineWay == 0)
-                    return fail("bad baseline width '" +
-                                value.substr(slash + 1) + "'");
-            } else if (key == "geomean") {
-                if (!parseFlagValue(spec.report.geomean))
-                    return false;
-            } else if (key == "precision") {
-                unsigned precision = 0;
-                if (!parseUnsignedValue(precision))
-                    return false;
-                spec.report.precision = int(precision);
-            } else {
-                return fail("unknown [report] key '" + key + "'");
-            }
+                what = setSpecKey(spec, section, trim(line.substr(0, eq)),
+                                  trim(line.substr(eq + 1)));
+        }
+        if (!what.empty()) {
+            err = "line " + std::to_string(lineNo) + ": " + what;
+            return false;
         }
     }
     return true;
+}
+
+bool
+applySpecSetting(const std::string &assignment, StudySpec &spec,
+                 std::string &err)
+{
+    size_t eq = assignment.find('=');
+    std::string path = trim(assignment.substr(0, eq));
+    size_t dot = path.find('.');
+    std::string section = dot == std::string::npos ? "" : path.substr(0, dot);
+    std::string key = dot == std::string::npos ? path : path.substr(dot + 1);
+    std::string what;
+    if (eq == std::string::npos)
+        what = "expected SECTION.KEY=VALUE";
+    else if (dot != std::string::npos && !knownSection(section))
+        what = "unknown section [" + section + "]";
+    else
+        what = setSpecKey(spec, section, trim(key),
+                          trim(assignment.substr(eq + 1)));
+    if (what.empty())
+        return true;
+    err = "'" + assignment + "': " + what;
+    return false;
 }
 
 } // namespace vmmx

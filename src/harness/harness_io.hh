@@ -54,6 +54,17 @@ std::string formatStudySpec(const StudySpec &spec);
 bool parseStudySpec(const std::string &text, StudySpec &spec,
                     std::string &err);
 
+/**
+ * Apply one `SECTION.KEY=VALUE` assignment to @p spec (a bare KEY is a
+ * top-level key such as title) with the syntax and validation of the
+ * line `KEY = VALUE` in [SECTION]: a later assignment of the same key
+ * wins, and grid.override appends an override set.  Unknown sections or
+ * keys, a missing '=' and malformed values fail with @p assignment
+ * named in @p err.  vmmx_study's --set.
+ */
+bool applySpecSetting(const std::string &assignment, StudySpec &spec,
+                      std::string &err);
+
 } // namespace vmmx
 
 #endif // VMMX_HARNESS_HARNESS_IO_HH

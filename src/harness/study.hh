@@ -8,8 +8,8 @@
  *   grid axes        kernels/apps, flavours, machine widths, and
  *                    optional ablation override sets (cross product)
  *   ExecutionPolicy  which backend runs the grid and how (threads,
- *                    processes, batching, budgets);
- *                    defaults come from the legacy VMMX_* environment
+ *                    processes, batching, budgets, supervision);
+ *                    defaults come from the VMMX_* environment
  *                    variables through one parser (common/env.hh)
  *   ReportSpec       which derived metrics to print -- speedup against
  *                    a named baseline configuration, cycle breakdown,
@@ -21,10 +21,8 @@
  * bit-identical), and render the report.  Specs round-trip through a
  * text file format (Study::fromFile / Study::specText, codec in
  * harness/harness_io.*), so a figure is reproducible from a checked-in
- * spec via tools/vmmx_study instead of a bespoke binary.
- *
- * The older Sweep class remains as a thin compatibility wrapper over
- * this machinery for one release; new code should start here.
+ * spec via tools/vmmx_study instead of a bespoke binary; its --set
+ * assignments (applySpecSetting) layer per-run knobs over the file.
  */
 
 #ifndef VMMX_HARNESS_STUDY_HH

@@ -3,18 +3,10 @@
 #include <map>
 #include <tuple>
 
-#include "common/env.hh"
 #include "common/logging.hh"
-#include "harness/executor.hh"
 
 namespace vmmx
 {
-
-bool
-sweepBatchFromEnv()
-{
-    return env::flag("VMMX_SWEEP_BATCH", true);
-}
 
 std::string
 SweepPoint::label() const
@@ -87,107 +79,6 @@ buildSweepUnits(const std::vector<SweepPoint> &points,
     for (u32 i : subset)
         units.push_back({i});
     return units;
-}
-
-Sweep::Sweep(const SweepOptions &opts) : opts_(opts) {}
-
-Sweep &
-Sweep::addKernel(const std::string &name, SimdKind kind, unsigned way,
-                 const Config &overrides)
-{
-    points_.push_back(
-        {SweepPoint::Workload::Kernel, name, kind, way, overrides, nullptr});
-    return *this;
-}
-
-Sweep &
-Sweep::addApp(const std::string &name, SimdKind kind, unsigned way,
-              const Config &overrides)
-{
-    points_.push_back(
-        {SweepPoint::Workload::App, name, kind, way, overrides, nullptr});
-    return *this;
-}
-
-Sweep &
-Sweep::addTrace(SharedTrace trace, SimdKind kind, unsigned way,
-                const std::string &label, const Config &overrides)
-{
-    vmmx_assert(trace != nullptr, "explicit sweep trace must be non-null");
-    points_.push_back({SweepPoint::Workload::Trace, label, kind, way,
-                       overrides, std::move(trace)});
-    return *this;
-}
-
-Sweep &
-Sweep::addKernelGrid(const std::vector<std::string> &names,
-                     const std::vector<SimdKind> &kinds,
-                     const std::vector<unsigned> &ways)
-{
-    for (const auto &n : names)
-        for (auto k : kinds)
-            for (auto w : ways)
-                addKernel(n, k, w);
-    return *this;
-}
-
-Sweep &
-Sweep::addAppGrid(const std::vector<std::string> &names,
-                  const std::vector<SimdKind> &kinds,
-                  const std::vector<unsigned> &ways)
-{
-    for (const auto &n : names)
-        for (auto k : kinds)
-            for (auto w : ways)
-                addApp(n, k, w);
-    return *this;
-}
-
-ExecutionPolicy
-Sweep::policy() const
-{
-    // fromEnv() keeps the legacy defaults (budgets, store) for knobs
-    // SweepOptions never carried; the explicit options win elsewhere.
-    ExecutionPolicy policy = ExecutionPolicy::fromEnv();
-    policy.backend = opts_.processes > 0
-                         ? ExecutionPolicy::Backend::Process
-                         : ExecutionPolicy::Backend::ThreadPool;
-    policy.threads = opts_.threads;
-    policy.processes = opts_.processes;
-    policy.batch = opts_.batch;
-    policy.repo = opts_.repo;
-    if (!opts_.storeDir.empty())
-        policy.storeDir = opts_.storeDir;
-    policy.journalPath = opts_.journalPath;
-    policy.distStats = opts_.distStats;
-    return policy;
-}
-
-std::vector<SweepResult>
-Sweep::runSerial() const
-{
-    ExecutionPolicy serial = policy();
-    std::vector<SweepResult> results;
-    results.reserve(points_.size());
-    for (const auto &point : points_)
-        results.push_back(runSweepPoint(point, serial));
-    return results;
-}
-
-std::vector<SweepResult>
-Sweep::run() const
-{
-    return runPoints(points_, policy());
-}
-
-std::vector<SweepResult>
-sweepTrace(const SharedTrace &trace, SimdKind kind,
-           const std::vector<unsigned> &ways, const SweepOptions &opts)
-{
-    Sweep sweep(opts);
-    for (unsigned w : ways)
-        sweep.addTrace(trace, kind, w);
-    return sweep.run();
 }
 
 } // namespace vmmx

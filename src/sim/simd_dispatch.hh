@@ -14,8 +14,8 @@
  * probe (the classic ax_ext capability check -- feature bit plus
  * OSXSAVE/xgetbv state-enable for the wide register files) yields the
  * supported set, the build yields the compiled set, and the widest
- * path in both wins.  `VMMX_SIMD` / `--simd` can pin any compiled+
- * supported path instead; asking for a path the host cannot execute is
+ * path in both wins.  `VMMX_SIMD` (or setActivePath) can pin any
+ * compiled+supported path instead; asking for a path the host cannot execute is
  * a hard error, because silently falling back would mislabel every
  * benchmark number recorded downstream.
  *
@@ -88,7 +88,7 @@ Path bestPath();
 Path activePath();
 
 /**
- * Pin the active path explicitly (the --simd flags).  @return an empty
+ * Pin the active path explicitly (tests and benches).  @return an empty
  * string on success, else a diagnostic naming the path and why it was
  * rejected (not compiled in / host cpuid lacks it); the active path is
  * unchanged on failure.

@@ -212,12 +212,6 @@ TraceRepository::instance()
     return repo;
 }
 
-bool
-TraceRepository::parseBudget(const char *text, u64 &bytes)
-{
-    return env::parseByteSize(text, bytes);
-}
-
 u64
 TraceRepository::budgetFromEnv(const char *envVar)
 {

@@ -89,9 +89,6 @@ class TraceRepository
      *  engine.  Attaches a store iff $VMMX_TRACE_STORE is set. */
     static TraceRepository &instance();
 
-    /** Parse a "64M"/"2g"/plain-bytes budget. @return false on junk.
-     *  (Compatibility shim over env::parseByteSize, the one parser.) */
-    static bool parseBudget(const char *text, u64 &bytes);
     /** Budget from @p envVar; 0/unset/invalid (warns) = unlimited.
      *  (Compatibility shim over env::byteSize.) */
     static u64 budgetFromEnv(const char *envVar);

@@ -22,7 +22,7 @@
 
 #include "common/logging.hh"
 #include "dist/driver.hh"
-#include "harness/sweep.hh"
+#include "harness/study.hh"
 #include "trace/trace_repo.hh"
 #include "trace/trace_store.hh"
 
@@ -53,41 +53,38 @@ class DistTest : public testing::Test
 
     /** 3 kernels x 4 flavours x 2 widths = 24 points, 12 distinct
      *  traces.  Short-trace kernels keep the suite fast. */
-    static void buildGrid(Sweep &s)
-    {
-        s.addKernelGrid({"motion1", "motion2", "comp"},
-                        {SimdKind::MMX64, SimdKind::MMX128,
-                         SimdKind::VMMX64, SimdKind::VMMX128},
-                        {2, 4});
-    }
-
-    std::vector<SweepResult> runSerial()
-    {
-        SweepOptions opts;
-        opts.threads = 1;
-        opts.repo = &serialRepo_;
-        Sweep sweep(opts);
-        buildGrid(sweep);
-        return sweep.runSerial();
-    }
-
-    /** The same grid as raw points, for driving dist::runSweep()
-     *  directly -- the fault-injection tests need DistOptions knobs the
-     *  SweepOptions wrapper does not carry. */
     static std::vector<SweepPoint> gridPoints()
     {
-        Sweep s;
-        buildGrid(s);
-        return s.points();
+        StudySpec spec;
+        spec.kernels = {"motion1", "motion2", "comp"};
+        spec.ways = {2, 4};
+        return Study(spec).points();
     }
 
-    dist::DistOptions faultOpts() const
+    /** The materialize-then-replay oracle, in a private repository. */
+    std::vector<SweepResult>
+    runReference(const std::vector<SweepPoint> &points)
     {
-        dist::DistOptions d;
-        d.processes = 2;
-        d.storeDir = storeDir();
-        d.quiet = true;
-        return d;
+        ExecutionPolicy reference;
+        reference.repo = &serialRepo_;
+        std::vector<SweepResult> results;
+        for (const SweepPoint &p : points)
+            results.push_back(runSweepPoint(p, reference));
+        return results;
+    }
+
+    std::vector<SweepResult> runSerial() { return runReference(gridPoints()); }
+
+    /** Two worker processes over this test's store; the other knobs
+     *  (budgets, batching, supervision) keep their environment
+     *  defaults. */
+    ExecutionPolicy processPolicy() const
+    {
+        ExecutionPolicy p = ExecutionPolicy::fromEnv();
+        p.backend = ExecutionPolicy::Backend::Process;
+        p.processes = 2;
+        p.storeDir = storeDir();
+        return p;
     }
 
     static size_t countCause(const dist::DistStats &s,
@@ -111,15 +108,12 @@ TEST_F(DistTest, TwoProcessShardedSweepBitIdenticalAndStoreReuse)
     auto expect = runSerial();
     ASSERT_GE(expect.size(), 24u);
 
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.storeDir = storeDir();
+    auto points = gridPoints();
+    ExecutionPolicy policy = processPolicy();
     dist::DistStats first;
-    opts.distStats = &first;
-    Sweep sweep(opts);
-    buildGrid(sweep);
+    policy.distStats = &first;
 
-    auto got = sweep.run();
+    auto got = dist::runSweep(points, policy);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i) {
         EXPECT_TRUE(got[i].sameRun(expect[i]))
@@ -134,10 +128,8 @@ TEST_F(DistTest, TwoProcessShardedSweepBitIdenticalAndStoreReuse)
 
     // Second run of the same grid: every trace comes off disk.
     dist::DistStats second;
-    opts.distStats = &second;
-    Sweep again(opts);
-    buildGrid(again);
-    auto rerun = again.run();
+    policy.distStats = &second;
+    auto rerun = dist::runSweep(points, policy);
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(rerun[i].sameRun(expect[i])) << "rerun point " << i;
     EXPECT_EQ(second.generations, 0u) << "trace regenerated despite store";
@@ -149,14 +141,11 @@ TEST_F(DistTest, OddWorkerCountsStayIdentical)
     auto expect = runSerial();
 
     for (unsigned processes : {1u, 3u}) {
-        SweepOptions opts;
-        opts.processes = processes;
-        opts.storeDir = storeDir();
+        ExecutionPolicy policy = processPolicy();
+        policy.processes = processes;
         dist::DistStats stats;
-        opts.distStats = &stats;
-        Sweep sweep(opts);
-        buildGrid(sweep);
-        auto got = sweep.run();
+        policy.distStats = &stats;
+        auto got = dist::runSweep(gridPoints(), policy);
         ASSERT_EQ(got.size(), expect.size());
         for (size_t i = 0; i < expect.size(); ++i)
             EXPECT_TRUE(got[i].sameRun(expect[i]))
@@ -170,28 +159,20 @@ TEST_F(DistTest, ExplicitTracePointsCrossTheWire)
     TraceRepository repo;
     SharedTrace trace = repo.kernel("addblock", SimdKind::MMX64).shared();
 
-    auto build = [&](Sweep &s) {
-        for (unsigned way : {2u, 4u, 8u})
-            s.addTrace(trace, SimdKind::MMX64, way, "custom");
-    };
-    SweepOptions serialOpts;
-    serialOpts.threads = 1;
-    serialOpts.repo = &repo;
-    Sweep serial(serialOpts);
-    build(serial);
-    auto expect = serial.runSerial();
+    std::vector<SweepPoint> points;
+    for (unsigned way : {2u, 4u, 8u})
+        points.push_back({SweepPoint::Workload::Trace, "custom",
+                          SimdKind::MMX64, way, {}, trace});
+    auto expect = runReference(points);
 
     // More workers than grid points: the driver must clamp.  Per-point
     // sharding here; the batched path ships the whole group below.
-    SweepOptions opts;
-    opts.processes = 8;
-    opts.batch = false;
-    opts.storeDir = storeDir();
+    ExecutionPolicy policy = processPolicy();
+    policy.processes = 8;
+    policy.batch = false;
     dist::DistStats stats;
-    opts.distStats = &stats;
-    Sweep sweep(opts);
-    build(sweep);
-    auto got = sweep.run();
+    policy.distStats = &stats;
+    auto got = dist::runSweep(points, policy);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(got[i].sameRun(expect[i])) << "point " << i;
@@ -200,13 +181,11 @@ TEST_F(DistTest, ExplicitTracePointsCrossTheWire)
     // Batched: the three points are one trace group, so one JobGroup
     // frame (carrying the trace once per point encode) feeds a single
     // worker, and the clamp is by units.
-    SweepOptions batched = opts;
+    ExecutionPolicy batched = policy;
     batched.batch = true;
     dist::DistStats groupStats;
     batched.distStats = &groupStats;
-    Sweep groupSweep(batched);
-    build(groupSweep);
-    auto groupGot = groupSweep.run();
+    auto groupGot = dist::runSweep(points, batched);
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(groupGot[i].sameRun(expect[i])) << "point " << i;
     EXPECT_EQ(groupStats.workers, 1u);
@@ -223,16 +202,13 @@ TEST_F(DistTest, TraceGroupShardingBitIdenticalToSerial)
     auto expect = runSerial();
     ASSERT_EQ(expect.size(), 24u);
 
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.batch = true;
-    opts.storeDir = storeDir();
+    auto points = gridPoints();
+    ExecutionPolicy policy = processPolicy();
+    policy.batch = true;
     dist::DistStats stats;
-    opts.distStats = &stats;
-    Sweep sweep(opts);
-    buildGrid(sweep);
+    policy.distStats = &stats;
 
-    auto got = sweep.run();
+    auto got = dist::runSweep(points, policy);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i) {
         EXPECT_TRUE(got[i].sameRun(expect[i]))
@@ -246,13 +222,11 @@ TEST_F(DistTest, TraceGroupShardingBitIdenticalToSerial)
     EXPECT_EQ(stats.groupsRun, 12u);
 
     // And the per-point (batch off) sharding agrees bit for bit.
-    SweepOptions unbatched = opts;
+    ExecutionPolicy unbatched = policy;
     unbatched.batch = false;
     dist::DistStats pointStats;
     unbatched.distStats = &pointStats;
-    Sweep pointSweep(unbatched);
-    buildGrid(pointSweep);
-    auto pointGot = pointSweep.run();
+    auto pointGot = dist::runSweep(points, unbatched);
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(pointGot[i].sameRun(expect[i])) << "point " << i;
     EXPECT_EQ(pointStats.groupsRun, 24u);
@@ -262,25 +236,20 @@ TEST_F(DistTest, JournalResumeSkipsCompletedJobs)
 {
     auto expect = runSerial();
 
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.storeDir = storeDir();
-    opts.journalPath = journalPath();
+    auto points = gridPoints();
+    ExecutionPolicy policy = processPolicy();
+    policy.journalPath = journalPath();
     dist::DistStats first;
-    opts.distStats = &first;
-    Sweep sweep(opts);
-    buildGrid(sweep);
-    auto got = sweep.run();
+    policy.distStats = &first;
+    dist::runSweep(points, policy);
     EXPECT_EQ(first.jobsRun, expect.size());
     EXPECT_EQ(first.jobsResumed, 0u);
 
     // The journal survives success; a rerun restores every point without
     // spawning a single worker.
     dist::DistStats second;
-    opts.distStats = &second;
-    Sweep again(opts);
-    buildGrid(again);
-    auto rerun = again.run();
+    policy.distStats = &second;
+    auto rerun = dist::runSweep(points, policy);
     EXPECT_EQ(second.jobsRun, 0u);
     EXPECT_EQ(second.jobsResumed, expect.size());
     EXPECT_EQ(second.workers, 0u);
@@ -292,23 +261,18 @@ TEST_F(DistTest, TruncatedJournalResumesThePrefix)
 {
     auto expect = runSerial();
 
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.storeDir = storeDir();
-    opts.journalPath = journalPath();
-    Sweep sweep(opts);
-    buildGrid(sweep);
-    sweep.run();
+    auto points = gridPoints();
+    ExecutionPolicy policy = processPolicy();
+    policy.journalPath = journalPath();
+    dist::runSweep(points, policy);
 
     // Chop mid-entry, as a crash during an append would.
     auto size = fs::file_size(journalPath());
     fs::resize_file(journalPath(), size - 5);
 
     dist::DistStats stats;
-    opts.distStats = &stats;
-    Sweep again(opts);
-    buildGrid(again);
-    auto rerun = again.run();
+    policy.distStats = &stats;
+    auto rerun = dist::runSweep(points, policy);
     EXPECT_EQ(stats.jobsResumed, expect.size() - 1)
         << "exactly the damaged trailing entry should rerun";
     EXPECT_EQ(stats.jobsRun, 1u);
@@ -319,21 +283,16 @@ TEST_F(DistTest, TruncatedJournalResumesThePrefix)
 
 TEST_F(DistTest, JournalForADifferentGridIsDiscarded)
 {
-    SweepOptions opts;
-    opts.processes = 2;
-    opts.storeDir = storeDir();
-    opts.journalPath = journalPath();
-    Sweep sweep(opts);
-    buildGrid(sweep);
-    sweep.run();
+    ExecutionPolicy policy = processPolicy();
+    policy.journalPath = journalPath();
+    dist::runSweep(gridPoints(), policy);
 
     // Same journal path, different grid: must start fresh, not resume.
-    SweepOptions other = opts;
     dist::DistStats stats;
-    other.distStats = &stats;
-    Sweep small(other);
-    small.addKernel("ltpfilt", SimdKind::VMMX128, 4);
-    auto got = small.run();
+    policy.distStats = &stats;
+    auto got = dist::runSweep({{SweepPoint::Workload::Kernel, "ltpfilt",
+                                SimdKind::VMMX128, 4, {}, nullptr}},
+                              policy);
     EXPECT_EQ(stats.jobsResumed, 0u);
     EXPECT_EQ(stats.jobsRun, 1u);
 
@@ -345,21 +304,21 @@ TEST_F(DistTest, JournalForADifferentGridIsDiscarded)
 
 // ---- fault injection: the supervisor's recovery paths --------------------
 //
-// These drive dist::runSweep() directly: DistOptions carries the fault
-// plan and supervision knobs.  Every scenario must end bit-identical to
-// the serial sweep -- recovery is invisible in the results and visible
-// only in DistStats.
+// The policy carries the fault plan and supervision knobs.  Every
+// scenario must end bit-identical to the serial sweep -- recovery is
+// invisible in the results and visible only in DistStats.
 
 TEST_F(DistTest, KilledWorkerIsRespawnedAndStaysBitIdentical)
 {
     auto expect = runSerial();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = processPolicy();
     // Spawn 0 calls _exit(137) the moment its second unit arrives.
-    dopts.faultSpec = "kill-after-units=1@worker0";
+    policy.faultSpec = "kill-after-units=1@worker0";
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    policy.distStats = &stats;
+    auto got = dist::runSweep(points, policy);
 
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
@@ -378,12 +337,13 @@ TEST_F(DistTest, CorruptResultFrameIsFatalToTheWorkerNotTheRun)
     auto expect = runSerial();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = processPolicy();
     // Spawn 0 wrecks the type byte of its third result frame; the
     // driver must kill the babbling worker and re-run what was lost.
-    dopts.faultSpec = "corrupt-frame=3@worker0";
+    policy.faultSpec = "corrupt-frame=3@worker0";
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    policy.distStats = &stats;
+    auto got = dist::runSweep(points, policy);
 
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
@@ -400,13 +360,14 @@ TEST_F(DistTest, HungWorkerIsKilledAtTheDeadline)
     auto expect = runSerial();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = processPolicy();
     // Spawn 0 hangs forever on its first unit; the per-unit deadline
     // must declare it hung, SIGKILL it, and recover.
-    dopts.faultSpec = "stall@worker0";
-    dopts.unitTimeoutMs = 1500;
+    policy.faultSpec = "stall@worker0";
+    policy.unitTimeoutMs = 1500;
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    policy.distStats = &stats;
+    auto got = dist::runSweep(points, policy);
 
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
@@ -421,14 +382,15 @@ TEST_F(DistTest, PoisonUnitIsQuarantinedAfterMaxAttempts)
     auto expect = runSerial();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = processPolicy();
     // Every spawn dies on the unit containing grid point 5: attempt 1
     // kills one worker, attempt 2 hits maxUnitAttempts and the unit is
     // abandoned instead of grinding the fleet down forever.
-    dopts.faultSpec = "kill-on-point=5";
-    dopts.maxUnitAttempts = 2;
+    policy.faultSpec = "kill-on-point=5";
+    policy.maxUnitAttempts = 2;
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    policy.distStats = &stats;
+    auto got = dist::runSweep(points, policy);
 
     ASSERT_EQ(got.size(), expect.size());
     EXPECT_EQ(stats.quarantinedUnits, 1u);
@@ -457,14 +419,15 @@ TEST_F(DistTest, FleetCollapseDegradesToInDriverExecution)
     auto expect = runSerial();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = processPolicy();
     // Every spawn dies on its first unit and each slot may respawn only
     // once: four deaths and the fleet is gone with the grid untouched.
     // The driver must finish the sweep itself, still bit-identical.
-    dopts.faultSpec = "kill-after-units=0";
-    dopts.maxRespawns = 1;
+    policy.faultSpec = "kill-after-units=0";
+    policy.maxRespawns = 1;
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    policy.distStats = &stats;
+    auto got = dist::runSweep(points, policy);
 
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
@@ -483,13 +446,14 @@ TEST_F(DistTest, PostRunAbnormalExitIsRecorded)
     auto expect = runSerial();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
+    ExecutionPolicy policy = processPolicy();
     // Workers finish every job and the Done/Stats handshake, then exit
     // 7 instead of 0 -- the run succeeded but the exits must not be
     // reported as clean.
-    dopts.faultSpec = "exit-code=7";
+    policy.faultSpec = "exit-code=7";
     dist::DistStats stats;
-    auto got = dist::runSweep(points, dopts, &stats);
+    policy.distStats = &stats;
+    auto got = dist::runSweep(points, policy);
 
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
@@ -506,26 +470,39 @@ TEST_F(DistTest, PostRunAbnormalExitIsRecorded)
     }
 }
 
+// A fault plan with a typo must not pass as a fault-free run: the
+// driver rejects it before any worker spawns.
+TEST_F(DistTest, UnparsableFaultSpecIsFatalBeforeSpawning)
+{
+    ExecutionPolicy policy = processPolicy();
+    policy.faultSpec = "bogus-directive";
+    auto points = gridPoints();
+    EXPECT_DEATH(dist::runSweep(points, policy),
+                 "unparsable fault spec 'bogus-directive'");
+}
+
 TEST_F(DistTest, FaultyRunJournalsCompletelyAndResumes)
 {
     auto expect = runSerial();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
-    dopts.journalPath = journalPath();
-    dopts.journalSync = true; // the fdatasync path must survive faults too
-    dopts.faultSpec = "kill-after-units=1@worker0";
+    ExecutionPolicy policy = processPolicy();
+    policy.journalPath = journalPath();
+    policy.journalSync = true; // the fdatasync path must survive faults too
+    policy.faultSpec = "kill-after-units=1@worker0";
     dist::DistStats first;
-    auto got = dist::runSweep(points, dopts, &first);
+    policy.distStats = &first;
+    auto got = dist::runSweep(points, policy);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(got[i].sameRun(expect[i])) << "point " << i;
     EXPECT_EQ(first.abnormalExits, 1u);
 
     // The journal a fault-recovered run leaves behind is complete.
-    dopts.faultSpec.clear();
+    policy.faultSpec.clear();
     dist::DistStats second;
-    auto rerun = dist::runSweep(points, dopts, &second);
+    policy.distStats = &second;
+    auto rerun = dist::runSweep(points, policy);
     EXPECT_EQ(second.jobsResumed, expect.size());
     EXPECT_EQ(second.jobsRun, 0u);
     EXPECT_EQ(second.workers, 0u);
@@ -538,9 +515,9 @@ TEST_F(DistTest, MidFileJournalCorruptionSkipsOnlyThatEntry)
     auto expect = runSerial();
     auto points = gridPoints();
 
-    dist::DistOptions dopts = faultOpts();
-    dopts.journalPath = journalPath();
-    dist::runSweep(points, dopts);
+    ExecutionPolicy policy = processPolicy();
+    policy.journalPath = journalPath();
+    dist::runSweep(points, policy);
 
     // Flip a byte inside the FIRST entry's payload (16-byte header,
     // 4-byte length prefix): the framing stays intact, so only this one
@@ -556,7 +533,8 @@ TEST_F(DistTest, MidFileJournalCorruptionSkipsOnlyThatEntry)
     }
 
     dist::DistStats stats;
-    auto rerun = dist::runSweep(points, dopts, &stats);
+    policy.distStats = &stats;
+    auto rerun = dist::runSweep(points, policy);
     EXPECT_EQ(stats.journalSkipped, 1u);
     EXPECT_EQ(stats.jobsResumed, expect.size() - 1);
     EXPECT_EQ(stats.jobsRun, 1u);

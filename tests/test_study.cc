@@ -5,8 +5,10 @@
  * backends must produce bit-identical SweepResult vectors on a
  * randomized grid (the seam the future TCP backend plugs into) -- each
  * streaming its traces and each matching the materialize-then-replay
- * oracle (Sweep::runSerial) -- and the report's derived metrics must
- * agree with hand-computed values straight off the RunStats fields.
+ * oracle (runSweepPoint over the grid) -- and the report's derived
+ * metrics must agree with hand-computed values straight off the
+ * RunStats fields.  vmmx_study's --set assignments go through the spec
+ * parser's own validation.
  */
 
 #include <gtest/gtest.h>
@@ -204,6 +206,66 @@ TEST_F(StudyTest, SpecFileParseErrors)
         EXPECT_FALSE(parseStudySpec(text, spec, err)) << text;
         EXPECT_NE(err.find("stream traces"), std::string::npos) << err;
     }
+}
+
+TEST_F(StudyTest, SetAssignmentsLayerOverTheSpec)
+{
+    StudySpec spec;
+    std::string err;
+    ASSERT_TRUE(parseStudySpec("[grid]\nkernels = idct\n"
+                               "override = core.rob=32\n"
+                               "[exec]\nthreads = 2\n",
+                               spec, err))
+        << err;
+
+    // Scalar keys: the last assignment wins, spaces are trimmed like a
+    // spec line's.
+    ASSERT_TRUE(applySpecSetting("exec.threads=3", spec, err)) << err;
+    ASSERT_TRUE(applySpecSetting(" exec.threads = 5 ", spec, err)) << err;
+    EXPECT_EQ(spec.exec.threads, 5u);
+    ASSERT_TRUE(applySpecSetting("grid.kernels=motion1,comp", spec, err));
+    EXPECT_EQ(spec.kernels, (std::vector<std::string>{"motion1", "comp"}));
+    ASSERT_TRUE(applySpecSetting("exec.backend=processes", spec, err));
+    EXPECT_EQ(spec.exec.backend, ExecutionPolicy::Backend::Process);
+    ASSERT_TRUE(applySpecSetting("title=from the command line", spec, err));
+    EXPECT_EQ(spec.title, "from the command line");
+
+    // grid.override appends a set to the file's.
+    ASSERT_TRUE(
+        applySpecSetting("grid.override=core.rob=64,mem.mshrs=4", spec, err))
+        << err;
+    ASSERT_EQ(spec.overrideSets.size(), 2u);
+    EXPECT_EQ(spec.overrideSets[0].getString("core.rob"), "32");
+    EXPECT_EQ(spec.overrideSets[1].getString("core.rob"), "64");
+    EXPECT_EQ(spec.overrideSets[1].getString("mem.mshrs"), "4");
+
+    // Values past INT_MAX reach the policy unchanged.
+    ASSERT_TRUE(
+        applySpecSetting("exec.unit_timeout_ms=3000000000", spec, err))
+        << err;
+    ASSERT_TRUE(applySpecSetting("exec.threads=4294967295", spec, err))
+        << err;
+    EXPECT_EQ(spec.exec.unitTimeoutMs, 3000000000u);
+    EXPECT_EQ(spec.exec.threads, 4294967295u);
+    EXPECT_NE(formatStudySpec(spec).find("unit_timeout_ms = 3000000000"),
+              std::string::npos);
+
+    // Rejected with the offending argument named: an unknown section,
+    // an unknown key, a missing '=', and a value a spec line would not
+    // accept either.
+    for (const char *bad :
+         {"bogus.threads=1", "exec.bogus=1", "grid.kinds=mmx96",
+          "exec.threads", "exec.threads=-1", "exec.max_unit_attempts=0",
+          "exec.decoded=on", "threads=4"}) {
+        EXPECT_FALSE(applySpecSetting(bad, spec, err)) << bad;
+        EXPECT_NE(err.find(std::string("'") + bad + "'"), std::string::npos)
+            << err;
+    }
+    EXPECT_FALSE(applySpecSetting("bogus.threads=1", spec, err));
+    EXPECT_NE(err.find("unknown section [bogus]"), std::string::npos) << err;
+    EXPECT_FALSE(applySpecSetting("exec.bogus=1", spec, err));
+    EXPECT_NE(err.find("unknown [exec] key 'bogus'"), std::string::npos)
+        << err;
 }
 
 // ---- grid expansion ------------------------------------------------------

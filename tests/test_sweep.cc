@@ -5,7 +5,7 @@
  * submission order, and repeated trace lookups must hit the repository
  * instead of regenerating.  The batched engine adds its own contract:
  * running N machine configurations through one trace pass
- * (runTraceBatch, or a Sweep with batch on) must be bit-identical to N
+ * (runTraceBatch, or a batched schedule) must be bit-identical to N
  * independent runTrace() calls, for any batch size and any knob
  * overrides -- replaying the repository's pre-decoded tier-2 stream
  * must be bit-identical to decoding on the fly, and batched schedules
@@ -17,7 +17,7 @@
 #include <random>
 
 #include "common/logging.hh"
-#include "harness/sweep.hh"
+#include "harness/study.hh"
 #include "kernels/kernel.hh"
 #include "trace/trace_repo.hh"
 
@@ -26,7 +26,38 @@ namespace vmmx
 namespace
 {
 
-class SweepTest : public testing::Test
+SweepPoint
+kernelPoint(const std::string &name, SimdKind kind, unsigned way,
+            const Config &overrides = {})
+{
+    return {SweepPoint::Workload::Kernel, name, kind, way, overrides,
+            nullptr};
+}
+
+/** The (kernel x flavour x width) cross product, kernel-major. */
+std::vector<SweepPoint>
+kernelGrid(std::vector<std::string> names, std::vector<SimdKind> kinds,
+           std::vector<unsigned> ways)
+{
+    StudySpec spec;
+    spec.kernels = std::move(names);
+    spec.kinds = std::move(kinds);
+    spec.ways = std::move(ways);
+    return Study(spec).points();
+}
+
+/** The materialize-then-replay oracle: runSweepPoint over the grid. */
+std::vector<SweepResult>
+runReference(const std::vector<SweepPoint> &points,
+             const ExecutionPolicy &policy)
+{
+    std::vector<SweepResult> results;
+    for (const SweepPoint &p : points)
+        results.push_back(runSweepPoint(p, policy));
+    return results;
+}
+
+class EngineTest : public testing::Test
 {
   protected:
     void SetUp() override { setQuiet(true); }
@@ -39,7 +70,7 @@ class SweepTest : public testing::Test
     TraceRepository repo;
 };
 
-TEST_F(SweepTest, RepositoryGeneratesOncePerKey)
+TEST_F(EngineTest, RepositoryGeneratesOncePerKey)
 {
     TraceRepository unbounded(nullptr, 0, 0);
     EXPECT_EQ(unbounded.generations(), 0u);
@@ -62,7 +93,7 @@ TEST_F(SweepTest, RepositoryGeneratesOncePerKey)
     EXPECT_EQ(unbounded.size(), 2u);
 }
 
-TEST_F(SweepTest, RepositoryDistinguishesKindAndWorkload)
+TEST_F(EngineTest, RepositoryDistinguishesKindAndWorkload)
 {
     auto a = repo.kernel("motion1", SimdKind::MMX64);
     auto b = repo.kernel("motion1", SimdKind::MMX128);
@@ -75,7 +106,7 @@ TEST_F(SweepTest, RepositoryDistinguishesKindAndWorkload)
     EXPECT_NE(b->size(), 0u);
 }
 
-TEST_F(SweepTest, CachedTraceMatchesDirectGeneration)
+TEST_F(EngineTest, CachedTraceMatchesDirectGeneration)
 {
     auto cached = repo.kernel("ycc", SimdKind::VMMX64);
 
@@ -95,7 +126,7 @@ TEST_F(SweepTest, CachedTraceMatchesDirectGeneration)
     }
 }
 
-TEST_F(SweepTest, DecodedStreamMatchesOnTheFlyDecode)
+TEST_F(EngineTest, DecodedStreamMatchesOnTheFlyDecode)
 {
     // The tier-2 contract: replaying the repository's decoded stream is
     // bit-identical to handing runTrace the raw records.
@@ -113,31 +144,22 @@ TEST_F(SweepTest, DecodedStreamMatchesOnTheFlyDecode)
     }
 }
 
-TEST_F(SweepTest, ParallelSweepBitIdenticalToSerial)
+TEST_F(EngineTest, ParallelSweepBitIdenticalToSerial)
 {
     // >= 8 (kernel x flavour x width) points with distinct shapes.
-    SweepOptions serialOpts;
-    serialOpts.repo = &repo;
-    serialOpts.threads = 1;
-    SweepOptions poolOpts;
-    poolOpts.repo = &repo;
-    poolOpts.threads = 4;
+    ExecutionPolicy policy;
+    policy.repo = &repo;
+    policy.threads = 4;
 
-    auto build = [](Sweep &s) {
-        s.addKernelGrid({"idct", "h2v2"},
-                        {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4});
-        s.addKernel("motion1", SimdKind::MMX128, 8);
-        s.addApp("gsmenc", SimdKind::VMMX64, 4);
-    };
+    auto points = kernelGrid({"idct", "h2v2"},
+                             {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4});
+    points.push_back(kernelPoint("motion1", SimdKind::MMX128, 8));
+    points.push_back(
+        {SweepPoint::Workload::App, "gsmenc", SimdKind::VMMX64, 4, {}, {}});
+    ASSERT_GE(points.size(), 8u);
 
-    Sweep serial(serialOpts);
-    Sweep pooled(poolOpts);
-    build(serial);
-    build(pooled);
-    ASSERT_GE(serial.size(), 8u);
-
-    auto a = serial.runSerial();
-    auto b = pooled.run();
+    auto a = runReference(points, policy);
+    auto b = runPoints(points, policy);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_TRUE(a[i].sameRun(b[i])) << "point " << i << " ("
@@ -146,29 +168,25 @@ TEST_F(SweepTest, ParallelSweepBitIdenticalToSerial)
     }
 
     // Repeated threaded runs stay deterministic.
-    auto c = pooled.run();
+    auto c = runPoints(points, policy);
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_TRUE(a[i].sameRun(c[i])) << "point " << i;
 }
 
-TEST_F(SweepTest, SweepStreamsBatchedTracesAndSharesUnbatchedOnes)
+TEST_F(EngineTest, SweepStreamsBatchedTracesAndSharesUnbatchedOnes)
 {
-    auto build = [](Sweep &s) {
-        // 3 widths x 2 flavours of one kernel: 6 points, 2 traces.
-        s.addKernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128},
-                        {2, 4, 8});
-    };
+    // 3 widths x 2 flavours of one kernel: 6 points, 2 traces.
+    auto points =
+        kernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4, 8});
 
     // Batched: each trace is replayed by exactly one group, so it is
     // streamed from the generator into the group's pass and never kept.
     TraceRepository streamed(nullptr, 0, 0);
-    SweepOptions batched;
+    ExecutionPolicy batched;
     batched.repo = &streamed;
     batched.threads = 4;
     batched.batch = true;
-    Sweep grouped(batched);
-    build(grouped);
-    auto groupedResults = grouped.run();
+    auto groupedResults = runPoints(points, batched);
     EXPECT_EQ(streamed.generations(), 2u);
     EXPECT_EQ(streamed.rawStats().bytes, 0u);
     EXPECT_EQ(streamed.size(), 0u);
@@ -177,12 +195,10 @@ TEST_F(SweepTest, SweepStreamsBatchedTracesAndSharesUnbatchedOnes)
     // Unbatched: three per-point units replay each trace, so it is
     // generated once into tier 1 and the other four lookups are hits.
     TraceRepository shared(nullptr, 0, 0);
-    SweepOptions perPoint = batched;
+    ExecutionPolicy perPoint = batched;
     perPoint.repo = &shared;
     perPoint.batch = false;
-    Sweep points(perPoint);
-    build(points);
-    auto results = points.run();
+    auto results = runPoints(points, perPoint);
     ASSERT_EQ(results.size(), 6u);
     EXPECT_EQ(shared.generations(), 2u);
     EXPECT_EQ(shared.rawStats().hits, 4u);
@@ -198,16 +214,14 @@ TEST_F(SweepTest, SweepStreamsBatchedTracesAndSharesUnbatchedOnes)
     // A batched sweep over traces already resident replays them in
     // place (raw hits) instead of generating again.
     batched.repo = &shared;
-    Sweep again(batched);
-    build(again);
-    auto againResults = again.run();
+    auto againResults = runPoints(points, batched);
     EXPECT_EQ(shared.generations(), 2u);
     EXPECT_EQ(shared.rawStats().hits, 6u);
     for (size_t i = 0; i < results.size(); ++i)
         EXPECT_TRUE(results[i].sameRun(againResults[i])) << "point " << i;
 }
 
-TEST_F(SweepTest, LabelIncludesAblationOverrides)
+TEST_F(EngineTest, LabelIncludesAblationOverrides)
 {
     // Two points that differ only in a knob must not print identically.
     Config robSmall;
@@ -216,12 +230,10 @@ TEST_F(SweepTest, LabelIncludesAblationOverrides)
     robLarge.set("core.robEntries", s64(128));
     robLarge.set("mem.l2Latency", s64(9));
 
-    Sweep sweep;
-    sweep.addKernel("idct", SimdKind::VMMX128, 4, robSmall);
-    sweep.addKernel("idct", SimdKind::VMMX128, 4, robLarge);
-    sweep.addKernel("idct", SimdKind::VMMX128, 4);
-
-    const auto &pts = sweep.points();
+    const std::vector<SweepPoint> pts = {
+        kernelPoint("idct", SimdKind::VMMX128, 4, robSmall),
+        kernelPoint("idct", SimdKind::VMMX128, 4, robLarge),
+        kernelPoint("idct", SimdKind::VMMX128, 4)};
     EXPECT_NE(pts[0].label(), pts[1].label());
     EXPECT_NE(pts[0].label(), pts[2].label());
     EXPECT_EQ(pts[2].label(), "idct/vmmx128/4-way");
@@ -232,24 +244,29 @@ TEST_F(SweepTest, LabelIncludesAblationOverrides)
               "idct/vmmx128/4-way+core.robEntries=128+mem.l2Latency=9");
 }
 
-TEST_F(SweepTest, ExplicitTracePointsRun)
+TEST_F(EngineTest, ExplicitTracePointsRun)
 {
     auto trace = repo.kernel("addblock", SimdKind::MMX64);
-    auto results = sweepTrace(trace.shared(), SimdKind::MMX64, {2, 4, 8});
+    std::vector<SweepPoint> points;
+    for (unsigned way : {2u, 4u, 8u})
+        points.push_back({SweepPoint::Workload::Trace, "trace",
+                          SimdKind::MMX64, way, {}, trace.shared()});
+    ExecutionPolicy policy;
+    policy.repo = &repo;
+    auto results = runPoints(points, policy);
     ASSERT_EQ(results.size(), 3u);
     // Wider machines are not slower on the same trace.
     EXPECT_GE(results[0].cycles(), results[1].cycles());
     EXPECT_GE(results[1].cycles(), results[2].cycles());
 }
 
-TEST_F(SweepTest, ResultsMatchDirectRunTrace)
+TEST_F(EngineTest, ResultsMatchDirectRunTrace)
 {
-    SweepOptions opts;
-    opts.repo = &repo;
-    opts.threads = 2;
-    Sweep sweep(opts);
-    sweep.addKernel("ltpfilt", SimdKind::VMMX128, 4);
-    auto results = sweep.run();
+    ExecutionPolicy policy;
+    policy.repo = &repo;
+    policy.threads = 2;
+    auto results =
+        runPoints({kernelPoint("ltpfilt", SimdKind::VMMX128, 4)}, policy);
     ASSERT_EQ(results.size(), 1u);
 
     auto trace = repo.kernel("ltpfilt", SimdKind::VMMX128);
@@ -291,7 +308,7 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
 // configurations is bit-identical to N independent runTrace() calls --
 // for a batch of one, a pair, and a batch wider than the sweep engine's
 // thread pool -- and the pre-decoded (tier-2) pass agrees with both.
-TEST_F(SweepTest, RunTraceBatchMatchesPerConfigRunTrace)
+TEST_F(EngineTest, RunTraceBatchMatchesPerConfigRunTrace)
 {
     for (SimdKind kind : {SimdKind::MMX64, SimdKind::VMMX128}) {
         auto trace = repo.kernel("idct", kind);
@@ -321,35 +338,27 @@ TEST_F(SweepTest, RunTraceBatchMatchesPerConfigRunTrace)
 
 // A batched sweep over a grid with trace groups wider than the thread
 // pool must stay bit-identical to the per-point serial reference.
-TEST_F(SweepTest, BatchedSweepBitIdenticalToSerial)
+TEST_F(EngineTest, BatchedSweepBitIdenticalToSerial)
 {
-    SweepOptions serialOpts;
-    serialOpts.repo = &repo;
-    serialOpts.threads = 1;
-    SweepOptions batchedOpts;
-    batchedOpts.repo = &repo;
-    batchedOpts.threads = 4;
-    batchedOpts.batch = true;
+    ExecutionPolicy policy;
+    policy.repo = &repo;
+    policy.threads = 4;
+    policy.batch = true;
 
-    auto build = [](Sweep &s) {
-        // One trace replayed on 6 knob variants: a group wider than the
-        // 4-thread pool; plus ordinary (flavour x width) groups.
-        for (s64 rob : {16, 24, 32, 48, 64, 128}) {
-            Config knobs;
-            knobs.set("core.rob", rob);
-            s.addKernel("h2v2", SimdKind::VMMX64, 4, knobs);
-        }
-        s.addKernelGrid({"motion1"}, {SimdKind::MMX64, SimdKind::MMX128},
-                        {2, 4, 8});
-    };
+    // One trace replayed on 6 knob variants: a group wider than the
+    // 4-thread pool; plus ordinary (flavour x width) groups.
+    std::vector<SweepPoint> points;
+    for (s64 rob : {16, 24, 32, 48, 64, 128}) {
+        Config knobs;
+        knobs.set("core.rob", rob);
+        points.push_back(kernelPoint("h2v2", SimdKind::VMMX64, 4, knobs));
+    }
+    for (const SweepPoint &p : kernelGrid(
+             {"motion1"}, {SimdKind::MMX64, SimdKind::MMX128}, {2, 4, 8}))
+        points.push_back(p);
 
-    Sweep serial(serialOpts);
-    Sweep batched(batchedOpts);
-    build(serial);
-    build(batched);
-
-    auto expect = serial.runSerial();
-    auto got = batched.run();
+    auto expect = runReference(points, policy);
+    auto got = runPoints(points, policy);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i) {
         EXPECT_TRUE(got[i].sameRun(expect[i]))
@@ -358,7 +367,7 @@ TEST_F(SweepTest, BatchedSweepBitIdenticalToSerial)
     }
 
     // The grouping itself: 6 knob variants of one trace form one group.
-    auto groups = groupPointsByTrace(batched.points());
+    auto groups = groupPointsByTrace(points);
     ASSERT_EQ(groups.size(), 3u);
     EXPECT_EQ(groups[0].size(), 6u);
     EXPECT_EQ(groups[1].size(), 3u);

@@ -8,7 +8,9 @@
  */
 
 #include <gtest/gtest.h>
+#include <cstdio>
 #include <sstream>
+#include <string>
 
 #include "common/rng.hh"
 #include "common/stats.hh"
@@ -199,6 +201,38 @@ TEST_F(TelemetryTest, ProgressOffIsSilentAndModeSticks)
     p.finish(100); // must not crash or write anywhere
     telemetry::setProgress(telemetry::ProgressMode::Jsonl, nullptr);
     EXPECT_EQ(telemetry::progressMode(), telemetry::ProgressMode::Jsonl);
+}
+
+/** A threads study with one effective thread runs the serial schedule,
+ *  progress reporting included: its JSONL stream ends in a done event
+ *  covering every point. */
+TEST_F(TelemetryTest, OneUnitThreadsStudyEndsInDoneEvent)
+{
+    std::FILE *sink = std::tmpfile();
+    ASSERT_NE(sink, nullptr);
+    telemetry::setProgress(telemetry::ProgressMode::Jsonl, sink);
+
+    // One trace group, so one unit however many threads the pool has.
+    std::vector<SweepPoint> points;
+    for (unsigned way : {2u, 4u, 8u})
+        points.push_back({SweepPoint::Workload::Kernel, "motion1",
+                          SimdKind::MMX64, way, {}, nullptr});
+    ExecutionPolicy policy;
+    policy.backend = ExecutionPolicy::Backend::ThreadPool;
+    policy.threads = 4;
+    TraceRepository repo(nullptr, 0, 0);
+    policy.repo = &repo;
+    ASSERT_EQ(runPoints(points, policy).size(), points.size());
+    telemetry::setProgress(telemetry::ProgressMode::Off);
+
+    std::rewind(sink);
+    std::string last;
+    char line[512];
+    while (std::fgets(line, sizeof(line), sink))
+        last = line;
+    std::fclose(sink);
+    EXPECT_NE(last.find("\"type\":\"done\""), std::string::npos) << last;
+    EXPECT_NE(last.find("\"done\":3,"), std::string::npos) << last;
 }
 
 /** The whole point of the PR: telemetry is purely observational.  A

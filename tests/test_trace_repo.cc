@@ -246,41 +246,32 @@ TEST_F(TraceRepoTest, RandomizedGridTinyRawBudgetBitIdentical)
     TraceRepository unbounded(nullptr, 0, 0);
 
     std::mt19937 rng(0x5eed);
-    auto build = [&rng](Sweep &s) {
-        const std::vector<std::string> kernels = {"motion1", "comp",
-                                                  "addblock"};
-        const SimdKind kinds[] = {SimdKind::MMX64, SimdKind::VMMX128};
-        for (int i = 0; i < 18; ++i) {
-            Config knobs;
-            if (rng() % 2)
-                knobs.set("core.rob", s64(16 << (rng() % 4)));
-            if (rng() % 2)
-                knobs.set("core.iq", s64(8 << (rng() % 3)));
-            s.addKernel(kernels[rng() % kernels.size()],
-                        kinds[rng() % 2], 2u << (rng() % 3), knobs);
-        }
-    };
-
-    SweepOptions tinyOpts;
-    tinyOpts.repo = &tiny;
-    tinyOpts.threads = 4;
-    tinyOpts.batch = false;
-    SweepOptions bigOpts = tinyOpts;
-    bigOpts.repo = &unbounded;
-
-    // One grid, built once so both sweeps see identical points (the
-    // builder draws from the RNG).
-    Sweep proto;
-    build(proto);
-    Sweep tinySweep(tinyOpts);
-    Sweep bigSweep(bigOpts);
-    for (const SweepPoint &p : proto.points()) {
-        tinySweep.addKernel(p.name, p.kind, p.way, p.overrides);
-        bigSweep.addKernel(p.name, p.kind, p.way, p.overrides);
+    const std::vector<std::string> kernels = {"motion1", "comp", "addblock"};
+    const SimdKind kinds[] = {SimdKind::MMX64, SimdKind::VMMX128};
+    std::vector<SweepPoint> points;
+    for (int i = 0; i < 18; ++i) {
+        Config knobs;
+        if (rng() % 2)
+            knobs.set("core.rob", s64(16 << (rng() % 4)));
+        if (rng() % 2)
+            knobs.set("core.iq", s64(8 << (rng() % 3)));
+        SweepPoint p;
+        p.name = kernels[rng() % kernels.size()];
+        p.kind = kinds[rng() % 2];
+        p.way = 2u << (rng() % 3);
+        p.overrides = knobs;
+        points.push_back(std::move(p));
     }
 
-    auto a = tinySweep.run();
-    auto b = bigSweep.run();
+    ExecutionPolicy tinyPolicy;
+    tinyPolicy.repo = &tiny;
+    tinyPolicy.threads = 4;
+    tinyPolicy.batch = false;
+    ExecutionPolicy bigPolicy = tinyPolicy;
+    bigPolicy.repo = &unbounded;
+
+    auto a = runPoints(points, tinyPolicy);
+    auto b = runPoints(points, bigPolicy);
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_TRUE(a[i].sameRun(b[i]))

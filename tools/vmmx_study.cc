@@ -3,22 +3,24 @@
  * vmmx_study -- run a declarative experiment spec and print its report.
  *
  * Loads a StudySpec from a text file (see specs/ for checked-in
- * examples and README "Studies" for the format), expands the grid,
- * executes it through the backend the spec's [exec] section names --
- * serial, in-process threads, or sharded worker processes -- and
- * renders the [report] section's derived-metric tables.  Figures are
- * reproducible from a checked-in spec instead of a bespoke binary:
+ * examples and README "Studies" for the format), applies any --set
+ * assignments on top, expands the grid, executes it through the backend
+ * the spec's [exec] section names -- serial, in-process threads, or
+ * sharded worker processes -- and renders the [report] section's
+ * derived-metric tables.  Figures are reproducible from a checked-in
+ * spec instead of a bespoke binary:
  *
  *   vmmx_study specs/fig5.study
- *   vmmx_study --backend processes --processes 4 specs/fig5.study
+ *   vmmx_study --set exec.backend=processes --set exec.processes=4 \
+ *              specs/fig5.study
  *   vmmx_study --report-only specs/fig5.study   # tables only (CI diffs)
  *
  * --check reruns the grid through the materialize-then-replay reference
- * (every trace resolved whole, then replayed point by point, as
- * Sweep::runSerial does) and exits nonzero unless every point is
- * bit-identical -- the backend-equivalence guarantee of
- * harness/executor.hh, asserted here on real specs for the streaming
- * backends.
+ * (every trace resolved whole, then replayed point by point) and exits
+ * nonzero unless every point is bit-identical -- the backend-equivalence
+ * guarantee of harness/executor.hh, asserted here on real specs for the
+ * streaming backends.  A processes-backend run that quarantined grid
+ * points prints a FAILED line and exits 3 before any check.
  */
 
 #include <chrono>
@@ -26,17 +28,17 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
 #include "common/telemetry.hh"
 #include "dist/driver.hh"
 #include "dist/worker.hh"
+#include "harness/harness_io.hh"
 #include "harness/study.hh"
-#include "sim/simd_dispatch.hh"
 #include "trace/trace_repo.hh"
 
 using namespace vmmx;
@@ -61,20 +63,11 @@ usage(int rc)
 {
     std::cout <<
         "usage: vmmx_study [options] SPEC.study\n"
-        "  --backend B     override the spec's execution backend\n"
-        "                  (serial, threads, processes)\n"
-        "  --threads N     override the spec's thread count\n"
-        "  --processes N   override the spec's worker-process count\n"
-        "  --max-respawns N      override the spec's per-slot worker\n"
-        "                  respawn budget (processes backend)\n"
-        "  --unit-timeout-ms N   override the spec's per-unit deadline\n"
-        "                  (processes backend; 0 = no deadline)\n"
-        "  --max-unit-attempts N override how many workers one unit may\n"
-        "                  kill before quarantine (processes backend)\n"
-        "  --simd P        pin the host-SIMD step kernel for batched\n"
-        "                  groups (scalar, sse2, avx2, avx512, auto);\n"
-        "                  paths the host cpuid does not support are\n"
-        "                  rejected.  Equivalent to VMMX_SIMD=P.\n"
+        "  --set SECTION.KEY=VALUE  override one spec key after the file\n"
+        "                  is read (repeatable; the syntax and checks of\n"
+        "                  a spec line, the last assignment wins, and\n"
+        "                  grid.override appends an override set), e.g.\n"
+        "                  exec.backend=processes, exec.journal=run.vmjl\n"
         "  --report-only   print only the report tables (no title or\n"
         "                  timing lines; what CI diffs against benches)\n"
         "  --dump-spec     print the canonical spec text and exit\n"
@@ -88,7 +81,11 @@ usage(int rc)
         "  --progress      rate-limited live progress on stderr\n"
         "  --progress-json FILE  streamed JSONL progress events\n"
         "                  ('-' = stderr)\n"
-        "  --help          this text\n";
+        "  --help          this text\n"
+        "environment: VMMX_SIMD pins the host-SIMD step kernel,\n"
+        "VMMX_FAULT_SPEC injects worker faults, VMMX_JOURNAL_SYNC=1\n"
+        "fdatasyncs every journal entry (README \"Host SIMD\" and\n"
+        "\"Fault tolerance\").\n";
     std::exit(rc);
 }
 
@@ -101,13 +98,9 @@ main(int argc, char **argv)
     dist::maybeWorkerMain(argc, argv);
 
     std::string specPath;
+    std::vector<std::string> settings;
     bool reportOnly = false, dumpSpec = false, check = false;
     bool verbose = false;
-    bool backendOverride = false;
-    ExecutionPolicy::Backend backend = ExecutionPolicy::Backend::ThreadPool;
-    int threadsOverride = -1, processesOverride = -1;
-    int maxRespawnsOverride = -1, unitTimeoutOverride = -1;
-    int maxAttemptsOverride = -1;
     std::string metricsPath, tracePath, progressJsonPath;
     bool progressStderr = false;
 
@@ -116,56 +109,10 @@ main(int argc, char **argv)
             fatal("option '%s' needs a value", argv[i]);
         return argv[++i];
     };
-    auto parseUnsigned = [](const std::string &what, const std::string &s) {
-        unsigned v = 0;
-        if (!env::parseUnsigned(s.c_str(), v))
-            fatal("%s: '%s' is not a number", what.c_str(), s.c_str());
-        return v;
-    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
-        if (arg == "--backend") {
-            std::string b = value(i);
-            if (!parseBackend(b, backend))
-                fatal("--backend: unknown backend '%s'", b.c_str());
-            backendOverride = true;
-        } else if (arg == "--threads")
-            threadsOverride = int(parseUnsigned("--threads", value(i)));
-        else if (arg == "--processes") {
-            processesOverride = int(parseUnsigned("--processes", value(i)));
-            if (processesOverride == 0)
-                fatal("--processes must be >= 1");
-        }
-        else if (arg == "--max-respawns")
-            maxRespawnsOverride =
-                int(parseUnsigned("--max-respawns", value(i)));
-        else if (arg == "--unit-timeout-ms")
-            unitTimeoutOverride =
-                int(parseUnsigned("--unit-timeout-ms", value(i)));
-        else if (arg == "--max-unit-attempts") {
-            maxAttemptsOverride =
-                int(parseUnsigned("--max-unit-attempts", value(i)));
-            if (maxAttemptsOverride == 0)
-                fatal("--max-unit-attempts must be >= 1");
-        }
-        else if (arg == "--simd") {
-            std::string p = value(i);
-            simd::Path path{};
-            bool isAuto = false;
-            if (!simd::parsePath(p, path, isAuto))
-                fatal("--simd: '%s' is not scalar|sse2|avx2|avx512|auto",
-                      p.c_str());
-            if (isAuto) {
-                simd::setActivePathAuto();
-            } else {
-                std::string err = simd::setActivePath(path);
-                if (!err.empty())
-                    fatal("--simd: %s", err.c_str());
-            }
-            // Self-exec'd workers of the processes backend re-resolve
-            // from the environment, so the pin must outlive this parse.
-            ::setenv("VMMX_SIMD", p.c_str(), 1);
-        }
+        if (arg == "--set")
+            settings.push_back(value(i));
         else if (arg == "--report-only")
             reportOnly = true;
         else if (arg == "--dump-spec")
@@ -197,18 +144,11 @@ main(int argc, char **argv)
 
     Study study = Study::fromFile(specPath);
     StudySpec &spec = study.spec();
-    if (backendOverride)
-        spec.exec.backend = backend;
-    if (threadsOverride >= 0)
-        spec.exec.threads = unsigned(threadsOverride);
-    if (processesOverride > 0)
-        spec.exec.processes = unsigned(processesOverride);
-    if (maxRespawnsOverride >= 0)
-        spec.exec.maxRespawns = unsigned(maxRespawnsOverride);
-    if (unitTimeoutOverride >= 0)
-        spec.exec.unitTimeoutMs = u64(unitTimeoutOverride);
-    if (maxAttemptsOverride > 0)
-        spec.exec.maxUnitAttempts = unsigned(maxAttemptsOverride);
+    for (const std::string &setting : settings) {
+        std::string err;
+        if (!applySpecSetting(setting, spec, err))
+            fatal("--set %s", err.c_str());
+    }
     spec.exec.execPath = selfPath(argv[0]);
 
     if (dumpSpec) {
@@ -246,10 +186,9 @@ main(int argc, char **argv)
     telemetry::Tracer::instance().setProcessName(u64(::getpid()),
                                                  "driver");
     dist::DistStats distStats;
+    spec.exec.distStats = &distStats;
     bool processesBackend =
         spec.exec.backend == ExecutionPolicy::Backend::Process;
-    if (processesBackend && !spec.exec.distStats)
-        spec.exec.distStats = &distStats;
 
     if (!reportOnly) {
         std::cout << (spec.title.empty() ? specPath : spec.title) << "\n"
@@ -277,13 +216,17 @@ main(int argc, char **argv)
                                         ? double(results.size()) / seconds
                                         : 0.0)
                   << " points/s)\n";
+        if (processesBackend)
+            std::cout << "study: " << distStats.summary() << '\n';
     }
 
+    // Exports are written even for runs that then fail the quarantine
+    // check below: a failed run's telemetry is the interesting kind.
     if (!metricsPath.empty()) {
         // The "repo" section: worker-fleet tier aggregate for the
         // processes backend, the in-process repository otherwise.
         if (processesBackend)
-            dist::publishMetrics(*spec.exec.distStats);
+            dist::publishMetrics(distStats);
         else
             repo.publishMetrics();
         std::ofstream out(metricsPath);
@@ -305,6 +248,16 @@ main(int argc, char **argv)
     }
     if (progressFile)
         std::fclose(progressFile);
+
+    // Quarantined points never executed; their report rows are default
+    // zeros, which must not read as success.
+    if (!distStats.quarantinedPoints.empty()) {
+        std::cout << "vmmx_study: FAILED -- "
+                  << distStats.quarantinedPoints.size()
+                  << " grid points quarantined (their units kept killing "
+                     "workers)\n";
+        return 3;
+    }
 
     if (check) {
         // A private repository: the reference shares nothing with the
