@@ -285,7 +285,7 @@ void
 GsmDec::prepare(MemImage &mem, Rng &rng)
 {
     enc_.prepare(mem, rng);
-    Program tmp(mem, SimdKind::MMX64);
+    Program tmp(mem, SimdKind::MMX64, discardSink());
     enc_.emit(tmp);
 }
 

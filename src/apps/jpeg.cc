@@ -199,7 +199,7 @@ JpegDec::prepare(MemImage &mem, Rng &rng)
 {
     enc_.prepare(mem, rng);
     // Produce the input bitstream by running the encoder functionally.
-    Program tmp(mem, SimdKind::MMX64);
+    Program tmp(mem, SimdKind::MMX64, discardSink());
     enc_.emit(tmp);
 }
 

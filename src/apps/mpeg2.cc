@@ -406,7 +406,7 @@ void
 Mpeg2Dec::prepare(MemImage &mem, Rng &rng)
 {
     enc_.prepare(mem, rng);
-    Program tmp(mem, SimdKind::MMX64);
+    Program tmp(mem, SimdKind::MMX64, discardSink());
     enc_.emit(tmp);
 }
 

@@ -204,6 +204,14 @@ Study::points() const
     const std::vector<Config> &sets =
         spec_.overrideSets.empty() ? unmodified : spec_.overrideSets;
 
+    // Build every machine of the grid once: an override the model cannot
+    // run fails here with its key named, before any unit is scheduled
+    // (so a processes run stops before it spawns a worker).
+    for (SimdKind kind : spec_.kinds)
+        for (unsigned way : spec_.ways)
+            for (const Config &overrides : sets)
+                makeMachine(kind, way, overrides);
+
     std::vector<SweepPoint> points;
     auto add = [&](SweepPoint::Workload workload, const std::string &name) {
         for (SimdKind kind : spec_.kinds)

@@ -5,6 +5,38 @@
 namespace vmmx
 {
 
+namespace
+{
+
+void
+atLeast(u64 v, u64 min, const char *key)
+{
+    if (v < min)
+        fatal("%s must be at least %llu (got %llu)", key,
+              static_cast<unsigned long long>(min),
+              static_cast<unsigned long long>(v));
+}
+
+/** The shape CacheArray indexes: power-of-two lines and sets. */
+void
+checkCache(const CacheParams &c)
+{
+    const char *n = c.name.c_str();
+    if (c.lineBytes == 0 || (c.lineBytes & (c.lineBytes - 1)))
+        fatal("mem.%s.line must be a power of two (got %u)", n, c.lineBytes);
+    if (c.assoc == 0)
+        fatal("mem.%s.assoc must be at least 1", n);
+    if (c.banks == 0)
+        fatal("mem.%s.banks must be at least 1", n);
+    u64 sets = u64(c.sizeBytes) / (u64(c.lineBytes) * c.assoc);
+    if (sets == 0 || (sets & (sets - 1)))
+        fatal("mem.%s.size / (mem.%s.line x mem.%s.assoc) must be a "
+              "power-of-two number of sets (got %u / (%u x %u))",
+              n, n, n, c.sizeBytes, c.lineBytes, c.assoc);
+}
+
+} // namespace
+
 MemParams
 MemParams::forWay(unsigned way, const Config &cfg)
 {
@@ -41,6 +73,13 @@ MemParams::forWay(unsigned way, const Config &cfg)
     p.memPipeCycles = cfg.getUint("mem.pipe_cycles", 30);
     p.mshrs = unsigned(cfg.getUint("mem.mshrs", 8));
 
+    checkCache(p.l1);
+    checkCache(p.l2);
+    atLeast(p.l1Ports, 1, "mem.l1.ports");
+    atLeast(p.l1PortBytes, 1, "mem.l1.port_bytes");
+    atLeast(p.vecPortBytes, 8, "mem.vec.port_bytes");
+    atLeast(p.vecStridedBytes, 1, "mem.vec.strided_bytes");
+    atLeast(p.mshrs, 1, "mem.mshrs");
     return p;
 }
 

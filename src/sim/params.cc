@@ -1,5 +1,7 @@
 #include "sim/params.hh"
 
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace vmmx
@@ -69,8 +71,22 @@ CoreParams::forConfig(SimdKind kind, unsigned way, const Config &cfg)
     p.storeWindow = unsigned(cfg.getUint("core.store_window",
                                          p.storeWindow));
 
-    if (p.physInt <= p.logicalInt || p.physSimd <= p.logicalSimd)
-        fatal("physical register file must exceed the logical one");
+    // Reject what the model cannot run, naming the key, before any
+    // simulation state is built.
+    const std::pair<unsigned, const char *> positive[] = {
+        {p.robSize, "core.rob"},      {p.iqSize, "core.iq"},
+        {p.lanesPerFu, "core.lanes"}, {p.simdFus, "core.simd_fus"},
+        {p.simdIssue, "core.simd_issue"}};
+    for (const auto &[v, key] : positive)
+        if (v == 0)
+            fatal("%s must be at least 1", key);
+    if (p.iqSize > 65536)
+        fatal("core.iq must be at most 65536 (got %u)", p.iqSize);
+    if (p.bpredEntries == 0 || (p.bpredEntries & (p.bpredEntries - 1)))
+        fatal("core.bpred must be a power of two (got %u)", p.bpredEntries);
+    if (p.physSimd <= p.logicalSimd)
+        fatal("core.phys_simd must exceed the %u logical SIMD registers "
+              "(got %u)", p.logicalSimd, p.physSimd);
     return p;
 }
 

@@ -17,6 +17,14 @@ nextPow2(u32 v)
 
 } // namespace
 
+IssueQueueModel::IssueQueueModel(unsigned capacity) : capacity_(capacity)
+{
+    vmmx_assert(capacity > 0, "issue queue with zero entries");
+    u32 cap = nextPow2(u32(capacity));
+    ring_.assign(cap, 0);
+    mask_ = cap - 1;
+}
+
 RegFreeList::RegFreeList(unsigned physRegs, unsigned logicalRegs)
     : free_(physRegs - logicalRegs), initialFree_(physRegs - logicalRegs)
 {

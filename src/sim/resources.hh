@@ -12,10 +12,10 @@
  * Every model here sits on the per-instruction hot path of the timing
  * loop (the profile is dominated by them, not by the caches), so they
  * are defined inline and avoid heap-backed containers: the issue queue
- * is a flat array with a min scan (capacity is a handful of entries),
- * and the free lists exploit that releases arrive in non-decreasing
- * commit order, turning the priority queue this replaced into a plain
- * FIFO ring with identical semantics.
+ * is a sorted ring whose front is the earliest leaver, and the free
+ * lists exploit that releases arrive in non-decreasing commit order,
+ * turning the priority queue this replaced into a plain FIFO ring with
+ * identical semantics.
  */
 
 #ifndef VMMX_SIM_RESOURCES_HH
@@ -106,44 +106,49 @@ class SlotPool
  * caller asks for space before renaming and registers the (later
  * computed) issue cycle afterwards.
  *
- * Resident issue cycles live in a flat array of at most capacity
- * entries; taking space when full extracts the minimum (the entry that
- * leaves earliest) by linear scan, exactly the order the min-heap this
- * replaced produced.
+ * Taking space in a full queue frees the entry that leaves earliest, so
+ * the minimum of the resident issue cycles is all the model ever
+ * observes.  They are kept sorted, earliest first, in a power-of-two
+ * ring: waitForSpace() pops the front and insert() is one insertion-sort
+ * step from the back.  Issue cycles arrive nearly in order, so an insert
+ * shifts a few entries where a min scan would compare all of them.
  */
 class IssueQueueModel
 {
   public:
-    explicit IssueQueueModel(unsigned capacity) : capacity_(capacity)
-    {
-        resident_.reserve(capacity);
-    }
+    explicit IssueQueueModel(unsigned capacity);
 
     /** @return earliest cycle >= c with a free entry. */
     Cycle waitForSpace(Cycle c)
     {
-        while (resident_.size() >= capacity_) {
-            size_t m = 0;
-            for (size_t i = 1; i < resident_.size(); ++i)
-                if (resident_[i] < resident_[m])
-                    m = i;
-            Cycle leaves = resident_[m];
-            resident_[m] = resident_.back();
-            resident_.pop_back();
+        if (tail_ - head_ >= capacity_) {
+            Cycle leaves = ring_[head_++ & mask_];
             if (leaves >= c)
                 c = leaves + 1;
         }
         return c;
     }
 
-    /** Record that the instruction renamed here leaves at @p issueCycle. */
-    void insert(Cycle issueCycle) { resident_.push_back(issueCycle); }
+    /** Record that the instruction renamed here leaves at @p issueCycle;
+     *  waitForSpace() must have made room for it. */
+    void insert(Cycle issueCycle)
+    {
+        vmmx_assert(tail_ - head_ < capacity_,
+                    "issue-queue insert without a free entry");
+        u32 i = tail_++;
+        for (; i != head_ && ring_[(i - 1) & mask_] > issueCycle; --i)
+            ring_[i & mask_] = ring_[(i - 1) & mask_];
+        ring_[i & mask_] = issueCycle;
+    }
 
-    void reset() { resident_.clear(); }
+    void reset() { head_ = tail_ = 0; }
 
   private:
+    std::vector<Cycle> ring_; ///< resident issue cycles, earliest first
+    u32 head_ = 0;
+    u32 tail_ = 0;
+    u32 mask_ = 0;
     unsigned capacity_;
-    std::vector<Cycle> resident_;
 };
 
 /**

@@ -26,8 +26,6 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
     zeroed(cUsed);
     zeroed(redirect);
     zeroed(lastCommit);
-    zeroed(iqCap);
-    zeroed(iqOcc);
     zeroed(robPos);
     zeroed(robSize);
     zeroed(stallRob);
@@ -43,25 +41,20 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
     zeroed(cc);
     zeroed(occ);
     zeroed(robFree);
-    zeroed(t0);
     zeroed(t1);
 
     regReady.assign(decodedReadySlots * padded, 0);
     lanesOcc.assign(17 * padded, 0);
     robRing.assign(padded, nullptr);
 
-    size_t maxIq = 0, maxInt = 0, maxFp = 0, maxSimd = 0, maxIssue = 0;
+    size_t maxInt = 0, maxFp = 0, maxSimd = 0, maxIssue = 0;
     for (size_t l = 0; l < lanes; ++l) {
         const CoreParams &p = ctx[l]->params();
-        maxIq = std::max<size_t>(maxIq, p.iqSize);
         maxInt = std::max<size_t>(maxInt, p.intFus);
         maxFp = std::max<size_t>(maxFp, p.fpFus);
         maxSimd = std::max<size_t>(maxSimd, p.simdFus);
         maxIssue = std::max<size_t>(maxIssue, p.simdIssue);
     }
-    iqRows = maxIq;
-    iqSlots.assign(iqRows * padded, kInf);
-
     auto initPool = [&](Pool &pool, size_t rows, auto slotsOf) {
         pool.rows = rows;
         pool.slots.assign(rows * padded, kInf);
@@ -88,7 +81,6 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
         frontDepth[l] = p.frontDepth;
         penalty[l] = p.mispredictPenalty;
         lanesPerFu[l] = p.lanesPerFu;
-        iqCap[l] = p.iqSize;
         for (size_t vl = 0; vl < sc.lanesOcc_.size(); ++vl)
             lanesOcc[vl * padded + l] = sc.lanesOcc_[vl];
         robRing[l] = sc.robRing_.data();

@@ -7,34 +7,31 @@
  * every context replayed a decoded block to completion before the next
  * context touched it.  The SoA restructure turns that inside out: the
  * per-config mutable timing state the inner step touches every record
- * -- the width gates, the ready table, ROB heads, issue-queue and
- * functional-unit pool slots, the stall counters -- is hoisted into
- * parallel u64 arrays indexed by configuration ("lane"), so one
- * DecodedInst advances all N configurations with vector arithmetic:
- * cycle compares, maxes and blends across lanes.
+ * -- the width gates, the ready table, ROB heads, functional-unit pool
+ * slots, the stall counters -- is hoisted into parallel u64 arrays
+ * indexed by configuration ("lane"), so one DecodedInst advances all N
+ * configurations with vector arithmetic: cycle compares, maxes and
+ * blends across lanes.
  *
  * Layout rules the kernels rely on:
  *  - every per-lane array is padded to a multiple of 8 lanes (the
  *    widest kernel) so any vector width can stream it without tail
  *    handling; pad lanes hold inert values and are never read back,
- *  - multi-slot structures (ready table, IQ, pools) are slot-major,
+ *  - multi-slot structures (ready table, pools) are slot-major,
  *    `[slot * padded + lane]`, so one slot across all lanes is one
  *    contiguous vector load,
- *  - IQ and pool slot arrays are sized to the widest lane; slots a
- *    lane does not have hold the kInf sentinel, which no min scan can
- *    select (real cycle values stay far below it),
- *  - the IQ keeps the scalar model's compact-array semantics per lane:
- *    rows [0, occ) hold resident issue cycles in the exact order the
- *    flat-vector model would, rows [occ, rows) hold kInf.
+ *  - pool slot arrays are sized to the widest lane; slots a lane does
+ *    not have hold the kInf sentinel, which no min scan can select
+ *    (real cycle values stay far below it).
  *
  * What stays scalar per lane -- the data-dependent tails vectorization
- * cannot reach: free-list FIFO bookkeeping, memory-system accesses and
- * store-set disambiguation, branch-predictor updates (skipped for
- * lanes 1..N-1 when every lane has the same predictor geometry, since
- * prediction inputs are trace-determined and the tables then evolve
- * identically), and the O(1) writebacks after each vector min scan.
- * These go through the inline helpers below, which reach into the
- * borrowed SimContexts (SimBatch is a friend).
+ * cannot reach: the issue-queue window, free-list FIFO bookkeeping,
+ * memory-system accesses and store-set disambiguation, branch-predictor
+ * updates (skipped for lanes 1..N-1 when every lane has the same
+ * predictor geometry, since prediction inputs are trace-determined and
+ * the tables then evolve identically), and the O(1) writebacks after
+ * each vector min scan.  These go through the inline helpers below,
+ * which reach into the borrowed SimContexts (SimBatch is a friend).
  *
  * Statistics that are trace-determined (instruction, branch, mem-op
  * and class counts -- identical for every lane by construction) are
@@ -57,8 +54,8 @@ namespace vmmx
 
 struct SimBatch
 {
-    /** Sentinel for slots a lane does not have: larger than any cycle
-     *  value a run can reach, far below 2^63 so the signed vector
+    /** Sentinel for pool slots a lane does not have: larger than any
+     *  cycle value a run can reach, far below 2^63 so the signed vector
      *  compare tricks stay exact. */
     static constexpr u64 kInf = u64(1) << 62;
 
@@ -96,12 +93,6 @@ struct SimBatch
     /** ceil(vl / lanesPerFu) table, slot-major: 17 rows x padded. */
     std::vector<u64> lanesOcc;
 
-    // ---- issue queue (slot-major, compact per lane) ----
-    size_t iqRows = 0;      ///< widest lane's capacity
-    std::vector<u64> iqCap; ///< per-lane capacity
-    std::vector<u64> iqOcc; ///< per-lane residency
-    std::vector<u64> iqSlots;
-
     // ---- functional-unit pools (slot-major) ----
     struct Pool
     {
@@ -128,9 +119,21 @@ struct SimBatch
     bool bpredShared = false;
 
     // ---- per-record scratch, padded like the state arrays ----
-    std::vector<u64> rn, ready, issue, done, cc, occ, robFree, t0, t1;
+    std::vector<u64> rn, ready, issue, done, cc, occ, robFree, t1;
 
     // ---- scalar sub-phases reaching into the borrowed contexts ----
+
+    Cycle
+    iqWaitForSpace(size_t l, Cycle c)
+    {
+        return ctx[l]->iq_.waitForSpace(c);
+    }
+
+    void
+    iqInsert(size_t l, Cycle issueCycle)
+    {
+        ctx[l]->iq_.insert(issueCycle);
+    }
 
     Cycle
     flAllocate(size_t l, u8 cls, Cycle c)

@@ -60,7 +60,7 @@ class SimContext
 {
     /** The SoA batch view (sim/sim_batch.hh) hoists this context's hot
      *  state into lane arrays and reaches back in for the scalar
-     *  sub-phases (free lists, memory, predictor, ROB ring). */
+     *  sub-phases (issue queue, free lists, memory, predictor, ROB). */
     friend struct SimBatch;
 
   public:

@@ -14,9 +14,10 @@
  * Exactness of the compare tricks: cycle values are bounded far below
  * 2^62 (kInf is the pool sentinel), so unsigned u64 ordering coincides
  * with signed ordering and the SSE2 sign-of-difference / AVX2 signed-
- * compare idioms are exact.  The min scans reproduce the scalar
- * models' first-strict-minimum scan order, so tie-breaking is
- * identical, not just equivalent.
+ * compare idioms are exact.  The pool min scans reproduce SlotPool's
+ * first-strict-minimum scan order, so tie-breaking is identical, not
+ * just equivalent.  The issue queue is not vectorized: each lane calls
+ * its context's IssueQueueModel, as it does its free lists.
  *
  * This header is included only by the per-ISA kernel translation
  * units, each compiled with the matching -m flags; the ISA-specific
@@ -277,37 +278,11 @@ stepBlockT(SimBatch &b, const DecodedInst *insts, size_t n)
 
         // ---- issue-queue space ----
         if (takesIq) {
-            bool anyFull = false;
-            for (size_t l = 0; l < L; ++l)
-                anyFull |= b.iqOcc[l] == b.iqCap[l];
-            if (anyFull) {
-                // One min scan serves every full lane; lanes with room
-                // ignore the result, exactly as their scalar model
-                // would not have scanned at all.
-                for (size_t c = 0; c < P; c += V::W) {
-                    auto bestV = V::bcast(SimBatch::kInf);
-                    auto bestI = V::bcast(0);
-                    for (size_t r = 0; r < b.iqRows; ++r) {
-                        auto v = V::load(&b.iqSlots[r * P + c]);
-                        auto lt = V::ltU(v, bestV);
-                        bestV = V::blend(lt, v, bestV);
-                        bestI = V::blend(lt, V::bcast(r), bestI);
-                    }
-                    V::store(&b.t0[c], bestV);
-                    V::store(&b.t1[c], bestI);
-                }
-                for (size_t l = 0; l < L; ++l) {
-                    if (b.iqOcc[l] != b.iqCap[l])
-                        continue;
-                    size_t m = size_t(b.t1[l]);
-                    u64 leaves = b.t0[l];
-                    size_t back = size_t(--b.iqOcc[l]);
-                    b.iqSlots[m * P + l] = b.iqSlots[back * P + l];
-                    b.iqSlots[back * P + l] = SimBatch::kInf;
-                    if (leaves >= b.rn[l]) {
-                        b.rn[l] = leaves + 1;
-                        ++b.stallIq[l];
-                    }
+            for (size_t l = 0; l < L; ++l) {
+                Cycle r = b.iqWaitForSpace(l, b.rn[l]);
+                if (r > b.rn[l]) {
+                    b.rn[l] = r;
+                    ++b.stallIq[l];
                 }
             }
         }
@@ -410,7 +385,7 @@ stepBlockT(SimBatch &b, const DecodedInst *insts, size_t n)
 
         if (takesIq) {
             for (size_t l = 0; l < L; ++l)
-                b.iqSlots[size_t(b.iqOcc[l]++) * P + l] = b.issue[l];
+                b.iqInsert(l, b.issue[l]);
         }
 
         // ---- writeback ----

@@ -15,6 +15,12 @@ Program::Program(MemImage &mem, SimdKind kind)
     trace_.reserve(1u << 16);
 }
 
+Program::Program(MemImage &mem, SimdKind kind, TraceSink &sink)
+    : Program(mem, kind)
+{
+    streamTo(sink);
+}
+
 void
 Program::release(const Frame &f)
 {

@@ -60,6 +60,8 @@ class Program
 {
   public:
     Program(MemImage &mem, SimdKind kind);
+    /** A Program that streams every record to @p sink (streamTo()). */
+    Program(MemImage &mem, SimdKind kind, TraceSink &sink);
 
     SimdKind kind() const { return kind_; }
     /** Bytes per packed word / matrix row (8 or 16). */

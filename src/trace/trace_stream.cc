@@ -5,6 +5,13 @@
 namespace vmmx
 {
 
+TraceSink &
+discardSink()
+{
+    static DiscardSink sink;
+    return sink;
+}
+
 std::vector<InstRecord>
 TraceRing::push(Item item)
 {

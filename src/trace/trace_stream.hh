@@ -70,6 +70,22 @@ class TraceSink
 };
 
 /**
+ * A sink that drops every block, for running a Program only for its
+ * effect on the memory image (a decoder's input is its encoder's
+ * output).  It keeps no state, so the one discardSink() serves every
+ * thread.
+ */
+class DiscardSink : public TraceSink
+{
+  public:
+    void put(std::vector<InstRecord> &block) override { block.clear(); }
+    void restart() override {}
+};
+
+/** The process-wide DiscardSink. */
+TraceSink &discardSink();
+
+/**
  * A bounded single-producer, single-consumer queue of trace blocks.  The
  * producer thread uses the TraceSink side and ends every trace with
  * endTrace(); the consumer thread drain()s one trace at a time.  At most

@@ -2,7 +2,9 @@
  * @file
  * Timing-core property tests: width limits, dependency chains, register
  * pressure, issue-queue and ROB stalls, branch prediction effects, and
- * vector lane occupancy.
+ * vector lane occupancy; a hand-timed issue-queue micro-trace; the
+ * issue-queue window against its linear-scan reference; and the
+ * rejection of core overrides the model cannot run.
  */
 
 #include <gtest/gtest.h>
@@ -178,6 +180,49 @@ TEST(Core, StoreToLoadDependencyHonored)
     EXPECT_GT(r.core.cycles, 4u);
 }
 
+// Hand-timed IQ-full micro-trace: eight independent `li`s on the 2-way
+// MMX64 core (fetch = rename = commit width 2, front depth 3, 2 integer
+// ALUs, 1-cycle latency, 8 free integer registers, a 32-entry ROB).
+// Pair p (instructions 2p and 2p+1) is fetched at cycle p and reaches
+// rename at p + 3.
+//  - Roomy queue (the default 16 entries): nothing stalls.  Pair p
+//    renames at p + 3, is ready and issues at p + 4, is done at p + 5
+//    and commits at p + 6, so the last pair commits at 3 + 6 = 9.
+//  - core.iq = 2: pair 0 renames at 3, issues at 4 and fills the queue.
+//    Every later instruction finds it full and waits for the earliest
+//    resident entry to issue: its rename is that issue cycle + 1.  So
+//    pair p renames at 2p + 3 and issues at 2p + 4, the pair before it
+//    having issued at 2p + 2.  Each pair then commits at 2p + 6, the
+//    last at 12, and instructions 2..7 each count one IQ stall.
+TEST(Core, IssueQueueFullHandTimed)
+{
+    MemImage mem(1 << 16);
+    Program p(mem, SimdKind::MMX64);
+    SReg r[8];
+    for (auto &x : r)
+        x = p.sreg();
+    for (auto &x : r)
+        p.li(x, 1);
+
+    Config small;
+    small.set("core.iq", s64(2));
+    std::vector<MachineConfig> machines = {
+        makeMachine(SimdKind::MMX64, 2),
+        makeMachine(SimdKind::MMX64, 2, small)};
+    RunResult roomy = runTrace(machines[0], p.trace());
+    EXPECT_EQ(roomy.core.cycles, 9u);
+    EXPECT_EQ(roomy.core.renameStallIq, 0u);
+    RunResult full = runTrace(machines[1], p.trace());
+    EXPECT_EQ(full.core.cycles, 12u);
+    EXPECT_EQ(full.core.renameStallIq, 6u);
+
+    // The batched kernel models the same queue.
+    auto batch = runTraceBatch(machines, p.trace());
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_TRUE(batch[0] == roomy);
+    EXPECT_TRUE(batch[1] == full);
+}
+
 TEST(Resources, WidthGateLimitsPerCycle)
 {
     WidthGate g(2);
@@ -208,6 +253,94 @@ TEST(Resources, IssueQueueBlocksWhenFull)
     EXPECT_EQ(iq.waitForSpace(2), 51u);
 }
 
+/** The issue queue as a flat array whose minimum a full queue
+ *  extracts by linear scan: the reference IssueQueueModel must match
+ *  return for return. */
+class LinearScanIq
+{
+  public:
+    explicit LinearScanIq(unsigned capacity) : capacity_(capacity) {}
+
+    Cycle
+    waitForSpace(Cycle c)
+    {
+        while (resident_.size() >= capacity_) {
+            size_t m = 0;
+            for (size_t i = 1; i < resident_.size(); ++i)
+                if (resident_[i] < resident_[m])
+                    m = i;
+            Cycle leaves = resident_[m];
+            resident_[m] = resident_.back();
+            resident_.pop_back();
+            if (leaves >= c)
+                c = leaves + 1;
+        }
+        return c;
+    }
+
+    void insert(Cycle issueCycle) { resident_.push_back(issueCycle); }
+    void reset() { resident_.clear(); }
+    const std::vector<Cycle> &resident() const { return resident_; }
+
+  private:
+    unsigned capacity_;
+    std::vector<Cycle> resident_;
+};
+
+// Randomized interleavings of the caller protocol (space, then at most
+// one insert) against the reference: repeated space requests, skipped
+// inserts, ties with resident entries, issue cycles below the current
+// minimum, and resets mid-stream.
+TEST(Resources, IssueQueueWindowMatchesLinearScan)
+{
+    Rng rng(0x1b5e);
+    for (unsigned cap : {1u, 2u, 3u, 16u, 64u}) {
+        IssueQueueModel window(cap);
+        LinearScanIq ref(cap);
+        Cycle clock = 0;
+        for (int step = 0; step < 50000; ++step) {
+            Cycle c = clock + rng.below(4);
+            Cycle got = window.waitForSpace(c);
+            ASSERT_EQ(got, ref.waitForSpace(c))
+                << "capacity " << cap << ", step " << step;
+            if (rng.below(8) == 0) {
+                // Asking again frees nothing more.
+                ASSERT_EQ(window.waitForSpace(got), got);
+                ASSERT_EQ(ref.waitForSpace(got), got);
+            }
+            clock = got;
+            if (rng.below(8) == 0)
+                continue; // the space goes unused
+
+            Cycle issue = 0;
+            const auto &resident = ref.resident();
+            switch (rng.below(4)) {
+              case 0: // near the rename cycle: ties are common
+                issue = got + 1 + rng.below(3);
+                break;
+              case 1: // a long-latency wait
+                issue = got + 1 + rng.below(64);
+                break;
+              case 2: // anywhere, usually below the current minimum
+                issue = rng.below(got + 1);
+                break;
+              default: // an exact tie with a resident entry
+                issue = resident.empty()
+                            ? got
+                            : resident[rng.below(resident.size())];
+                break;
+            }
+            window.insert(issue);
+            ref.insert(issue);
+
+            if (rng.below(2000) == 0) {
+                window.reset();
+                ref.reset();
+            }
+        }
+    }
+}
+
 TEST(Resources, RegFreeListReleases)
 {
     RegFreeList fl(6, 4); // two free
@@ -224,6 +357,45 @@ TEST(Bpred, LearnsBiasedBranch)
     for (int i = 0; i < 1000; ++i)
         wrong += !bp.predict(42, true);
     EXPECT_LT(wrong, 5u);
+}
+
+// Overrides the model cannot run stop the process with the key named,
+// before any simulation state is built.
+TEST(Overrides, DegenerateCoreKnobsAreFatal)
+{
+    struct Case
+    {
+        const char *key;
+        s64 value;
+        const char *message;
+    };
+    for (const Case &c : {Case{"core.iq", 0, "core\\.iq must be at least 1"},
+                          Case{"core.iq", 1 << 20, "core\\.iq must be at most"},
+                          Case{"core.rob", 0, "core\\.rob must be"},
+                          Case{"core.lanes", 0, "core\\.lanes must be"},
+                          Case{"core.simd_fus", 0, "core\\.simd_fus must be"},
+                          Case{"core.simd_issue", 0,
+                               "core\\.simd_issue must be"},
+                          Case{"core.bpred", 1000,
+                               "core\\.bpred must be a power of two"}}) {
+        Config knobs;
+        knobs.set(c.key, c.value);
+        EXPECT_EXIT(CoreParams::forConfig(SimdKind::VMMX128, 4, knobs),
+                    testing::ExitedWithCode(1), c.message)
+            << c.key;
+    }
+}
+
+TEST(Overrides, SmallestCoreKnobsRun)
+{
+    Config knobs;
+    for (const char *key : {"core.iq", "core.rob", "core.lanes",
+                            "core.simd_fus", "core.simd_issue", "core.bpred"})
+        knobs.set(key, s64(1));
+    auto r = runTrace(makeMachine(SimdKind::MMX64, 2, knobs),
+                      independentAlus(200));
+    EXPECT_EQ(r.core.instructions, 200u);
+    EXPECT_GT(r.core.cycles, 200u);
 }
 
 } // namespace

@@ -160,7 +160,7 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
     if (rng() % 2)
         knobs.set("core.rob", pick({16, 32, 64, 128}));
     if (rng() % 2)
-        knobs.set("core.iq", pick({8, 16, 32}));
+        knobs.set("core.iq", pick({1, 2, 8, 16, 32}));
     if (rng() % 2)
         knobs.set("core.lanes", pick({1, 2, 4}));
     if (rng() % 2)

@@ -8,7 +8,8 @@
  * oracle (runSweepPoint over the grid) -- and the report's derived
  * metrics must agree with hand-computed values straight off the
  * RunStats fields.  vmmx_study's --set assignments go through the spec
- * parser's own validation.
+ * parser's own validation, and grid expansion rejects overrides the
+ * model cannot run.
  */
 
 #include <gtest/gtest.h>
@@ -300,6 +301,27 @@ TEST_F(StudyTest, GridExpansionOrderAndOverrideSets)
     ASSERT_EQ(groups.size(), 4u);
     for (const auto &g : groups)
         EXPECT_EQ(g.size(), 4u);
+}
+
+// Grid expansion builds every machine once, so an override the model
+// cannot run stops the study up front with its key named, before any
+// unit reaches a worker.
+TEST_F(StudyTest, DegenerateOverridesFailAtGridExpansion)
+{
+    for (std::string bad : {"core.iq=0", "core.rob=0", "mem.mshrs=0",
+                            "mem.l2.assoc=0"}) {
+        StudySpec spec;
+        spec.kernels = {"idct"};
+        spec.kinds = {SimdKind::VMMX128};
+        spec.ways = {8};
+        std::string err;
+        ASSERT_TRUE(applySpecSetting("grid.override=" + bad, spec, err))
+            << err;
+        std::string key = bad.substr(0, bad.find('='));
+        EXPECT_EXIT(Study(spec).points(), testing::ExitedWithCode(1),
+                    key + " must be at least 1")
+            << bad;
+    }
 }
 
 // ---- backend equivalence -------------------------------------------------
