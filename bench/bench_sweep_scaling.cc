@@ -1,17 +1,14 @@
 /**
  * @file
  * Sweep-engine scaling microbench: a fig5-style grid of
- * (kernel x flavour x width) points timed four ways --
+ * (kernel x flavour x width) points timed three ways --
  *
  *   serial/uncached : the pre-sweep-engine path (regenerate the trace at
  *                     every point, run points one by one);
- *   serial/cached   : the serial executor with per-point jobs (trace
- *                     repository active, no thread pool);
- *   sweep/unbatched : the engine with four workers and one runTrace job
- *                     per point (the PR-2 dispatch);
- *   sweep/batched   : the engine with four workers dispatching whole
- *                     trace groups, each run as one batched pass that
- *                     streams its trace block by block.
+ *   serial/groups   : the serial executor: whole trace groups, each run
+ *                     as one batched pass that streams its trace block
+ *                     by block, generated ahead on a producer thread;
+ *   sweep/groups    : the same trace groups on a four-thread pool.
  *
  * A host-SIMD section times every runnable SoA step kernel on a wide
  * (12-config) group.  These grids run in milliseconds, so every timing
@@ -80,10 +77,9 @@ main()
 
     // 6 kernels x 4 flavours x 3 widths = 72 points, 24 distinct traces
     // (so 24 trace groups of 3 widths each).  The motion/GSM/block
-    // kernels have short dynamic traces, so the unbatched grid is
-    // dominated by trace generation and re-streaming -- exactly the
-    // regime the shared repository and the batched pass are for (the
-    // long-trace kernels are covered by fig4/fig5).
+    // kernels have short dynamic traces, so the per-point baseline is
+    // dominated by trace generation -- exactly the regime the batched
+    // pass is for (the long-trace kernels are covered by fig4/fig5).
     StudySpec spec;
     spec.kernels = {"motion1", "motion2", "comp", "addblock", "ltppar",
                     "ltpfilt"};
@@ -92,48 +88,40 @@ main()
 
     ExecutionPolicy serialPolicy;
     serialPolicy.backend = ExecutionPolicy::Backend::Serial;
-    serialPolicy.batch = false;
     ExecutionPolicy poolPolicy;
     poolPolicy.threads = 4;
-    poolPolicy.batch = false;
-    ExecutionPolicy batchPolicy;
-    batchPolicy.threads = 4;
 
     const size_t nPoints = points.size();
     std::cout << "sweep scaling: " << nPoints
               << " (kernel, flavour, width) points, " << nTraces
-              << " distinct traces / batch groups\n\n";
+              << " trace groups\n\n";
 
     using clock = std::chrono::steady_clock;
     constexpr int reps = 3;
 
-    // Warm up: fault in the allocator and populate the trace repository
-    // so every variant is timed at steady state (min of three reps).
-    auto batched = runPoints(points, batchPolicy);
+    // Warm up: fault in the allocator so every variant is timed at
+    // steady state (min of three reps).
+    auto pooled = runPoints(points, poolPolicy);
 
-    double tBase = 1e9, tCached = 1e9, tPooled = 1e9, tBatched = 1e9;
-    std::vector<SweepResult> baseline, cached, pooled;
+    double tBase = 1e9, tGroups = 1e9, tPooled = 1e9;
+    std::vector<SweepResult> baseline, grouped;
     for (int r = 0; r < reps; ++r) {
         auto t0 = clock::now();
         baseline = runSerialUncached(points);
         auto t1 = clock::now();
-        cached = runPoints(points, serialPolicy); // repository only
+        grouped = runPoints(points, serialPolicy); // 1 thread + producer
         auto t2 = clock::now();
-        pooled = runPoints(points, poolPolicy); // 4 threads, per-point jobs
+        pooled = runPoints(points, poolPolicy); // 4 threads
         auto t3 = clock::now();
-        batched = runPoints(points, batchPolicy); // 4 threads, groups
-        auto t4 = clock::now();
         tBase = std::min(tBase, seconds(t0, t1));
-        tCached = std::min(tCached, seconds(t1, t2));
+        tGroups = std::min(tGroups, seconds(t1, t2));
         tPooled = std::min(tPooled, seconds(t2, t3));
-        tBatched = std::min(tBatched, seconds(t3, t4));
     }
 
     bool identical = true;
     for (size_t i = 0; i < baseline.size(); ++i) {
-        if (!baseline[i].sameRun(cached[i]) ||
-            !baseline[i].sameRun(pooled[i]) ||
-            !baseline[i].sameRun(batched[i])) {
+        if (!baseline[i].sameRun(grouped[i]) ||
+            !baseline[i].sameRun(pooled[i])) {
             identical = false;
             std::cout << "MISMATCH at point " << i << " ("
                       << baseline[i].point.label() << ")\n";
@@ -144,12 +132,10 @@ main()
     TextTable table({"variant", "wall s", "points/s", "speedup"});
     table.addRow({"serial/uncached", TextTable::num(tBase, 3), pps(tBase),
                   TextTable::num(1.0)});
-    table.addRow({"serial/cached", TextTable::num(tCached, 3), pps(tCached),
-                  TextTable::num(tBase / tCached)});
-    table.addRow({"sweep/unbatched (4t)", TextTable::num(tPooled, 3),
+    table.addRow({"serial/groups", TextTable::num(tGroups, 3), pps(tGroups),
+                  TextTable::num(tBase / tGroups)});
+    table.addRow({"sweep/groups (4t)", TextTable::num(tPooled, 3),
                   pps(tPooled), TextTable::num(tBase / tPooled)});
-    table.addRow({"sweep/batched (4t)", TextTable::num(tBatched, 3),
-                  pps(tBatched), TextTable::num(tBase / tBatched)});
     table.print(std::cout);
 
     // ---- host-SIMD step kernels on a wide group ----------------------
@@ -250,22 +236,18 @@ main()
     std::cout << "results bit-identical across variants: "
               << (identical ? "yes" : "NO") << '\n';
 
-    double batchSpeedup = tPooled / tBatched;
-    std::cout << "batched vs unbatched sweep (same 4-thread pool): "
-              << TextTable::num(batchSpeedup) << "x, "
-              << pps(tBatched) << " points/s\n";
+    double speedup = tBase / tPooled;
+    std::cout << "4-thread sweep speedup vs serial/uncached: "
+              << TextTable::num(speedup) << "x, " << pps(tPooled)
+              << " points/s\n";
 
-    double speedup = tBase / tBatched;
-    std::cout << "batched sweep speedup vs serial/uncached: "
-              << TextTable::num(speedup) << "x\n";
-
-    // ---- telemetry on: the same batched sweep, spans recorded --------
+    // ---- telemetry on: the same sweep, spans recorded -----------------
     // Telemetry is purely observational, so the instrumented rerun must
     // stay bit-identical.
     size_t spansPerRun = 0;
     {
         telemetry::setEnabled(true);
-        std::vector<SweepResult> telem = runPoints(points, batchPolicy);
+        std::vector<SweepResult> telem = runPoints(points, poolPolicy);
         spansPerRun = telemetry::Tracer::instance().size();
         telemetry::Tracer::instance().clear();
         telemetry::Registry::instance().clear();
@@ -287,11 +269,9 @@ main()
                          std::to_string(nTraces) + " trace groups");
     rec.metric("points", double(nPoints));
     rec.metric("serialUncached.pointsPerSec", nPoints / tBase);
-    rec.metric("serialCached.pointsPerSec", nPoints / tCached);
-    rec.metric("sweepUnbatched.pointsPerSec", nPoints / tPooled);
-    rec.metric("sweepBatched.pointsPerSec", nPoints / tBatched);
-    rec.metric("batchedSpeedupVsSerialUncached", speedup);
-    rec.metric("batchedSpeedupVsUnbatched", batchSpeedup);
+    rec.metric("serialGroups.pointsPerSec", nPoints / tGroups);
+    rec.metric("sweepGroups.pointsPerSec", nPoints / tPooled);
+    rec.metric("sweepSpeedupVsSerialUncached", speedup);
     rec.metric("telemetry.spansPerRun", double(spansPerRun));
     rec.note("simd.active", simd::pathName(simd::bestPath()));
     for (const auto &[path, pps12] : simdPps)

@@ -8,9 +8,9 @@
  * (the points that replay one trace -- here, the two widths of each
  * (kernel, flavour) pair), each group crosses the wire as one unit, and
  * the worker runs it as a single batched pass that streams the trace
- * once, block by block, for all of the group's machine configurations.  The
- * journal still records one entry per point, so batched and per-point
- * (VMMX_SWEEP_BATCH=0) runs share journals and aggregation format.
+ * once, block by block, for all of the group's machine configurations.
+ * The journal still records one entry per point, so a run that resumes
+ * with part of a group done ships only the group's missing points.
  *
  *   run 1: workers generate every trace, writing it through to the
  *          store as it streams, and the driver journals each finished

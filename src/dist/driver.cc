@@ -36,10 +36,9 @@ namespace
 
 constexpr u32 journalMagic = 0x4c4a4d56; // "VMJL" little-endian
 constexpr u32 journalVersion = 1;
-/** Work units kept in flight per worker: one running, one queued behind
- *  it so the worker never idles waiting on the driver's scheduling
- *  latency.  A unit is a trace group (batched) or one point (batch
- *  off). */
+/** Work units (trace groups) kept in flight per worker: one running,
+ *  one queued behind it so the worker never idles waiting on the
+ *  driver's scheduling latency. */
 constexpr unsigned pipelineDepth = 2;
 /** Respawn backoff: base << (respawnsUsed - 1), capped.  Bounded so a
  *  worker that dies instantly on spawn cannot busy-loop the driver, and
@@ -533,12 +532,10 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
     if (remaining == 0)
         return results; // fully resumed; nothing to spawn
 
-    // The schedulable unit: trace groups when batching (a journal-
-    // resumed prefix simply shrinks the affected groups), single points
-    // otherwise.  Shared with the thread-pool engine so both backends
-    // form units identically.
-    std::vector<std::vector<u32>> units =
-        buildSweepUnits(points, pending, policy.batch);
+    // The schedulable unit is the trace group, as for the in-process
+    // backends; a journal-resumed prefix simply shrinks the affected
+    // groups.
+    std::vector<std::vector<u32>> units = groupPointsByTrace(points, pending);
     std::vector<unsigned> attempts(units.size(), 0);
     std::vector<bool> failed(points.size(), false); // quarantined points
     const unsigned maxAttempts = std::max(policy.maxUnitAttempts, 1u);
@@ -556,7 +553,6 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
     SetupMsg setup; // per-spawn workerId filled in at spawn time
     setup.storeDir =
         policy.storeDir.empty() ? TraceStore::defaultDir() : policy.storeDir;
-    setup.cacheBudget = policy.rawBudget;
     setup.quiet = quiet;
     setup.faultSpec = policy.faultSpec;
     setup.telemetry = telemetry::enabled();
@@ -668,35 +664,24 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
         }
     };
 
-    /** Ship one unit -- only its still-missing points, so a reclaimed,
-     *  partially-answered group is not re-run in full.  A fully-covered
-     *  unit sends nothing.  @return false when the write fails (caller
-     *  must treat the worker as dead). */
+    /** Ship one unit as a JobGroup of its still-missing points, so a
+     *  reclaimed, partially-answered group is not re-run in full.  A
+     *  fully-covered unit sends nothing.  @return false when the write
+     *  fails (caller must treat the worker as dead). */
     auto sendUnit = [&](WorkerProc &w, u32 unit) -> bool {
         TELEMETRY_SPAN("wire.encode");
-        std::vector<u32> indices;
-        for (u32 i : units[unit])
-            if (!have[i] && !failed[i])
-                indices.push_back(i);
-        if (indices.empty())
-            return true;
-        bool ok;
-        if (indices.size() == 1) {
-            JobMsg job;
-            job.index = indices[0];
-            job.point = points[indices[0]];
-            ok = wire::writeFrame(w.fd, encode(job));
-        } else {
-            JobGroupMsg group;
-            group.indices = indices;
-            group.points.reserve(indices.size());
-            for (u32 i : indices)
-                group.points.push_back(points[i]);
-            ok = wire::writeFrame(w.fd, encode(group));
+        JobGroupMsg group;
+        for (u32 i : units[unit]) {
+            if (have[i] || failed[i])
+                continue;
+            group.indices.push_back(i);
+            group.points.push_back(points[i]);
         }
-        if (!ok)
+        if (group.indices.empty())
+            return true;
+        if (!wire::writeFrame(w.fd, encode(group)))
             return false;
-        w.inflight.push_back({unit, u32(indices.size()), nowMs()});
+        w.inflight.push_back({unit, u32(group.indices.size()), nowMs()});
         ++st.groupsRun;
         return true;
     };
@@ -798,7 +783,7 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
         // The driver's own store-backed repository stands in for the
         // workers' (the policy's in-process one may have no disk tier).
         auto store = std::make_unique<TraceStore>(setup.storeDir);
-        TraceRepository repo(store.get(), policy.rawBudget);
+        TraceRepository repo(store.get());
         ExecutionPolicy pol = policy;
         pol.repo = &repo;
         for (u32 u = 0; u < units.size() && remaining > 0; ++u) {
@@ -808,10 +793,7 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
                     subset.push_back(i);
             if (subset.empty())
                 continue;
-            // Each unit runs once here, so a batched schedule streams
-            // its traces; per-point units share theirs through tier 1.
-            runSweepUnit(points, subset, pol, /*retain=*/!policy.batch,
-                         results);
+            runSweepUnit(points, subset, pol, results);
             for (u32 i : subset) {
                 have[i] = true;
                 --remaining;

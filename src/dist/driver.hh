@@ -10,10 +10,9 @@
  * protocol of dist/protocol.hh over a socketpair.  The schedulable unit
  * is a *trace group* -- the points that replay one trace, which a
  * worker executes as a single batched pass (replayUnit) so the trace is
- * streamed once per group even across process boundaries;
- * ExecutionPolicy::batch = false falls back to one point per unit.
- * Each worker starts with a
- * contiguous shard of the units; a worker that drains its own shard
+ * streamed once per group even across process boundaries, and no
+ * worker keeps a trace in RAM.  Each worker starts with a contiguous
+ * shard of the units; a worker that drains its own shard
  * steals units from the tail of the largest remaining shard, so
  * stragglers (one worker stuck on mpeg2enc) cannot serialize the sweep.
  *
@@ -133,9 +132,9 @@ u64 gridSignature(const std::vector<SweepPoint> &points);
 
 /**
  * Run every point of @p points across supervised worker processes as
- * @p policy describes (processes, store, raw budget, journal, batching,
- * supervision knobs, fault plan, self-exec binary) and return the
- * results in submission order, bit-identical to the serial reference;
+ * @p policy describes (processes, store, journal, supervision knobs,
+ * fault plan, self-exec binary) and return the results in submission
+ * order, bit-identical to the serial reference;
  * statistics go to policy.distStats when set, and workers are quiet
  * when vmmx::quiet() is.  An unparsable policy.faultSpec is fatal
  * before any worker spawns.  Worker failures are recovered (respawn,

@@ -31,7 +31,6 @@ struct SetupMsgMirror
 {
     u32 version;
     std::string storeDir;
-    u64 cacheBudget;
     bool quiet;
     u32 workerId;
     std::string faultSpec;
@@ -39,14 +38,6 @@ struct SetupMsgMirror
 };
 static_assert(sizeof(SetupMsg) == sizeof(SetupMsgMirror),
               "SetupMsg changed: update encode/decode and the mirror");
-
-struct JobMsgMirror
-{
-    u32 index;
-    SweepPoint point;
-};
-static_assert(sizeof(JobMsg) == sizeof(JobMsgMirror),
-              "JobMsg changed: update encode/decode and the mirror");
 
 struct JobGroupMsgMirror
 {
@@ -123,7 +114,6 @@ encode(const SetupMsg &m)
     wire::Writer w = begin(Msg::Setup);
     w.fixed32(m.version);
     w.str(m.storeDir);
-    w.varint(m.cacheBudget);
     w.boolean(m.quiet);
     w.fixed32(m.workerId);
     w.str(m.faultSpec);
@@ -139,31 +129,11 @@ decode(const std::vector<u8> &frame, SetupMsg &m)
     wire::Reader r = body(frame);
     m.version = r.fixed32();
     m.storeDir = r.str();
-    m.cacheBudget = r.varint();
     m.quiet = r.boolean();
     m.workerId = r.fixed32();
     m.faultSpec = r.str();
     m.telemetry = r.boolean();
     return r.ok() && r.atEnd() && m.version == protocolVersion;
-}
-
-std::vector<u8>
-encode(const JobMsg &m)
-{
-    wire::Writer w = begin(Msg::Job);
-    w.fixed32(m.index);
-    serialize(w, m.point);
-    return w.take();
-}
-
-bool
-decode(const std::vector<u8> &frame, JobMsg &m)
-{
-    if (frameType(frame) != Msg::Job)
-        return false;
-    wire::Reader r = body(frame);
-    m.index = r.fixed32();
-    return deserialize(r, m.point) && r.atEnd();
 }
 
 std::vector<u8>

@@ -5,14 +5,14 @@
  * Transport is a byte stream (a socketpair today; the framing is
  * transport-agnostic) carrying length-prefixed frames whose payload is a
  * one-byte message type followed by a typed body.  The driver opens with
- * Setup, then streams work -- single grid points (Job) or whole trace
- * groups (JobGroup, the batched default, answered with one Result per
- * point so the journal and aggregation formats are identical in both
- * modes).  The worker answers the final Done with a Stats frame before
- * exiting.  A worker that cannot continue sends Error and exits nonzero.
+ * Setup, then streams work as trace groups (JobGroup: the points that
+ * replay one trace, or the still-missing ones of a group), each
+ * answered with one Result per point -- the journal's entry format.
+ * The worker answers the final Done with a Stats frame before exiting.
+ * A worker that cannot continue sends Error and exits nonzero.
  *
- *   driver -> worker : Setup, (Job | JobGroup)*, Done
- *   worker -> driver : Result*, Stats | Error
+ *   driver -> worker : Setup, JobGroup*, Done
+ *   worker -> driver : (Result | Event)*, Stats | Error
  */
 
 #ifndef VMMX_DIST_PROTOCOL_HH
@@ -29,32 +29,39 @@
 namespace vmmx::dist
 {
 
-/** v7: Setup drops the decoded-tier switch and budget -- workers
- *  stream every trace.  (v6 named the host-SIMD step-kernel path in
- *  each Event unit record; v5 added Event telemetry frames
- *  -- buffered spans + per-unit timing records interleaved with
- *  Results, purely observational; v4 supervised workers with spawn
- *  ordinals and fault specs; v3 the tiered-repository budgets; v2
- *  JobGroup frames.) */
-constexpr u32 protocolVersion = 7;
+/** v8: the single-point Job frame (type byte 2) and Setup's raw-tier
+ *  budget are gone -- every unit is a JobGroup and workers keep no
+ *  trace.  (v7 dropped the decoded-tier switch and budget; v6 named
+ *  the host-SIMD step-kernel path in each Event unit record; v5 added
+ *  Event telemetry frames -- buffered spans + per-unit timing records
+ *  interleaved with Results, purely observational; v4 supervised
+ *  workers with spawn ordinals and fault specs; v3 the
+ *  tiered-repository budgets; v2 JobGroup frames.) */
+constexpr u32 protocolVersion = 8;
 
+/** Frame type bytes.  The values are wire format -- the journal stores
+ *  encoded Result frames, so Result must stay 4 for journals written by
+ *  earlier versions to resume -- and a retired value is never reused. */
 enum class Msg : u8
 {
-    Setup = 1, ///< driver->worker: session parameters
-    Job,       ///< driver->worker: one grid point to run
-    Done,      ///< driver->worker: no more jobs; reply Stats and exit
-    Result,    ///< worker->driver: finished grid point
-    Stats,     ///< worker->driver: end-of-session cache statistics
-    Error,     ///< worker->driver: fatal worker-side failure
-    JobGroup,  ///< driver->worker: a trace group to run as one batch
-    Event,     ///< worker->driver: telemetry spans + unit records
+    Setup = 1,    ///< driver->worker: session parameters
+    Done = 3,     ///< driver->worker: no more work; reply Stats and exit
+    Result = 4,   ///< worker->driver: finished grid point
+    Stats = 5,    ///< worker->driver: end-of-session cache statistics
+    Error = 6,    ///< worker->driver: fatal worker-side failure
+    JobGroup = 7, ///< driver->worker: a trace group to run as one batch
+    Event = 8,    ///< worker->driver: telemetry spans + unit records
 };
+static_assert(u8(Msg::Setup) == 1 && u8(Msg::Done) == 3 &&
+                  u8(Msg::Result) == 4 && u8(Msg::Stats) == 5 &&
+                  u8(Msg::Error) == 6 && u8(Msg::JobGroup) == 7 &&
+                  u8(Msg::Event) == 8,
+              "Msg values are wire format: never renumber them");
 
 struct SetupMsg
 {
     u32 version = protocolVersion;
     std::string storeDir;   ///< trace store directory ("" = no store)
-    u64 cacheBudget = 0;    ///< worker raw-tier RAM budget (0 = unlimited)
     bool quiet = true;
     u32 workerId = 0;       ///< spawn ordinal (fault scoping, stable per
                             ///< process across respawns of a slot)
@@ -64,16 +71,10 @@ struct SetupMsg
                             ///< them in Event frames
 };
 
-struct JobMsg
-{
-    u32 index = 0; ///< submission-order slot in the grid
-    SweepPoint point;
-};
-
 /**
- * A whole trace group: points that replay the same trace, run by the
- * worker as one batched pass (runTraceBatch).  Answered with one Result
- * frame per entry, in entry order.
+ * A trace group: points that replay the same trace (one or more), run
+ * by the worker as one batched pass (replayUnit).  Answered with one
+ * Result frame per entry, in entry order.
  */
 struct JobGroupMsg
 {
@@ -115,7 +116,6 @@ struct EventMsg
 };
 
 std::vector<u8> encode(const SetupMsg &m);
-std::vector<u8> encode(const JobMsg &m);
 std::vector<u8> encode(const JobGroupMsg &m);
 std::vector<u8> encodeDone();
 std::vector<u8> encode(const ResultMsg &m);
@@ -128,7 +128,6 @@ Msg frameType(const std::vector<u8> &frame);
 
 /** Decode the body of a frame whose type was already checked. */
 bool decode(const std::vector<u8> &frame, SetupMsg &m);
-bool decode(const std::vector<u8> &frame, JobMsg &m);
 bool decode(const std::vector<u8> &frame, JobGroupMsg &m);
 bool decode(const std::vector<u8> &frame, ResultMsg &m);
 bool decode(const std::vector<u8> &frame, StatsMsg &m);

@@ -159,7 +159,7 @@ workerServe(int fd)
     std::unique_ptr<TraceStore> store;
     if (!setup.storeDir.empty())
         store = std::make_unique<TraceStore>(setup.storeDir);
-    TraceRepository repo(store.get(), setup.cacheBudget);
+    TraceRepository repo(store.get());
 
     int rc = 1;
     while (wire::readFrame(fd, frame)) {
@@ -179,31 +179,17 @@ workerServe(int fd)
             rc = 0;
             break;
         }
-        // Normalize both work shapes into one group: a Job frame is a
-        // group of one, a JobGroup frame is a whole trace group that
-        // runs as a single batched pass.
         JobGroupMsg group;
-        if (type == Msg::Job) {
-            JobMsg job;
-            if (!decode(frame, job)) {
-                wire::writeFrame(fd,
-                                 encodeError("malformed frame from driver"));
-                break;
-            }
-            group.indices.push_back(job.index);
-            group.points.push_back(std::move(job.point));
-        } else if (type != Msg::JobGroup || !decode(frame, group)) {
+        if (type != Msg::JobGroup || !decode(frame, group)) {
             wire::writeFrame(fd, encodeError("malformed frame from driver"));
             break;
         }
         fault.onUnit(group.indices); // may exit or stall here
 
-        // All points of a group replay the same trace by construction.
-        // A JobGroup is the only unit replaying its trace, so the trace
-        // streams from the store (or the generator) block by block and
-        // nothing is retained; single-point Jobs of an unbatched
-        // schedule share their trace through tier 1.  Explicit traces
-        // travel inside the frame.
+        // All points of a group replay the same trace by construction,
+        // and no other unit replays it, so a keyed trace streams from
+        // the store (or the generator) block by block and nothing is
+        // retained.  Explicit traces travel inside the frame.
         const SweepPoint &lead = group.points[0];
         if (lead.workload == SweepPoint::Workload::Trace && !lead.trace) {
             wire::writeFrame(
@@ -230,8 +216,7 @@ workerServe(int fd)
                     : leadLabel + " simd=" +
                           simd::pathName(
                               simd::pathFor(group.points.size())));
-            runs = replayUnit(lead, machines, repo,
-                              /*retain=*/type == Msg::Job, traceLength);
+            runs = replayUnit(lead, machines, repo, traceLength);
         }
         if (telemetry::enabled()) {
             telemetry::UnitRecord rec;

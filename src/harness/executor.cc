@@ -17,30 +17,6 @@ namespace
 {
 
 /**
- * Per unit of @p units: whether another unit replays its trace too.
- * Such a trace is resolved through tier 1 and kept for the next replay;
- * a trace replayed by one unit only -- every trace of a batched
- * schedule -- is streamed and never retained.
- */
-std::vector<bool>
-sharedTraceUnits(const std::vector<SweepPoint> &points,
-                 const std::vector<std::vector<u32>> &units)
-{
-    std::vector<u32> leads(units.size());
-    std::vector<u32> unitOf(points.size());
-    for (u32 u = 0; u < units.size(); ++u) {
-        leads[u] = units[u][0];
-        unitOf[leads[u]] = u;
-    }
-    std::vector<bool> shared(units.size(), false);
-    for (const auto &group : groupPointsByTrace(points, leads))
-        if (group.size() > 1)
-            for (u32 lead : group)
-                shared[unitOf[lead]] = true;
-    return shared;
-}
-
-/**
  * The bookkeeping around one unit's replay -- its machines, the
  * telemetry span and unit record, and its submission-order result
  * slots.  @p replay runs the machines over the unit's trace and reports
@@ -106,23 +82,12 @@ effectiveThreads(const ExecutionPolicy &policy, size_t units)
     return std::min<unsigned>(threads, unsigned(units));
 }
 
-std::vector<u32>
-allIndices(size_t n)
-{
-    std::vector<u32> all(n);
-    for (u32 i = 0; i < all.size(); ++i)
-        all[i] = i;
-    return all;
-}
-
 } // namespace
 
 ExecutionPolicy
 ExecutionPolicy::fromEnv()
 {
     ExecutionPolicy p;
-    p.batch = env::flag("VMMX_SWEEP_BATCH", p.batch);
-    p.rawBudget = env::byteSize("VMMX_TRACE_CACHE_BUDGET");
     p.storeDir = env::str("VMMX_TRACE_STORE");
     p.maxRespawns = env::number("VMMX_MAX_RESPAWNS", p.maxRespawns);
     p.unitTimeoutMs = env::number("VMMX_UNIT_TIMEOUT_MS", 0);
@@ -166,17 +131,13 @@ parseBackend(const std::string &text, ExecutionPolicy::Backend &b)
 
 std::vector<RunResult>
 replayUnit(const SweepPoint &lead, std::span<const MachineConfig> machines,
-           TraceRepository &repo, bool retain, u64 &traceLength)
+           TraceRepository &repo, u64 &traceLength)
 {
     TraceReplay replay(machines);
-    if (lead.workload == SweepPoint::Workload::Trace) {
+    if (lead.workload == SweepPoint::Workload::Trace)
         replay.borrow(*lead.trace);
-    } else if (retain) {
-        TraceRepository::TraceHandle trace = repo.raw(traceKeyFor(lead));
-        replay.borrow(*trace);
-    } else {
+    else
         repo.stream(traceKeyFor(lead), replay);
-    }
     traceLength = replay.records();
     return replay.finish();
 }
@@ -199,12 +160,12 @@ runSweepPoint(const SweepPoint &point, const ExecutionPolicy &policy)
 void
 runSweepUnit(const std::vector<SweepPoint> &points,
              const std::vector<u32> &unit, const ExecutionPolicy &policy,
-             bool retain, std::vector<SweepResult> &results)
+             std::vector<SweepResult> &results)
 {
     runUnit(points, unit, results,
             [&](std::span<const MachineConfig> machines, u64 &traceLength) {
                 return replayUnit(points[unit[0]], machines,
-                                  policy.repository(), retain, traceLength);
+                                  policy.repository(), traceLength);
             });
 }
 
@@ -212,15 +173,13 @@ std::vector<SweepResult>
 SerialExecutor::run(const std::vector<SweepPoint> &points,
                     const ExecutionPolicy &policy) const
 {
-    std::vector<std::vector<u32>> units =
-        buildSweepUnits(points, allIndices(points.size()), policy.batch);
-    std::vector<bool> shared = sharedTraceUnits(points, units);
+    std::vector<std::vector<u32>> units = groupPointsByTrace(points);
     TraceRepository &repo = policy.repository();
-    // Units whose keyed trace is streamed once: the producer thread
-    // below generates (or reads) them ahead of the simulation.
+    // Units replaying a keyed trace: the producer thread below generates
+    // (or reads) them ahead of the simulation.  Explicit traces stream
+    // from their own vectors on the calling thread.
     auto produced = [&](size_t u) {
-        return !shared[u] &&
-               points[units[u][0]].workload != SweepPoint::Workload::Trace;
+        return points[units[u][0]].workload != SweepPoint::Workload::Trace;
     };
 
     // One producer walks the schedule ahead of the calling thread,
@@ -267,7 +226,7 @@ SerialExecutor::run(const std::vector<SweepPoint> &points,
                         return replay.finish();
                     });
         } else {
-            runSweepUnit(points, units[u], policy, shared[u], results);
+            runSweepUnit(points, units[u], policy, results);
         }
         done += units[u].size();
         progress.update(done);
@@ -280,14 +239,12 @@ std::vector<SweepResult>
 ThreadPoolExecutor::run(const std::vector<SweepPoint> &points,
                         const ExecutionPolicy &policy) const
 {
-    std::vector<std::vector<u32>> units =
-        buildSweepUnits(points, allIndices(points.size()), policy.batch);
+    std::vector<std::vector<u32>> units = groupPointsByTrace(points);
     unsigned threads = effectiveThreads(policy, units.size());
     // One effective thread is the serial schedule, producer ring and
     // progress reporting included.
     if (threads <= 1)
         return SerialExecutor().run(points, policy);
-    std::vector<bool> shared = sharedTraceUnits(points, units);
 
     // Units are independent (per-configuration MemorySystem/SimContext,
     // immutable shared trace artifacts); workers pull the next undone
@@ -300,7 +257,7 @@ ThreadPoolExecutor::run(const std::vector<SweepPoint> &points,
     auto worker = [&]() {
         for (size_t u = next.fetch_add(1); u < units.size();
              u = next.fetch_add(1)) {
-            runSweepUnit(points, units[u], policy, shared[u], results);
+            runSweepUnit(points, units[u], policy, results);
             progress.update(done.fetch_add(units[u].size()) +
                             units[u].size());
         }

@@ -12,21 +12,20 @@
  *                       frame protocol, traces shared through the
  *                       on-disk TraceStore (the PR-2 subsystem)
  *
- * All three consume the same buildSweepUnits() schedule (whole trace
- * groups when ExecutionPolicy::batch, single points otherwise) and all
+ * All three schedule the same units -- the trace groups of
+ * groupPointsByTrace(), each replayed in one batched pass -- and all
  * write results into submission-order slots, so for any grid and any
  * policy the three result vectors are bit-identical -- asserted by
  * tests/test_study.cc and CI.
  *
- * Every unit replays its trace as a stream (replayUnit): a trace that
- * only one unit of the schedule replays -- every trace of a batched
- * schedule -- goes from the generator or the trace store straight into
- * the unit's batched step in 32K-record blocks and is never held whole.
- * The serial backend runs the generator on a producer thread one ring
- * of blocks ahead of the simulation.  Traces several units replay, and
- * explicit traces, stream from their resident tier-1 vector.  A future remote backend (the ROADMAP's
- * TCP rung) is one more implementation of this interface; nothing above
- * it has to change.
+ * Every unit replays its trace as a stream (replayUnit): a keyed trace
+ * goes from the generator or the trace store straight into the group's
+ * batched step in 32K-record blocks and is never held whole, and an
+ * explicit trace streams from its own vector.  The serial backend runs
+ * the generator on a producer thread one ring of blocks ahead of the
+ * simulation.  A future remote backend (the ROADMAP's TCP rung) is one
+ * more implementation of this interface; nothing above it has to
+ * change.
  *
  * The policy's defaults come from the legacy VMMX_* environment
  * variables through ExecutionPolicy::fromEnv() -- the single place
@@ -65,13 +64,6 @@ struct ExecutionPolicy
     unsigned threads = 0;
     /** Process backend worker count (>= 1). */
     unsigned processes = 2;
-    /** Schedule whole trace groups (one batched pass per group); off =
-     *  one point per unit.  Bit-identical either way. */
-    bool batch = true;
-    /** Raw (tier-1) trace RAM budget; 0 = unlimited.  Applied to the
-     *  per-worker repositories of the Process backend; in-process
-     *  backends only apply it where the caller asks (vmmx_study). */
-    u64 rawBudget = 0;
     /** Trace store directory (Process backend); "" = default dir. */
     std::string storeDir;
     /** Crash-resume journal (Process backend); "" = no journal. */
@@ -109,8 +101,7 @@ struct ExecutionPolicy
     bool journalSync = false;
 
     /** The built-in defaults with the environment knobs layered on
-     *  top: VMMX_SWEEP_BATCH, VMMX_TRACE_CACHE_BUDGET,
-     *  VMMX_TRACE_STORE, VMMX_MAX_RESPAWNS, VMMX_UNIT_TIMEOUT_MS,
+     *  top: VMMX_TRACE_STORE, VMMX_MAX_RESPAWNS, VMMX_UNIT_TIMEOUT_MS,
      *  VMMX_MAX_UNIT_ATTEMPTS, VMMX_FAULT_SPEC, VMMX_JOURNAL_SYNC. */
     static ExecutionPolicy fromEnv();
 
@@ -122,8 +113,8 @@ struct ExecutionPolicy
     bool operator==(const ExecutionPolicy &o) const
     {
         return backend == o.backend && threads == o.threads &&
-               processes == o.processes && batch == o.batch &&
-               rawBudget == o.rawBudget && storeDir == o.storeDir && journalPath == o.journalPath &&
+               processes == o.processes && storeDir == o.storeDir &&
+               journalPath == o.journalPath &&
                maxRespawns == o.maxRespawns &&
                unitTimeoutMs == o.unitTimeoutMs &&
                maxUnitAttempts == o.maxUnitAttempts;
@@ -164,8 +155,8 @@ class SerialExecutor : public Executor
                                  const ExecutionPolicy &policy) const override;
 };
 
-/** In-process thread pool over the shared unit schedule; with one
- *  effective thread it is the SerialExecutor. */
+/** In-process thread pool over the trace groups; with one effective
+ *  thread it is the SerialExecutor. */
 class ThreadPoolExecutor : public Executor
 {
   public:
@@ -194,16 +185,14 @@ std::vector<SweepResult> runPoints(const std::vector<SweepPoint> &points,
  * Replay @p lead's trace on every machine in @p machines in one
  * streamed pass and return the results in @p machines order;
  * @p traceLength receives the record count.  An explicit trace streams
- * from its own vector; with @p retain, the trace is resolved through
- * the repository's tier 1 (kept for the other units replaying it);
- * otherwise the repository streams it without retaining it
- * (TraceRepository::stream).  The one unit-replay function of the
- * executors, the dist worker and the driver's in-driver fallback.
+ * from its own vector; a keyed one is streamed by the repository
+ * without being retained (TraceRepository::stream).  The one
+ * unit-replay function of the executors, the dist worker and the
+ * driver's in-driver fallback.
  */
 std::vector<RunResult> replayUnit(const SweepPoint &lead,
                                   std::span<const MachineConfig> machines,
-                                  TraceRepository &repo, bool retain,
-                                  u64 &traceLength);
+                                  TraceRepository &repo, u64 &traceLength);
 
 /**
  * Run one grid point on the calling thread the reference way: resolve
@@ -215,15 +204,13 @@ SweepResult runSweepPoint(const SweepPoint &point,
                           const ExecutionPolicy &policy);
 
 /**
- * Run one schedulable unit -- a whole trace group replayed in a single
- * batched pass when policy.batch, a single point otherwise -- writing
- * into the submission-order slots of @p results.  @p retain: another
- * unit replays the same trace (see replayUnit).  The common inner
- * loop of the executors.
+ * Run one schedulable unit -- points of @p points replaying one trace,
+ * in a single batched pass -- writing into the submission-order slots
+ * of @p results.  The common inner loop of the executors.
  */
 void runSweepUnit(const std::vector<SweepPoint> &points,
                   const std::vector<u32> &unit,
-                  const ExecutionPolicy &policy, bool retain,
+                  const ExecutionPolicy &policy,
                   std::vector<SweepResult> &results);
 
 } // namespace vmmx

@@ -52,8 +52,6 @@ struct ExecutionPolicyMirror
     ExecutionPolicy::Backend backend;
     unsigned threads;
     unsigned processes;
-    bool batch;
-    u64 rawBudget;
     std::string storeDir;
     std::string journalPath;
     unsigned maxRespawns;
@@ -364,8 +362,6 @@ formatStudySpec(const StudySpec &spec)
     os << "backend = " << name(e.backend) << "\n";
     os << "threads = " << e.threads << "\n";
     os << "processes = " << e.processes << "\n";
-    os << "batch = " << flagText(e.batch) << "\n";
-    os << "raw_budget = " << e.rawBudget << "\n";
     checkSpecValue("store directory", e.storeDir, /*listItem=*/false);
     os << "store = " << e.storeDir << "\n";
     checkSpecValue("journal path", e.journalPath, /*listItem=*/false);
@@ -410,12 +406,6 @@ setSpecKey(StudySpec &spec, const std::string &section,
         return env::parseFlag(value.c_str(), out)
                    ? std::string()
                    : "'" + key + "' wants on/off, got '" + value + "'";
-    };
-    auto wantBytes = [&](u64 &out) {
-        return env::parseByteSize(value.c_str(), out)
-                   ? std::string()
-                   : "'" + key + "' wants a byte size, got '" + value +
-                         "'";
     };
     auto wantNumber = [&](unsigned &out) {
         return env::parseUnsigned(value.c_str(), out)
@@ -484,14 +474,15 @@ setSpecKey(StudySpec &spec, const std::string &section,
                 return "'processes' must be >= 1";
             return "";
         }
-        if (key == "batch")
-            return wantFlag(e.batch);
         if (key == "decoded" || key == "decoded_budget")
             return "'" + key + "' is no longer an [exec] key: the "
                    "executors now stream traces block by block, so there "
                    "is no decoded tier to configure";
-        if (key == "raw_budget")
-            return wantBytes(e.rawBudget);
+        if (key == "batch" || key == "raw_budget")
+            return "'" + key + "' is no longer an [exec] key: the "
+                   "executors always run whole trace groups, streaming "
+                   "each trace once, so there is no per-point schedule or "
+                   "raw-tier budget to configure";
         if (key == "store") {
             e.storeDir = value;
             return "";

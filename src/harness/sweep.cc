@@ -68,17 +68,4 @@ groupPointsByTrace(const std::vector<SweepPoint> &points)
     return groupPointsByTrace(points, all);
 }
 
-std::vector<std::vector<u32>>
-buildSweepUnits(const std::vector<SweepPoint> &points,
-                const std::vector<u32> &subset, bool batch)
-{
-    if (batch)
-        return groupPointsByTrace(points, subset);
-    std::vector<std::vector<u32>> units;
-    units.reserve(subset.size());
-    for (u32 i : subset)
-        units.push_back({i});
-    return units;
-}
-
 } // namespace vmmx

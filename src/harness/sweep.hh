@@ -1,7 +1,7 @@
 /**
  * @file
  * Grid-point vocabulary (SweepPoint/SweepResult) and the shared unit
- * scheduler (buildSweepUnits).
+ * scheduler (groupPointsByTrace).
  *
  * Every figure in the paper is a sweep: the same few traces replayed on
  * a grid of machine configurations.  Grids are described by a StudySpec
@@ -10,9 +10,9 @@
  *
  * What this header owns is the scheduling vocabulary shared by every
  * backend: points are grouped by the trace they replay
- * (groupPointsByTrace) and formed into schedulable units
- * (buildSweepUnits) -- whole trace groups when batching, single points
- * otherwise -- so all backends always shard the same way.
+ * (groupPointsByTrace), and each group is one schedulable unit, replayed
+ * in a single batched pass -- so all backends always shard the same
+ * way.
  */
 
 #ifndef VMMX_HARNESS_SWEEP_HH
@@ -77,7 +77,8 @@ struct SweepResult
  * the trace the points replay: kernel/app points group by (workload,
  * name, flavour); explicit-trace points group by the trace object.
  * Groups are ordered by first appearance and keep ascending indices, so
- * the grouping is deterministic for a given grid.
+ * the grouping is deterministic for a given grid.  These groups are the
+ * units every backend schedules.
  */
 std::vector<std::vector<u32>>
 groupPointsByTrace(const std::vector<SweepPoint> &points,
@@ -86,16 +87,6 @@ groupPointsByTrace(const std::vector<SweepPoint> &points,
 /** Group every point of @p points (subset = the whole grid). */
 std::vector<std::vector<u32>>
 groupPointsByTrace(const std::vector<SweepPoint> &points);
-
-/**
- * The schedulable units of a sweep over @p subset: whole trace groups
- * when @p batch, one point per unit otherwise.  Shared by the
- * thread-pool engine and the multi-process driver so both backends
- * always form units the same way.
- */
-std::vector<std::vector<u32>>
-buildSweepUnits(const std::vector<SweepPoint> &points,
-                const std::vector<u32> &subset, bool batch);
 
 } // namespace vmmx
 

@@ -13,8 +13,8 @@
  * stream() bypasses the RAM tiers: it hands a trace replayed exactly
  * once to a TraceSink block by block -- read from tier 0, or generated
  * and written through to it -- and keeps nothing.  That is how the
- * executors replay every batched schedule; the RAM tiers serve traces
- * that are replayed several times (unbatched schedules, explicit traces)
+ * executors replay every trace group, so no executor fills tier 1; the
+ * RAM tiers serve the materialize-then-replay oracle (runSweepPoint)
  * and direct library users.
  *
  * Trace generation is execution driven and deterministic in the
@@ -26,7 +26,7 @@
  *
  * Tiers 1 and 2 share one LRU clock and one eviction pass: each tier
  * has its own byte budget (VMMX_TRACE_CACHE_BUDGET for raw,
- * VMMX_DECODED_CACHE_BUDGET for decoded, or the set*Budget() setters),
+ * VMMX_DECODED_CACHE_BUDGET for decoded, or the constructor arguments),
  * and when a tier runs over, the globally least-recently-used
  * *evictable* entry of that tier drops its bytes.  Raw copies are
  * evictable only when mirrored on disk (without a store the raw budget
@@ -106,7 +106,6 @@ class TraceRepository
     void attachStore(TraceStore *store);
     TraceStore *store() const { return store_; }
 
-    void setRawBudget(u64 bytes) { rawBudget_.store(bytes); }
     void setDecodedBudget(u64 bytes) { decodedBudget_.store(bytes); }
     u64 rawBudget() const { return rawBudget_.load(); }
     u64 decodedBudget() const { return decodedBudget_.load(); }

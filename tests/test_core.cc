@@ -1,10 +1,11 @@
 /**
  * @file
- * Timing-core property tests: width limits, dependency chains, register
- * pressure, issue-queue and ROB stalls, branch prediction effects, and
- * vector lane occupancy; a hand-timed issue-queue micro-trace; the
- * issue-queue window against its linear-scan reference; and the
- * rejection of core overrides the model cannot run.
+ * Timing-core property tests: register pressure, issue-queue and ROB
+ * stalls, branch prediction effects, and vector lane occupancy;
+ * hand-timed micro-traces (independent ops at width, a dependency
+ * chain, a full issue queue) with exact cycle counts; the issue-queue
+ * window against its linear-scan reference; and the rejection of core
+ * overrides the model cannot run.
  */
 
 #include <gtest/gtest.h>
@@ -34,29 +35,77 @@ independentAlus(unsigned n)
     return p.takeTrace();
 }
 
-TEST(Core, IpcBoundedByWidth)
+/** The 2-way and 8-way MMX64 machines the hand-timed traces run on. */
+std::vector<MachineConfig>
+twoAndEightWay()
 {
-    auto trace = independentAlus(4000);
-    for (unsigned way : {2u, 4u, 8u}) {
-        auto r = runTrace(makeMachine(SimdKind::MMX64, way), trace);
-        EXPECT_LE(r.core.ipc(), double(way) + 1e-9);
-        // Independent work should come close to the width limit.
-        EXPECT_GT(r.core.ipc(), 0.8 * way);
-    }
+    return {makeMachine(SimdKind::MMX64, 2), makeMachine(SimdKind::MMX64, 8)};
 }
 
+// Hand-timed independent ops: sixteen `li`s to eight registers on the
+// MMX64 cores of width w = 2 and 8 (fetch = rename = commit width w,
+// front depth 3, w integer ALUs at 1-cycle latency, a 16/64-entry IQ and
+// a 32/128-entry ROB that sixteen instructions never fill).  Group g --
+// instructions wg .. wg + w - 1 -- is fetched at cycle g, renames at
+// g + 3, issues at g + 4 on its w ALUs, is done at g + 5 and commits at
+// g + 6.  So the last of the ceil(16 / w) groups commits at
+// ceil(16 / w) + 5: 13 cycles at 2-way, 7 at 8-way.  Register pressure
+// never bites: the 2-way core's 8 free integer registers get two back
+// per commit cycle, so group g renames after groups 0 .. g - 3 committed
+// and finds 8 - 2g + 2(g - 2) = 4 free.
+TEST(Core, IpcBoundedByWidth)
+{
+    auto trace = independentAlus(16);
+    std::vector<MachineConfig> machines = twoAndEightWay();
+    RunResult two = runTrace(machines[0], trace);
+    RunResult eight = runTrace(machines[1], trace);
+    EXPECT_EQ(two.core.cycles, 13u);
+    EXPECT_EQ(eight.core.cycles, 7u);
+    for (const RunResult *r : {&two, &eight}) {
+        EXPECT_EQ(r->core.instructions, 16u);
+        EXPECT_EQ(r->core.renameStallRegs, 0u);
+        EXPECT_EQ(r->core.renameStallIq, 0u);
+        EXPECT_EQ(r->core.renameStallRob, 0u);
+    }
+
+    // The batched kernel over both machines times the same trace.
+    auto batch = runTraceBatch(machines, trace);
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_TRUE(batch[0] == two);
+    EXPECT_TRUE(batch[1] == eight);
+}
+
+// Hand-timed dependency chain: `li a` and fifteen `addi a, a, 1` on the
+// same two cores.  Instruction k renames at floor(k / w) + 3, but each
+// addi waits for its predecessor: k is ready and issues at k + 4, is
+// done at k + 5 and commits at k + 6, so the chain takes 16 + 5 = 21
+// cycles at either width -- width buys nothing.  On the 2-way core the
+// chain also outruns its 8 free integer registers: from k = 11 on, a
+// rename waits for the commit of instruction k - 8 at cycle k - 2, later
+// than floor(k / 2) + 3, so instructions 11 .. 15 each count one
+// register stall, none of which delays the chain (k - 1 < k + 4).
 TEST(Core, DependencyChainSerializes)
 {
     MemImage mem(1 << 16);
     Program p(mem, SimdKind::MMX64);
     SReg a = p.sreg();
     p.li(a, 0);
-    for (int i = 0; i < 2000; ++i)
+    for (int i = 0; i < 15; ++i)
         p.addi(a, a, 1);
-    auto r = runTrace(makeMachine(SimdKind::MMX64, 8), p.trace());
-    // A serial chain of 1-cycle adds cannot beat 1 IPC.
-    EXPECT_LE(r.core.ipc(), 1.05);
-    EXPECT_EQ(p.val(a), 2000u);
+    EXPECT_EQ(p.val(a), 15u);
+
+    std::vector<MachineConfig> machines = twoAndEightWay();
+    RunResult two = runTrace(machines[0], p.trace());
+    RunResult eight = runTrace(machines[1], p.trace());
+    EXPECT_EQ(two.core.cycles, 21u);
+    EXPECT_EQ(eight.core.cycles, 21u);
+    EXPECT_EQ(two.core.renameStallRegs, 5u);
+    EXPECT_EQ(eight.core.renameStallRegs, 0u);
+
+    auto batch = runTraceBatch(machines, p.trace());
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_TRUE(batch[0] == two);
+    EXPECT_TRUE(batch[1] == eight);
 }
 
 TEST(Core, MulLatencyLongerThanAdd)

@@ -76,8 +76,7 @@ class DistTest : public testing::Test
     std::vector<SweepResult> runSerial() { return runReference(gridPoints()); }
 
     /** Two worker processes over this test's store; the other knobs
-     *  (budgets, batching, supervision) keep their environment
-     *  defaults. */
+     *  (supervision) keep their environment defaults. */
     ExecutionPolicy processPolicy() const
     {
         ExecutionPolicy p = ExecutionPolicy::fromEnv();
@@ -165,38 +164,25 @@ TEST_F(DistTest, ExplicitTracePointsCrossTheWire)
                           SimdKind::MMX64, way, {}, trace});
     auto expect = runReference(points);
 
-    // More workers than grid points: the driver must clamp.  Per-point
-    // sharding here; the batched path ships the whole group below.
+    // The three points are one trace group, so one JobGroup frame
+    // (carrying the trace once per point encode) feeds a single worker:
+    // with more workers than units, the driver must clamp.
     ExecutionPolicy policy = processPolicy();
     policy.processes = 8;
-    policy.batch = false;
     dist::DistStats stats;
     policy.distStats = &stats;
     auto got = dist::runSweep(points, policy);
     ASSERT_EQ(got.size(), expect.size());
     for (size_t i = 0; i < expect.size(); ++i)
         EXPECT_TRUE(got[i].sameRun(expect[i])) << "point " << i;
-    EXPECT_EQ(stats.workers, expect.size());
-
-    // Batched: the three points are one trace group, so one JobGroup
-    // frame (carrying the trace once per point encode) feeds a single
-    // worker, and the clamp is by units.
-    ExecutionPolicy batched = policy;
-    batched.batch = true;
-    dist::DistStats groupStats;
-    batched.distStats = &groupStats;
-    auto groupGot = dist::runSweep(points, batched);
-    for (size_t i = 0; i < expect.size(); ++i)
-        EXPECT_TRUE(groupGot[i].sameRun(expect[i])) << "point " << i;
-    EXPECT_EQ(groupStats.workers, 1u);
-    EXPECT_EQ(groupStats.groupsRun, 1u);
-    EXPECT_EQ(groupStats.jobsRun, expect.size());
+    EXPECT_EQ(stats.workers, 1u);
+    EXPECT_EQ(stats.groupsRun, 1u);
+    EXPECT_EQ(stats.jobsRun, expect.size());
 }
 
-// The PR-3 acceptance test: with batching on (the default), the driver
-// shards by trace group -- each group crosses the wire once and runs as
-// one batched pass on the worker -- and the aggregated results are still
-// bit-identical to the serial per-point sweep.
+// The driver shards by trace group -- each group crosses the wire once
+// and runs as one batched pass on the worker -- and the aggregated
+// results are still bit-identical to the serial per-point sweep.
 TEST_F(DistTest, TraceGroupShardingBitIdenticalToSerial)
 {
     auto expect = runSerial();
@@ -204,7 +190,6 @@ TEST_F(DistTest, TraceGroupShardingBitIdenticalToSerial)
 
     auto points = gridPoints();
     ExecutionPolicy policy = processPolicy();
-    policy.batch = true;
     dist::DistStats stats;
     policy.distStats = &stats;
 
@@ -220,16 +205,6 @@ TEST_F(DistTest, TraceGroupShardingBitIdenticalToSerial)
     EXPECT_EQ(stats.workers, 2u);
     EXPECT_EQ(stats.jobsRun, 24u);
     EXPECT_EQ(stats.groupsRun, 12u);
-
-    // And the per-point (batch off) sharding agrees bit for bit.
-    ExecutionPolicy unbatched = policy;
-    unbatched.batch = false;
-    dist::DistStats pointStats;
-    unbatched.distStats = &pointStats;
-    auto pointGot = dist::runSweep(points, unbatched);
-    for (size_t i = 0; i < expect.size(); ++i)
-        EXPECT_TRUE(pointGot[i].sameRun(expect[i])) << "point " << i;
-    EXPECT_EQ(pointStats.groupsRun, 24u);
 }
 
 TEST_F(DistTest, JournalResumeSkipsCompletedJobs)

@@ -4,12 +4,12 @@
  * (parse -> format -> parse is the identity), the three Executor
  * backends must produce bit-identical SweepResult vectors on a
  * randomized grid (the seam the future TCP backend plugs into) -- each
- * streaming its traces and each matching the materialize-then-replay
- * oracle (runSweepPoint over the grid) -- and the report's derived
- * metrics must agree with hand-computed values straight off the
- * RunStats fields.  vmmx_study's --set assignments go through the spec
- * parser's own validation, and grid expansion rejects overrides the
- * model cannot run.
+ * streaming its traces, keeping none of them, and matching the
+ * materialize-then-replay oracle (runSweepPoint over the grid) -- and
+ * the report's derived metrics must agree with hand-computed values
+ * straight off the RunStats fields.  vmmx_study's --set assignments go
+ * through the spec parser's own validation, and grid expansion rejects
+ * overrides the model cannot run.
  */
 
 #include <gtest/gtest.h>
@@ -25,6 +25,7 @@
 
 #include "common/logging.hh"
 #include "common/table.hh"
+#include "dist/driver.hh"
 #include "harness/harness_io.hh"
 #include "harness/study.hh"
 
@@ -79,8 +80,6 @@ override = core.rob=64,mem.mshrs=4
 backend = serial
 threads = 3
 processes = 5
-batch = off
-raw_budget = 64k
 store = /tmp/some-store
 journal = /tmp/some.vmjl
 max_respawns = 5
@@ -113,8 +112,6 @@ precision = 3
     EXPECT_EQ(spec.exec.backend, ExecutionPolicy::Backend::Serial);
     EXPECT_EQ(spec.exec.threads, 3u);
     EXPECT_EQ(spec.exec.processes, 5u);
-    EXPECT_FALSE(spec.exec.batch);
-    EXPECT_EQ(spec.exec.rawBudget, u64(64) << 10);
     EXPECT_EQ(spec.exec.storeDir, "/tmp/some-store");
     EXPECT_EQ(spec.exec.journalPath, "/tmp/some.vmjl");
     EXPECT_EQ(spec.exec.maxRespawns, 5u);
@@ -186,8 +183,6 @@ TEST_F(StudyTest, SpecFileParseErrors)
     EXPECT_FALSE(parseStudySpec("[report]\nbaseline = mmx64/-2\n",
                                 spec, err));
     EXPECT_FALSE(parseStudySpec("[exec]\nbackend = cloud\n", spec, err));
-    EXPECT_FALSE(parseStudySpec("[exec]\nbatch = maybe\n", spec, err));
-    EXPECT_FALSE(parseStudySpec("[exec]\nraw_budget = -64k\n", spec, err));
     EXPECT_FALSE(parseStudySpec("[exec]\nmax_respawns = some\n", spec, err));
     EXPECT_FALSE(parseStudySpec("[exec]\nunit_timeout_ms = -5\n",
                                 spec, err));
@@ -206,6 +201,16 @@ TEST_F(StudyTest, SpecFileParseErrors)
                              "[exec]\ndecoded_budget = 2M\n"}) {
         EXPECT_FALSE(parseStudySpec(text, spec, err)) << text;
         EXPECT_NE(err.find("stream traces"), std::string::npos) << err;
+    }
+    // So are the per-point schedule and the raw-tier budget: the
+    // executors always run whole trace groups.
+    for (const char *text : {"[exec]\nbatch = off\n", "[exec]\nbatch = on\n",
+                             "[exec]\nraw_budget = 64k\n"}) {
+        EXPECT_FALSE(parseStudySpec(text, spec, err)) << text;
+        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+        EXPECT_NE(err.find("always run whole trace groups"),
+                  std::string::npos)
+            << err;
     }
 }
 
@@ -260,6 +265,14 @@ TEST_F(StudyTest, SetAssignmentsLayerOverTheSpec)
           "exec.decoded=on", "threads=4"}) {
         EXPECT_FALSE(applySpecSetting(bad, spec, err)) << bad;
         EXPECT_NE(err.find(std::string("'") + bad + "'"), std::string::npos)
+            << err;
+    }
+    for (const char *gone : {"exec.batch=off", "exec.raw_budget=64k"}) {
+        EXPECT_FALSE(applySpecSetting(gone, spec, err)) << gone;
+        EXPECT_NE(err.find(std::string("'") + gone + "'"), std::string::npos)
+            << err;
+        EXPECT_NE(err.find("always run whole trace groups"),
+                  std::string::npos)
             << err;
     }
     EXPECT_FALSE(applySpecSetting("bogus.threads=1", spec, err));
@@ -394,20 +407,26 @@ TEST_F(StudyTest, BackendsBitIdenticalOnRandomizedGrid)
 }
 
 // The streaming contract: every backend streams the traces of its
-// schedule (generated ahead on a producer thread for the serial backend,
-// read from or written through to the store for workers) and must
-// match the materialize-then-replay oracle point for point -- batched
-// and unbatched, and with explicit-trace points in the grid.
+// trace groups (generated ahead on a producer thread for the serial
+// backend, read from or written through to the store for workers), keeps
+// none of them, and must match the materialize-then-replay oracle point
+// for point -- with several points per trace (ways 2,4) and with one
+// (ways 8, where every group is a group of one), explicit-trace points
+// included.
 TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
 {
     std::mt19937 rng(0x57ea);
     SharedTrace explicitTrace =
         repo.kernel("comp", SimdKind::VMMX64).shared();
-    for (bool batch : {true, false}) {
+    for (const std::vector<unsigned> &ways :
+         {std::vector<unsigned>{2, 4}, std::vector<unsigned>{8}}) {
         StudySpec spec = randomizedSpec(rng);
+        spec.ways = ways;
+        if (ways.size() == 1 && spec.overrideSets.size() > 1)
+            spec.overrideSets.resize(1); // one point per trace
         Study study(spec);
         std::vector<SweepPoint> points = study.points();
-        for (unsigned way : {2u, 8u}) {
+        for (unsigned way : ways) {
             SweepPoint p;
             p.workload = SweepPoint::Workload::Trace;
             p.name = "explicit";
@@ -415,6 +434,11 @@ TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
             p.way = way;
             p.trace = explicitTrace;
             points.push_back(p);
+        }
+        const std::string shape =
+            ways.size() == 1 ? " (one point per trace)" : " (groups)";
+        if (ways.size() == 1) {
+            ASSERT_EQ(groupPointsByTrace(points).size(), points.size());
         }
 
         // The oracle resolves every trace whole, in its own repository.
@@ -429,26 +453,27 @@ TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
                              ExecutionPolicy::Backend::ThreadPool,
                              ExecutionPolicy::Backend::Process}) {
             TraceRepository fresh;
+            dist::DistStats ds;
             ExecutionPolicy policy;
             policy.repo = &fresh;
-            policy.batch = batch;
             policy.threads = 3;
             policy.processes = 2;
-            policy.storeDir = storeDir() + (batch ? "-b" : "-u");
+            policy.storeDir = storeDir() + "-" + std::to_string(ways.size());
+            policy.distStats = &ds;
             auto got = executorFor(backend).run(points, policy);
             ASSERT_EQ(got.size(), expect.size());
             for (size_t i = 0; i < expect.size(); ++i)
                 EXPECT_TRUE(got[i].sameRun(expect[i]))
-                    << name(backend) << (batch ? " batched" : " unbatched")
-                    << " diverges at " << expect[i].point.label();
-            if (backend == ExecutionPolicy::Backend::Process)
-                continue;
-            // In-process: a batched schedule streams every keyed trace
-            // once and keeps none of them.
-            if (batch) {
-                EXPECT_EQ(fresh.rawStats().bytes, 0u) << name(backend);
+                    << name(backend) << shape << " diverges at "
+                    << expect[i].point.label();
+            // Every keyed trace is streamed once and kept nowhere: not
+            // in this process, and not in any worker.
+            EXPECT_EQ(fresh.rawStats().bytes, 0u) << name(backend) << shape;
+            EXPECT_EQ(fresh.decodes(), 0u) << name(backend) << shape;
+            if (backend == ExecutionPolicy::Backend::Process) {
+                EXPECT_EQ(ds.bytesResident, 0u) << shape;
+                EXPECT_EQ(ds.hits, 0u) << shape;
             }
-            EXPECT_EQ(fresh.decodes(), 0u) << name(backend);
         }
     }
 }

@@ -8,8 +8,8 @@
  * (runTraceBatch, or a batched schedule) must be bit-identical to N
  * independent runTrace() calls, for any batch size and any knob
  * overrides -- replaying the repository's pre-decoded tier-2 stream
- * must be bit-identical to decoding on the fly, and batched schedules
- * stream their traces instead of keeping them.
+ * must be bit-identical to decoding on the fly, and sweeps stream their
+ * traces instead of keeping them.
  */
 
 #include <gtest/gtest.h>
@@ -173,50 +173,46 @@ TEST_F(EngineTest, ParallelSweepBitIdenticalToSerial)
         EXPECT_TRUE(a[i].sameRun(c[i])) << "point " << i;
 }
 
-TEST_F(EngineTest, SweepStreamsBatchedTracesAndSharesUnbatchedOnes)
+TEST_F(EngineTest, SweepStreamsTracesAndReplaysResidentOnesInPlace)
 {
     // 3 widths x 2 flavours of one kernel: 6 points, 2 traces.
     auto points =
         kernelGrid({"rgb"}, {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4, 8});
 
-    // Batched: each trace is replayed by exactly one group, so it is
-    // streamed from the generator into the group's pass and never kept.
+    // Each trace is replayed by exactly one group, so it is streamed
+    // from the generator into the group's pass and never kept.
     TraceRepository streamed(nullptr, 0, 0);
-    ExecutionPolicy batched;
-    batched.repo = &streamed;
-    batched.threads = 4;
-    batched.batch = true;
-    auto groupedResults = runPoints(points, batched);
+    ExecutionPolicy policy;
+    policy.repo = &streamed;
+    policy.threads = 4;
+    auto results = runPoints(points, policy);
+    ASSERT_EQ(results.size(), 6u);
     EXPECT_EQ(streamed.generations(), 2u);
     EXPECT_EQ(streamed.rawStats().bytes, 0u);
     EXPECT_EQ(streamed.size(), 0u);
     EXPECT_EQ(streamed.decodes(), 0u);
 
-    // Unbatched: three per-point units replay each trace, so it is
-    // generated once into tier 1 and the other four lookups are hits.
-    TraceRepository shared(nullptr, 0, 0);
-    ExecutionPolicy perPoint = batched;
-    perPoint.repo = &shared;
-    perPoint.batch = false;
-    auto results = runPoints(points, perPoint);
-    ASSERT_EQ(results.size(), 6u);
-    EXPECT_EQ(shared.generations(), 2u);
-    EXPECT_EQ(shared.rawStats().hits, 4u);
-    EXPECT_GT(shared.rawStats().bytes, 0u);
-
-    // Same trace => same dynamic length at every width; both schedules
-    // agree bit for bit.
+    // Same trace => same dynamic length at every width; the streamed
+    // groups agree with the materialize-then-replay oracle bit for bit.
     EXPECT_EQ(results[0].traceLength, results[1].traceLength);
     EXPECT_EQ(results[0].traceLength, results[2].traceLength);
+    TraceRepository oracleRepo(nullptr, 0, 0);
+    ExecutionPolicy oracle;
+    oracle.repo = &oracleRepo;
+    auto expect = runReference(points, oracle);
     for (size_t i = 0; i < results.size(); ++i)
-        EXPECT_TRUE(results[i].sameRun(groupedResults[i])) << "point " << i;
+        EXPECT_TRUE(results[i].sameRun(expect[i])) << "point " << i;
 
-    // A batched sweep over traces already resident replays them in
+    // A sweep over traces a raw() lookup left resident replays them in
     // place (raw hits) instead of generating again.
-    batched.repo = &shared;
-    auto againResults = runPoints(points, batched);
-    EXPECT_EQ(shared.generations(), 2u);
-    EXPECT_EQ(shared.rawStats().hits, 6u);
+    TraceRepository warm(nullptr, 0, 0);
+    warm.raw(traceKeyFor(points[0]));
+    warm.raw(traceKeyFor(points[3]));
+    EXPECT_EQ(warm.generations(), 2u);
+    policy.repo = &warm;
+    auto againResults = runPoints(points, policy);
+    EXPECT_EQ(warm.generations(), 2u);
+    EXPECT_EQ(warm.rawStats().hits, 2u);
     for (size_t i = 0; i < results.size(); ++i)
         EXPECT_TRUE(results[i].sameRun(againResults[i])) << "point " << i;
 }
@@ -343,7 +339,6 @@ TEST_F(EngineTest, BatchedSweepBitIdenticalToSerial)
     ExecutionPolicy policy;
     policy.repo = &repo;
     policy.threads = 4;
-    policy.batch = true;
 
     // One trace replayed on 6 knob variants: a group wider than the
     // 4-thread pool; plus ordinary (flavour x width) groups.

@@ -231,11 +231,12 @@ TEST_F(TraceRepoTest, BudgetFromEnvParsesSuffixes)
     }
 }
 
-// A randomized ablation grid swept per point (so traces are shared
-// through tier 1) with a 1-byte raw budget over a store -- set through
-// the environment, as CI does -- is bit-identical to the unbounded
-// sweep: constant eviction and reload from disk change memory
-// behaviour only, never results.
+// A randomized ablation grid looked up point by point through tier 1 --
+// four threads each running runSweepPoint over a slice of it, against
+// one repository with a 1-byte raw budget over a store, set through the
+// environment as CI does -- is bit-identical to the unbounded oracle
+// run: concurrent lookups, constant eviction and reloads from disk
+// change memory behaviour only, never results.
 TEST_F(TraceRepoTest, RandomizedGridTinyRawBudgetBitIdentical)
 {
     TraceStore store(storeDir());
@@ -265,17 +266,24 @@ TEST_F(TraceRepoTest, RandomizedGridTinyRawBudgetBitIdentical)
 
     ExecutionPolicy tinyPolicy;
     tinyPolicy.repo = &tiny;
-    tinyPolicy.threads = 4;
-    tinyPolicy.batch = false;
-    ExecutionPolicy bigPolicy = tinyPolicy;
+    ExecutionPolicy bigPolicy;
     bigPolicy.repo = &unbounded;
 
-    auto a = runPoints(points, tinyPolicy);
-    auto b = runPoints(points, bigPolicy);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        EXPECT_TRUE(a[i].sameRun(b[i]))
+    constexpr size_t threads = 4;
+    std::vector<SweepResult> a(points.size());
+    std::vector<std::thread> pool;
+    for (size_t t = 0; t < threads; ++t)
+        pool.emplace_back([&, t] {
+            for (size_t i = t; i < points.size(); i += threads)
+                a[i] = runSweepPoint(points[i], tinyPolicy);
+        });
+    for (auto &th : pool)
+        th.join();
+    for (size_t i = 0; i < points.size(); ++i) {
+        SweepResult b = runSweepPoint(points[i], bigPolicy);
+        EXPECT_TRUE(a[i].sameRun(b))
             << "point " << i << " (" << a[i].point.label() << ")";
+    }
 
     // The tiny-budget run really did exercise the eviction path.
     EXPECT_GT(tiny.rawStats().evictions, 0u);
@@ -552,8 +560,7 @@ TEST_F(TraceRepoTest, MalformedStoreRecordsAreAMissNotAPartialTrace)
     lead.name = k.name;
     lead.kind = k.kind;
     u64 length = 0;
-    std::vector<RunResult> got =
-        replayUnit(lead, machines, repo, /*retain=*/false, length);
+    std::vector<RunResult> got = replayUnit(lead, machines, repo, length);
     EXPECT_EQ(length, whole.size());
     EXPECT_EQ(repo.diskLoads(), 0u);
     EXPECT_EQ(repo.generations(), 1u);

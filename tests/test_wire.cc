@@ -389,35 +389,42 @@ TEST_F(WireTest, ProtocolMessagesRoundTrip)
     dist::SetupMsg setup;
     setup.version = dist::protocolVersion;
     setup.storeDir = "/tmp/store";
-    setup.cacheBudget = 1u << 30;
     setup.quiet = true;
     dist::SetupMsg setup2;
     ASSERT_TRUE(dist::decode(dist::encode(setup), setup2));
     EXPECT_EQ(setup2.storeDir, setup.storeDir);
-    EXPECT_EQ(setup2.cacheBudget, setup.cacheBudget);
     EXPECT_EQ(setup2.quiet, setup.quiet);
 
-    dist::JobMsg job;
-    job.index = 0xfffffffe;
-    job.point.name = "motion2";
-    job.point.way = 16;
-    dist::JobMsg job2;
+    // A group of one: what the driver ships when only one point of a
+    // trace group is still missing.
+    dist::JobGroupMsg job;
+    job.indices = {0xfffffffe};
+    job.points.resize(1);
+    job.points[0].name = "motion2";
+    job.points[0].way = 16;
+    dist::JobGroupMsg job2;
     ASSERT_TRUE(dist::decode(dist::encode(job), job2));
-    EXPECT_EQ(job2.index, job.index);
-    EXPECT_EQ(job2.point.label(), job.point.label());
+    ASSERT_EQ(job2.indices.size(), 1u);
+    ASSERT_EQ(job2.points.size(), 1u);
+    EXPECT_EQ(job2.indices[0], job.indices[0]);
+    EXPECT_EQ(job2.points[0].label(), job.points[0].label());
 
     dist::ResultMsg res;
     res.index = 7;
     res.traceLength = ~0ull;
     res.result.core.cycles = 123;
     dist::ResultMsg res2;
-    ASSERT_TRUE(dist::decode(dist::encode(res), res2));
+    std::vector<u8> resFrame = dist::encode(res);
+    ASSERT_TRUE(dist::decode(resFrame, res2));
     EXPECT_EQ(res2.index, res.index);
     EXPECT_EQ(res2.traceLength, res.traceLength);
     EXPECT_TRUE(res2.result == res.result);
+    // Journals store encoded Result frames, so the Result type byte is
+    // on-disk format: it has been 4 since protocol v1.
+    EXPECT_EQ(resFrame[0], 4u);
 
     // Wrong-type decodes must fail, not misparse.
-    EXPECT_FALSE(dist::decode(dist::encode(res), job2));
+    EXPECT_FALSE(dist::decode(resFrame, job2));
     std::string what;
     ASSERT_TRUE(dist::decodeError(dist::encodeError("boom"), what));
     EXPECT_EQ(what, "boom");

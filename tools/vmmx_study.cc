@@ -156,12 +156,6 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // The spec's raw budget supersedes whatever the environment set on
-    // the process-wide repository (the [exec] section is the declarative
-    // home of that knob; the VMMX_* variable is only its default).
-    TraceRepository &repo = spec.exec.repository();
-    repo.setRawBudget(spec.exec.rawBudget);
-
     auto points = study.points();
     if (points.empty())
         fatal("%s: empty grid (no kernels or apps)", specPath.c_str());
@@ -192,12 +186,11 @@ main(int argc, char **argv)
 
     if (!reportOnly) {
         std::cout << (spec.title.empty() ? specPath : spec.title) << "\n"
-                  << points.size() << " grid points via the "
+                  << points.size() << " grid points in "
+                  << groupPointsByTrace(points).size()
+                  << " trace groups via the "
                   << executorFor(spec.exec.backend).name()
-                  << " backend ("
-                  << (spec.exec.batch ? "batched trace groups"
-                                      : "per-point jobs")
-                  << ")\n\n";
+                  << " backend\n\n";
     }
 
     auto start = std::chrono::steady_clock::now();
@@ -228,7 +221,7 @@ main(int argc, char **argv)
         if (processesBackend)
             dist::publishMetrics(distStats);
         else
-            repo.publishMetrics();
+            spec.exec.repository().publishMetrics();
         std::ofstream out(metricsPath);
         if (!out)
             fatal("cannot open '%s'", metricsPath.c_str());
