@@ -65,9 +65,13 @@ namespace vmmx
 class TraceRepository
 {
   public:
-    /** Default memory-image size for kernel workloads (16 MiB). */
+    /** Default memory-image size for kernel workloads (16 MiB): a
+     *  virtual reservation (MemImage), committed on first write; no
+     *  kernel allocates past 141 KiB of it. */
     static constexpr u32 kernelImageBytes = 16u << 20;
-    /** Default memory-image size for application workloads (32 MiB). */
+    /** Default memory-image size for application workloads (32 MiB),
+     *  likewise reserved, not committed; no application writes past
+     *  128 KiB of it. */
     static constexpr u32 appImageBytes = 32u << 20;
     /** Default input-generation seed (matches the figure benches). */
     static constexpr u64 defaultSeed = 0xbeef;

@@ -1,12 +1,19 @@
 /**
  * @file
- * Unit tests for the common substrate: Config, stats, MemImage,
- * saturating helpers, the RNG, and the cost model.
+ * Unit tests for the common substrate: Config, stats, MemImage (its
+ * lazily committed arena and bounds), saturating helpers, the RNG, and
+ * the cost model.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <cstdint>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 
 #include "common/config.hh"
 #include "common/env.hh"
@@ -168,6 +175,83 @@ TEST(MemImage, AllocationsDontOverlap)
     Addr a = mem.alloc(100);
     Addr b = mem.alloc(100);
     EXPECT_GE(b, a + 100);
+}
+
+/** Resident set of this process in bytes (/proc/self/statm). */
+size_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    size_t pages = 0;
+    size_t resident = 0;
+    statm >> pages >> resident;
+    EXPECT_TRUE(statm) << "cannot read /proc/self/statm";
+    return resident * size_t(::sysconf(_SC_PAGESIZE));
+}
+
+// The arena is a reservation: only the pages a workload writes become
+// resident.  16 MiB of slack covers the three touched pages even when
+// each is backed by a 2 MiB transparent huge page; committing the
+// whole 256 MiB up front would blow through it.
+TEST(MemImage, CommitsOnlyTouchedPages)
+{
+    size_t before = residentBytes();
+    MemImage mem(256u << 20);
+    ASSERT_EQ(mem.size(), 256u << 20);
+    const Addr spots[] = {64, mem.size() / 2, mem.size() - 8};
+    for (Addr a : spots)
+        mem.write64(a, 0x5a5a0000u + a);
+    for (Addr a : spots)
+        EXPECT_EQ(mem.read64(a), 0x5a5a0000u + a);
+    EXPECT_EQ(mem.read8(mem.size() / 4), 0u);
+    EXPECT_EQ(mem.read64(mem.size() - 16), 0u);
+    size_t after = residentBytes();
+    EXPECT_LT(after, before + (size_t(16) << 20));
+}
+
+TEST(MemImage, MoveKeepsBytesAndSize)
+{
+    static_assert(!std::is_copy_constructible_v<MemImage>);
+    static_assert(!std::is_copy_assignable_v<MemImage>);
+    MemImage a(1 << 16);
+    Addr p = a.alloc(8);
+    a.write64(p, 0x0123456789abcdefull);
+
+    MemImage b(std::move(a));
+    EXPECT_EQ(b.size(), 1u << 16);
+    EXPECT_EQ(b.brk(), p + 8);
+    EXPECT_EQ(b.read64(p), 0x0123456789abcdefull);
+
+    MemImage c(4096);
+    c = std::move(b);
+    EXPECT_EQ(c.size(), 1u << 16);
+    EXPECT_EQ(c.read64(p), 0x0123456789abcdefull);
+    EXPECT_EQ(c.read64(p + 8), 0u);
+}
+
+TEST(MemImage, OutOfArenaAccessPanics)
+{
+    MemImage mem(4096);
+    EXPECT_DEATH(mem.read8(4096), "out of arena of 4096 bytes");
+    EXPECT_DEATH(mem.write32(4094, 1), "out of arena");
+    EXPECT_DEATH(mem.raw(~Addr(0) - 3, 8), "out of arena");
+}
+
+// A request whose end wraps past 2^64 must be refused: with brk at 64,
+// base + bytes for alloc(SIZE_MAX - 7) wraps to 56, which passes a
+// `base + bytes > size` test and leaves brk behind base, so the next
+// allocation would alias this one.
+TEST(MemImage, AllocRejectsRequestsPastTheArena)
+{
+    MemImage mem(1 << 16);
+    EXPECT_EXIT(mem.alloc(SIZE_MAX - 7), testing::ExitedWithCode(1),
+                "arena exhausted");
+    EXPECT_EXIT(mem.alloc((1 << 16) - 63), testing::ExitedWithCode(1),
+                "arena exhausted");
+    EXPECT_EXIT(mem.alloc(1, size_t(1) << 17), testing::ExitedWithCode(1),
+                "arena exhausted");
+    EXPECT_EQ(mem.alloc((1 << 16) - 64), 64u); // exactly the room left
+    EXPECT_EQ(mem.brk(), 1u << 16);
 }
 
 TEST(Saturate, Helpers)

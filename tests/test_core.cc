@@ -3,7 +3,8 @@
  * Timing-core property tests: register pressure, issue-queue and ROB
  * stalls, branch prediction effects, and vector lane occupancy;
  * hand-timed micro-traces (independent ops at width, a dependency
- * chain, a full issue queue) with exact cycle counts; the issue-queue
+ * chain, a full issue queue, a full ROB, a mispredict redirect) with
+ * exact cycle counts; the issue-queue
  * window against its linear-scan reference; and the rejection of core
  * overrides the model cannot run.
  */
@@ -270,6 +271,112 @@ TEST(Core, IssueQueueFullHandTimed)
     ASSERT_EQ(batch.size(), 2u);
     EXPECT_TRUE(batch[0] == roomy);
     EXPECT_TRUE(batch[1] == full);
+}
+
+// Hand-timed ROB-full micro-trace: `li a, 12`, a 12-cycle `div q, a, a`
+// and six independent `li`s (instructions 2..7) on the 2-way MMX64 core
+// (2 integer ALUs; 8 free integer registers, which the eight writers use
+// up exactly).  Pair p is fetched at p and reaches rename at p + 3.
+// Instruction 0 issues at 4 and commits at 6; the div waits for it,
+// issues at 5, holds one ALU until 17, is done at 17 and commits at 18.
+// The li's behind it share the other ALU, one per cycle: li k issues at
+// k + 3.
+//  - Roomy ROB (the default 32 entries): nothing stalls.  The li's are
+//    done by 11 but commit in order behind the div, two per cycle: li 2
+//    at 18, li 3-4 at 19, li 5-6 at 20 and li 7 at 21.
+//  - core.rob = 4: instruction k renames no earlier than one cycle after
+//    instruction k - 4 commits.  Li 4 waits for instruction 0 and
+//    renames at 7; li 5, 6 and 7 wait for the div and li 2 and 3 (18,
+//    18, 19) and rename at 19, 19 and 20: four ROB stalls.  Li 4 still
+//    commits at 19 with li 3.  Li 5 and 6 issue at 20 (the div has freed
+//    its ALU) and li 7 at 21; they commit at 22, 22 and 23.  No branch:
+//    no mispredicts.
+TEST(Core, RobFullHandTimed)
+{
+    MemImage mem(1 << 16);
+    Program p(mem, SimdKind::MMX64);
+    SReg a = p.sreg();
+    SReg q = p.sreg();
+    SReg r[6];
+    for (auto &x : r)
+        x = p.sreg();
+    p.li(a, 12);
+    p.div(q, a, a);
+    for (auto &x : r)
+        p.li(x, 1);
+    EXPECT_EQ(p.val(q), 1u);
+
+    Config small;
+    small.set("core.rob", s64(4));
+    std::vector<MachineConfig> machines = {
+        makeMachine(SimdKind::MMX64, 2),
+        makeMachine(SimdKind::MMX64, 2, small)};
+    RunResult roomy = runTrace(machines[0], p.trace());
+    EXPECT_EQ(roomy.core.cycles, 21u);
+    EXPECT_EQ(roomy.core.renameStallRob, 0u);
+    RunResult full = runTrace(machines[1], p.trace());
+    EXPECT_EQ(full.core.cycles, 23u);
+    EXPECT_EQ(full.core.renameStallRob, 4u);
+    for (const RunResult *res : {&roomy, &full}) {
+        EXPECT_EQ(res->core.instructions, 8u);
+        EXPECT_EQ(res->core.mispredicts, 0u);
+        EXPECT_EQ(res->core.renameStallRegs, 0u);
+        EXPECT_EQ(res->core.renameStallIq, 0u);
+    }
+
+    // The batched kernel models the same ROB.
+    auto batch = runTraceBatch(machines, p.trace());
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_TRUE(batch[0] == roomy);
+    EXPECT_TRUE(batch[1] == full);
+}
+
+// Hand-timed mispredict: `li a, 1`, a not-taken branch on a, and six
+// independent `li`s on the 2-way MMX64 core, whose gshare table starts
+// weakly taken, so the branch mispredicts.  The li and the branch are
+// fetched at 0 and rename at 3; the li issues at 4 and is done at 5, so
+// the branch issues at 5, is done at 6 and commits at 7.  Fetch resumes
+// at the redirect, 6 + P for a mispredict penalty of P cycles: the six
+// li's are fetched in pairs at 6 + P, 7 + P and 8 + P and, as in
+// IpcBoundedByWidth, each pair commits 6 cycles after its fetch.  So
+// the run takes 14 + P cycles: 22 at the default P = 8 and 16 on a
+// copy with core.mispredict = 2.  Nothing waits at rename.
+TEST(Core, MispredictPenaltyHandTimed)
+{
+    MemImage mem(1 << 16);
+    Program p(mem, SimdKind::MMX64);
+    SReg a = p.sreg();
+    SReg r[6];
+    for (auto &x : r)
+        x = p.sreg();
+    p.li(a, 1);
+    p.branch(false, a, a);
+    for (auto &x : r)
+        p.li(x, 1);
+
+    Config quick;
+    quick.set("core.mispredict", s64(2));
+    std::vector<MachineConfig> machines = {
+        makeMachine(SimdKind::MMX64, 2),
+        makeMachine(SimdKind::MMX64, 2, quick)};
+    RunResult slow = runTrace(machines[0], p.trace());
+    EXPECT_EQ(slow.core.cycles, 22u);
+    RunResult fast = runTrace(machines[1], p.trace());
+    EXPECT_EQ(fast.core.cycles, 16u);
+    for (const RunResult *res : {&slow, &fast}) {
+        EXPECT_EQ(res->core.instructions, 8u);
+        EXPECT_EQ(res->core.branches, 1u);
+        EXPECT_EQ(res->core.mispredicts, 1u);
+        EXPECT_EQ(res->core.renameStallRob, 0u);
+        EXPECT_EQ(res->core.renameStallRegs, 0u);
+        EXPECT_EQ(res->core.renameStallIq, 0u);
+    }
+
+    // The batched kernel redirects fetch the same way.
+    auto batch = runTraceBatch(machines, p.trace());
+    ASSERT_EQ(batch.size(), 2u);
+    EXPECT_TRUE(batch[0] == slow);
+    EXPECT_TRUE(batch[1] == fast);
 }
 
 TEST(Resources, WidthGateLimitsPerCycle)
