@@ -1,68 +1,47 @@
 /**
  * @file
- * Shared plumbing for the table/figure reproduction binaries: build a
- * kernel or app trace for a flavour and time it on a Table III/IV
- * machine.
+ * Shared plumbing for the table/figure reproduction binaries: look up
+ * a kernel or app trace for a flavour.
  *
- * Traces are resolved through the repository an ExecutionPolicy names
- * (the process-wide vmmx::TraceRepository by default), so a bench that
- * touches the same (workload, flavour) many times -- every multi-way
- * sweep does -- generates each trace exactly once.  The helpers hand
- * out references, so the first handle seen for a (repository, key) pair
- * is kept alive here for the process lifetime; its RAII pin makes the
- * repository's eviction skip the entry even under a tiny
- * VMMX_TRACE_CACHE_BUDGET, so the references stay stable with no
- * re-materialization churn.  All helpers are safe to call from sweep
- * worker threads: the repository is internally locked, machine
- * construction is pure, and setQuiet() is atomic.
+ * Traces are resolved through the process-wide vmmx::TraceRepository,
+ * so a bench that touches the same (workload, flavour) many times
+ * generates each trace exactly once.  The helpers hand out references,
+ * so the first handle seen for a key is kept alive here for the process
+ * lifetime; its RAII pin makes the repository's eviction skip the entry
+ * even under a tiny VMMX_TRACE_CACHE_BUDGET, so the references stay
+ * stable with no re-materialization churn.  All helpers are safe to
+ * call from worker threads: the repository is internally locked and
+ * setQuiet() is atomic.
  */
 
 #ifndef VMMX_BENCH_BENCH_UTIL_HH
 #define VMMX_BENCH_BENCH_UTIL_HH
 
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <mutex>
-#include <thread>
 #include <tuple>
 
-#include <unistd.h>
-
 #include "apps/app.hh"
+#include "common/logging.hh"
 #include "common/table.hh"
-#include "common/telemetry.hh"
-#include "harness/executor.hh"
-#include "harness/study.hh"
 #include "kernels/kernel.hh"
 #include "trace/trace_repo.hh"
 
 namespace vmmx::bench
 {
 
-struct TimedRun
-{
-    RunResult result;
-    u64 traceLength = 0;
-    std::array<u64, numInstClasses> instByClass{};
-};
-
-/** Trace-by-reference lookup, pinned for the process lifetime.  The
- *  trace resolves through @p policy's repository, so a bench running
- *  against a private repository gets (and pins) entries there, not in
- *  the process-wide instance; the pin map keys on the repository too,
- *  so the same trace may be pinned once per repository. */
+/** Trace-by-reference lookup, pinned for the process lifetime. */
 inline const std::vector<InstRecord> &
-pinnedTrace(bool isApp, const std::string &name, SimdKind kind,
-            const ExecutionPolicy &policy = {})
+pinnedTrace(bool isApp, const std::string &name, SimdKind kind)
 {
-    TraceRepository &repo = policy.repository();
-    using Key = std::tuple<TraceRepository *, bool, std::string, SimdKind>;
+    TraceRepository &repo = TraceRepository::instance();
+    using Key = std::tuple<bool, std::string, SimdKind>;
     static std::mutex mu;
     static std::map<Key, TraceRepository::TraceHandle> pinned;
     {
         std::lock_guard<std::mutex> lock(mu);
-        auto it = pinned.find({&repo, isApp, name, kind});
+        auto it = pinned.find({isApp, name, kind});
         if (it != pinned.end())
             return *it->second;
     }
@@ -72,96 +51,23 @@ pinnedTrace(bool isApp, const std::string &name, SimdKind kind,
         isApp ? repo.app(name, kind) : repo.kernel(name, kind);
     std::lock_guard<std::mutex> lock(mu);
     auto [it, inserted] =
-        pinned.try_emplace({&repo, isApp, name, kind}, std::move(h));
+        pinned.try_emplace({isApp, name, kind}, std::move(h));
     return *it->second;
 }
 
-/** Kernel trace for (name, kind), pinned in the policy's repository. */
+/** Kernel trace for (name, kind), pinned in the process-wide repository. */
 inline const std::vector<InstRecord> &
-kernelTrace(const std::string &kernel, SimdKind kind,
-            const ExecutionPolicy &policy = {})
+kernelTrace(const std::string &kernel, SimdKind kind)
 {
-    return pinnedTrace(false, kernel, kind, policy);
+    return pinnedTrace(false, kernel, kind);
 }
 
-/** App trace for (name, kind), pinned in the policy's repository. */
+/** App trace for (name, kind), pinned in the process-wide repository. */
 inline const std::vector<InstRecord> &
-appTrace(const std::string &app, SimdKind kind,
-         const ExecutionPolicy &policy = {})
+appTrace(const std::string &app, SimdKind kind)
 {
-    return pinnedTrace(true, app, kind, policy);
+    return pinnedTrace(true, app, kind);
 }
-
-inline TimedRun
-time(const std::vector<InstRecord> &trace, SimdKind kind, unsigned way,
-     const Config &overrides = {})
-{
-    TimedRun t;
-    t.traceLength = trace.size();
-    auto machine = makeMachine(kind, way, overrides);
-    t.result = runTrace(machine, trace);
-    t.instByClass = t.result.core.instByClass;
-    return t;
-}
-
-/**
- * Standardized machine-readable perf record: one JSON object per bench
- * run, written as BENCH_<name>.json in the working directory so CI can
- * archive the perf trajectory across PRs.  Numeric metrics and string
- * notes are both name-sorted (std::map) for stable diffs; host identity
- * (hostname, core count) rides along so numbers from different machines
- * are never naively compared.
- */
-class PerfRecord
-{
-  public:
-    explicit PerfRecord(std::string name) : name_(std::move(name)) {}
-
-    void metric(const std::string &key, double v) { metrics_[key] = v; }
-    void note(const std::string &key, const std::string &v)
-    {
-        notes_[key] = v;
-    }
-
-    std::string path() const { return "BENCH_" + name_ + ".json"; }
-
-    /** Write the record; @return false (and warn) on I/O failure. */
-    bool
-    write() const
-    {
-        char host[256] = {};
-        if (::gethostname(host, sizeof(host) - 1) != 0)
-            std::snprintf(host, sizeof(host), "unknown");
-        std::ofstream out(path());
-        if (!out) {
-            warn("cannot write perf record '%s'", path().c_str());
-            return false;
-        }
-        out << "{\n  \"bench\": \"" << telemetry::jsonEscape(name_)
-            << "\",\n  \"host\": \"" << telemetry::jsonEscape(host)
-            << "\",\n  \"sanitizer\": \""
-            << telemetry::jsonEscape(telemetry::sanitizerName())
-            << "\",\n  \"hardwareConcurrency\": "
-            << std::thread::hardware_concurrency();
-        for (const auto &[k, v] : notes_)
-            out << ",\n  \"" << telemetry::jsonEscape(k) << "\": \""
-                << telemetry::jsonEscape(v) << "\"";
-        out << ",\n  \"metrics\": {";
-        bool first = true;
-        for (const auto &[k, v] : metrics_) {
-            out << (first ? "\n" : ",\n") << "    \""
-                << telemetry::jsonEscape(k) << "\": " << v;
-            first = false;
-        }
-        out << (first ? "}" : "\n  }") << "\n}\n";
-        return bool(out);
-    }
-
-  private:
-    std::string name_;
-    std::map<std::string, double> metrics_;
-    std::map<std::string, std::string> notes_;
-};
 
 } // namespace vmmx::bench
 

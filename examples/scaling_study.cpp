@@ -47,7 +47,7 @@ main()
     study.writeReport(std::cout, results);
 
     std::cout << "\n(speed-ups vs the 2-way mmx64 baseline; see "
-                 "bench_fig5 for all apps)\n";
+                 "specs/fig5.study for all apps)\n";
 
     // The same grid restated as IPC per point -- no re-run, just a
     // different report over the same results.

@@ -433,6 +433,8 @@ setSpecKey(StudySpec &spec, const std::string &section,
                     return "unknown SIMD flavour '" + k + "'";
                 spec.kinds.push_back(kind);
             }
+            if (spec.kinds.empty())
+                return "'kinds' wants at least one SIMD flavour";
         } else if (key == "ways") {
             spec.ways.clear();
             for (const auto &w : splitList(value)) {
@@ -441,6 +443,8 @@ setSpecKey(StudySpec &spec, const std::string &section,
                     return "bad machine width '" + w + "'";
                 spec.ways.push_back(way);
             }
+            if (spec.ways.empty())
+                return "'ways' wants at least one machine width";
         } else if (key == "override") {
             Config set;
             for (const auto &assignment : splitList(value)) {
@@ -532,10 +536,14 @@ setSpecKey(StudySpec &spec, const std::string &section,
             return "baseline wants kind/way, e.g. mmx64/2";
         if (!lookupSimdKind(value.substr(0, slash), r.baselineKind))
             return "unknown SIMD flavour '" + value.substr(0, slash) + "'";
+        // Only the Table III machines exist; any other width would
+        // parse here and then match no point, leaving every relative
+        // metric blank.
         if (!env::parseUnsigned(value.substr(slash + 1).c_str(),
                                 r.baselineWay) ||
-            r.baselineWay == 0)
-            return "bad baseline width '" + value.substr(slash + 1) + "'";
+            (r.baselineWay != 2 && r.baselineWay != 4 && r.baselineWay != 8))
+            return "bad baseline width '" + value.substr(slash + 1) +
+                   "' (want 2, 4 or 8)";
     } else if (key == "geomean") {
         return wantFlag(r.geomean);
     } else if (key == "precision") {

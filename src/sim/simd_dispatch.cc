@@ -127,18 +127,6 @@ pathName(Path p)
     panic("bad SIMD path %d", int(p));
 }
 
-unsigned
-pathLanes(Path p)
-{
-    switch (p) {
-      case Path::Scalar: return 1;
-      case Path::Sse2: return 2;
-      case Path::Avx2: return 4;
-      case Path::Avx512: return 8;
-    }
-    panic("bad SIMD path %d", int(p));
-}
-
 bool
 parsePath(std::string_view text, Path &p, bool &isAuto)
 {

@@ -58,9 +58,6 @@ constexpr unsigned numPaths = 4;
 /** Canonical lower-case name ("scalar", "sse2", "avx2", "avx512"). */
 const char *pathName(Path p);
 
-/** Host-SIMD lanes (configs advanced per vector op) of @p p. */
-unsigned pathLanes(Path p);
-
 /**
  * Parse a path name or "auto".  @return false on junk; on success
  * either @p isAuto is set (text was "auto") or @p p holds the path.

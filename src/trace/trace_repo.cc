@@ -1,8 +1,6 @@
 #include "trace/trace_repo.hh"
 
 #include <cstdlib>
-#include <iomanip>
-#include <sstream>
 
 #include "apps/app.hh"
 #include "common/env.hh"
@@ -90,11 +88,7 @@ generateTrace(const TraceKey &key, TraceSink &sink)
 struct TraceRepository::Entry
 {
     std::mutex build;
-    TraceKey key;      ///< identity of keyed entries
-    bool keyed = true; ///< false: adopted explicit trace (tier 2 only)
-    /** Adopted entries: the caller-owned source trace (identity check
-     *  and re-decode source; never counted against the raw budget). */
-    std::weak_ptr<const std::vector<InstRecord>> source;
+    TraceKey key;
 
     SharedTrace raw;       ///< tier 1 (null until filled / after eviction)
     SharedDecoded decoded; ///< tier 2 (null until filled / after eviction)
@@ -239,52 +233,9 @@ TraceRepository::entryFor(const TraceKey &key)
     return it->second;
 }
 
-std::shared_ptr<TraceRepository::Entry>
-TraceRepository::entryFor(const SharedTrace &trace)
-{
-    vmmx_assert(trace != nullptr, "cannot adopt a null trace");
-    std::lock_guard<std::mutex> lock(registryMu_);
-    // Identity keys can be reused after their trace dies; prune expired
-    // adoptions so a recycled address never serves stale bytes.  A
-    // pinned entry stays (a DecodedHandle may outlive the source trace
-    // it was decoded from) and is reaped on a later pass.
-    for (auto it = adopted_.begin(); it != adopted_.end();) {
-        Entry &e = *it->second;
-        if (e.source.expired() && e.decodedPins.load() == 0 &&
-            e.build.try_lock()) {
-            if (e.decodedResident.load() && e.decodedPins.load() == 0) {
-                bytesDecoded_ -= e.decodedBytes;
-                e.decodedResident = false;
-                e.decoded.reset();
-            }
-            e.build.unlock();
-            it = adopted_.erase(it);
-        } else {
-            ++it;
-        }
-    }
-    auto it = adopted_.find(trace.get());
-    // An unpruned (pinned) stale entry can squat on a recycled address:
-    // require true object identity, not just pointer equality.
-    if (it != adopted_.end() && it->second->source.lock() != trace) {
-        if (it->second->decodedResident.load())
-            bytesDecoded_ -= it->second->decodedBytes;
-        adopted_.erase(it);
-        it = adopted_.end();
-    }
-    if (it == adopted_.end()) {
-        auto e = std::make_shared<Entry>();
-        e->keyed = false;
-        e->source = trace;
-        it = adopted_.emplace(trace.get(), std::move(e)).first;
-    }
-    return it->second;
-}
-
 SharedTrace
 TraceRepository::materializeRaw(Entry &e)
 {
-    vmmx_assert(e.keyed, "only keyed entries own a raw tier");
     if (store_) {
         TELEMETRY_SPAN("trace.diskLoad", telemetry::enabled()
                                              ? e.key.name
@@ -426,29 +377,6 @@ TraceRepository::decoded(const TraceKey &key)
     return DecodedHandle(std::move(s), std::move(entry));
 }
 
-TraceRepository::DecodedHandle
-TraceRepository::decoded(const SharedTrace &trace)
-{
-    std::shared_ptr<Entry> entry = entryFor(trace);
-
-    std::lock_guard<std::mutex> build(entry->build);
-    if (entry->decoded) {
-        ++decodedHits_;
-    } else {
-        TELEMETRY_SPAN("trace.decode");
-        entry->decoded =
-            std::make_shared<const DecodedStream>(decodeStream(*trace));
-        entry->decodedBytes = entry->decoded->bytes();
-        entry->decodedResident = true;
-        bytesDecoded_ += entry->decodedBytes;
-        ++decodes_;
-    }
-    SharedDecoded s = entry->decoded;
-    entry->decodedPins.fetch_add(1, std::memory_order_relaxed);
-    touchDecodedAndEnforce(entry.get());
-    return DecodedHandle(std::move(s), std::move(entry));
-}
-
 // ---- budgets -------------------------------------------------------------
 
 void
@@ -520,8 +448,6 @@ TraceRepository::enforceBudgets(Entry *keep)
         };
         for (auto &kv : keyed_)
             consider(kv.second.get());
-        for (auto &kv : adopted_)
-            consider(kv.second.get());
         if (!victim)
             return; // everything left is pinned or not safely droppable
         // try_lock is load-bearing: lookups hold an entry lock while
@@ -572,50 +498,7 @@ size_t
 TraceRepository::size() const
 {
     std::lock_guard<std::mutex> lock(registryMu_);
-    return keyed_.size() + adopted_.size();
-}
-
-std::string
-TraceRepository::summary() const
-{
-    size_t nKeyed, nAdopted;
-    {
-        std::lock_guard<std::mutex> lock(registryMu_);
-        nKeyed = keyed_.size();
-        nAdopted = adopted_.size();
-    }
-    TierStats rawT = rawStats();
-    TierStats decT = decodedStats();
-    auto mib = [](u64 b) { return double(b) / (1024.0 * 1024.0); };
-    auto budgetStr = [&](u64 b) {
-        if (b == 0)
-            return std::string("unlimited");
-        std::ostringstream s;
-        s << std::fixed << std::setprecision(1) << mib(b) << " MiB";
-        return s.str();
-    };
-
-    std::ostringstream os;
-    os << std::fixed << std::setprecision(1);
-    os << "trace repository: " << nKeyed + nAdopted << " traces";
-    if (nAdopted)
-        os << " (" << nAdopted << " adopted)";
-    os << '\n';
-    os << "  tier0 disk   : ";
-    if (store_)
-        os << store_->loads() << " loads, " << store_->saves() << " saves, "
-           << store_->misses() << " misses [" << store_->dir() << "]";
-    else
-        os << "detached";
-    os << '\n';
-    os << "  tier1 raw    : " << mib(rawT.bytes) << " MiB resident (budget "
-       << budgetStr(rawBudget()) << "), " << rawT.hits << " hits, "
-       << rawT.fills << " fills (" << generations() << " generated, "
-       << diskLoads() << " from disk), " << rawT.evictions << " evictions\n";
-    os << "  tier2 decoded: " << mib(decT.bytes) << " MiB resident (budget "
-       << budgetStr(decodedBudget()) << "), " << decT.hits << " hits, "
-       << decT.fills << " decodes, " << decT.evictions << " evictions";
-    return os.str();
+    return keyed_.size();
 }
 
 void
@@ -645,7 +528,6 @@ TraceRepository::clear()
 {
     std::lock_guard<std::mutex> lock(registryMu_);
     keyed_.clear();
-    adopted_.clear();
     bytesRaw_ = 0;
     bytesDecoded_ = 0;
     generations_ = 0;

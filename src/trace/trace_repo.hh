@@ -21,8 +21,7 @@
  * TraceKey, so every tier is content addressed by construction: a key
  * maps to exactly one raw trace and exactly one decoded stream, and a
  * miss in one tier fills from the tier below (decoded <- raw <- disk <-
- * generate).  Explicitly supplied traces (custom programs, tests) join
- * tier 2 keyed by object identity, so their decode is amortized too.
+ * generate).
  *
  * Tiers 1 and 2 share one LRU clock and one eviction pass: each tier
  * has its own byte budget (VMMX_TRACE_CACHE_BUDGET for raw,
@@ -112,7 +111,6 @@ class TraceRepository
 
     void setDecodedBudget(u64 bytes) { decodedBudget_.store(bytes); }
     u64 rawBudget() const { return rawBudget_.load(); }
-    u64 decodedBudget() const { return decodedBudget_.load(); }
 
   private:
     struct Entry;
@@ -211,9 +209,6 @@ class TraceRepository
     // ---- tier-2 lookups (decoded streams) ----------------------------
     /** Decoded stream for @p key; fills through raw/disk/generate. */
     DecodedHandle decoded(const TraceKey &key);
-    /** Decoded stream for an explicitly supplied trace, keyed by object
-     *  identity (amortizes decode across groups replaying @p trace). */
-    DecodedHandle decoded(const SharedTrace &trace);
 
     // ---- statistics --------------------------------------------------
     struct TierStats
@@ -235,9 +230,6 @@ class TraceRepository
     /** Number of distinct traces currently known across all tiers. */
     size_t size() const;
 
-    /** Human summary of all three tiers, one line per tier. */
-    std::string summary() const;
-
     /** Publish the per-tier counters as "repo.*" gauges in the
      *  process-wide telemetry registry. */
     void publishMetrics() const;
@@ -251,7 +243,6 @@ class TraceRepository
 
   private:
     std::shared_ptr<Entry> entryFor(const TraceKey &key);
-    std::shared_ptr<Entry> entryFor(const SharedTrace &trace);
     /** Fill tier 1 of @p e (store, else generate); build mutex held. */
     SharedTrace materializeRaw(Entry &e);
     /** Stamp @p e's tier-1 (or tier-2) LRU clock and evict whatever the
@@ -267,8 +258,6 @@ class TraceRepository
     mutable std::mutex registryMu_;
     /** Generated traces, content addressed by TraceKey. */
     std::map<TraceKey, std::shared_ptr<Entry>> keyed_;
-    /** Adopted explicit traces, addressed by object identity. */
-    std::map<const void *, std::shared_ptr<Entry>> adopted_;
 
     std::atomic<u64> useClock_{0};
     std::atomic<u64> bytesRaw_{0};

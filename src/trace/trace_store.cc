@@ -117,7 +117,6 @@ TraceStore::load(const TraceKey &key)
         reject(key, "holds malformed records");
         return nullptr;
     }
-    ++loads_;
     return trace;
 }
 
@@ -148,7 +147,6 @@ TraceStore::stream(const TraceKey &key, TraceSink &sink)
             sink.restart();
         return false;
     }
-    ++loads_;
     return true;
 }
 

@@ -86,7 +86,6 @@ class TraceStore
     /** @return true when a valid-looking file exists for @p key. */
     bool contains(const TraceKey &key) const;
 
-    u64 loads() const { return loads_.load(); }
     u64 saves() const { return saves_.load(); }
     u64 misses() const { return misses_.load(); }
 
@@ -99,7 +98,6 @@ class TraceStore
     void reject(const TraceKey &key, const char *why);
 
     std::string dir_;
-    std::atomic<u64> loads_{0};
     std::atomic<u64> saves_{0};
     std::atomic<u64> misses_{0};
 };

@@ -88,12 +88,6 @@ TEST_F(SimdTest, ProbeReportsSaneLattice)
             EXPECT_GE(unsigned(simd::bestPath()), unsigned(p));
         }
     }
-
-    // Lane widths are the whole point of the ordinals: 1, 2, 4, 8.
-    EXPECT_EQ(simd::pathLanes(simd::Path::Scalar), 1u);
-    EXPECT_EQ(simd::pathLanes(simd::Path::Sse2), 2u);
-    EXPECT_EQ(simd::pathLanes(simd::Path::Avx2), 4u);
-    EXPECT_EQ(simd::pathLanes(simd::Path::Avx512), 8u);
 }
 
 TEST_F(SimdTest, ParseRoundTripsAndRejectsJunk)
@@ -179,18 +173,23 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
 // The dispatch contract: every kernel path this host can run is
 // bit-identical to N independent runTrace() calls (the fused serial
 // oracle) on randomized grids -- raw and pre-decoded overloads, batch
-// widths 1 (serial fast path), 2 (partial vector), and 9 (wider than
-// any host vector, exercising chunking plus the padded tail).  The rng
-// reseeds per path so every path replays the exact same grids.
+// widths 1 (serial fast path), 2 (partial vector), 4 and 8 (exact
+// 4-lane and 8-lane vectors), 9 (wider than any host vector, exercising
+// chunking plus the padded tail), and 12 (one full AVX-512 vector plus
+// a 4-lane tail).  The rng reseeds per path so every path replays the
+// exact same grids.
 TEST_F(SimdTest, EveryRunnablePathBitIdenticalToSerial)
 {
     for (simd::Path path : runnablePaths()) {
         ASSERT_EQ(simd::setActivePath(path), "");
         for (SimdKind kind : {SimdKind::MMX64, SimdKind::VMMX128}) {
-            auto trace = repo.kernel("idct", kind);
-            auto stream = repo.decoded(trace.shared());
+            const TraceKey key{false, "idct", kind,
+                               TraceRepository::kernelImageBytes,
+                               TraceRepository::defaultSeed};
+            auto trace = repo.raw(key);
+            auto stream = repo.decoded(key);
             std::mt19937 rng(0x51bd);
-            for (size_t batchSize : {size_t(1), size_t(2), size_t(9)}) {
+            for (size_t batchSize : {1, 2, 4, 8, 9, 12}) {
                 std::vector<MachineConfig> machines;
                 machines.reserve(batchSize);
                 for (size_t i = 0; i < batchSize; ++i)
@@ -221,7 +220,10 @@ TEST_F(SimdTest, EveryRunnablePathBitIdenticalToSerial)
 TEST_F(SimdTest, TinyDecodedBudgetStaysBitIdentical)
 {
     TraceRepository tiny(nullptr, 0, 1);
-    auto trace = tiny.kernel("h2v2", SimdKind::VMMX64);
+    const TraceKey key{false, "h2v2", SimdKind::VMMX64,
+                       TraceRepository::kernelImageBytes,
+                       TraceRepository::defaultSeed};
+    auto trace = tiny.raw(key);
     std::mt19937 rng(0xd0de);
     std::vector<MachineConfig> machines;
     for (size_t i = 0; i < 9; ++i)
@@ -234,7 +236,7 @@ TEST_F(SimdTest, TinyDecodedBudgetStaysBitIdentical)
     for (simd::Path path : runnablePaths()) {
         ASSERT_EQ(simd::setActivePath(path), "");
         auto got = runTraceBatch(machines, *trace);
-        auto stream = tiny.decoded(trace.shared());
+        auto stream = tiny.decoded(key);
         auto decoded = runTraceBatch(machines, stream.stream());
         ASSERT_EQ(got.size(), expect.size());
         for (size_t i = 0; i < expect.size(); ++i) {

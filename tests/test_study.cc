@@ -193,6 +193,14 @@ TEST_F(StudyTest, SpecFileParseErrors)
     EXPECT_FALSE(parseStudySpec("[report]\nmetrics = cycles,joules\n",
                                 spec, err));
     EXPECT_FALSE(parseStudySpec("[report]\nbaseline = mmx64\n", spec, err));
+    // No machine has a 3-way core: the baseline would match no point.
+    EXPECT_FALSE(parseStudySpec("[report]\nbaseline = mmx64/3\n", spec, err));
+    EXPECT_NE(err.find("want 2, 4 or 8"), std::string::npos) << err;
+    // An empty axis is a spec error, not an "empty grid" at run time.
+    EXPECT_FALSE(parseStudySpec("[grid]\nkinds =\n", spec, err));
+    EXPECT_NE(err.find("'kinds'"), std::string::npos) << err;
+    EXPECT_FALSE(parseStudySpec("[grid]\nways = ,\n", spec, err));
+    EXPECT_NE(err.find("'ways'"), std::string::npos) << err;
     EXPECT_FALSE(parseStudySpec("no equals sign here\n", spec, err));
 
     // The decoded tier's knobs are gone; a spec still setting them is

@@ -307,8 +307,11 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
 TEST_F(EngineTest, RunTraceBatchMatchesPerConfigRunTrace)
 {
     for (SimdKind kind : {SimdKind::MMX64, SimdKind::VMMX128}) {
-        auto trace = repo.kernel("idct", kind);
-        auto stream = repo.decoded(trace.shared());
+        const TraceKey key{false, "idct", kind,
+                           TraceRepository::kernelImageBytes,
+                           TraceRepository::defaultSeed};
+        auto trace = repo.raw(key);
+        auto stream = repo.decoded(key);
         std::mt19937 rng(0xbeef);
         for (size_t batchSize : {size_t(1), size_t(2), size_t(9)}) {
             std::vector<MachineConfig> machines;

@@ -193,25 +193,6 @@ TEST_F(TraceRepoTest, EvictedRawTraceRematerializesFromDisk)
     EXPECT_EQ(ramOnly.size(), 2u);
 }
 
-TEST_F(TraceRepoTest, AdoptedExplicitTraceSharesOneDecode)
-{
-    TraceRepository repo(nullptr, 0, 0);
-    SharedTrace trace = repo.kernel("comp", SimdKind::VMMX128).shared();
-
-    auto s1 = repo.decoded(trace);
-    auto s2 = repo.decoded(trace);
-    EXPECT_EQ(s1.get(), s2.get());
-    EXPECT_EQ(repo.decodes(), 1u);
-    EXPECT_EQ(repo.decodedStats().hits, 1u);
-
-    // A different trace object decodes separately even if equal bytes.
-    SharedTrace copy =
-        std::make_shared<const std::vector<InstRecord>>(*trace);
-    auto s3 = repo.decoded(copy);
-    EXPECT_NE(s3.get(), s1.get());
-    EXPECT_EQ(repo.decodes(), 2u);
-}
-
 TEST_F(TraceRepoTest, BudgetFromEnvParsesSuffixes)
 {
     for (const char *var :

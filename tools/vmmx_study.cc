@@ -69,7 +69,7 @@ usage(int rc)
         "                  grid.override appends an override set), e.g.\n"
         "                  exec.backend=processes, exec.journal=run.vmjl\n"
         "  --report-only   print only the report tables (no title or\n"
-        "                  timing lines; what CI diffs against benches)\n"
+        "                  timing lines; what specs/*.expected pins)\n"
         "  --dump-spec     print the canonical spec text and exit\n"
         "  --check         also run the materialize-then-replay reference\n"
         "                  and exit nonzero unless bit-identical\n"
