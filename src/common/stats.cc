@@ -1,11 +1,5 @@
 #include "common/stats.hh"
 
-#include <algorithm>
-#include <iomanip>
-#include <sstream>
-
-#include "common/logging.hh"
-
 namespace vmmx
 {
 
@@ -17,108 +11,11 @@ Counter::Counter(StatGroup *parent, const std::string &name,
         parent->addCounter(this);
 }
 
-Histogram::Histogram(StatGroup *parent, const std::string &name,
-                     const std::string &desc, u64 min, u64 max,
-                     size_t buckets)
-    : name_(name), desc_(desc), min_(min), max_(max),
-      buckets_(buckets, 0)
-{
-    // min == max is a valid degenerate range: every sample lands in the
-    // underflow or overflow bucket and the bucket array stays untouched.
-    if (max < min)
-        fatal("histogram '%s': max (%llu) must not be below min (%llu)",
-              name.c_str(), static_cast<unsigned long long>(max),
-              static_cast<unsigned long long>(min));
-    if (buckets == 0)
-        fatal("histogram '%s': needs at least one bucket", name.c_str());
-    if (parent)
-        parent->addHistogram(this);
-}
-
-void
-Histogram::sample(u64 v, u64 count)
-{
-    if (count == 0)
-        return; // must not perturb minSample_/maxSample_
-    samples_ += count;
-    sum_ += v * count;
-    minSample_ = std::min(minSample_, v);
-    maxSample_ = std::max(maxSample_, v);
-    if (v < min_) {
-        underflow_ += count;
-    } else if (v >= max_) {
-        overflow_ += count;
-    } else {
-        // Widen the scaling multiply: (v - min_) * buckets can exceed
-        // 64 bits for wide ranges even though the quotient fits.
-        using u128 = unsigned __int128;
-        size_t idx =
-            size_t(u128(v - min_) * buckets_.size() / (max_ - min_));
-        buckets_[idx] += count;
-    }
-}
-
-void
-Histogram::reset()
-{
-    std::fill(buckets_.begin(), buckets_.end(), 0);
-    underflow_ = overflow_ = samples_ = sum_ = 0;
-    minSample_ = ~u64(0);
-    maxSample_ = 0;
-}
-
-Formula::Formula(StatGroup *parent, const std::string &name,
-                 const std::string &desc, std::function<double()> fn)
-    : name_(name), desc_(desc), fn_(std::move(fn))
-{
-    if (parent)
-        parent->addFormula(this);
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    // Deterministic output: sorted by stat name, independent of
-    // registration order.
-    std::vector<std::pair<std::string, std::string>> lines;
-    std::ostringstream line;
-    auto push = [&](const std::string &stat) {
-        lines.emplace_back(stat, line.str());
-        line.str("");
-    };
-    for (const Counter *c : counters_) {
-        line << name_ << '.' << c->name() << ' ' << c->value()
-             << "  # " << c->desc() << '\n';
-        push(c->name());
-    }
-    for (const Histogram *h : histograms_) {
-        line << name_ << '.' << h->name() << ".samples " << h->samples()
-             << "  # " << h->desc() << '\n'
-             << name_ << '.' << h->name() << ".mean "
-             << std::fixed << std::setprecision(3) << h->mean() << '\n';
-        push(h->name());
-    }
-    for (const Formula *f : formulas_) {
-        line << name_ << '.' << f->name() << ' '
-             << std::fixed << std::setprecision(4) << f->value()
-             << "  # " << f->desc() << '\n';
-        push(f->name());
-    }
-    std::stable_sort(lines.begin(), lines.end(),
-                     [](const auto &a, const auto &b) {
-                         return a.first < b.first;
-                     });
-    for (const auto &[stat, text] : lines)
-        os << text;
-}
-
 void
 StatGroup::resetAll()
 {
     for (Counter *c : counters_)
         c->reset();
-    for (Histogram *h : histograms_)
-        h->reset();
 }
 
 } // namespace vmmx

@@ -1,18 +1,15 @@
 /**
  * @file
- * Lightweight statistics package (counters, histograms, derived formulas).
+ * Lightweight statistics package: named event counters.
  *
- * Stats belong to a StatGroup; groups can be dumped as text.  The design
- * follows the gem5 stats package in spirit: stats are registered once with
- * a name and description and accumulate over a simulation.
+ * Counters belong to a StatGroup, which resets them together.  The
+ * design follows the gem5 stats package in spirit: stats are registered
+ * once with a name and description and accumulate over a simulation.
  */
 
 #ifndef VMMX_COMMON_STATS_HH
 #define VMMX_COMMON_STATS_HH
 
-#include <functional>
-#include <map>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -45,65 +42,9 @@ class Counter
     u64 value_ = 0;
 };
 
-/** Fixed-bucket histogram over a [min, max) range with uniform buckets. */
-class Histogram
-{
-  public:
-    Histogram() = default;
-    Histogram(StatGroup *parent, const std::string &name,
-              const std::string &desc, u64 min, u64 max, size_t buckets);
-
-    void sample(u64 v, u64 count = 1);
-
-    u64 samples() const { return samples_; }
-    u64 sum() const { return sum_; }
-    double mean() const { return samples_ ? double(sum_) / samples_ : 0.0; }
-    u64 bucketCount(size_t i) const { return buckets_.at(i); }
-    size_t numBuckets() const { return buckets_.size(); }
-    u64 underflow() const { return underflow_; }
-    u64 overflow() const { return overflow_; }
-    u64 minSample() const { return minSample_; }
-    u64 maxSample() const { return maxSample_; }
-
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-    void reset();
-
-  private:
-    std::string name_;
-    std::string desc_;
-    u64 min_ = 0;
-    u64 max_ = 1;
-    std::vector<u64> buckets_;
-    u64 underflow_ = 0;
-    u64 overflow_ = 0;
-    u64 samples_ = 0;
-    u64 sum_ = 0;
-    u64 minSample_ = ~u64(0);
-    u64 maxSample_ = 0;
-};
-
-/** Derived value computed on demand (e.g. IPC = insts / cycles). */
-class Formula
-{
-  public:
-    Formula() = default;
-    Formula(StatGroup *parent, const std::string &name,
-            const std::string &desc, std::function<double()> fn);
-
-    double value() const { return fn_ ? fn_() : 0.0; }
-    const std::string &name() const { return name_; }
-    const std::string &desc() const { return desc_; }
-
-  private:
-    std::string name_;
-    std::string desc_;
-    std::function<double()> fn_;
-};
-
 /**
- * A named collection of statistics.  Groups register their member stats at
- * construction; dump() renders "group.stat  value  # desc" lines.
+ * A named collection of counters.  Counters register with their group
+ * at construction, so resetAll() zeroes every one of them.
  */
 class StatGroup
 {
@@ -111,25 +52,13 @@ class StatGroup
     explicit StatGroup(const std::string &name) : name_(name) {}
 
     void addCounter(Counter *c) { counters_.push_back(c); }
-    void addHistogram(Histogram *h) { histograms_.push_back(h); }
-    void addFormula(Formula *f) { formulas_.push_back(f); }
-
-    void dump(std::ostream &os) const;
     void resetAll();
 
     const std::string &name() const { return name_; }
-    const std::vector<Counter *> &counters() const { return counters_; }
-    const std::vector<Histogram *> &histograms() const
-    {
-        return histograms_;
-    }
-    const std::vector<Formula *> &formulas() const { return formulas_; }
 
   private:
     std::string name_;
     std::vector<Counter *> counters_;
-    std::vector<Histogram *> histograms_;
-    std::vector<Formula *> formulas_;
 };
 
 } // namespace vmmx

@@ -13,10 +13,10 @@
  *
  * Three pieces:
  *
- *   Registry  federates named counters/gauges, the existing StatGroups,
- *             and per-unit timing records behind one dumpText()/
- *             dumpJson() with deterministic (name-sorted) ordering and
- *             snapshot/delta support.
+ *   Registry  federates named counters/gauges and per-unit timing
+ *             records behind one dumpText()/dumpJson() with
+ *             deterministic (name-sorted) ordering and snapshot/delta
+ *             support.
  *
  *   Tracer    collects SpanRecords (TELEMETRY_SPAN RAII timers) and
  *             renders them as a Chrome trace-event JSON array that
@@ -42,11 +42,6 @@
 #include <vector>
 
 #include "common/types.hh"
-
-namespace vmmx
-{
-class StatGroup;
-}
 
 namespace vmmx::telemetry
 {
@@ -179,7 +174,7 @@ struct UnitRecord
     u64 records = 0;    ///< trace length replayed
     u64 wallNs = 0;     ///< wall-clock of the whole unit
     s32 workerId = -1;  ///< dist spawn ordinal; -1 = driver/local
-    std::string simd;   ///< step-kernel path (scalar/sse2/avx2/avx512)
+    std::string simd;   ///< step path (scalar = context-major, avx2, avx512)
 
     double pointsPerSec() const
     {
@@ -195,10 +190,9 @@ struct MetricsSnapshot
 
 /**
  * The process-wide metrics registry.  Counters accumulate, gauges are
- * last-write-wins, registered StatGroups are flattened into
- * "group.stat" entries at dump/snapshot time, and unit records
- * accumulate into the "units" section of dumpJson().  All orderings are
- * deterministic (sorted by name; units in record order).
+ * last-write-wins, and unit records accumulate into the "units" section
+ * of dumpJson().  All orderings are deterministic (sorted by name;
+ * units in record order).
  */
 class Registry
 {
@@ -207,15 +201,13 @@ class Registry
 
     void addCounter(const std::string &name, u64 delta);
     void setGauge(const std::string &name, u64 value);
-    void addGroup(const StatGroup *group);
-    void removeGroup(const StatGroup *group);
     void addUnit(UnitRecord &&rec);
     /** Remove and return every buffered unit record (worker flush). */
     std::vector<UnitRecord> drainUnits();
     std::vector<UnitRecord> units() const;
     void clear();
 
-    /** Flattened counters + gauges + group stats, sorted by name. */
+    /** Flattened counters + gauges, sorted by name. */
     MetricsSnapshot snapshot() const;
     /** after - before per key (missing keys read as 0; underflow
      *  clamps to 0 so a reset stat cannot wrap). */
@@ -233,7 +225,6 @@ class Registry
     mutable std::mutex mu_;
     std::map<std::string, u64> counters_;
     std::map<std::string, u64> gauges_;
-    std::vector<const StatGroup *> groups_;
     std::vector<UnitRecord> units_;
 };
 

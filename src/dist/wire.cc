@@ -1,5 +1,6 @@
 #include "dist/wire.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <unistd.h>
@@ -207,8 +208,19 @@ readFrame(int fd, std::vector<u8> &payload)
     if (readAll(fd, hdr, 4) != 1)
         return false;
     u32 len = loadLE<u32>(hdr);
-    payload.resize(len);
-    return len == 0 || readAll(fd, payload.data(), len) == 1;
+    // The header is only a claim: grow the payload as its bytes arrive,
+    // so a peer that dies or lies mid-frame costs at most one chunk
+    // beyond what it really sent, not the up to 4 GiB it declared.
+    constexpr size_t chunk = size_t(1) << 20;
+    payload.clear();
+    while (payload.size() < len) {
+        size_t have = payload.size();
+        size_t n = std::min<size_t>(chunk, len - have);
+        payload.resize(have + n);
+        if (readAll(fd, payload.data() + have, n) != 1)
+            return false;
+    }
+    return true;
 }
 
 } // namespace vmmx::wire

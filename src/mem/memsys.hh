@@ -56,7 +56,6 @@ class MemorySystem
     void reset();
 
     const MemParams &params() const { return params_; }
-    StatGroup &stats() { return stats_; }
 
     u64 l1Hits() const { return l1Hits_.value(); }
     u64 l1Misses() const { return l1Misses_.value(); }

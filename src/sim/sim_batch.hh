@@ -3,9 +3,10 @@
  * Structure-of-arrays view of a batch of SimContexts, the state the
  * host-SIMD step kernels (sim/simd_step.hh) operate on.
  *
- * The batched runBatch() used to advance configurations context-major:
- * every context replayed a decoded block to completion before the next
- * context touched it.  The SoA restructure turns that inside out: the
+ * Without an SoA kernel a group steps context-major: every context
+ * replays a decoded block to completion with SimContext::step() before
+ * the next context touches it (BatchRun, sim/sim_context.hh).  On the
+ * AVX2 and AVX-512 paths the SoA form turns that inside out: the
  * per-config mutable timing state the inner step touches every record
  * -- the width gates, the ready table, ROB heads, functional-unit pool
  * slots, the stall counters -- is hoisted into parallel u64 arrays

@@ -300,10 +300,10 @@ BatchRun::BatchRun(std::span<SimContext *const> ctxs) : ctxs_(ctxs)
         vmmx_assert(ctx != nullptr, "null context in batch");
         ctx->reset();
     }
-    if (ctxs.size() > 1) {
-        batch_ = std::make_unique<SimBatch>(ctxs);
+    if (ctxs.size() > 1)
         step_ = simd::stepFn(simd::activePath());
-    }
+    if (step_)
+        batch_ = std::make_unique<SimBatch>(ctxs);
 }
 
 BatchRun::~BatchRun() = default;
@@ -319,23 +319,36 @@ BatchRun::feed(std::span<const InstRecord> records)
             ctx.step(decodeInst(inst));
         return;
     }
-    if (!batch_)
+    if (ctxs_.empty())
         return;
 
-    // Batched: decode each block once, then advance every context
-    // through it record-major in SoA form -- one DecodedInst drives
-    // all configurations as host-SIMD lanes (sim/simd_step.hh), with
-    // the kernel width picked once per process by the cpuid dispatch.
-    // The step order per context is unchanged, so results stay
-    // bit-identical to the serial fused path above.
+    // Batched: decode each block once, then step every context through
+    // it before the next block is decoded.
     if (block_.size() < std::min(decodeBlock, records.size()))
         block_.resize(std::min(decodeBlock, records.size()));
     for (size_t base = 0; base < records.size(); base += decodeBlock) {
         size_t n = std::min(decodeBlock, records.size() - base);
         for (size_t i = 0; i < n; ++i)
             block_[i] = decodeInst(records[base + i]);
-        step_(*batch_, block_.data(), n);
+        step({block_.data(), n});
     }
+}
+
+void
+BatchRun::step(std::span<const DecodedInst> block)
+{
+    // The SoA kernel advances every context record-major as host-SIMD
+    // lanes (sim/simd_step.hh).  Without one, each context runs the
+    // oracle's own step over the whole block in turn (context-major).
+    // The step order per context is the same either way, so results
+    // are bit-identical to the fused path above.
+    if (batch_) {
+        step_(*batch_, block.data(), block.size());
+        return;
+    }
+    for (SimContext *ctx : ctxs_)
+        for (const DecodedInst &inst : block)
+            ctx->step(inst);
 }
 
 void
@@ -357,28 +370,12 @@ runBatch(const std::vector<InstRecord> &trace,
 void
 runBatch(const DecodedStream &stream, std::span<SimContext *const> ctxs)
 {
-    for (SimContext *ctx : ctxs) {
-        vmmx_assert(ctx != nullptr, "null context in batch");
-        ctx->reset();
-    }
-    if (ctxs.empty())
-        return;
-
-    const std::vector<DecodedInst> &insts = stream.insts;
-    if (ctxs.size() == 1) {
-        SimContext &ctx = *ctxs[0];
-        for (const DecodedInst &inst : insts)
-            ctx.step(inst);
-        return;
-    }
-
-    // Pre-decoded stream: one SoA pass over the whole stream.  The
-    // record-major kernel touches each record exactly once, so the
-    // block windowing of the decoding overload is unnecessary; the
-    // per-context step order is identical record for record.
-    SimBatch batch(ctxs);
-    simd::stepFn(simd::activePath())(batch, insts.data(), insts.size());
-    batch.finish();
+    BatchRun run(ctxs);
+    std::span<const DecodedInst> insts(stream.insts);
+    for (size_t base = 0; base < insts.size(); base += decodeBlock)
+        run.step(insts.subspan(base,
+                               std::min(decodeBlock, insts.size() - base)));
+    run.finish();
 }
 
 } // namespace vmmx

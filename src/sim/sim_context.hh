@@ -21,14 +21,16 @@
  * arbitration (gate widths, queue and pool occupancy, cache state) runs
  * per context.
  *
- * runBatch() comes in two shapes.  Given a raw trace it processes it in
- * cache-resident blocks, decoding each block once before every context
- * steps through it; BatchRun is the same loop for a trace that arrives
- * block by block from a stream.  Given an already-decoded DecodedStream (the
- * repository's tier 2) it skips decode entirely and streams the warm
- * blocks -- the per-record step order is identical, so both shapes are
- * bit-identical to running each context over the full trace alone, the
- * guarantee the sweep and dist layers assert.
+ * BatchRun is the one place that steps a group through the trace: it
+ * decodes each cache-resident block once, then every context steps
+ * through it before the next block -- context-major over the oracle's
+ * own step(), or record-major in the SoA kernel when the active host
+ * SIMD path has one.  runBatch() is BatchRun over a whole trace, or
+ * over an already-decoded DecodedStream (the repository's tier 2) in
+ * the same blocks without the decode.  The per-context step order is
+ * identical everywhere, so every shape is bit-identical to running
+ * each context over the full trace alone, the guarantee the sweep and
+ * dist layers assert.
  */
 
 #ifndef VMMX_SIM_SIM_CONTEXT_HH
@@ -147,10 +149,10 @@ class SimContext
  * trace stream: construct it over the contexts (which it resets), feed()
  * the records in order, then finish().  Each piece is decoded in
  * cache-resident blocks that every context steps through before the
- * next block is decoded -- a single context fuses decode and step, a
- * batch steps record-major in SoA form -- so the results are
- * bit-identical to runBatch() over the concatenated trace however it
- * was split.
+ * next block is decoded -- a single context fuses decode and step; a
+ * group steps context-major, or record-major in SoA form on the AVX2
+ * and AVX-512 paths -- so the results are bit-identical to runBatch()
+ * over the concatenated trace however it was split.
  */
 class BatchRun
 {
@@ -161,13 +163,16 @@ class BatchRun
     BatchRun &operator=(const BatchRun &) = delete;
 
     void feed(std::span<const InstRecord> records);
+    /** Step every context through one already-decoded block. */
+    void step(std::span<const DecodedInst> block);
     /** Flush the batch state back into the contexts; collect results
      *  with SimContext::finish(). */
     void finish();
 
   private:
     std::span<SimContext *const> ctxs_;
-    /** SoA view of a multi-context batch; null for a single context. */
+    /** The SoA kernel and its view of the group; null when the group
+     *  steps context-major (one context, or no SoA kernel). */
     std::unique_ptr<SimBatch> batch_;
     simd::StepFn step_ = nullptr;
     std::vector<DecodedInst> block_;
@@ -185,10 +190,10 @@ void runBatch(const std::vector<InstRecord> &trace,
 
 /**
  * Replay an already-decoded stream (e.g. the TraceRepository's tier 2)
- * through every context in @p ctxs: no decode at all, one pass over the
- * warm decoded blocks.  Step order per context is identical to the
- * raw-trace overload, so results are bit-identical to it -- and to
- * running each context alone.
+ * through every context in @p ctxs: BatchRun::step() over the same
+ * blocks the raw-trace overload decodes, without the decode.  Step
+ * order per context is identical to that overload, so results are
+ * bit-identical to it -- and to running each context alone.
  */
 void runBatch(const DecodedStream &stream,
               std::span<SimContext *const> ctxs);

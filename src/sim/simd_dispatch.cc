@@ -42,8 +42,6 @@ probeHost()
     u32 eax = 0, ebx = 0, ecx = 0, edx = 0;
     if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx))
         return mask;
-    if (edx & (1u << 26)) // SSE2
-        mask |= 1u << u32(Path::Sse2);
 
     bool osxsave = ecx & (1u << 27);
     u64 x = osxsave ? xcr0() : 0;
@@ -60,7 +58,7 @@ probeHost()
     return mask;
 }
 
-#else // non-x86 host: only the scalar reference exists
+#else // non-x86 host: only context-major stepping exists
 
 u32
 probeHost()
@@ -77,8 +75,8 @@ rejectReason(Path p)
     u32 bit = 1u << u32(p);
     if (!(compiledMask() & bit))
         return std::string("SIMD path '") + pathName(p) +
-               "' is not compiled into this binary (compiler lacks the "
-               "-m flags); available paths are listed in compiledMask";
+               "' is not compiled into this binary; use VMMX_SIMD=auto "
+               "or a path this build has (scalar always)";
     if (!(supportedMask() & bit))
         return std::string("SIMD path '") + pathName(p) +
                "' is not supported by this host CPU (cpuid/xgetbv probe "
@@ -100,7 +98,7 @@ resolveFromEnv()
         Path p{};
         bool isAuto = false;
         if (!parsePath(text, p, isAuto)) {
-            warn("VMMX_SIMD='%s' is not scalar|sse2|avx2|avx512|auto; "
+            warn("VMMX_SIMD='%s' is not scalar|avx2|avx512|auto; "
                  "using auto",
                  text.c_str());
         } else if (!isAuto) {
@@ -152,9 +150,6 @@ u32
 compiledMask()
 {
     u32 mask = 1u << u32(Path::Scalar);
-#ifdef VMMX_KERNEL_SSE2
-    mask |= 1u << u32(Path::Sse2);
-#endif
 #ifdef VMMX_KERNEL_AVX2
     mask |= 1u << u32(Path::Avx2);
 #endif
@@ -225,11 +220,7 @@ stepFn(Path p)
 {
     switch (p) {
       case Path::Scalar:
-        return &stepBlockScalar;
-#ifdef VMMX_KERNEL_SSE2
-      case Path::Sse2:
-        return &stepBlockSse2;
-#endif
+        return nullptr;
 #ifdef VMMX_KERNEL_AVX2
       case Path::Avx2:
         return &stepBlockAvx2;

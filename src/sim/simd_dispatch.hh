@@ -1,16 +1,20 @@
 /**
  * @file
- * Runtime selection of the host-SIMD batch-stepping kernel.
+ * Runtime selection of how a batched group steps.
  *
- * The SoA batch stepper (sim/sim_batch.hh) is one templated kernel
- * instantiated at several host vector widths: a scalar reference (one
- * configuration per "lane"), SSE2 (2 lanes), AVX2 (4) and AVX-512 (8).
- * Each instantiation lives in its own translation unit compiled with
- * the matching -m flags, so the library as a whole stays runnable on
- * any x86-64 (and non-x86) host: nothing outside those files emits
- * wide instructions.
+ * A group of N >= 2 configurations steps one of two ways (BatchRun,
+ * sim/sim_context.hh).  On the `scalar` path each configuration runs
+ * the oracle's own SimContext::step over the shared decoded block in
+ * turn (context-major).  On the wide paths the SoA batch stepper
+ * (sim/sim_batch.hh) advances all N per record as host vector lanes:
+ * one templated kernel instantiated for AVX2 (4 lanes) and AVX-512
+ * (8), each in its own translation unit compiled with the matching -m
+ * flags, so the library as a whole stays runnable on any x86-64 (and
+ * non-x86) host: nothing outside those files emits wide instructions.
+ * `sse2` is a retired name that no build compiles; it keeps the path
+ * ordinals and per-path report cells stable.
  *
- * Which kernel actually runs is decided once per process: the cpuid
+ * Which path actually runs is decided once per process: the cpuid
  * probe (the classic ax_ext capability check -- feature bit plus
  * OSXSAVE/xgetbv state-enable for the wide register files) yields the
  * supported set, the build yields the compiled set, and the widest
@@ -19,7 +23,7 @@
  * a hard error, because silently falling back would mislabel every
  * benchmark number recorded downstream.
  *
- * All kernels are bit-identical by construction -- the timing model is
+ * All paths are bit-identical by construction -- the timing model is
  * pure u64 arithmetic with no lane interaction -- and the randomized
  * grid tests assert it against the serial fused path for every
  * compiled path on every run.
@@ -43,14 +47,14 @@ struct DecodedInst;
 namespace simd
 {
 
-/** The batch-stepping kernels, narrowest first.  Ordinals are the
- *  bit positions of the compiled/supported masks. */
+/** The batch-stepping paths, narrowest first.  Ordinals are the bit
+ *  positions of the compiled/supported masks. */
 enum class Path : u8
 {
-    Scalar = 0, ///< SoA reference kernel, one config per step
-    Sse2 = 1,   ///< 2 configs per vector op
-    Avx2 = 2,   ///< 4 configs per vector op
-    Avx512 = 3, ///< 8 configs per vector op
+    Scalar = 0, ///< context-major: SimContext::step per config
+    Sse2 = 1,   ///< retired; never compiled
+    Avx2 = 2,   ///< SoA kernel, 4 configs per vector op
+    Avx512 = 3, ///< SoA kernel, 8 configs per vector op
 };
 
 constexpr unsigned numPaths = 4;
@@ -65,12 +69,12 @@ const char *pathName(Path p);
 bool parsePath(std::string_view text, Path &p, bool &isAuto);
 
 /** Bitmask of paths this binary was built with (bit = ordinal).
- *  Scalar is always compiled. */
+ *  Scalar is always compiled; Sse2 never is. */
 u32 compiledMask();
 
-/** Bitmask of paths the host CPU can execute, from cpuid (feature
- *  bits) plus xgetbv (OS enabled the YMM/ZMM state).  Scalar is
- *  always supported. */
+/** Bitmask of the wide paths the host CPU can execute, from cpuid
+ *  (feature bits) plus xgetbv (OS enabled the YMM/ZMM state).  Scalar
+ *  is always supported. */
 u32 supportedMask();
 
 /** Widest path that is both compiled and supported. */
@@ -100,18 +104,15 @@ void setActivePathAuto();
  *  take activePath().  This is what telemetry stamps per unit. */
 Path pathFor(size_t batchWidth);
 
-/** Signature shared by every kernel instantiation. */
+/** Signature shared by every SoA kernel instantiation. */
 using StepFn = void (*)(SimBatch &, const DecodedInst *, size_t);
 
-/** Kernel entry for @p p; panics if the path was not compiled in. */
+/** SoA kernel entry for @p p, or null for Scalar (the group steps
+ *  context-major); panics if a wide path was not compiled in. */
 StepFn stepFn(Path p);
 
 // Kernel entry points, one per translation unit.  Only the ones the
 // build compiled (VMMX_KERNEL_*) exist; stepFn() guards access.
-void stepBlockScalar(SimBatch &b, const DecodedInst *insts, size_t n);
-#ifdef VMMX_KERNEL_SSE2
-void stepBlockSse2(SimBatch &b, const DecodedInst *insts, size_t n);
-#endif
 #ifdef VMMX_KERNEL_AVX2
 void stepBlockAvx2(SimBatch &b, const DecodedInst *insts, size_t n);
 #endif

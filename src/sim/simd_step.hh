@@ -8,16 +8,16 @@
  * a time, replicating SimContext::step() phase for phase.  All cycle
  * arithmetic is unsigned 64-bit adds, subtracts, compares, maxes and
  * blends with no lane interaction, so every instantiation is
- * bit-identical to the scalar reference by construction -- the only
+ * bit-identical to SimContext::step() by construction -- the only
  * differences between paths are how many lanes one vector op covers.
  *
  * Exactness of the compare tricks: cycle values are bounded far below
  * 2^62 (kInf is the pool sentinel), so unsigned u64 ordering coincides
- * with signed ordering and the SSE2 sign-of-difference / AVX2 signed-
- * compare idioms are exact.  The pool min scans reproduce SlotPool's
- * first-strict-minimum scan order, so tie-breaking is identical, not
- * just equivalent.  The issue queue is not vectorized: each lane calls
- * its context's IssueQueueModel, as it does its free lists.
+ * with signed ordering and the AVX2 signed-compare idiom is exact.
+ * The pool min scans reproduce SlotPool's first-strict-minimum scan
+ * order, so tie-breaking is identical, not just equivalent.  The issue
+ * queue is not vectorized: each lane calls its context's
+ * IssueQueueModel, as it does its free lists.
  *
  * This header is included only by the per-ISA kernel translation
  * units, each compiled with the matching -m flags; the ISA-specific
@@ -33,78 +33,12 @@
 #include "common/logging.hh"
 #include "sim/sim_batch.hh"
 
-#if defined(__SSE2__) || defined(__AVX2__) || defined(__AVX512F__)
+#if defined(__AVX2__) || defined(__AVX512F__)
 #include <immintrin.h>
 #endif
 
 namespace vmmx::simd
 {
-
-/** Reference ops: one configuration per "vector" op.  The kernel
- *  instantiated with these is the scalar dispatch path every wider
- *  path must match bit for bit. */
-struct ScalarOps
-{
-    static constexpr size_t W = 1;
-    using Vec = u64;
-    using Mask = bool;
-
-    static Vec load(const u64 *p) { return *p; }
-    static void store(u64 *p, Vec v) { *p = v; }
-    static Vec bcast(u64 x) { return x; }
-    static Vec add(Vec a, Vec b) { return a + b; }
-    static Vec sub(Vec a, Vec b) { return a - b; }
-    static Mask gtU(Vec a, Vec b) { return a > b; }
-    static Mask ltU(Vec a, Vec b) { return a < b; }
-    static Vec max(Vec a, Vec b) { return a > b ? a : b; }
-    static Vec blend(Mask m, Vec a, Vec b) { return m ? a : b; }
-    static Vec addWhere(Vec v, Mask m) { return v + (m ? 1 : 0); }
-    static Mask andM(Mask a, Mask b) { return a && b; }
-    static Mask notM(Mask a) { return !a; }
-};
-
-#ifdef __SSE2__
-/** Two lanes per op.  SSE2 has 64-bit add/sub but no 64-bit compare;
- *  a > b is materialized as the sign of (b - a), exact for values
- *  below 2^62 (ours).  Masks are all-ones-per-lane vectors, so
- *  "+1 where mask" is a subtract of the mask. */
-struct Sse2Ops
-{
-    static constexpr size_t W = 2;
-    using Vec = __m128i;
-    using Mask = __m128i;
-
-    static Vec load(const u64 *p)
-    {
-        return _mm_loadu_si128(reinterpret_cast<const __m128i *>(p));
-    }
-    static void store(u64 *p, Vec v)
-    {
-        _mm_storeu_si128(reinterpret_cast<__m128i *>(p), v);
-    }
-    static Vec bcast(u64 x) { return _mm_set1_epi64x(s64(x)); }
-    static Vec add(Vec a, Vec b) { return _mm_add_epi64(a, b); }
-    static Vec sub(Vec a, Vec b) { return _mm_sub_epi64(a, b); }
-    static Mask gtU(Vec a, Vec b)
-    {
-        __m128i d = _mm_sub_epi64(b, a);
-        d = _mm_shuffle_epi32(d, _MM_SHUFFLE(3, 3, 1, 1));
-        return _mm_srai_epi32(d, 31);
-    }
-    static Mask ltU(Vec a, Vec b) { return gtU(b, a); }
-    static Vec max(Vec a, Vec b) { return blend(gtU(a, b), a, b); }
-    static Vec blend(Mask m, Vec a, Vec b)
-    {
-        return _mm_or_si128(_mm_and_si128(m, a), _mm_andnot_si128(m, b));
-    }
-    static Vec addWhere(Vec v, Mask m) { return _mm_sub_epi64(v, m); }
-    static Mask andM(Mask a, Mask b) { return _mm_and_si128(a, b); }
-    static Mask notM(Mask a)
-    {
-        return _mm_xor_si128(a, _mm_set1_epi32(-1));
-    }
-};
-#endif // __SSE2__
 
 #ifdef __AVX2__
 /** Four lanes per op.  The signed 64-bit compare is exact for values

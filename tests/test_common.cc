@@ -50,110 +50,19 @@ TEST(Config, MergeOverrides)
     EXPECT_EQ(a.getInt("z"), 4);
 }
 
-TEST(Stats, CountersAndFormulas)
+TEST(Stats, CountersAccumulateAndResetWithTheirGroup)
 {
     StatGroup g("test");
     Counter c(&g, "events", "event count");
-    Formula f(&g, "double_events", "2x events",
-              [&]() { return 2.0 * double(c.value()); });
+    Counter d(&g, "other", "second counter");
     ++c;
     c += 4;
+    d += 2;
     EXPECT_EQ(c.value(), 5u);
-    EXPECT_DOUBLE_EQ(f.value(), 10.0);
-    std::ostringstream os;
-    g.dump(os);
-    EXPECT_NE(os.str().find("test.events 5"), std::string::npos);
-}
-
-TEST(Stats, HistogramBuckets)
-{
-    Histogram h(nullptr, "h", "test", 0, 100, 10);
-    h.sample(5);
-    h.sample(95);
-    h.sample(200); // overflow
-    EXPECT_EQ(h.samples(), 3u);
-    EXPECT_EQ(h.bucketCount(0), 1u);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.maxSample(), 200u);
-}
-
-TEST(Stats, HistogramBucketEdges)
-{
-    // v == max is *out* of the half-open [min, max) range: it must land
-    // in overflow, not walk off the end of the bucket array (the old
-    // code indexed buckets_[buckets] for v == max).
-    Histogram h(nullptr, "h", "test", 0, 100, 10);
-    h.sample(100);
-    EXPECT_EQ(h.overflow(), 1u);
-    EXPECT_EQ(h.samples(), 1u);
-    for (size_t i = 0; i < h.numBuckets(); ++i)
-        EXPECT_EQ(h.bucketCount(i), 0u) << "bucket " << i;
-
-    // The last in-range value lands in the last bucket.
-    h.sample(99);
-    EXPECT_EQ(h.bucketCount(9), 1u);
-    EXPECT_EQ(h.overflow(), 1u);
-
-    // Below min is underflow.
-    Histogram lo(nullptr, "lo", "test", 10, 20, 5);
-    lo.sample(9);
-    EXPECT_EQ(lo.underflow(), 1u);
-    EXPECT_EQ(lo.minSample(), 9u);
-}
-
-TEST(Stats, HistogramDegenerateRange)
-{
-    // min == max is a valid (if silly) histogram: no value is in
-    // [min, max), so everything is under- or overflow and nothing
-    // divides by zero.
-    Histogram h(nullptr, "h", "test", 5, 5, 4);
-    h.sample(4);
-    h.sample(5);
-    h.sample(6);
-    EXPECT_EQ(h.underflow(), 1u);
-    EXPECT_EQ(h.overflow(), 2u);
-    EXPECT_EQ(h.samples(), 3u);
-}
-
-TEST(Stats, HistogramZeroCountIsANoOp)
-{
-    // sample(v, 0) must not count anything -- and in particular must
-    // not fold v into the min/max watermarks.
-    Histogram h(nullptr, "h", "test", 0, 100, 10);
-    h.sample(42);
-    h.sample(0, 0);
-    h.sample(99999, 0);
-    EXPECT_EQ(h.samples(), 1u);
-    EXPECT_EQ(h.minSample(), 42u);
-    EXPECT_EQ(h.maxSample(), 42u);
-    EXPECT_EQ(h.overflow(), 0u);
-}
-
-TEST(Stats, DumpIsNameSorted)
-{
-    // Dump order is sorted by stat name, not registration order, so
-    // text dumps diff cleanly across code that registers in different
-    // orders.
-    StatGroup g("grp");
-    Counter zeta(&g, "zeta", "last alphabetically, registered first");
-    Counter alpha(&g, "alpha", "first alphabetically, registered last");
-    Histogram mid(&g, "mid", "in between", 0, 10, 2);
-    zeta += 1;
-    alpha += 2;
-    mid.sample(3);
-
-    std::ostringstream os;
-    g.dump(os);
-    const std::string text = os.str();
-    size_t pAlpha = text.find("grp.alpha");
-    size_t pMid = text.find("grp.mid");
-    size_t pZeta = text.find("grp.zeta");
-    ASSERT_NE(pAlpha, std::string::npos);
-    ASSERT_NE(pMid, std::string::npos);
-    ASSERT_NE(pZeta, std::string::npos);
-    EXPECT_LT(pAlpha, pMid);
-    EXPECT_LT(pMid, pZeta);
+    EXPECT_EQ(d.value(), 2u);
+    g.resetAll();
+    EXPECT_EQ(c.value(), 0u);
+    EXPECT_EQ(d.value(), 0u);
 }
 
 TEST(MemImage, ReadWriteRoundTrip)

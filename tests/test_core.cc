@@ -3,8 +3,8 @@
  * Timing-core property tests: register pressure, issue-queue and ROB
  * stalls, branch prediction effects, and vector lane occupancy;
  * hand-timed micro-traces (independent ops at width, a dependency
- * chain, a full issue queue, a full ROB, a mispredict redirect) with
- * exact cycle counts; the issue-queue
+ * chain, a full issue queue, a full ROB, a mispredict redirect, VTRANSP
+ * lane-exchange occupancy) with exact cycle counts; the issue-queue
  * window against its linear-scan reference; and the rejection of core
  * overrides the model cannot run.
  */
@@ -15,6 +15,7 @@
 #include "common/rng.hh"
 #include "sim/bpred.hh"
 #include "sim/resources.hh"
+#include "sim/simd_dispatch.hh"
 #include "trace/program.hh"
 #include "trace/vmmx.hh"
 
@@ -377,6 +378,80 @@ TEST(Core, MispredictPenaltyHandTimed)
     ASSERT_EQ(batch.size(), 2u);
     EXPECT_TRUE(batch[0] == slow);
     EXPECT_TRUE(batch[1] == fast);
+}
+
+// Hand-timed VTRANSP: `setvl 8`, `vzero v0` and N in {1, 2, 4}
+// independent `vtransp vk, v0` on the 2-way VMMX128 core (fetch = rename
+// = commit width 2, front depth 3, one SIMD issue slot, one 4-lane SIMD
+// unit, 4 free SIMD registers).  A transpose holds the lane-exchange
+// network for vl = 8 cycles, where an ordinary vl-8 op holds the unit
+// for ceil(8 / 4) = 2.  Instruction k is fetched at floor(k / 2) and
+// reaches rename at floor(k / 2) + 3.
+//  - setvl takes no unit: it renames at 3, is done at 4, commits at 5.
+//  - vzero renames at 3, issues at 4, holds the unit to 6, is done at
+//    4 + 2 - 1 + 1 = 6 and commits at 7.
+//  - Transpose j (instruction j + 2) waits for v0 and the unit: the
+//    first issues at 6, each later one when the unit frees, 8 cycles
+//    on, so j starts at 6 + 8j, is done at 14 + 8j and commits at
+//    15 + 8j.  The run takes 15, 23 and 39 cycles for N = 1, 2, 4.  The
+//    fourth transpose finds no free SIMD register (vzero and the first
+//    three took all 4) and renames at 7, when vzero commits: one
+//    register stall, hidden behind the unit.
+//  - With core.simd_fus = 2 and core.simd_issue = 2 two transposes run
+//    side by side: transposes 0 and 1 start at 6 and commit together at
+//    15, 2 and 3 start at 14 and commit at 23.  So 15, 15 and 23
+//    cycles, with the same one register stall at N = 4.
+TEST(Core, TransposeOccupancyHandTimed)
+{
+    Config wide;
+    wide.set("core.simd_fus", s64(2));
+    wide.set("core.simd_issue", s64(2));
+    std::vector<MachineConfig> machines = {
+        makeMachine(SimdKind::VMMX128, 2),
+        makeMachine(SimdKind::VMMX128, 2, wide)};
+    const struct
+    {
+        unsigned n;
+        u64 oneUnit, twoUnits;
+    } cases[] = {{1, 15, 15}, {2, 23, 15}, {4, 39, 23}};
+
+    for (const auto &c : cases) {
+        MemImage mem(1 << 16);
+        Program p(mem, SimdKind::VMMX128);
+        Vmmx v(p);
+        VR src = p.vreg();
+        v.setvl(8);
+        v.vzero(src);
+        for (unsigned i = 0; i < c.n; ++i)
+            v.vtransp(p.vreg(), src);
+
+        std::vector<RunResult> alone;
+        for (const MachineConfig &m : machines)
+            alone.push_back(runTrace(m, p.trace()));
+        EXPECT_EQ(alone[0].core.cycles, c.oneUnit) << "N = " << c.n;
+        EXPECT_EQ(alone[1].core.cycles, c.twoUnits) << "N = " << c.n;
+        for (const RunResult &r : alone) {
+            EXPECT_EQ(r.core.instructions, c.n + 2);
+            EXPECT_EQ(r.core.renameStallRegs, c.n == 4 ? 1u : 0u);
+            EXPECT_EQ(r.core.renameStallIq, 0u);
+            EXPECT_EQ(r.core.renameStallRob, 0u);
+        }
+
+        // Every step path this host runs times the same transposes.
+        u32 runnable = simd::compiledMask() & simd::supportedMask();
+        for (unsigned path = 0; path < simd::numPaths; ++path) {
+            if (!(runnable & (1u << path)))
+                continue;
+            ASSERT_EQ(simd::setActivePath(simd::Path(path)), "");
+            auto batch = runTraceBatch(machines, p.trace());
+            ASSERT_EQ(batch.size(), 2u);
+            EXPECT_TRUE(batch[0] == alone[0])
+                << simd::pathName(simd::Path(path)) << " N = " << c.n;
+            EXPECT_TRUE(batch[1] == alone[1])
+                << simd::pathName(simd::Path(path)) << " N = " << c.n;
+        }
+        simd::setActivePathAuto();
+    }
 }
 
 TEST(Resources, WidthGateLimitsPerCycle)

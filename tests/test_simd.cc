@@ -1,9 +1,10 @@
 /**
  * @file
  * Host-SIMD dispatch tests: the cpuid probe must report a sane
- * compiled/supported lattice (scalar always present, the active path
- * inside both masks, pins accepted exactly when executable), and --
- * the load-bearing contract -- every compiled+supported kernel path
+ * compiled/supported lattice (scalar always present, the retired sse2
+ * never, the active path inside both masks, pins accepted exactly when
+ * executable), and -- the load-bearing contract -- every
+ * compiled+supported path (context-major scalar and the SoA kernels)
  * must be bit-identical to the fused serial reference on randomized
  * configuration grids, through both the raw-trace and pre-decoded
  * overloads, at batch widths below, at, and above the widest vector
@@ -67,16 +68,16 @@ TEST_F(SimdTest, ProbeReportsSaneLattice)
     EXPECT_EQ(simd::compiledMask() >> simd::numPaths, 0u);
     EXPECT_EQ(simd::supportedMask() >> simd::numPaths, 0u);
 
-    // AVX-512 machines have AVX2; AVX2 machines have SSE2 (the probe
-    // checks each feature independently, so this asserts the probe is
-    // reading the right bits, not just returning a constant).
+    // AVX-512 machines have AVX2 (the probe checks each feature
+    // independently, so this asserts the probe is reading the right
+    // bits, not just returning a constant).  The retired sse2 name is
+    // neither compiled nor probed.
     u32 sup = simd::supportedMask();
     if (sup & bit(simd::Path::Avx512)) {
         EXPECT_TRUE(sup & bit(simd::Path::Avx2));
     }
-    if (sup & bit(simd::Path::Avx2)) {
-        EXPECT_TRUE(sup & bit(simd::Path::Sse2));
-    }
+    EXPECT_FALSE(simd::compiledMask() & bit(simd::Path::Sse2));
+    EXPECT_FALSE(sup & bit(simd::Path::Sse2));
 
     // bestPath and the resolved active path sit inside both masks, and
     // best really is the widest usable ordinal.

@@ -13,7 +13,6 @@
 #include <string>
 
 #include "common/rng.hh"
-#include "common/stats.hh"
 #include "common/telemetry.hh"
 #include "harness/executor.hh"
 #include "isa/simd_kind.hh"
@@ -116,18 +115,6 @@ TEST_F(TelemetryTest, RegistryCountersGaugesAndSortedDump)
     size_t rss = text.find("host.peakRssKiB ");
     ASSERT_NE(rss, std::string::npos) << text;
     EXPECT_GT(std::stoull(text.substr(rss + 16)), 0u);
-}
-
-TEST_F(TelemetryTest, RegistryFederatesStatGroups)
-{
-    auto &reg = telemetry::Registry::instance();
-    StatGroup g("grp");
-    Counter c(&g, "events", "event count");
-    c += 4;
-    reg.addGroup(&g);
-    EXPECT_EQ(reg.snapshot().values.at("grp.events"), 4u);
-    reg.removeGroup(&g);
-    EXPECT_EQ(reg.snapshot().values.count("grp.events"), 0u);
 }
 
 TEST_F(TelemetryTest, SnapshotDeltaClampsAtZero)

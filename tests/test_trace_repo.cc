@@ -353,7 +353,7 @@ TEST_F(TraceRepoTest, StreamedReplayMatchesRunTraceForAnySplit)
 {
     const std::vector<InstRecord> whole = generateTrace(longKey());
     ASSERT_GT(whole.size(), size_t(32769));
-    // One configuration takes the fused step, three the SoA batch.
+    // One configuration takes the fused step, three the batched path.
     std::vector<MachineConfig> three = threeWidths(longKey().kind);
     std::vector<std::vector<MachineConfig>> groups = {{three[1]}, three};
     for (const auto &machines : groups) {

@@ -1,13 +1,19 @@
 /**
  * @file
  * Wire-format tests: every serialized type must round-trip bit-exactly,
- * including boundary values, and the trace codec must actually compress.
+ * including boundary values, the trace codec must actually compress,
+ * and a torn frame must not commit the memory its header declares.
  * Property-style: InstRecords are driven through the codec both with
  * hand-picked extreme field values and with thousands of randomized
  * records from the deterministic Rng.
  */
 
 #include <gtest/gtest.h>
+
+#include <sys/resource.h>
+#include <sys/socket.h>
+#include <thread>
+#include <unistd.h>
 
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -428,6 +434,53 @@ TEST_F(WireTest, ProtocolMessagesRoundTrip)
     std::string what;
     ASSERT_TRUE(dist::decodeError(dist::encodeError("boom"), what));
     EXPECT_EQ(what, "boom");
+}
+
+// Frames larger than readFrame's read chunk arrive whole, and a clean
+// hang-up between frames reads as false with nothing half-decoded.
+TEST_F(WireTest, FramesRoundTripOverASocket)
+{
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    std::vector<u8> big(3u << 20);
+    for (size_t i = 0; i < big.size(); ++i)
+        big[i] = u8(i * 131 + 7);
+    const std::vector<u8> empty, small = {1, 2, 3};
+    const std::vector<u8> *frames[] = {&small, &big, &empty};
+    std::thread writer([&] {
+        for (const std::vector<u8> *f : frames)
+            EXPECT_TRUE(wire::writeFrame(sv[1], *f));
+        ::close(sv[1]);
+    });
+    std::vector<u8> got;
+    for (const std::vector<u8> *f : frames) {
+        EXPECT_TRUE(wire::readFrame(sv[0], got));
+        EXPECT_TRUE(got == *f) << f->size() << "-byte frame";
+    }
+    EXPECT_FALSE(wire::readFrame(sv[0], got));
+    writer.join();
+    ::close(sv[0]);
+}
+
+// A frame header is a claim, not a commitment: a peer that declares a
+// 1 GiB payload, sends 3 bytes and hangs up must not make the reader
+// commit the gigabyte before it reports the torn frame.
+TEST_F(WireTest, TornFrameCommitsOnlyWhatArrived)
+{
+    int sv[2];
+    ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, sv), 0);
+    const u8 torn[] = {0x00, 0x00, 0x00, 0x40, 'a', 'b', 'c'}; // 1 GiB
+    ASSERT_EQ(::write(sv[1], torn, sizeof(torn)), ssize_t(sizeof(torn)));
+    ::close(sv[1]);
+
+    rusage before{}, after{};
+    ::getrusage(RUSAGE_SELF, &before);
+    std::vector<u8> payload;
+    EXPECT_FALSE(wire::readFrame(sv[0], payload));
+    ::getrusage(RUSAGE_SELF, &after);
+    ::close(sv[0]);
+    // ru_maxrss is in KiB.
+    EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024);
 }
 
 TEST_F(WireTest, SetupMsgCarriesTelemetryFlag)
