@@ -100,21 +100,6 @@ parseUnsigned(const char *text, unsigned &value)
     return true;
 }
 
-unsigned
-number(const char *var, unsigned dflt)
-{
-    const char *text = std::getenv(var);
-    if (!text || !*text)
-        return dflt;
-    unsigned value = dflt;
-    if (!parseUnsigned(text, value)) {
-        warn("ignoring unparsable %s='%s' (want a non-negative count)",
-             var, text);
-        return dflt;
-    }
-    return value;
-}
-
 std::string
 str(const char *var, const std::string &dflt)
 {

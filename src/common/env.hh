@@ -55,10 +55,6 @@ u64 byteSize(const char *var, u64 dflt = 0);
  */
 bool parseUnsigned(const char *text, unsigned &value);
 
-/** Unsigned count from the environment; unset/empty = @p dflt, junk
- *  warns and falls back to @p dflt. */
-unsigned number(const char *var, unsigned dflt);
-
 /** String from the environment; unset or empty = @p dflt. */
 std::string str(const char *var, const std::string &dflt = "");
 

@@ -257,18 +257,6 @@ Registry::snapshot() const
     return snap;
 }
 
-MetricsSnapshot
-Registry::delta(const MetricsSnapshot &before, const MetricsSnapshot &after)
-{
-    MetricsSnapshot d;
-    for (const auto &[name, v] : after.values) {
-        auto it = before.values.find(name);
-        u64 prev = it == before.values.end() ? 0 : it->second;
-        d.values[name] = v >= prev ? v - prev : 0;
-    }
-    return d;
-}
-
 void
 Registry::dumpText(std::ostream &os) const
 {

@@ -15,7 +15,7 @@
  *
  *   Registry  federates named counters/gauges and per-unit timing
  *             records behind one dumpText()/dumpJson() with
- *             deterministic (name-sorted) ordering and snapshot/delta
+ *             deterministic (name-sorted) ordering and snapshot
  *             support.
  *
  *   Tracer    collects SpanRecords (TELEMETRY_SPAN RAII timers) and
@@ -209,10 +209,6 @@ class Registry
 
     /** Flattened counters + gauges, sorted by name. */
     MetricsSnapshot snapshot() const;
-    /** after - before per key (missing keys read as 0; underflow
-     *  clamps to 0 so a reset stat cannot wrap). */
-    static MetricsSnapshot delta(const MetricsSnapshot &before,
-                                 const MetricsSnapshot &after);
 
     /** "name value" lines, sorted by name, then one line per unit. */
     void dumpText(std::ostream &os) const;

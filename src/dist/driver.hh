@@ -4,13 +4,13 @@
  *
  * runSweep() shards a grid of SweepPoints across N worker processes as
  * an ExecutionPolicy (harness/executor.hh) describes -- it is the
- * ProcessExecutor backend.  Workers are spawned from this process
+ * processes case of runPoints().  Workers are spawned from this process
  * (fork, or fork+exec of ExecutionPolicy::execPath for binaries that
  * install the self-exec hook) and speak the length-prefixed frame
  * protocol of dist/protocol.hh over a socketpair.  The schedulable unit
  * is a *trace group* -- the points that replay one trace, which a
- * worker executes as a single batched pass (replayUnit) so the trace is
- * streamed once per group even across process boundaries, and no
+ * worker executes as a single batched pass (runSweepUnit) so the trace
+ * is streamed once per group even across process boundaries, and no
  * worker keeps a trace in RAM.  Each worker starts with a contiguous
  * shard of the units; a worker that drains its own shard
  * steals units from the tail of the largest remaining shard, so

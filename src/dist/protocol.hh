@@ -29,15 +29,17 @@
 namespace vmmx::dist
 {
 
-/** v8: the single-point Job frame (type byte 2) and Setup's raw-tier
- *  budget are gone -- every unit is a JobGroup and workers keep no
- *  trace.  (v7 dropped the decoded-tier switch and budget; v6 named
- *  the host-SIMD step-kernel path in each Event unit record; v5 added
- *  Event telemetry frames -- buffered spans + per-unit timing records
- *  interleaved with Results, purely observational; v4 supervised
- *  workers with spawn ordinals and fault specs; v3 the
- *  tiered-repository budgets; v2 JobGroup frames.) */
-constexpr u32 protocolVersion = 8;
+/** v9: a JobGroup point no longer carries a trace -- every point is a
+ *  kernel or app the worker streams by TraceKey, and the byte that
+ *  flagged a shipped trace must be 0.  (v8 retired the single-point
+ *  Job frame (type byte 2) and Setup's raw-tier budget; v7 dropped the
+ *  decoded-tier switch and budget; v6 named the host-SIMD step-kernel
+ *  path in each Event unit record; v5 added Event telemetry frames --
+ *  buffered spans + per-unit timing records interleaved with Results,
+ *  purely observational; v4 supervised workers with spawn ordinals and
+ *  fault specs; v3 the tiered-repository budgets; v2 JobGroup
+ *  frames.) */
+constexpr u32 protocolVersion = 9;
 
 /** Frame type bytes.  The values are wire format -- the journal stores
  *  encoded Result frames, so Result must stay 4 for journals written by
@@ -73,7 +75,7 @@ struct SetupMsg
 
 /**
  * A trace group: points that replay the same trace (one or more), run
- * by the worker as one batched pass (replayUnit).  Answered with one
+ * by the worker as one batched pass (runSweepUnit).  Answered with one
  * Result frame per entry, in entry order.
  */
 struct JobGroupMsg

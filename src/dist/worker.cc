@@ -9,7 +9,6 @@
 #include "common/logging.hh"
 #include "dist/protocol.hh"
 #include "harness/executor.hh"
-#include "sim/simd_dispatch.hh"
 #include "trace/trace_repo.hh"
 
 namespace vmmx::dist
@@ -160,6 +159,8 @@ workerServe(int fd)
     if (!setup.storeDir.empty())
         store = std::make_unique<TraceStore>(setup.storeDir);
     TraceRepository repo(store.get());
+    ExecutionPolicy policy;
+    policy.repo = &repo;
 
     int rc = 1;
     while (wire::readFrame(fd, frame)) {
@@ -187,49 +188,15 @@ workerServe(int fd)
         fault.onUnit(group.indices); // may exit or stall here
 
         // All points of a group replay the same trace by construction,
-        // and no other unit replays it, so a keyed trace streams from
-        // the store (or the generator) block by block and nothing is
-        // retained.  Explicit traces travel inside the frame.
-        const SweepPoint &lead = group.points[0];
-        if (lead.workload == SweepPoint::Workload::Trace && !lead.trace) {
-            wire::writeFrame(
-                fd, encodeError("job " + std::to_string(group.indices[0]) +
-                                " carries no trace"));
-            break;
-        }
-        std::vector<MachineConfig> machines;
-        machines.reserve(group.points.size());
-        for (const SweepPoint &p : group.points)
-            machines.push_back(makeMachine(p.kind, p.way, p.overrides));
-
-        u64 unitStartNs = telemetry::enabled() ? telemetry::nowNs() : 0;
-        std::string leadLabel =
-            telemetry::enabled() ? lead.label() : std::string();
-
-        std::vector<RunResult> runs;
-        u64 traceLength = 0;
-        {
-            TELEMETRY_SPAN(
-                "simulate",
-                leadLabel.empty()
-                    ? std::string()
-                    : leadLabel + " simd=" +
-                          simd::pathName(
-                              simd::pathFor(group.points.size())));
-            runs = replayUnit(lead, machines, repo, traceLength);
-        }
-        if (telemetry::enabled()) {
-            telemetry::UnitRecord rec;
-            rec.traceHash =
-                wire::fnv1a(leadLabel.data(), leadLabel.size());
-            rec.label = leadLabel;
-            rec.points = u32(group.points.size());
-            rec.records = traceLength;
-            rec.wallNs = telemetry::nowNs() - unitStartNs;
-            rec.workerId = s32(setup.workerId);
-            rec.simd = simd::pathName(simd::pathFor(group.points.size()));
-            telemetry::Registry::instance().addUnit(std::move(rec));
-        }
+        // and no other unit replays it, so the trace streams from the
+        // store (or the generator) block by block and nothing is
+        // retained.  The Event codec stamps this worker's id on the
+        // unit record runSweepUnit leaves.
+        std::vector<u32> slots(group.points.size());
+        for (u32 k = 0; k < slots.size(); ++k)
+            slots[k] = k;
+        std::vector<SweepResult> runs(slots.size());
+        runSweepUnit(group.points, slots, policy, runs);
 
         // kill-mid-unit: answer only half the group, then crash -- the
         // driver must reclaim and re-dispatch the missing tail.
@@ -242,8 +209,8 @@ workerServe(int fd)
             for (size_t k = 0; k < limit && sent; ++k) {
                 ResultMsg res;
                 res.index = group.indices[k];
-                res.traceLength = traceLength;
-                res.result = runs[k];
+                res.traceLength = runs[k].traceLength;
+                res.result = runs[k].result;
                 std::vector<u8> payload = encode(res);
                 if (fault.corruptThisResult())
                     payload[0] = 0x7f; // undecodable type byte

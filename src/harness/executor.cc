@@ -82,17 +82,107 @@ effectiveThreads(const ExecutionPolicy &policy, size_t units)
     return std::min<unsigned>(threads, unsigned(units));
 }
 
+/**
+ * The serial schedule.  One producer walks the units ahead of the
+ * calling thread, streaming trace after trace into a ring a few blocks
+ * deep, so generating the next blocks overlaps stepping the current
+ * ones.  Unit order, simulation and results stay on the calling thread.
+ */
+std::vector<SweepResult>
+runSerial(const std::vector<SweepPoint> &points,
+          const ExecutionPolicy &policy)
+{
+    std::vector<std::vector<u32>> units = groupPointsByTrace(points);
+    TraceRepository &repo = policy.repository();
+    TraceRing ring;
+    std::thread producer([&] {
+        try {
+            for (const std::vector<u32> &unit : units) {
+                repo.stream(traceKeyFor(points[unit[0]]), ring);
+                ring.endTrace();
+            }
+        } catch (...) {
+            ring.fail(std::current_exception());
+        }
+    });
+    // Join on every way out of this function; closing the ring first
+    // releases a producer still waiting for room.
+    struct Joiner
+    {
+        TraceRing &ring;
+        std::thread &thread;
+        ~Joiner()
+        {
+            ring.close();
+            thread.join();
+        }
+    } joiner{ring, producer};
+
+    std::vector<SweepResult> results(points.size());
+    telemetry::Progress progress("sweep", points.size());
+    u64 done = 0;
+    for (const std::vector<u32> &unit : units) {
+        runUnit(points, unit, results,
+                [&](std::span<const MachineConfig> machines,
+                    u64 &traceLength) {
+                    TraceReplay replay(machines);
+                    ring.drain(replay);
+                    traceLength = replay.records();
+                    return replay.finish();
+                });
+        done += unit.size();
+        progress.update(done);
+    }
+    progress.finish(done);
+    return results;
+}
+
+/**
+ * The thread-pool schedule: workers pull the next undone unit off a
+ * shared counter and write into its submission-order slots, so the
+ * result vector is deterministic.  Units are independent
+ * (per-configuration MemorySystem/SimContext, immutable shared trace
+ * artifacts).  One effective thread is the serial schedule, producer
+ * ring and progress reporting included.
+ */
+std::vector<SweepResult>
+runThreadPool(const std::vector<SweepPoint> &points,
+              const ExecutionPolicy &policy)
+{
+    std::vector<std::vector<u32>> units = groupPointsByTrace(points);
+    unsigned threads = effectiveThreads(policy, units.size());
+    if (threads <= 1)
+        return runSerial(points, policy);
+
+    std::vector<SweepResult> results(points.size());
+    std::atomic<size_t> next{0};
+    std::atomic<u64> done{0};
+    telemetry::Progress progress("sweep", points.size());
+    auto worker = [&]() {
+        for (size_t u = next.fetch_add(1); u < units.size();
+             u = next.fetch_add(1)) {
+            runSweepUnit(points, units[u], policy, results);
+            progress.update(done.fetch_add(units[u].size()) +
+                            units[u].size());
+        }
+    };
+
+    std::vector<std::thread> pool;
+    pool.reserve(threads);
+    for (unsigned t = 0; t < threads; ++t)
+        pool.emplace_back(worker);
+    for (auto &th : pool)
+        th.join();
+    progress.finish(done.load());
+    return results;
+}
+
 } // namespace
 
 ExecutionPolicy
 ExecutionPolicy::fromEnv()
 {
     ExecutionPolicy p;
-    p.storeDir = env::str("VMMX_TRACE_STORE");
-    p.maxRespawns = env::number("VMMX_MAX_RESPAWNS", p.maxRespawns);
-    p.unitTimeoutMs = env::number("VMMX_UNIT_TIMEOUT_MS", 0);
-    p.maxUnitAttempts =
-        env::number("VMMX_MAX_UNIT_ATTEMPTS", p.maxUnitAttempts);
     p.faultSpec = env::str("VMMX_FAULT_SPEC");
     p.journalSync = env::flag("VMMX_JOURNAL_SYNC", p.journalSync);
     return p;
@@ -134,10 +224,7 @@ replayUnit(const SweepPoint &lead, std::span<const MachineConfig> machines,
            TraceRepository &repo, u64 &traceLength)
 {
     TraceReplay replay(machines);
-    if (lead.workload == SweepPoint::Workload::Trace)
-        replay.borrow(*lead.trace);
-    else
-        repo.stream(traceKeyFor(lead), replay);
+    repo.stream(traceKeyFor(lead), replay);
     traceLength = replay.records();
     return replay.finish();
 }
@@ -146,9 +233,7 @@ SweepResult
 runSweepPoint(const SweepPoint &point, const ExecutionPolicy &policy)
 {
     TraceRepository::TraceHandle trace =
-        point.workload == SweepPoint::Workload::Trace
-            ? TraceRepository::TraceHandle(point.trace)
-            : policy.repository().raw(traceKeyFor(point));
+        policy.repository().raw(traceKeyFor(point));
     SweepResult r;
     r.point = point;
     r.traceLength = trace->size();
@@ -170,135 +255,18 @@ runSweepUnit(const std::vector<SweepPoint> &points,
 }
 
 std::vector<SweepResult>
-SerialExecutor::run(const std::vector<SweepPoint> &points,
-                    const ExecutionPolicy &policy) const
-{
-    std::vector<std::vector<u32>> units = groupPointsByTrace(points);
-    TraceRepository &repo = policy.repository();
-    // Units replaying a keyed trace: the producer thread below generates
-    // (or reads) them ahead of the simulation.  Explicit traces stream
-    // from their own vectors on the calling thread.
-    auto produced = [&](size_t u) {
-        return points[units[u][0]].workload != SweepPoint::Workload::Trace;
-    };
-
-    // One producer walks the schedule ahead of the calling thread,
-    // streaming trace after trace into a ring a few blocks deep, so
-    // generating the next blocks overlaps stepping the current ones.
-    // Unit order, simulation and results stay on the calling thread.
-    TraceRing ring;
-    std::thread producer([&] {
-        try {
-            for (size_t u = 0; u < units.size(); ++u) {
-                if (!produced(u))
-                    continue;
-                repo.stream(traceKeyFor(points[units[u][0]]), ring);
-                ring.endTrace();
-            }
-        } catch (...) {
-            ring.fail(std::current_exception());
-        }
-    });
-    // Join on every way out of this function; closing the ring first
-    // releases a producer still waiting for room.
-    struct Joiner
-    {
-        TraceRing &ring;
-        std::thread &thread;
-        ~Joiner()
-        {
-            ring.close();
-            thread.join();
-        }
-    } joiner{ring, producer};
-
-    std::vector<SweepResult> results(points.size());
-    telemetry::Progress progress("sweep", points.size());
-    u64 done = 0;
-    for (size_t u = 0; u < units.size(); ++u) {
-        if (produced(u)) {
-            runUnit(points, units[u], results,
-                    [&](std::span<const MachineConfig> machines,
-                        u64 &traceLength) {
-                        TraceReplay replay(machines);
-                        ring.drain(replay);
-                        traceLength = replay.records();
-                        return replay.finish();
-                    });
-        } else {
-            runSweepUnit(points, units[u], policy, results);
-        }
-        done += units[u].size();
-        progress.update(done);
-    }
-    progress.finish(done);
-    return results;
-}
-
-std::vector<SweepResult>
-ThreadPoolExecutor::run(const std::vector<SweepPoint> &points,
-                        const ExecutionPolicy &policy) const
-{
-    std::vector<std::vector<u32>> units = groupPointsByTrace(points);
-    unsigned threads = effectiveThreads(policy, units.size());
-    // One effective thread is the serial schedule, producer ring and
-    // progress reporting included.
-    if (threads <= 1)
-        return SerialExecutor().run(points, policy);
-
-    // Units are independent (per-configuration MemorySystem/SimContext,
-    // immutable shared trace artifacts); workers pull the next undone
-    // unit and write into its submission-order slots, so the result
-    // vector is deterministic.
-    std::vector<SweepResult> results(points.size());
-    std::atomic<size_t> next{0};
-    std::atomic<u64> done{0};
-    telemetry::Progress progress("sweep", points.size());
-    auto worker = [&]() {
-        for (size_t u = next.fetch_add(1); u < units.size();
-             u = next.fetch_add(1)) {
-            runSweepUnit(points, units[u], policy, results);
-            progress.update(done.fetch_add(units[u].size()) +
-                            units[u].size());
-        }
-    };
-
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (unsigned t = 0; t < threads; ++t)
-        pool.emplace_back(worker);
-    for (auto &th : pool)
-        th.join();
-    progress.finish(done.load());
-    return results;
-}
-
-std::vector<SweepResult>
-ProcessExecutor::run(const std::vector<SweepPoint> &points,
-                     const ExecutionPolicy &policy) const
-{
-    return dist::runSweep(points, policy);
-}
-
-const Executor &
-executorFor(ExecutionPolicy::Backend backend)
-{
-    static const SerialExecutor serial;
-    static const ThreadPoolExecutor threads;
-    static const ProcessExecutor processes;
-    switch (backend) {
-      case ExecutionPolicy::Backend::Serial: return serial;
-      case ExecutionPolicy::Backend::ThreadPool: return threads;
-      case ExecutionPolicy::Backend::Process: return processes;
-    }
-    panic("bad backend %d", int(backend));
-}
-
-std::vector<SweepResult>
 runPoints(const std::vector<SweepPoint> &points,
           const ExecutionPolicy &policy)
 {
-    return executorFor(policy.backend).run(points, policy);
+    switch (policy.backend) {
+      case ExecutionPolicy::Backend::Serial:
+        return runSerial(points, policy);
+      case ExecutionPolicy::Backend::ThreadPool:
+        return runThreadPool(points, policy);
+      case ExecutionPolicy::Backend::Process:
+        return dist::runSweep(points, policy);
+    }
+    panic("bad backend %d", int(policy.backend));
 }
 
 } // namespace vmmx

@@ -1,35 +1,33 @@
 /**
  * @file
- * Execution backends for grid studies: one ExecutionPolicy describing
- * *how* a grid should run, and an Executor interface with the three
- * implementations behind every result in this repository --
+ * Execution of grid studies: one ExecutionPolicy describing *how* a
+ * grid should run, and runPoints(), which switches on its backend --
  *
- *   SerialExecutor      the calling thread, unit by unit (the
- *                       reference ordering every backend must match)
- *   ThreadPoolExecutor  an in-process pool pulling schedulable units
- *                       off a shared counter (the PR-1 sweep engine)
- *   ProcessExecutor     sharded worker processes over the src/dist/
- *                       frame protocol, traces shared through the
- *                       on-disk TraceStore (the PR-2 subsystem)
+ *   serial     the calling thread, unit by unit (the reference
+ *              ordering every backend must match)
+ *   threads    an in-process pool pulling units off a shared counter
+ *   processes  sharded worker processes over the src/dist/ frame
+ *              protocol, traces shared through the on-disk TraceStore
+ *              (dist::runSweep)
  *
  * All three schedule the same units -- the trace groups of
- * groupPointsByTrace(), each replayed in one batched pass -- and all
- * write results into submission-order slots, so for any grid and any
+ * groupPointsByTrace() -- each replayed in one batched pass by
+ * runSweepUnit(), which the threads backend, the dist worker and the
+ * driver's in-driver fallback all call.  The serial backend differs
+ * only in where the blocks come from: a producer thread streams the
+ * traces one ring of blocks ahead of the simulation.  Every backend
+ * writes results into submission-order slots, so for any grid and any
  * policy the three result vectors are bit-identical -- asserted by
- * tests/test_study.cc and CI.
+ * tests/test_study.cc and CI.  A new backend is one more case of
+ * runPoints() over those units; nothing above it has to change.
  *
- * Every unit replays its trace as a stream (replayUnit): a keyed trace
- * goes from the generator or the trace store straight into the group's
- * batched step in 32K-record blocks and is never held whole, and an
- * explicit trace streams from its own vector.  The serial backend runs
- * the generator on a producer thread one ring of blocks ahead of the
- * simulation.  A future remote backend (the ROADMAP's TCP rung) is one
- * more implementation of this interface; nothing above it has to
- * change.
+ * Every unit replays its trace as a stream (replayUnit): the trace goes
+ * from the generator or the trace store straight into the group's
+ * batched step in 32K-record blocks and is never held whole.
  *
- * The policy's defaults come from the legacy VMMX_* environment
- * variables through ExecutionPolicy::fromEnv() -- the single place
- * those variables are still consulted (via common/env.hh).
+ * ExecutionPolicy::fromEnv() layers the two runtime-only environment
+ * knobs, VMMX_FAULT_SPEC and VMMX_JOURNAL_SYNC, over the built-in
+ * defaults (via common/env.hh); every declarative knob is a spec key.
  */
 
 #ifndef VMMX_HARNESS_EXECUTOR_HH
@@ -100,9 +98,8 @@ struct ExecutionPolicy
      *  Off by default: the sync costs more than most grid points. */
     bool journalSync = false;
 
-    /** The built-in defaults with the environment knobs layered on
-     *  top: VMMX_TRACE_STORE, VMMX_MAX_RESPAWNS, VMMX_UNIT_TIMEOUT_MS,
-     *  VMMX_MAX_UNIT_ATTEMPTS, VMMX_FAULT_SPEC, VMMX_JOURNAL_SYNC. */
+    /** The built-in defaults with the runtime-only environment knobs
+     *  layered on top: VMMX_FAULT_SPEC and VMMX_JOURNAL_SYNC. */
     static ExecutionPolicy fromEnv();
 
     /** The repository this policy resolves traces through. */
@@ -127,68 +124,19 @@ const char *name(ExecutionPolicy::Backend b);
 bool parseBackend(const std::string &text, ExecutionPolicy::Backend &b);
 
 /**
- * One execution backend.  Implementations are stateless: run() may be
- * called concurrently with distinct grids.
+ * Run every point of @p points on the backend @p policy names and
+ * return the results in submission order, bit-identical across
+ * backends.  May be called concurrently with distinct grids.
  */
-class Executor
-{
-  public:
-    virtual ~Executor() = default;
-
-    virtual const char *name() const = 0;
-
-    /**
-     * Run every point of @p points under @p policy and return the
-     * results in submission order, bit-identical across backends.
-     */
-    virtual std::vector<SweepResult>
-    run(const std::vector<SweepPoint> &points,
-        const ExecutionPolicy &policy) const = 0;
-};
-
-/** Unit-by-unit execution on the calling thread. */
-class SerialExecutor : public Executor
-{
-  public:
-    const char *name() const override { return "serial"; }
-    std::vector<SweepResult> run(const std::vector<SweepPoint> &points,
-                                 const ExecutionPolicy &policy) const override;
-};
-
-/** In-process thread pool over the trace groups; with one effective
- *  thread it is the SerialExecutor. */
-class ThreadPoolExecutor : public Executor
-{
-  public:
-    const char *name() const override { return "threads"; }
-    std::vector<SweepResult> run(const std::vector<SweepPoint> &points,
-                                 const ExecutionPolicy &policy) const override;
-};
-
-/** Sharded worker processes (dist::runSweep). */
-class ProcessExecutor : public Executor
-{
-  public:
-    const char *name() const override { return "processes"; }
-    std::vector<SweepResult> run(const std::vector<SweepPoint> &points,
-                                 const ExecutionPolicy &policy) const override;
-};
-
-/** The (stateless, shared) executor implementing @p backend. */
-const Executor &executorFor(ExecutionPolicy::Backend backend);
-
-/** Dispatch @p points through the backend @p policy names. */
 std::vector<SweepResult> runPoints(const std::vector<SweepPoint> &points,
                                    const ExecutionPolicy &policy);
 
 /**
  * Replay @p lead's trace on every machine in @p machines in one
  * streamed pass and return the results in @p machines order;
- * @p traceLength receives the record count.  An explicit trace streams
- * from its own vector; a keyed one is streamed by the repository
- * without being retained (TraceRepository::stream).  The one
- * unit-replay function of the executors, the dist worker and the
- * driver's in-driver fallback.
+ * @p traceLength receives the record count.  The repository streams
+ * the trace without retaining it (TraceRepository::stream);
+ * runSweepUnit() replays every unit through this.
  */
 std::vector<RunResult> replayUnit(const SweepPoint &lead,
                                   std::span<const MachineConfig> machines,
@@ -206,7 +154,8 @@ SweepResult runSweepPoint(const SweepPoint &point,
 /**
  * Run one schedulable unit -- points of @p points replaying one trace,
  * in a single batched pass -- writing into the submission-order slots
- * of @p results.  The common inner loop of the executors.
+ * of @p results.  The one unit runner: the threads backend, the dist
+ * worker and the driver's in-driver fallback all call it.
  */
 void runSweepUnit(const std::vector<SweepPoint> &points,
                   const std::vector<u32> &unit,

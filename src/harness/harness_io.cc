@@ -5,7 +5,6 @@
 
 #include "common/env.hh"
 #include "dist/driver.hh"
-#include "trace/trace_io.hh"
 
 namespace vmmx
 {
@@ -72,7 +71,6 @@ struct SweepPointMirror
     SimdKind kind;
     unsigned way;
     Config overrides;
-    SharedTrace trace;
 };
 
 struct DistStatsMirror
@@ -200,21 +198,17 @@ serialize(wire::Writer &w, const SweepPoint &p)
     w.byte(static_cast<u8>(p.kind));
     w.varint(p.way);
     serialize(w, p.overrides);
-    // Explicit-trace points ship the trace itself: a worker process has
-    // no other way to reconstruct a caller-built program.  This costs
-    // one full encode per grid point sharing the trace (plus one in
-    // gridSignature); if explicit-trace grids ever grow beyond a few
-    // ways, spill the trace to the TraceStore once and ship its key.
-    w.boolean(p.trace != nullptr);
-    if (p.trace)
-        encodeTrace(*p.trace, w);
+    // The byte that flagged a shipped trace up to protocol v8, now a
+    // constant 0: gridSignature() hashes these bytes, and dropping it
+    // would orphan every journal on disk.
+    w.byte(0);
 }
 
 bool
 deserialize(wire::Reader &r, SweepPoint &p)
 {
     u8 workload = r.byte();
-    if (workload > static_cast<u8>(SweepPoint::Workload::Trace))
+    if (workload > static_cast<u8>(SweepPoint::Workload::App))
         return false;
     p.workload = static_cast<SweepPoint::Workload>(workload);
     p.name = r.str();
@@ -225,14 +219,7 @@ deserialize(wire::Reader &r, SweepPoint &p)
     p.way = unsigned(r.varint());
     if (!deserialize(r, p.overrides))
         return false;
-    p.trace = nullptr;
-    if (r.boolean()) {
-        auto t = std::make_shared<std::vector<InstRecord>>();
-        if (!decodeTrace(r, *t))
-            return false;
-        p.trace = std::move(t);
-    }
-    return r.ok();
+    return r.byte() == 0 && r.ok();
 }
 
 // ---- study spec text codec -----------------------------------------------
@@ -548,10 +535,12 @@ setSpecKey(StudySpec &spec, const std::string &section,
         return wantFlag(r.geomean);
     } else if (key == "precision") {
         unsigned precision = 0;
-        std::string what = wantNumber(precision);
-        if (what.empty())
-            r.precision = int(precision);
-        return what;
+        if (!env::parseUnsigned(value.c_str(), precision) ||
+            precision > ReportSpec::maxPrecision)
+            return "'precision' wants 0 to " +
+                   std::to_string(ReportSpec::maxPrecision) + ", got '" +
+                   value + "'";
+        r.precision = int(precision);
     } else {
         return "unknown [report] key '" + key + "'";
     }

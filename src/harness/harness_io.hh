@@ -5,8 +5,9 @@
  *
  * Wire codecs for the driver/worker protocol: Config (ablation
  * overrides), RunStats and RunResult (the payload of a finished grid
- * point), and SweepPoint (a job description, including the trace
- * payload for explicit-trace points).  All round-trips are bit-exact;
+ * point), and SweepPoint (a job description: the workload whose trace
+ * the worker streams by TraceKey, and its machine).  All round-trips
+ * are bit-exact;
  * RunResult equality after a decode is the basis of the distributed
  * determinism guarantee.
  *

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "harness/machine.hh"
-#include "sim/core.hh"
+#include "sim/sim_context.hh"
 #include "trace/trace_stream.hh"
 
 namespace vmmx

@@ -217,8 +217,7 @@ Study::points() const
         for (SimdKind kind : spec_.kinds)
             for (unsigned way : spec_.ways)
                 for (const Config &overrides : sets)
-                    points.push_back(
-                        {workload, name, kind, way, overrides, nullptr});
+                    points.push_back({workload, name, kind, way, overrides});
     };
     for (const auto &k : spec_.kernels)
         add(SweepPoint::Workload::Kernel, k);

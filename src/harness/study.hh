@@ -8,16 +8,14 @@
  *   grid axes        kernels/apps, flavours, machine widths, and
  *                    optional ablation override sets (cross product)
  *   ExecutionPolicy  which backend runs the grid and how (threads,
- *                    processes, batching, budgets, supervision);
- *                    defaults come from the VMMX_* environment
- *                    variables through one parser (common/env.hh)
+ *                    processes, store, journal, supervision)
  *   ReportSpec       which derived metrics to print -- speedup against
  *                    a named baseline configuration, cycle breakdown,
  *                    IPC -- so consumers stop plucking RunStats fields
  *                    by hand
  *
  * A Study is the facade over the spec: expand the grid to SweepPoints,
- * run it through a pluggable Executor backend (all backends are
+ * run it through runPoints() on the spec's backend (all backends are
  * bit-identical), and render the report.  Specs round-trip through a
  * text file format (Study::fromFile / Study::specText, codec in
  * harness/harness_io.*), so a figure is reproducible from a checked-in
@@ -78,8 +76,11 @@ struct ReportSpec
     unsigned baselineWay = 2;
     /** Pivot layout: append a geometric-mean table over workloads. */
     bool geomean = false;
-    /** Decimal places of fractional metrics. */
+    /** Decimal places of fractional metrics, at most maxPrecision. */
     int precision = 2;
+    /** A double carries at most 17 significant decimal digits, and at
+     *  17 places any cell below 10^45 fits TextTable::num's buffer. */
+    static constexpr unsigned maxPrecision = 17;
 
     bool operator==(const ReportSpec &o) const = default;
 };

@@ -1,9 +1,6 @@
 #include "harness/sweep.hh"
 
 #include <map>
-#include <tuple>
-
-#include "common/logging.hh"
 
 namespace vmmx
 {
@@ -21,37 +18,22 @@ SweepPoint::label() const
 TraceKey
 traceKeyFor(const SweepPoint &point)
 {
-    switch (point.workload) {
-      case SweepPoint::Workload::Kernel:
-        return {false, point.name, point.kind,
-                TraceRepository::kernelImageBytes,
-                TraceRepository::defaultSeed};
-      case SweepPoint::Workload::App:
+    if (point.workload == SweepPoint::Workload::App)
         return {true, point.name, point.kind,
                 TraceRepository::appImageBytes, TraceRepository::defaultSeed};
-      case SweepPoint::Workload::Trace:
-        break;
-    }
-    panic("explicit-trace points have no repository key");
+    return {false, point.name, point.kind, TraceRepository::kernelImageBytes,
+            TraceRepository::defaultSeed};
 }
 
 std::vector<std::vector<u32>>
 groupPointsByTrace(const std::vector<SweepPoint> &points,
                    const std::vector<u32> &subset)
 {
-    // Kernel/app points resolve through the repository by (workload,
-    // name, kind) -- image size and seed are the repository defaults --
-    // while explicit-trace points are identified by the trace object
-    // itself.
-    using Key = std::tuple<u8, std::string, u8, const void *>;
-    std::map<Key, size_t> index;
+    std::map<TraceKey, size_t> index;
     std::vector<std::vector<u32>> groups;
     for (u32 i : subset) {
-        const SweepPoint &p = points[i];
-        Key key{static_cast<u8>(p.workload), p.name,
-                static_cast<u8>(p.kind),
-                static_cast<const void *>(p.trace.get())};
-        auto [it, fresh] = index.try_emplace(key, groups.size());
+        auto [it, fresh] =
+            index.try_emplace(traceKeyFor(points[i]), groups.size());
         if (fresh)
             groups.emplace_back();
         groups[it->second].push_back(i);

@@ -5,14 +5,15 @@
  *
  * Every figure in the paper is a sweep: the same few traces replayed on
  * a grid of machine configurations.  Grids are described by a StudySpec
- * (harness/study.*) and executed by the pluggable Serial/ThreadPool/
- * Process backends over one ExecutionPolicy (harness/executor.*).
+ * (harness/study.*) and executed by runPoints() on the serial, threads
+ * or processes backend of one ExecutionPolicy (harness/executor.*).
  *
- * What this header owns is the scheduling vocabulary shared by every
- * backend: points are grouped by the trace they replay
- * (groupPointsByTrace), and each group is one schedulable unit, replayed
- * in a single batched pass -- so all backends always shard the same
- * way.
+ * Every point replays a Table II kernel or one of the six applications,
+ * so its TraceKey (traceKeyFor) is the one identity of its trace.  What
+ * this header owns is the scheduling vocabulary shared by every
+ * backend: points are grouped by that key (groupPointsByTrace), and
+ * each group is one schedulable unit, replayed in a single batched pass
+ * by runSweepUnit -- so all backends always shard the same way.
  */
 
 #ifndef VMMX_HARNESS_SWEEP_HH
@@ -29,20 +30,18 @@
 namespace vmmx
 {
 
-/** One grid point: a trace source plus the machine that replays it. */
+/** One grid point: a workload plus the machine that replays it. */
 struct SweepPoint
 {
-    enum class Workload : u8 { Kernel, App, Trace };
+    enum class Workload : u8 { Kernel, App };
 
     Workload workload = Workload::Kernel;
-    /** Kernel or app name; a display label for explicit traces. */
+    /** Kernel or app name. */
     std::string name;
     SimdKind kind = SimdKind::MMX64;
     unsigned way = 2;
     /** Optional machine knob overrides (ablation studies). */
     Config overrides;
-    /** Pre-resolved trace (Workload::Trace only). */
-    SharedTrace trace;
 
     /** e.g. "idct/vmmx128/4-way", with any ablation overrides appended
      *  ("+core.robEntries=64") so knob-only variants stay tellable
@@ -50,9 +49,8 @@ struct SweepPoint
     std::string label() const;
 };
 
-/** Repository key of a kernel/app point (image size and seed are the
- *  repository defaults).  Asserts on Workload::Trace points, whose
- *  identity is the trace object itself. */
+/** Repository key of @p point's trace (image size and seed are the
+ *  repository defaults). */
 TraceKey traceKeyFor(const SweepPoint &point);
 
 /** Result of one grid point, in submission order. */
@@ -74,10 +72,9 @@ struct SweepResult
 
 /**
  * Indices of @p subset (submission indices into @p points) grouped by
- * the trace the points replay: kernel/app points group by (workload,
- * name, flavour); explicit-trace points group by the trace object.
- * Groups are ordered by first appearance and keep ascending indices, so
- * the grouping is deterministic for a given grid.  These groups are the
+ * the trace the points replay, i.e. by traceKeyFor().  Groups are
+ * ordered by first appearance and keep ascending indices, so the
+ * grouping is deterministic for a given grid.  These groups are the
  * units every backend schedules.
  */
 std::vector<std::vector<u32>>

@@ -313,7 +313,7 @@ BatchRun::feed(std::span<const InstRecord> records)
 {
     if (ctxs_.size() == 1) {
         // Single configuration: fuse decode and step so no block buffer
-        // is materialized (this is the runTrace / OoOCore::run path).
+        // is materialized (this is the runTrace path).
         SimContext &ctx = *ctxs_[0];
         for (const InstRecord &inst : records)
             ctx.step(decodeInst(inst));
@@ -356,15 +356,6 @@ BatchRun::finish()
 {
     if (batch_)
         batch_->finish();
-}
-
-void
-runBatch(const std::vector<InstRecord> &trace,
-         std::span<SimContext *const> ctxs)
-{
-    BatchRun run(ctxs);
-    run.feed(trace);
-    run.finish();
 }
 
 void

@@ -1,17 +1,33 @@
 /**
  * @file
- * Per-configuration simulation context and the batched trace-replay
- * entry point.
+ * The out-of-order superscalar timing model: the per-configuration
+ * SimContext and the BatchRun that steps a group of them through a
+ * trace.
  *
- * A SimContext owns every piece of mutable per-run state of the
- * out-of-order timing model -- the width gates, issue queue, functional-
- * unit pools, branch predictor, register free lists, ready tables, ROB
- * and store rings, and the statistics of the run in flight -- bound to
- * one CoreParams and one MemorySystem.  Pulling that state out of
- * OoOCore is what makes batched simulation possible: N contexts can be
- * stepped against the *same* dynamic instruction stream, so a sweep
- * over N machine configurations decodes and streams the trace once
- * instead of N times.
+ * The model replays a dynamic instruction trace through an
+ * R10000-style pipeline: width-limited in-order fetch/rename/commit,
+ * renaming against per-class physical register free lists, a windowed
+ * issue queue, out-of-order issue to functional-unit pools, a gshare
+ * branch predictor with a fixed redirect penalty, address-based
+ * store->load disambiguation, and the two-level memory system with the
+ * vector-cache path.  Vector (matrix) instructions occupy a vector unit
+ * for ceil(vl / lanesPerFu) cycles; in-register transposes occupy the
+ * lane exchange network for vl cycles.
+ *
+ * It is a single in-program-order pass that resolves each instruction's
+ * fetch/rename/issue/complete/commit cycles against the reservations
+ * made by older instructions -- equivalent to a cycle-driven model for
+ * this machine (no speculation past unresolved branches is modelled
+ * other than through the redirect penalty).
+ *
+ * A SimContext owns every piece of mutable per-run state of the model
+ * -- the width gates, issue queue, functional-unit pools, branch
+ * predictor, register free lists, ready tables, ROB and store rings,
+ * and the statistics of the run in flight -- bound to one CoreParams
+ * and one MemorySystem.  That is what makes batched simulation
+ * possible: N contexts can be stepped against the *same* dynamic
+ * instruction stream, so a sweep over N machine configurations decodes
+ * and streams the trace once instead of N times.
  *
  * The decode split: everything about an InstRecord that does not depend
  * on the machine configuration is resolved once into a DecodedInst
@@ -25,12 +41,11 @@
  * decodes each cache-resident block once, then every context steps
  * through it before the next block -- context-major over the oracle's
  * own step(), or record-major in the SoA kernel when the active host
- * SIMD path has one.  runBatch() is BatchRun over a whole trace, or
- * over an already-decoded DecodedStream (the repository's tier 2) in
- * the same blocks without the decode.  The per-context step order is
- * identical everywhere, so every shape is bit-identical to running
- * each context over the full trace alone, the guarantee the sweep and
- * dist layers assert.
+ * SIMD path has one.  runBatch() is BatchRun over an already-decoded
+ * DecodedStream (the repository's tier 2) in the same blocks without
+ * the decode.  The per-context step order is identical everywhere, so
+ * every shape is bit-identical to running each context over the full
+ * trace alone, the guarantee the sweep and dist layers assert.
  */
 
 #ifndef VMMX_SIM_SIM_CONTEXT_HH
@@ -145,14 +160,14 @@ class SimContext
 };
 
 /**
- * runBatch() over a trace that arrives in pieces, the consumer of every
- * trace stream: construct it over the contexts (which it resets), feed()
- * the records in order, then finish().  Each piece is decoded in
- * cache-resident blocks that every context steps through before the
- * next block is decoded -- a single context fuses decode and step; a
- * group steps context-major, or record-major in SoA form on the AVX2
- * and AVX-512 paths -- so the results are bit-identical to runBatch()
- * over the concatenated trace however it was split.
+ * The consumer of every trace stream: construct it over the contexts
+ * (which it resets), feed() the records in order, then finish().  Each
+ * piece is decoded in cache-resident blocks that every context steps
+ * through before the next block is decoded -- a single context fuses
+ * decode and step; a group steps context-major, or record-major in SoA
+ * form on the AVX2 and AVX-512 paths -- so the results are
+ * bit-identical to one feed() of the concatenated trace however it was
+ * split.
  */
 class BatchRun
 {
@@ -179,21 +194,12 @@ class BatchRun
 };
 
 /**
- * Replay @p trace once, stepping every context in @p ctxs against each
- * record: one decode, one pass over trace memory, N configurations'
- * worth of statistics.  Each context is reset() first; collect results
- * with SimContext::finish().  Bit-identical to running each context
- * over the trace alone.
- */
-void runBatch(const std::vector<InstRecord> &trace,
-              std::span<SimContext *const> ctxs);
-
-/**
  * Replay an already-decoded stream (e.g. the TraceRepository's tier 2)
  * through every context in @p ctxs: BatchRun::step() over the same
- * blocks the raw-trace overload decodes, without the decode.  Step
- * order per context is identical to that overload, so results are
- * bit-identical to it -- and to running each context alone.
+ * blocks BatchRun::feed() decodes, without the decode.  Each context is
+ * reset() first; collect results with SimContext::finish().  Step order
+ * per context is identical to feed(), so results are bit-identical to
+ * it -- and to running each context alone.
  */
 void runBatch(const DecodedStream &stream,
               std::span<SimContext *const> ctxs);

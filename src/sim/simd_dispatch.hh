@@ -81,7 +81,7 @@ u32 supportedMask();
 Path bestPath();
 
 /**
- * The path runBatch() uses for batched (>= 2 config) groups.  Resolved
+ * The path BatchRun uses for batched (>= 2 config) groups.  Resolved
  * once on first use: `VMMX_SIMD` if set (junk warns and falls back to
  * auto, per the env policy; a real path name that is unsupported or
  * not compiled in is fatal), otherwise bestPath().

@@ -212,12 +212,6 @@ TraceRepository::budgetFromEnv(const char *envVar)
     return env::byteSize(envVar);
 }
 
-void
-TraceRepository::attachStore(TraceStore *store)
-{
-    store_ = store;
-}
-
 // ---- lookups -------------------------------------------------------------
 
 std::shared_ptr<TraceRepository::Entry>

@@ -77,7 +77,7 @@ class TraceRepository
 
     /**
      * @param store optional persistent tier 0 (not owned; must outlive
-     *              the repository or be detached first).
+     *              the repository).
      * @param rawBudgetBytes tier-1 RAM budget; 0 = unlimited.
      * @param decodedBudgetBytes tier-2 RAM budget; 0 = unlimited.
      */
@@ -104,9 +104,6 @@ class TraceRepository
         return budgetFromEnv("VMMX_DECODED_CACHE_BUDGET");
     }
 
-    /** Attach (or with nullptr detach) the persistent tier.  Not
-     *  thread-safe against concurrent lookups; call before sweeping. */
-    void attachStore(TraceStore *store);
     TraceStore *store() const { return store_; }
 
     void setDecodedBudget(u64 bytes) { decodedBudget_.store(bytes); }
@@ -127,10 +124,6 @@ class TraceRepository
     {
       public:
         TraceHandle() = default;
-        /** Unmanaged handle around an externally owned trace: no pin,
-         *  no repository -- lets explicit traces flow through the same
-         *  consumer paths as repository-resident ones. */
-        explicit TraceHandle(SharedTrace t) : trace_(std::move(t)) {}
         TraceHandle(TraceHandle &&o) noexcept;
         TraceHandle &operator=(TraceHandle &&o) noexcept;
         TraceHandle(const TraceHandle &) = delete;

@@ -4,7 +4,8 @@
  * stalls, branch prediction effects, and vector lane occupancy;
  * hand-timed micro-traces (independent ops at width, a dependency
  * chain, a full issue queue, a full ROB, a mispredict redirect, VTRANSP
- * lane-exchange occupancy) with exact cycle counts; the issue-queue
+ * lane-exchange occupancy, an L1 hit, an L2 hit and a memory access)
+ * with exact cycle counts; the issue-queue
  * window against its linear-scan reference; and the rejection of core
  * overrides the model cannot run.
  */
@@ -449,6 +450,97 @@ TEST(Core, TransposeOccupancyHandTimed)
                 << simd::pathName(simd::Path(path)) << " N = " << c.n;
             EXPECT_TRUE(batch[1] == alone[1])
                 << simd::pathName(simd::Path(path)) << " N = " << c.n;
+        }
+        simd::setActivePathAuto();
+    }
+}
+
+// Hand-timed memory levels: a dependent chain of three 8-byte loads on
+// the 2-way MMX64 core over a zeroed image at a 128-byte-aligned base
+// (Table IV: a 3-cycle L1 of 32-byte lines, a 12-cycle L2 of 128-byte
+// lines that fills the L1 at 16 bytes per cycle, M = 500 cycles of
+// memory):
+//   0 li a, base       1 load r1, 0(a)
+//   2 add t, a, r1     3 load r2, 8(t)
+//   4 add u, t, r2     5 load r3, 32(u)
+// r1 and r2 read 0, so each add makes the next load wait for the one
+// before without moving its address.  Pair p is fetched at p and
+// renames at p + 3; an add holds an ALU for 1 cycle, a load issues as
+// soon as its address is ready, and every instruction commits the cycle
+// after it is done (no two in one cycle, nothing waits at rename).
+//  - li is done at 5.  Load 1 issues at 5 and misses both levels: the
+//    L1 probe takes 3 cycles, the L2 asked at 8 adds 12 and memory M,
+//    and the 32-byte L1 fill 32 / 16 = 2 more, so it is done at 22 + M
+//    and commits at 23 + M.  One load: 523 cycles, 123 at M = 100.
+//  - add t is done at 23 + M.  Load 2 reads the same 32-byte L1 line:
+//    a hit, done 3 cycles after it issues, at 26 + M, committed at
+//    27 + M.  Two loads: 527 and 127 cycles.
+//  - add u is done at 27 + M.  Load 3 reads the next L1 line, inside
+//    the 128-byte L2 line load 1 brought in: an L1 miss at 27 + M, an
+//    L2 hit asked at 30 + M and answered at 42 + M, and the fill ends at
+//    44 + M, committed at 45 + M.  Three loads: 545 and 145 cycles.
+// So one load counts an L1 and an L2 miss, the second adds an L1 hit,
+// and the third an L1 miss and an L2 hit.
+TEST(Core, MemoryLevelsHandTimed)
+{
+    MemImage mem(1 << 16);
+    Addr base = mem.alloc(256, 128);
+    Program p(mem, SimdKind::MMX64);
+    SReg a = p.sreg(), t = p.sreg(), u = p.sreg();
+    SReg r1 = p.sreg(), r2 = p.sreg(), r3 = p.sreg();
+    p.li(a, base);
+    EXPECT_EQ(p.load(r1, a, 0, 8), 0u);
+    p.add(t, a, r1);
+    EXPECT_EQ(p.load(r2, t, 8, 8), 0u);
+    p.add(u, t, r2);
+    p.load(r3, u, 32, 8);
+    ASSERT_EQ(p.trace().size(), 6u);
+
+    Config fast;
+    fast.set("mem.latency", s64(100));
+    std::vector<MachineConfig> machines = {
+        makeMachine(SimdKind::MMX64, 2),
+        makeMachine(SimdKind::MMX64, 2, fast)};
+    const struct
+    {
+        size_t records;
+        u64 slowCycles, fastCycles;
+        u64 l1Hits, l1Misses, l2Hits, l2Misses;
+    } cases[] = {{2, 523, 123, 0, 1, 0, 1},
+                 {4, 527, 127, 1, 1, 0, 1},
+                 {6, 545, 145, 1, 2, 1, 1}};
+
+    for (const auto &c : cases) {
+        std::vector<InstRecord> prefix(
+            p.trace().begin(), p.trace().begin() + std::ptrdiff_t(c.records));
+        std::vector<RunResult> alone;
+        for (const MachineConfig &m : machines)
+            alone.push_back(runTrace(m, prefix));
+        EXPECT_EQ(alone[0].core.cycles, c.slowCycles) << c.records;
+        EXPECT_EQ(alone[1].core.cycles, c.fastCycles) << c.records;
+        for (const RunResult &r : alone) {
+            EXPECT_EQ(r.core.instructions, c.records);
+            EXPECT_EQ(r.l1Hits, c.l1Hits) << c.records;
+            EXPECT_EQ(r.l1Misses, c.l1Misses) << c.records;
+            EXPECT_EQ(r.l2Hits, c.l2Hits) << c.records;
+            EXPECT_EQ(r.l2Misses, c.l2Misses) << c.records;
+            EXPECT_EQ(r.core.renameStallRegs, 0u);
+            EXPECT_EQ(r.core.renameStallIq, 0u);
+            EXPECT_EQ(r.core.renameStallRob, 0u);
+        }
+
+        // Every step path this host runs times the same loads.
+        u32 runnable = simd::compiledMask() & simd::supportedMask();
+        for (unsigned path = 0; path < simd::numPaths; ++path) {
+            if (!(runnable & (1u << path)))
+                continue;
+            ASSERT_EQ(simd::setActivePath(simd::Path(path)), "");
+            auto batch = runTraceBatch(machines, prefix);
+            ASSERT_EQ(batch.size(), 2u);
+            EXPECT_TRUE(batch[0] == alone[0])
+                << simd::pathName(simd::Path(path)) << " " << c.records;
+            EXPECT_TRUE(batch[1] == alone[1])
+                << simd::pathName(simd::Path(path)) << " " << c.records;
         }
         simd::setActivePathAuto();
     }

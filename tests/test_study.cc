@@ -1,7 +1,7 @@
 /**
  * @file
  * Study-API tests: the spec-file text format must round-trip exactly
- * (parse -> format -> parse is the identity), the three Executor
+ * (parse -> format -> parse is the identity), the three runPoints()
  * backends must produce bit-identical SweepResult vectors on a
  * randomized grid (the seam the future TCP backend plugs into) -- each
  * streaming its traces, keeping none of them, and matching the
@@ -202,6 +202,16 @@ TEST_F(StudyTest, SpecFileParseErrors)
     EXPECT_FALSE(parseStudySpec("[grid]\nways = ,\n", spec, err));
     EXPECT_NE(err.find("'ways'"), std::string::npos) << err;
     EXPECT_FALSE(parseStudySpec("no equals sign here\n", spec, err));
+    // A double has 17 significant digits: more places only pad a cell
+    // past the table's cell buffer, and a count past INT_MAX would wrap
+    // negative in the int the report keeps.
+    EXPECT_TRUE(parseStudySpec("[report]\nprecision = 17\n", spec, err))
+        << err;
+    for (const char *text : {"[report]\nprecision = 18\n",
+                             "[report]\nprecision = 3000000000\n"}) {
+        EXPECT_FALSE(parseStudySpec(text, spec, err)) << text;
+        EXPECT_NE(err.find("0 to 17"), std::string::npos) << err;
+    }
 
     // The decoded tier's knobs are gone; a spec still setting them is
     // told why instead of being silently accepted.
@@ -386,19 +396,16 @@ TEST_F(StudyTest, BackendsBitIdenticalOnRandomizedGrid)
         auto points = study.points();
         ASSERT_GE(points.size(), 8u);
 
-        auto serial =
-            executorFor(ExecutionPolicy::Backend::Serial)
-                .run(points, spec.exec);
-        auto threads =
-            executorFor(ExecutionPolicy::Backend::ThreadPool)
-                .run(points, spec.exec);
+        ExecutionPolicy policy = spec.exec;
+        policy.backend = ExecutionPolicy::Backend::Serial;
+        auto serial = runPoints(points, policy);
+        policy.backend = ExecutionPolicy::Backend::ThreadPool;
+        auto threads = runPoints(points, policy);
         // The Process backend forks workers with private repositories
         // sharing traces through the on-disk store.
-        ExecutionPolicy procPolicy = spec.exec;
-        procPolicy.processes = 2;
-        auto processes =
-            executorFor(ExecutionPolicy::Backend::Process)
-                .run(points, procPolicy);
+        policy.backend = ExecutionPolicy::Backend::Process;
+        policy.processes = 2;
+        auto processes = runPoints(points, policy);
 
         ASSERT_EQ(serial.size(), points.size());
         ASSERT_EQ(threads.size(), points.size());
@@ -419,13 +426,10 @@ TEST_F(StudyTest, BackendsBitIdenticalOnRandomizedGrid)
 // backend, read from or written through to the store for workers), keeps
 // none of them, and must match the materialize-then-replay oracle point
 // for point -- with several points per trace (ways 2,4) and with one
-// (ways 8, where every group is a group of one), explicit-trace points
-// included.
+// (ways 8, where every group is a group of one).
 TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
 {
     std::mt19937 rng(0x57ea);
-    SharedTrace explicitTrace =
-        repo.kernel("comp", SimdKind::VMMX64).shared();
     for (const std::vector<unsigned> &ways :
          {std::vector<unsigned>{2, 4}, std::vector<unsigned>{8}}) {
         StudySpec spec = randomizedSpec(rng);
@@ -434,15 +438,6 @@ TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
             spec.overrideSets.resize(1); // one point per trace
         Study study(spec);
         std::vector<SweepPoint> points = study.points();
-        for (unsigned way : ways) {
-            SweepPoint p;
-            p.workload = SweepPoint::Workload::Trace;
-            p.name = "explicit";
-            p.kind = SimdKind::VMMX64;
-            p.way = way;
-            p.trace = explicitTrace;
-            points.push_back(p);
-        }
         const std::string shape =
             ways.size() == 1 ? " (one point per trace)" : " (groups)";
         if (ways.size() == 1) {
@@ -468,7 +463,8 @@ TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
             policy.processes = 2;
             policy.storeDir = storeDir() + "-" + std::to_string(ways.size());
             policy.distStats = &ds;
-            auto got = executorFor(backend).run(points, policy);
+            policy.backend = backend;
+            auto got = runPoints(points, policy);
             ASSERT_EQ(got.size(), expect.size());
             for (size_t i = 0; i < expect.size(); ++i)
                 EXPECT_TRUE(got[i].sameRun(expect[i]))

@@ -30,8 +30,7 @@ SweepPoint
 kernelPoint(const std::string &name, SimdKind kind, unsigned way,
             const Config &overrides = {})
 {
-    return {SweepPoint::Workload::Kernel, name, kind, way, overrides,
-            nullptr};
+    return {SweepPoint::Workload::Kernel, name, kind, way, overrides};
 }
 
 /** The (kernel x flavour x width) cross product, kernel-major. */
@@ -155,7 +154,7 @@ TEST_F(EngineTest, ParallelSweepBitIdenticalToSerial)
                              {SimdKind::MMX64, SimdKind::VMMX128}, {2, 4});
     points.push_back(kernelPoint("motion1", SimdKind::MMX128, 8));
     points.push_back(
-        {SweepPoint::Workload::App, "gsmenc", SimdKind::VMMX64, 4, {}, {}});
+        {SweepPoint::Workload::App, "gsmenc", SimdKind::VMMX64, 4, {}});
     ASSERT_GE(points.size(), 8u);
 
     auto a = runReference(points, policy);
@@ -238,22 +237,6 @@ TEST_F(EngineTest, LabelIncludesAblationOverrides)
     // Multiple overrides all appear (sorted by key).
     EXPECT_EQ(pts[1].label(),
               "idct/vmmx128/4-way+core.robEntries=128+mem.l2Latency=9");
-}
-
-TEST_F(EngineTest, ExplicitTracePointsRun)
-{
-    auto trace = repo.kernel("addblock", SimdKind::MMX64);
-    std::vector<SweepPoint> points;
-    for (unsigned way : {2u, 4u, 8u})
-        points.push_back({SweepPoint::Workload::Trace, "trace",
-                          SimdKind::MMX64, way, {}, trace.shared()});
-    ExecutionPolicy policy;
-    policy.repo = &repo;
-    auto results = runPoints(points, policy);
-    ASSERT_EQ(results.size(), 3u);
-    // Wider machines are not slower on the same trace.
-    EXPECT_GE(results[0].cycles(), results[1].cycles());
-    EXPECT_GE(results[1].cycles(), results[2].cycles());
 }
 
 TEST_F(EngineTest, ResultsMatchDirectRunTrace)

@@ -117,19 +117,6 @@ TEST_F(TelemetryTest, RegistryCountersGaugesAndSortedDump)
     EXPECT_GT(std::stoull(text.substr(rss + 16)), 0u);
 }
 
-TEST_F(TelemetryTest, SnapshotDeltaClampsAtZero)
-{
-    telemetry::MetricsSnapshot before, after;
-    before.values = {{"up", 3}, {"down", 10}, {"gone", 5}};
-    after.values = {{"up", 8}, {"down", 4}, {"new", 2}};
-    auto d = telemetry::Registry::delta(before, after);
-    EXPECT_EQ(d.values.at("up"), 5u);
-    EXPECT_EQ(d.values.at("down"), 0u) << "underflow clamps, not wraps";
-    EXPECT_EQ(d.values.at("new"), 2u);
-    // Keys absent from `after` don't resurface in the delta.
-    EXPECT_EQ(d.values.count("gone"), 0u);
-}
-
 TEST_F(TelemetryTest, DumpJsonNestsByDottedPrefixWithUnits)
 {
     auto &reg = telemetry::Registry::instance();
@@ -203,7 +190,7 @@ TEST_F(TelemetryTest, OneUnitThreadsStudyEndsInDoneEvent)
     std::vector<SweepPoint> points;
     for (unsigned way : {2u, 4u, 8u})
         points.push_back({SweepPoint::Workload::Kernel, "motion1",
-                          SimdKind::MMX64, way, {}, nullptr});
+                          SimdKind::MMX64, way, {}});
     ExecutionPolicy policy;
     policy.backend = ExecutionPolicy::Backend::ThreadPool;
     policy.threads = 4;

@@ -189,7 +189,7 @@ main(int argc, char **argv)
                   << points.size() << " grid points in "
                   << groupPointsByTrace(points).size()
                   << " trace groups via the "
-                  << executorFor(spec.exec.backend).name()
+                  << name(spec.exec.backend)
                   << " backend\n\n";
     }
 
