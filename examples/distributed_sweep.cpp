@@ -1,10 +1,10 @@
 /**
  * @file
- * Distributed sweep example: shard a figure-style grid across worker
+ * Distributed sweep example: run a figure-style grid on worker
  * processes by naming the processes backend in an ExecutionPolicy,
  * backed by the persistent on-disk TraceStore.
  *
- * Dispatch is group based: the driver shards the grid by *trace group*
+ * Dispatch is group based: the driver splits the grid by *trace group*
  * (the points that replay one trace -- here, the two widths of each
  * (kernel, flavour) pair), each group crosses the wire as one unit, and
  * the worker runs it as a single batched pass that streams the trace

@@ -10,7 +10,7 @@
  * ROB ablation expressed as override sets (the specs/rob_ablation.study
  * shape, built in code here).  Both run through the pluggable executor
  * backends -- flip `backend` to Backend::Process and the same spec
- * shards across worker processes, bit-identically.  The printed spec
+ * runs on worker processes, bit-identically.  The printed spec
  * text round-trips through Study::fromSpecText, so either study can be
  * saved to a file and rerun with tools/vmmx_study.
  */

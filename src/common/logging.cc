@@ -3,12 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <ctime>
-
-#include <unistd.h>
-
-#include "common/env.hh"
-#include "common/types.hh"
 
 namespace vmmx
 {
@@ -19,49 +13,10 @@ namespace
  *  against warn()/inform() without UB. */
 std::atomic<bool> quietFlag{false};
 
-std::atomic<int> logWorkerId{-1};
-
-u64
-monotonicNs()
-{
-    timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return u64(ts.tv_sec) * 1000000000ull + u64(ts.tv_nsec);
-}
-
-/** $VMMX_LOG_PREFIX goes through env::str() (which never warns, so no
- *  recursion through this file) rather than env::flag() (which does):
- *  any nonempty value other than "0" turns the prefix on. */
-bool
-prefixEnabled()
-{
-    static const bool on = [] {
-        std::string v = env::str("VMMX_LOG_PREFIX");
-        return !v.empty() && v != "0";
-    }();
-    return on;
-}
-
 void
 vreport(const char *tag, const char *fmt, va_list ap)
 {
-    if (prefixEnabled()) {
-        static const u64 t0 = monotonicNs();
-        u64 ms = (monotonicNs() - t0) / 1000000ull;
-        u64 us = ((monotonicNs() - t0) / 1000ull) % 1000ull;
-        int worker = logWorkerId.load(std::memory_order_relaxed);
-        if (worker >= 0) {
-            std::fprintf(stderr, "%s: [%d/worker%d +%llu.%03llu] ", tag,
-                         int(getpid()), worker, static_cast<unsigned long long>(ms),
-                         static_cast<unsigned long long>(us));
-        } else {
-            std::fprintf(stderr, "%s: [%d +%llu.%03llu] ", tag,
-                         int(getpid()), static_cast<unsigned long long>(ms),
-                         static_cast<unsigned long long>(us));
-        }
-    } else {
-        std::fprintf(stderr, "%s: ", tag);
-    }
+    std::fprintf(stderr, "%s: ", tag);
     std::vfprintf(stderr, fmt, ap);
     std::fprintf(stderr, "\n");
 }
@@ -71,12 +26,6 @@ void
 setQuiet(bool quiet)
 {
     quietFlag.store(quiet, std::memory_order_relaxed);
-}
-
-void
-setLogWorkerId(int workerId)
-{
-    logWorkerId.store(workerId, std::memory_order_relaxed);
 }
 
 bool

@@ -36,14 +36,6 @@ void setQuiet(bool quiet);
 bool quiet();
 
 /**
- * Tag this process's log lines with a worker ordinal (-1 = none).  When
- * $VMMX_LOG_PREFIX is set, every warn()/inform()/fatal()/panic() line
- * carries a "[pid/workerN +ms.mmm]" prefix (monotonic ms since process
- * start) so interleaved multi-process output is attributable.
- */
-void setLogWorkerId(int workerId);
-
-/**
  * Assert a simulator invariant.  Unlike assert(3) this is active in all
  * build types: invariants of the timing model must never be compiled out.
  * The stringified condition and message are passed as %s arguments, not

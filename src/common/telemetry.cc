@@ -9,15 +9,12 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
-#include "common/env.hh"
-
 namespace vmmx::telemetry
 {
 
 namespace detail
 {
-/** $VMMX_TELEMETRY seeds the flag before main(); tools override it. */
-std::atomic<bool> gEnabled{env::flag("VMMX_TELEMETRY", false)};
+std::atomic<bool> gEnabled{false};
 } // namespace detail
 
 namespace
@@ -34,9 +31,7 @@ threadOrdinal()
     return tid;
 }
 
-std::atomic<ProgressMode> gProgressMode{
-    env::flag("VMMX_PROGRESS", false) ? ProgressMode::Stderr
-                                      : ProgressMode::Off};
+std::atomic<ProgressMode> gProgressMode{ProgressMode::Off};
 std::FILE *gProgressStream = nullptr; // null = stderr
 
 } // namespace

@@ -53,10 +53,10 @@ namespace detail
 extern std::atomic<bool> gEnabled;
 }
 
-/** The disabled-mode fast path: one relaxed load and a branch.  The
- *  initial value comes from $VMMX_TELEMETRY; tools with --trace-events/
- *  --metrics-json flip it via setEnabled(), and distributed drivers
- *  forward it to workers in the Setup frame. */
+/** The disabled-mode fast path: one relaxed load and a branch.  Off
+ *  until a tool with --trace-events/--metrics-json flips it via
+ *  setEnabled(); distributed drivers forward it to workers in the
+ *  Setup frame. */
 inline bool
 enabled()
 {
@@ -154,13 +154,13 @@ class Span
     SpanRecord rec_;
 };
 
-#define VMMX_TELEMETRY_CAT2(a, b) a##b
-#define VMMX_TELEMETRY_CAT(a, b) VMMX_TELEMETRY_CAT2(a, b)
+#define VMMX_SPAN_CAT2(a, b) a##b
+#define VMMX_SPAN_CAT(a, b) VMMX_SPAN_CAT2(a, b)
 /** TELEMETRY_SPAN("decode", detailString) -- a scoped timer covering
  *  the rest of the enclosing block. */
 #define TELEMETRY_SPAN(...)                                               \
-    ::vmmx::telemetry::Span VMMX_TELEMETRY_CAT(telemetrySpan_,            \
-                                               __LINE__)(__VA_ARGS__)
+    ::vmmx::telemetry::Span VMMX_SPAN_CAT(telemetrySpan_, __LINE__)(      \
+        __VA_ARGS__)
 
 // ---- metrics registry ----------------------------------------------------
 

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iomanip>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -36,10 +37,6 @@ namespace
 
 constexpr u32 journalMagic = 0x4c4a4d56; // "VMJL" little-endian
 constexpr u32 journalVersion = 1;
-/** Work units (trace groups) kept in flight per worker: one running,
- *  one queued behind it so the worker never idles waiting on the
- *  driver's scheduling latency. */
-constexpr unsigned pipelineDepth = 2;
 /** Respawn backoff: base << (respawnsUsed - 1), capped.  Bounded so a
  *  worker that dies instantly on spawn cannot busy-loop the driver, and
  *  short enough that a transient failure costs milliseconds. */
@@ -55,19 +52,19 @@ nowMs()
     return u64(ts.tv_sec) * 1000 + u64(ts.tv_nsec) / 1000000;
 }
 
-/** One dispatched-but-unanswered unit on a worker. */
+/** The unit a worker is running: dispatched, not yet fully answered. */
 struct Inflight
 {
     u32 unit = 0;    ///< unit id
     u32 expect = 0;  ///< result frames still expected
-    u64 started = 0; ///< when this entry reached the running (front) slot
+    u64 started = 0; ///< dispatch time (the unit deadline runs from here)
 };
 
 /**
- * One worker *slot*.  The slot -- its shard and its respawn budget --
- * outlives the processes that serve it: when a spawn dies the slot is
- * respawned (fresh pid/fd/spawnId) after a backoff, until maxRespawns
- * is spent and the slot is abandoned.
+ * One worker *slot*.  A slot and its respawn budget outlive the
+ * processes that serve it: when a spawn dies the slot is respawned
+ * (fresh pid/fd/spawnId) after a backoff, until maxRespawns is spent
+ * and the slot is abandoned.
  */
 struct WorkerProc
 {
@@ -75,11 +72,9 @@ struct WorkerProc
     int fd = -1;
     unsigned slot = 0; ///< stable slot index (WorkerExit::slot)
     u32 spawnId = 0;   ///< spawn ordinal (the faultSpec "workerN" id)
-    std::deque<u32> shard; ///< remaining unit ids, front first
-    /** Units sent but not fully answered, in send order.  Workers run
-     *  units serially and answer a unit's points in order, so the
-     *  front entry is always the one being drained. */
-    std::deque<Inflight> inflight;
+    /** A worker runs one unit at a time and is sent the next only when
+     *  it has answered every point of this one. */
+    std::optional<Inflight> inflight;
     bool doneSent = false;
     bool statsSeen = false;
     unsigned respawnsUsed = 0;
@@ -89,14 +84,6 @@ struct WorkerProc
                         ///< predecessor (telemetry backoff span)
 
     bool live() const { return fd >= 0; }
-
-    u32 outstandingResults() const
-    {
-        u32 n = 0;
-        for (const Inflight &f : inflight)
-            n += f.expect;
-        return n;
-    }
 };
 
 // ---- journal ------------------------------------------------------------
@@ -319,13 +306,8 @@ spawnWorker(const ExecutionPolicy &policy, const std::vector<int> &closeFds)
         if (policy.execPath.empty()) {
             ::_exit(workerServe(sv[1]));
         } else {
-            std::vector<std::string> args;
-            args.push_back(policy.execPath);
-            args.insert(args.end(), policy.execArgs.begin(),
-                        policy.execArgs.end());
-            args.push_back("--worker");
-            args.push_back("--fd");
-            args.push_back(std::to_string(sv[1]));
+            std::vector<std::string> args = {policy.execPath, "--worker",
+                                             "--fd", std::to_string(sv[1])};
             std::vector<char *> argv;
             for (auto &a : args)
                 argv.push_back(a.data());
@@ -338,35 +320,6 @@ spawnWorker(const ExecutionPolicy &policy, const std::vector<int> &closeFds)
     return {pid, sv[0]};
 }
 
-/**
- * Next unit for @p self: its own shard front, else steal from the tail
- * of the fullest other shard (the tail is the work the victim would get
- * to last, so stealing it minimizes contention on hot cache entries).
- * Dead slots' shards -- including units reclaimed onto them -- are
- * valid steal victims.
- */
-bool
-nextUnitFor(std::vector<WorkerProc> &workers, WorkerProc &self, u32 &unit,
-            u64 &steals)
-{
-    if (!self.shard.empty()) {
-        unit = self.shard.front();
-        self.shard.pop_front();
-        return true;
-    }
-    WorkerProc *victim = nullptr;
-    for (auto &w : workers)
-        if (!w.shard.empty() &&
-            (!victim || w.shard.size() > victim->shard.size()))
-            victim = &w;
-    if (!victim)
-        return false;
-    unit = victim->shard.back();
-    victim->shard.pop_back();
-    ++steals;
-    return true;
-}
-
 } // namespace
 
 std::string
@@ -375,8 +328,7 @@ DistStats::summary() const
     std::ostringstream os;
     os << std::fixed << std::setprecision(1);
     os << "dist: " << workers << " workers, " << jobsRun << " jobs run in "
-       << groupsRun << " units, " << jobsResumed << " resumed from journal, "
-       << steals << " stolen; "
+       << groupsRun << " units, " << jobsResumed << " resumed from journal; "
        << "worker repositories: " << generations << " generations, " << hits
        << " raw hits, " << diskLoads << " disk loads, " << storeSaves
        << " store saves, " << decodes << " decodes, " << decodedHits
@@ -409,7 +361,6 @@ publishMetrics(const DistStats &st)
     reg.setGauge("dist.jobsRun", st.jobsRun);
     reg.setGauge("dist.jobsResumed", st.jobsResumed);
     reg.setGauge("dist.groupsRun", st.groupsRun);
-    reg.setGauge("dist.steals", st.steals);
     reg.setGauge("dist.respawns", st.respawns);
     reg.setGauge("dist.reassignedUnits", st.reassignedUnits);
     reg.setGauge("dist.retries", st.retries);
@@ -546,7 +497,7 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
     ignore.sa_handler = SIG_IGN;
     sigaction(SIGPIPE, &ignore, &oldPipe);
 
-    // ---- slots and shards -----------------------------------------------
+    // ---- slots and the unit queue ---------------------------------------
     const unsigned n = unsigned(
         std::min<size_t>(policy.processes, units.size()));
     st.workers = n;
@@ -561,14 +512,10 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
     std::vector<WorkerProc> workers(n);
     for (unsigned w = 0; w < n; ++w)
         workers[w].slot = w;
-    // Contiguous shards of units keep each worker's trace working set
-    // small (grid builders emit points for one workload consecutively,
-    // so neighbouring groups share store/cache locality).
-    for (unsigned w = 0; w < n; ++w) {
-        size_t lo = units.size() * w / n, hi = units.size() * (w + 1) / n;
-        for (size_t u = lo; u < hi; ++u)
-            workers[w].shard.push_back(u32(u));
-    }
+    // Unit ids in submission order; an idle worker takes the head.
+    std::deque<u32> queue(units.size());
+    for (u32 u = 0; u < units.size(); ++u)
+        queue[u] = u;
 
     // ---- supervision machinery ------------------------------------------
 
@@ -587,33 +534,28 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
         warn("unit %u quarantined after killing %u workers", u, maxAttempts);
     };
 
-    /** Reclaim a dead worker's in-flight units back onto its slot's
-     *  shard (front, preserving order), charging an attempt only to the
-     *  unit that was actually executing -- the queued ones were
-     *  bystanders. */
+    /** Charge a dead worker's unit an attempt and requeue it at the
+     *  back -- behind the units nobody has tried, so a fleet-wide
+     *  failure spreads its deaths over many units instead of
+     *  quarantining the first -- or quarantine it once it has killed
+     *  maxUnitAttempts workers. */
     auto reclaim = [&](WorkerProc &w) {
-        std::vector<u32> back;
-        bool front = true;
-        while (!w.inflight.empty()) {
-            u32 u = w.inflight.front().unit;
-            w.inflight.pop_front();
-            if (front) {
-                front = false;
-                if (++attempts[u] >= maxAttempts) {
-                    quarantineUnit(u);
-                    continue;
-                }
-                ++st.retries;
-            }
-            ++st.reassignedUnits;
-            back.push_back(u);
+        if (!w.inflight)
+            return;
+        u32 u = w.inflight->unit;
+        w.inflight.reset();
+        if (++attempts[u] >= maxAttempts) {
+            quarantineUnit(u);
+            return;
         }
-        w.shard.insert(w.shard.begin(), back.begin(), back.end());
+        ++st.retries;
+        ++st.reassignedUnits;
+        queue.push_back(u);
     };
 
     /**
      * A spawn is gone (EOF, malformed frame, deadline...): reap it,
-     * record its fate, reclaim its units, and schedule a backed-off
+     * record its fate, reclaim its unit, and schedule a backed-off
      * respawn of the slot if the budget allows.  @p killFirst for
      * causes where the process may still be running (hung, babbling a
      * corrupt stream) and must be stopped before the blocking waitpid.
@@ -681,38 +623,35 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
             return true;
         if (!wire::writeFrame(w.fd, encode(group)))
             return false;
-        w.inflight.push_back({unit, u32(group.indices.size()), nowMs()});
+        w.inflight = Inflight{unit, u32(group.indices.size()), nowMs()};
         ++st.groupsRun;
         return true;
     };
 
-    /** Top the worker's pipeline up to depth, or complete its Done
-     *  handshake when no work is left anywhere.  @return false on a
-     *  write failure. */
-    auto refill = [&](WorkerProc &w) -> bool {
-        while (w.live() && !w.doneSent &&
-               w.inflight.size() < pipelineDepth) {
-            u32 unit;
-            if (nextUnitFor(workers, w, unit, st.steals)) {
-                if (!sendUnit(w, unit)) {
-                    // Not sent, not in flight: back onto the shard so
-                    // the unit survives this worker's death.
-                    w.shard.push_front(unit);
-                    return false;
-                }
-            } else if (w.inflight.empty()) {
+    /** Hand an idle worker the head of the queue, or complete its Done
+     *  handshake when the queue is empty.  @return false on a write
+     *  failure. */
+    auto dispatch = [&](WorkerProc &w) -> bool {
+        while (w.live() && !w.doneSent && !w.inflight) {
+            if (queue.empty()) {
                 if (!wire::writeFrame(w.fd, encodeDone()))
                     return false;
                 w.doneSent = true;
-            } else {
-                break; // pipeline part-full and no more units to queue
+                break;
+            }
+            u32 unit = queue.front();
+            queue.pop_front();
+            if (!sendUnit(w, unit)) {
+                // Never reached the worker: no attempt to charge.
+                queue.push_front(unit);
+                return false;
             }
         }
         return true;
     };
 
-    /** Spawn a process into slot @p w and hand it its setup + first
-     *  units; a failure right here re-enters the death path. */
+    /** Spawn a process into slot @p w and hand it its setup and first
+     *  unit; a failure right here re-enters the death path. */
     auto startWorker = [&](WorkerProc &w) {
         std::vector<int> closeFds;
         for (const auto &other : workers)
@@ -726,10 +665,10 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
         w.spawnId = nextSpawnId++;
         w.doneSent = false;
         w.statsSeen = false;
-        w.inflight.clear();
+        w.inflight.reset();
         SetupMsg s = setup;
         s.workerId = w.spawnId;
-        if (!wire::writeFrame(w.fd, encode(s)) || !refill(w))
+        if (!wire::writeFrame(w.fd, encode(s)) || !dispatch(w))
             workerDied(w, WorkerExit::Cause::Lost, "failed during setup",
                        false);
     };
@@ -807,8 +746,7 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
                 }
             }
         }
-        for (auto &w : workers)
-            w.shard.clear();
+        queue.clear();
     };
 
     // ---- spawn ----------------------------------------------------------
@@ -832,7 +770,7 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
             if (!s.empty())
                 s += ' ';
             s += 'w' + std::to_string(w.slot) + ':' +
-                 (w.live() ? std::to_string(w.inflight.size()) : "dead");
+                 (w.live() ? (w.inflight ? "1" : "0") : "dead");
         }
         return s;
     };
@@ -843,11 +781,10 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
         if (policy.unitTimeoutMs > 0) {
             u64 now = nowMs();
             for (auto &w : workers)
-                if (w.live() && !w.inflight.empty() &&
-                    now - w.inflight.front().started >= policy.unitTimeoutMs)
+                if (w.live() && w.inflight &&
+                    now - w.inflight->started >= policy.unitTimeoutMs)
                     workerDied(w, WorkerExit::Cause::Hung,
-                               "unit " +
-                                   std::to_string(w.inflight.front().unit) +
+                               "unit " + std::to_string(w.inflight->unit) +
                                    " blew the " +
                                    std::to_string(policy.unitTimeoutMs) +
                                    "ms deadline",
@@ -874,8 +811,8 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
             if (!w.live() || w.statsSeen)
                 continue;
             pfds.push_back({w.fd, POLLIN, 0});
-            if (policy.unitTimeoutMs > 0 && !w.inflight.empty())
-                wakeAt(w.inflight.front().started + policy.unitTimeoutMs);
+            if (policy.unitTimeoutMs > 0 && w.inflight)
+                wakeAt(w.inflight->started + policy.unitTimeoutMs);
         }
         if (pfds.empty()) {
             if (timeout < 0)
@@ -903,7 +840,9 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
             if (!wire::readFrame(w->fd, frame)) {
                 workerDied(*w, WorkerExit::Cause::Lost,
                            "connection lost with " +
-                               std::to_string(w->outstandingResults()) +
+                               std::to_string(w->inflight
+                                                  ? w->inflight->expect
+                                                  : 0) +
                                " results outstanding",
                            false);
                 continue;
@@ -912,8 +851,7 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
               case Msg::Result: {
                 ResultMsg m;
                 if (!decode(frame, m) || m.index >= results.size() ||
-                    have[m.index] || failed[m.index] ||
-                    w->inflight.empty()) {
+                    have[m.index] || failed[m.index] || !w->inflight) {
                     workerDied(*w, WorkerExit::Cause::Malformed,
                                "malformed or protocol-violating result",
                                true);
@@ -926,16 +864,11 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
                 ++st.jobsRun;
                 if (journal.ok())
                     journal.append(frame); // same bytes as encode(m)
-                // Units complete in send order; when the front unit has
-                // answered all of its points, the next queued unit
-                // starts executing -- its deadline clock starts now.
-                if (--w->inflight.front().expect == 0) {
-                    w->inflight.pop_front();
-                    if (!w->inflight.empty())
-                        w->inflight.front().started = nowMs();
-                    if (!refill(*w))
+                if (--w->inflight->expect == 0) {
+                    w->inflight.reset();
+                    if (!dispatch(*w))
                         workerDied(*w, WorkerExit::Cause::Lost,
-                                   "write failed during refill", false);
+                                   "write failed during dispatch", false);
                 }
                 progress.update(points.size() - remaining,
                                 inflightExtra());

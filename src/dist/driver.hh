@@ -2,8 +2,8 @@
  * @file
  * Driver side of the distributed sweep subsystem.
  *
- * runSweep() shards a grid of SweepPoints across N worker processes as
- * an ExecutionPolicy (harness/executor.hh) describes -- it is the
+ * runSweep() runs a grid of SweepPoints on N worker processes as an
+ * ExecutionPolicy (harness/executor.hh) describes -- it is the
  * processes case of runPoints().  Workers are spawned from this process
  * (fork, or fork+exec of ExecutionPolicy::execPath for binaries that
  * install the self-exec hook) and speak the length-prefixed frame
@@ -11,21 +11,22 @@
  * is a *trace group* -- the points that replay one trace, which a
  * worker executes as a single batched pass (runSweepUnit) so the trace
  * is streamed once per group even across process boundaries, and no
- * worker keeps a trace in RAM.  Each worker starts with a contiguous
- * shard of the units; a worker that drains its own shard
- * steals units from the tail of the largest remaining shard, so
- * stragglers (one worker stuck on mpeg2enc) cannot serialize the sweep.
+ * worker keeps a trace in RAM.  Units are scheduled as the thread pool
+ * schedules them: one queue of unit ids in submission order, and an
+ * idle worker takes its head.  A worker runs one unit at a time and is
+ * sent the next only when it has answered every point of the last, so
+ * a straggler (one worker stuck on mpeg2enc) holds up nothing but its
+ * own unit.
  *
  * The driver is a *supervisor*: a worker that dies (EOF, signal,
  * nonzero exit), sends a malformed or Error frame, or blows the
- * per-unit deadline (ExecutionPolicy::unitTimeoutMs) does not kill the
- * run.  Its in-flight units are reclaimed -- only the still-missing
- * points of each -- and its slot is respawned with bounded exponential
- * backoff, up to ExecutionPolicy::maxRespawns times.  The attempt count
- * of the unit
- * that was *executing* at death is charged; a unit that has killed
- * maxUnitAttempts workers is quarantined (its remaining points reported
- * failed, never retried).  When the whole fleet is gone and respawn
+ * per-unit deadline (ExecutionPolicy::unitTimeoutMs, which runs from
+ * the unit's dispatch) does not kill the run.  Its unit is charged an
+ * attempt and requeued at the back of the queue -- only its
+ * still-missing points are re-sent -- and its slot is respawned with
+ * bounded exponential backoff, up to ExecutionPolicy::maxRespawns
+ * times.  A unit that has killed maxUnitAttempts workers is quarantined
+ * (its remaining points reported failed, never retried).  When the whole fleet is gone and respawn
  * budgets are spent, the driver degrades gracefully: the remaining
  * units run in-driver through the serial unit runner.  Every recovery
  * path is reported in DistStats, and all of them are deterministically
@@ -101,11 +102,13 @@ struct DistStats
     u64 jobsRun = 0;     ///< grid points executed by workers
     u64 jobsResumed = 0; ///< grid points restored from the journal
     u64 groupsRun = 0;   ///< work units dispatched (trace groups)
-    u64 steals = 0;      ///< units migrated off another worker's shard
+    /** Always 0: one shared queue leaves nothing to steal.  Kept only
+     *  because perfbench/vmmx_perf.cc still reports it. */
+    u64 steals = 0;
     unsigned workers = 0;
     // Supervision and fault recovery (zero on an undisturbed run).
     u64 respawns = 0;        ///< worker processes respawned after a death
-    u64 reassignedUnits = 0; ///< in-flight units reclaimed from dead workers
+    u64 reassignedUnits = 0; ///< units requeued after their worker died
     u64 retries = 0;         ///< charged units re-dispatched for another try
     u64 quarantinedUnits = 0; ///< units abandoned after maxUnitAttempts
     /** Grid indices whose results were abandoned by quarantine; the

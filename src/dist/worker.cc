@@ -22,7 +22,7 @@ namespace
  * only testable if workers can be made to fail on cue).  The plan
  * arrives in the Setup frame; every directive is keyed on stable
  * counters -- units received, units answered, result frames sent -- so
- * a given (spec, shard) always fails at exactly the same place.
+ * a given (spec, spawn) always fails at exactly the same place.
  */
 struct FaultState
 {
@@ -131,7 +131,6 @@ workerServe(int fd)
         return 1;
     }
     setQuiet(setup.quiet);
-    setLogWorkerId(int(setup.workerId));
     telemetry::setEnabled(setup.telemetry);
     FaultState fault(setup);
 

@@ -6,9 +6,9 @@
  *   serial     the calling thread, unit by unit (the reference
  *              ordering every backend must match)
  *   threads    an in-process pool pulling units off a shared counter
- *   processes  sharded worker processes over the src/dist/ frame
- *              protocol, traces shared through the on-disk TraceStore
- *              (dist::runSweep)
+ *   processes  worker processes handed units off one queue over the
+ *              src/dist/ frame protocol, traces shared through the
+ *              on-disk TraceStore (dist::runSweep)
  *
  * All three schedule the same units -- the trace groups of
  * groupPointsByTrace() -- each replayed in one batched pass by
@@ -87,8 +87,6 @@ struct ExecutionPolicy
      *  without exec); its main() must call dist::maybeWorkerMain()
      *  first. */
     std::string execPath;
-    /** Extra argv for execPath, before the appended "--worker --fd N". */
-    std::vector<std::string> execArgs;
     /** Process backend: deterministic fault plan forwarded to every
      *  worker spawn ("" = none; grammar in common/env.hh, FaultAction).
      *  A plan that does not parse is fatal before any worker spawns. */

@@ -59,7 +59,6 @@ struct ExecutionPolicyMirror
     TraceRepository *repo;
     dist::DistStats *distStats;
     std::string execPath;
-    std::vector<std::string> execArgs;
     std::string faultSpec;
     bool journalSync;
 };
@@ -399,6 +398,10 @@ setSpecKey(StudySpec &spec, const std::string &section,
                    ? std::string()
                    : "'" + key + "' wants a number, got '" + value + "'";
     };
+    // The caller trims the value's edges, a CRLF line's CR included; a
+    // CR inside it would parse but could not be written back.
+    if (value.find('\r') != std::string::npos)
+        return "'" + key + "' holds a carriage return";
 
     if (section.empty()) {
         if (key != "title")

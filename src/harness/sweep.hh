@@ -13,7 +13,7 @@
  * this header owns is the scheduling vocabulary shared by every
  * backend: points are grouped by that key (groupPointsByTrace), and
  * each group is one schedulable unit, replayed in a single batched pass
- * by runSweepUnit -- so all backends always shard the same way.
+ * by runSweepUnit -- so all backends always schedule the same units.
  */
 
 #ifndef VMMX_HARNESS_SWEEP_HH

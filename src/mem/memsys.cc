@@ -12,21 +12,7 @@ MemorySystem::MemorySystem(const MemParams &params)
       l1_(params.l1),
       l2_(params.l2),
       l1PortFree_(params.l1Ports, 0),
-      l1BankFree_(params.l1.banks, 0),
-      stats_("mem"),
-      l1Hits_(&stats_, "l1_hits", "L1 data cache hits"),
-      l1Misses_(&stats_, "l1_misses", "L1 data cache misses"),
-      l2Hits_(&stats_, "l2_hits", "L2 hits (scalar fills + vector)"),
-      l2Misses_(&stats_, "l2_misses", "L2 misses to main memory"),
-      vecAccesses_(&stats_, "vec_accesses", "matrix accesses via L2 port"),
-      vecStride1_(&stats_, "vec_stride1", "stride-one matrix accesses"),
-      vecElems_(&stats_, "vec_elems", "64-bit elements moved by vector port"),
-      cohInval_(&stats_, "coh_invalidations",
-                "L1 lines invalidated by vector accesses"),
-      cohWritebacks_(&stats_, "coh_writebacks",
-                     "L1 dirty lines flushed to L2 by vector accesses"),
-      l1Writebacks_(&stats_, "l1_writebacks", "L1 dirty evictions"),
-      l2Writebacks_(&stats_, "l2_writebacks", "L2 dirty evictions to memory")
+      l1BankFree_(params.l1.banks, 0)
 {
     vmmx_assert(params_.l1Ports > 0, "need at least one L1 port");
     vmmx_assert(params_.vecPortBytes >= 8, "vector port below 64 bits");
@@ -48,7 +34,8 @@ MemorySystem::reset()
     vecPortFree_ = 0;
     mshr_.clear();
     mshrEarliest_ = noFill;
-    stats_.resetAll();
+    l1Hits_ = l1Misses_ = l2Hits_ = l2Misses_ = 0;
+    vecAccesses_ = cohInval_ = l2Writebacks_ = 0;
 }
 
 MemorySystem::MshrEntry *
@@ -206,10 +193,8 @@ MemorySystem::scalarAccess(Addr addr, u32 bytes, bool isWrite, Cycle when)
             l2Ready + params_.l1.lineBytes / std::max<u32>(
                           1, params_.l2FillBytes);
         auto ev = l1_.fill(line, isWrite);
-        if (ev.evicted && ev.evictedDirty) {
-            ++l1Writebacks_;
+        if (ev.evicted && ev.evictedDirty)
             l2_.fill(ev.evictedLine, true);
-        }
         if (isWrite)
             l1_.setDirty(line);
         done = fill;
@@ -228,10 +213,8 @@ MemorySystem::scalarAccess(Addr addr, u32 bytes, bool isWrite, Cycle when)
             Cycle l2Ready =
                 l2Lookup(line2, isWrite, start + params_.l1.latency + 1);
             auto ev = l1_.fill(line2, isWrite);
-            if (ev.evicted && ev.evictedDirty) {
-                ++l1Writebacks_;
+            if (ev.evicted && ev.evictedDirty)
                 l2_.fill(ev.evictedLine, true);
-            }
             done = std::max(done, l2Ready);
         }
     }
@@ -249,9 +232,6 @@ MemorySystem::vectorAccess(Addr addr, u32 rowBytes, s32 stride, u16 vl,
 
     ++vecAccesses_;
     bool unit = stride == s32(rowBytes);
-    if (unit)
-        ++vecStride1_;
-    vecElems_ += u64(vl) * (rowBytes / 8);
 
     // Walk the touched lines: L2 state update + coherence with the L1.
     Cycle dataReady = when;
@@ -268,10 +248,8 @@ MemorySystem::vectorAccess(Addr addr, u32 rowBytes, s32 stride, u16 vl,
             // Exclusive-bit coherence: the vector unit takes ownership of
             // the line; any L1 copy is flushed (if dirty) and dropped.
             if (l1_.probe(line)) {
-                if (l1_.isDirty(line)) {
-                    ++cohWritebacks_;
+                if (l1_.isDirty(line))
                     l2_.fill(line, true);
-                }
                 l1_.invalidate(line);
                 ++cohInval_;
             }
@@ -283,10 +261,8 @@ MemorySystem::vectorAccess(Addr addr, u32 rowBytes, s32 stride, u16 vl,
         Addr lastLine = l2_.lineAddr(rowAddr + rowBytes - 1);
         if (lastLine != prevLine) {
             if (l1_.probe(lastLine)) {
-                if (l1_.isDirty(lastLine)) {
-                    ++cohWritebacks_;
+                if (l1_.isDirty(lastLine))
                     l2_.fill(lastLine, true);
-                }
                 l1_.invalidate(lastLine);
                 ++cohInval_;
             }

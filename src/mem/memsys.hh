@@ -22,7 +22,7 @@
 
 #include <vector>
 
-#include "common/stats.hh"
+#include "common/types.hh"
 #include "mem/cache_array.hh"
 #include "mem/params.hh"
 
@@ -52,20 +52,19 @@ class MemorySystem
     Cycle vectorAccess(Addr addr, u32 rowBytes, s32 stride, u16 vl,
                        bool isWrite, Cycle when);
 
-    /** Drop all cache state and port reservations (between runs). */
+    /** Drop all cache state, port reservations and counters (between
+     *  runs). */
     void reset();
 
     const MemParams &params() const { return params_; }
 
-    u64 l1Hits() const { return l1Hits_.value(); }
-    u64 l1Misses() const { return l1Misses_.value(); }
-    u64 l2Hits() const { return l2Hits_.value(); }
-    u64 l2Misses() const { return l2Misses_.value(); }
-    u64 vecAccesses() const { return vecAccesses_.value(); }
-    u64 vecStride1() const { return vecStride1_.value(); }
-    u64 coherenceInvalidations() const { return cohInval_.value(); }
-    u64 l1WritebackCount() const { return l1Writebacks_.value(); }
-    u64 l2WritebackCount() const { return l2Writebacks_.value(); }
+    u64 l1Hits() const { return l1Hits_; }
+    u64 l1Misses() const { return l1Misses_; }
+    u64 l2Hits() const { return l2Hits_; }
+    u64 l2Misses() const { return l2Misses_; }
+    u64 vecAccesses() const { return vecAccesses_; }
+    u64 coherenceInvalidations() const { return cohInval_; }
+    u64 l2WritebackCount() const { return l2Writebacks_; }
 
   private:
     /** L2 lookup shared by the scalar-miss and vector paths.
@@ -115,18 +114,15 @@ class MemorySystem
     /** Minimum ready cycle over mshr_; noFill when empty. */
     Cycle mshrEarliest_ = noFill;
 
-    StatGroup stats_;
-    Counter l1Hits_;
-    Counter l1Misses_;
-    Counter l2Hits_;
-    Counter l2Misses_;
-    Counter vecAccesses_;
-    Counter vecStride1_;
-    Counter vecElems_;
-    Counter cohInval_;
-    Counter cohWritebacks_;
-    Counter l1Writebacks_;
-    Counter l2Writebacks_;
+    // Event counters; reset() zeroes them.
+    u64 l1Hits_ = 0;
+    u64 l1Misses_ = 0;
+    u64 l2Hits_ = 0;        ///< scalar fills and vector lines
+    u64 l2Misses_ = 0;      ///< misses to main memory
+    u64 vecAccesses_ = 0;   ///< matrix accesses via the L2 port
+    u64 cohInval_ = 0;      ///< L1 lines invalidated by L2 evictions
+                            ///< and vector accesses
+    u64 l2Writebacks_ = 0;  ///< dirty L2 evictions to memory
 };
 
 } // namespace vmmx

@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the common substrate: Config, stats, MemImage (its
+ * Unit tests for the common substrate: Config, MemImage (its
  * lazily committed arena and bounds), saturating helpers, the RNG, and
  * the cost model.
  */
@@ -20,7 +20,6 @@
 #include "common/memimage.hh"
 #include "common/rng.hh"
 #include "common/saturate.hh"
-#include "common/stats.hh"
 #include "common/table.hh"
 #include "cost/rf_model.hh"
 
@@ -48,21 +47,6 @@ TEST(Config, MergeOverrides)
     EXPECT_EQ(a.getInt("x"), 1);
     EXPECT_EQ(a.getInt("y"), 3);
     EXPECT_EQ(a.getInt("z"), 4);
-}
-
-TEST(Stats, CountersAccumulateAndResetWithTheirGroup)
-{
-    StatGroup g("test");
-    Counter c(&g, "events", "event count");
-    Counter d(&g, "other", "second counter");
-    ++c;
-    c += 4;
-    d += 2;
-    EXPECT_EQ(c.value(), 5u);
-    EXPECT_EQ(d.value(), 2u);
-    g.resetAll();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(d.value(), 0u);
 }
 
 TEST(MemImage, ReadWriteRoundTrip)

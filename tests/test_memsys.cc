@@ -139,7 +139,13 @@ TEST(MemSys, ResetRestoresColdState)
 {
     MemorySystem ms(params2way());
     Cycle a = ms.scalarAccess(0xb000, 8, false, 0);
+    ms.scalarAccess(0xb000, 8, false, a);
+    ASSERT_EQ(ms.l1Misses(), 1u);
+    ASSERT_EQ(ms.l1Hits(), 1u);
     ms.reset();
+    // The counters restart with the caches.
+    EXPECT_EQ(ms.l1Hits(), 0u);
+    EXPECT_EQ(ms.l1Misses(), 0u);
     Cycle b = ms.scalarAccess(0xb000, 8, false, 0);
     EXPECT_EQ(a, b);
 }

@@ -202,6 +202,21 @@ TEST_F(StudyTest, SpecFileParseErrors)
     EXPECT_FALSE(parseStudySpec("[grid]\nways = ,\n", spec, err));
     EXPECT_NE(err.find("'ways'"), std::string::npos) << err;
     EXPECT_FALSE(parseStudySpec("no equals sign here\n", spec, err));
+    // A CR inside a value would load but could not be formatted back;
+    // at a line's end it is the CRLF line ending and stays accepted.
+    EXPECT_FALSE(parseStudySpec("title = speed\rup\n", spec, err));
+    EXPECT_NE(err.find("line 1: 'title' holds a carriage return"),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(parseStudySpec("[grid]\napps = jpe\rgenc\n", spec, err));
+    EXPECT_NE(err.find("line 2: 'apps' holds a carriage return"),
+              std::string::npos)
+        << err;
+    EXPECT_TRUE(parseStudySpec("title = crlf\r\n[grid]\r\napps = jpegenc\r\n",
+                               spec, err))
+        << err;
+    EXPECT_FALSE(applySpecSetting("title=a\rb", spec, err));
+    EXPECT_NE(err.find("carriage return"), std::string::npos) << err;
     // A double has 17 significant digits: more places only pad a cell
     // past the table's cell buffer, and a count past INT_MAX would wrap
     // negative in the int the report keeps.

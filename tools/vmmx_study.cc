@@ -6,7 +6,7 @@
  * examples and README "Studies" for the format), applies any --set
  * assignments on top, expands the grid, executes it through the backend
  * the spec's [exec] section names -- serial, in-process threads, or
- * sharded worker processes -- and renders the [report] section's
+ * worker processes -- and renders the [report] section's
  * derived-metric tables.  Figures are reproducible from a checked-in
  * spec instead of a bespoke binary:
  *
