@@ -1,7 +1,6 @@
 #include "common/config.hh"
 
-#include <cstdlib>
-
+#include "common/env.hh"
 #include "common/logging.hh"
 
 namespace vmmx
@@ -30,18 +29,6 @@ Config::set(const std::string &key, s64 value)
     values_[key] = std::to_string(value);
 }
 
-void
-Config::set(const std::string &key, double value)
-{
-    values_[key] = std::to_string(value);
-}
-
-void
-Config::set(const std::string &key, bool value)
-{
-    values_[key] = value ? "true" : "false";
-}
-
 bool
 Config::has(const std::string &key) const
 {
@@ -57,88 +44,6 @@ Config::getString(const std::string &key) const
     return it->second;
 }
 
-std::string
-Config::getString(const std::string &key, const std::string &dflt) const
-{
-    auto it = values_.find(key);
-    return it == values_.end() ? dflt : it->second;
-}
-
-s64
-Config::getInt(const std::string &key) const
-{
-    const std::string v = getString(key);
-    char *end = nullptr;
-    s64 r = std::strtoll(v.c_str(), &end, 0);
-    if (end == v.c_str() || *end != '\0')
-        fatal("config key '%s'='%s' is not an integer", key.c_str(),
-              v.c_str());
-    return r;
-}
-
-s64
-Config::getInt(const std::string &key, s64 dflt) const
-{
-    return has(key) ? getInt(key) : dflt;
-}
-
-u64
-Config::getUint(const std::string &key) const
-{
-    s64 v = getInt(key);
-    if (v < 0)
-        fatal("config key '%s' must be non-negative, got %lld", key.c_str(),
-              static_cast<long long>(v));
-    return static_cast<u64>(v);
-}
-
-u64
-Config::getUint(const std::string &key, u64 dflt) const
-{
-    return has(key) ? getUint(key) : dflt;
-}
-
-double
-Config::getDouble(const std::string &key) const
-{
-    const std::string v = getString(key);
-    char *end = nullptr;
-    double r = std::strtod(v.c_str(), &end);
-    if (end == v.c_str() || *end != '\0')
-        fatal("config key '%s'='%s' is not a number", key.c_str(), v.c_str());
-    return r;
-}
-
-double
-Config::getDouble(const std::string &key, double dflt) const
-{
-    return has(key) ? getDouble(key) : dflt;
-}
-
-bool
-Config::getBool(const std::string &key) const
-{
-    const std::string v = getString(key);
-    if (v == "true" || v == "1" || v == "yes")
-        return true;
-    if (v == "false" || v == "0" || v == "no")
-        return false;
-    fatal("config key '%s'='%s' is not a boolean", key.c_str(), v.c_str());
-}
-
-bool
-Config::getBool(const std::string &key, bool dflt) const
-{
-    return has(key) ? getBool(key) : dflt;
-}
-
-void
-Config::merge(const Config &other)
-{
-    for (const auto &kv : other.values_)
-        values_[kv.first] = kv.second;
-}
-
 std::vector<std::string>
 Config::keys() const
 {
@@ -147,6 +52,21 @@ Config::keys() const
     for (const auto &kv : values_)
         out.push_back(kv.first);
     return out;
+}
+
+unsigned
+knobValue(const std::string &key, const std::string &text, unsigned min,
+          unsigned max)
+{
+    unsigned v = 0;
+    if (!env::parseUnsigned(text.c_str(), v) || std::to_string(v) != text)
+        fatal("%s wants a decimal number from %u to %u (got '%s')",
+              key.c_str(), min, max, text.c_str());
+    if (v < min)
+        fatal("%s must be at least %u (got %u)", key.c_str(), min, v);
+    if (v > max)
+        fatal("%s must be at most %u (got %u)", key.c_str(), max, v);
+    return v;
 }
 
 } // namespace vmmx

@@ -1,17 +1,16 @@
 /**
  * @file
- * Small typed key/value configuration store.
- *
- * Machine and memory models are parameterised through Config so that tests
- * and benches can tweak individual knobs without new struct plumbing.
- * Values are stored as strings and converted on access; a missing key with
- * no default is a fatal user error.
+ * Machine-knob overrides.  A Config holds override strings and parses
+ * no numbers.  Each parameter struct (CoreParams, MemParams) declares
+ * its knobs once, in one table of Knob rows, and applyKnobs() is the
+ * only way an override reaches the struct.
  */
 
 #ifndef VMMX_COMMON_CONFIG_HH
 #define VMMX_COMMON_CONFIG_HH
 
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -31,26 +30,11 @@ class Config
     /** Set (or overwrite) a key. */
     void set(const std::string &key, const std::string &value);
     void set(const std::string &key, s64 value);
-    void set(const std::string &key, double value);
-    void set(const std::string &key, bool value);
 
     bool has(const std::string &key) const;
 
-    /** Typed getters; the no-default overloads are fatal on missing keys. */
+    /** The value of @p key; fatal when the key is missing. */
     std::string getString(const std::string &key) const;
-    std::string getString(const std::string &key,
-                          const std::string &dflt) const;
-    s64 getInt(const std::string &key) const;
-    s64 getInt(const std::string &key, s64 dflt) const;
-    u64 getUint(const std::string &key) const;
-    u64 getUint(const std::string &key, u64 dflt) const;
-    double getDouble(const std::string &key) const;
-    double getDouble(const std::string &key, double dflt) const;
-    bool getBool(const std::string &key) const;
-    bool getBool(const std::string &key, bool dflt) const;
-
-    /** Merge another config on top of this one (other wins). */
-    void merge(const Config &other);
 
     /** All keys in sorted order (for dumping). */
     std::vector<std::string> keys() const;
@@ -61,6 +45,32 @@ class Config
   private:
     std::map<std::string, std::string> values_;
 };
+
+/** One row of a parameter struct's knob table. */
+template <typename P>
+struct Knob
+{
+    const char *key;
+    void (*set)(P &, unsigned); ///< stores a checked value in the field
+    unsigned min, max;
+    const char *meaning;
+};
+
+/** @p text as plain decimal (no sign, leading zero or base prefix) in
+ *  [@p min, @p max]; anything else is fatal, naming @p key. */
+unsigned knobValue(const std::string &key, const std::string &text,
+                   unsigned min, unsigned max);
+
+/** Set each field of @p p whose key @p overrides holds. */
+template <typename P>
+void
+applyKnobs(std::span<const Knob<P>> knobs, const Config &overrides, P &p)
+{
+    for (const Knob<P> &k : knobs)
+        if (overrides.has(k.key))
+            k.set(p, knobValue(k.key, overrides.getString(k.key), k.min,
+                               k.max));
+}
 
 } // namespace vmmx
 

@@ -258,6 +258,14 @@ std::vector<SweepResult>
 runPoints(const std::vector<SweepPoint> &points,
           const ExecutionPolicy &policy)
 {
+    // Only the processes backend reads these; elsewhere they would be
+    // accepted and then silently ignored.
+    const char *unread = !policy.storeDir.empty()      ? "exec.store"
+                         : !policy.journalPath.empty() ? "exec.journal"
+                                                       : nullptr;
+    if (unread && policy.backend != ExecutionPolicy::Backend::Process)
+        fatal("%s is read only by the processes backend, not %s", unread,
+              name(policy.backend));
     switch (policy.backend) {
       case ExecutionPolicy::Backend::Serial:
         return runSerial(points, policy);

@@ -124,7 +124,8 @@ bool parseBackend(const std::string &text, ExecutionPolicy::Backend &b);
 /**
  * Run every point of @p points on the backend @p policy names and
  * return the results in submission order, bit-identical across
- * backends.  May be called concurrently with distinct grids.
+ * backends.  May be called concurrently with distinct grids.  A store
+ * directory or journal on any backend but processes is fatal.
  */
 std::vector<SweepResult> runPoints(const std::vector<SweepPoint> &points,
                                    const ExecutionPolicy &policy);

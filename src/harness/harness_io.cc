@@ -283,24 +283,20 @@ flagText(bool v)
 /**
  * Strings embedded in spec text must survive the line-based format: a
  * newline would end the line (or open a bogus section), edge
- * whitespace would be trimmed away on re-parse, a comma in a list item
- * would be taken for a separator, and '=' in an override key would
- * shift the key/value split -- each silently breaking the
+ * whitespace would be trimmed away on re-parse, and a comma in a list
+ * item would be taken for a separator -- each silently breaking the
  * parse(format(spec)) == spec contract, so formatting such a spec is a
  * fatal user error instead.
  */
 void
-checkSpecValue(const char *what, const std::string &s, bool listItem,
-               bool overrideKey = false)
+checkSpecValue(const char *what, const std::string &s, bool listItem)
 {
     if (s.find('\n') != std::string::npos ||
         s.find('\r') != std::string::npos || s != trim(s) ||
-        (listItem && s.find(',') != std::string::npos) ||
-        (overrideKey && (s.empty() || s.find('=') != std::string::npos)))
+        (listItem && s.find(',') != std::string::npos))
         fatal("study spec text cannot represent %s '%s' (newlines, edge "
               "whitespace%s do not survive the key=value format)",
-              what, s.c_str(),
-              listItem ? ", commas" : (overrideKey ? ", '='" : ""));
+              what, s.c_str(), listItem ? ", commas" : "");
 }
 
 } // namespace
@@ -332,9 +328,10 @@ formatStudySpec(const StudySpec &spec)
         os << "override = "
            << joinNames(set.keys(),
                         [&](const std::string &k) {
-                            checkSpecValue("override key", k,
-                                           /*listItem=*/true,
-                                           /*overrideKey=*/true);
+                            // The parser would reject an unknown knob.
+                            if (std::string what = unknownKnob(k);
+                                !what.empty())
+                                fatal("study spec: %s", what.c_str());
                             checkSpecValue("override value",
                                            set.getString(k),
                                            /*listItem=*/true);
@@ -442,8 +439,10 @@ setSpecKey(StudySpec &spec, const std::string &section,
                 if (aeq == std::string::npos || aeq == 0)
                     return "override wants comma-separated knob=value "
                            "pairs, got '" + assignment + "'";
-                set.set(trim(assignment.substr(0, aeq)),
-                        trim(assignment.substr(aeq + 1)));
+                std::string knob = trim(assignment.substr(0, aeq));
+                if (std::string what = unknownKnob(knob); !what.empty())
+                    return what;
+                set.set(knob, trim(assignment.substr(aeq + 1)));
             }
             spec.overrideSets.push_back(std::move(set));
         } else {
@@ -468,15 +467,6 @@ setSpecKey(StudySpec &spec, const std::string &section,
                 return "'processes' must be >= 1";
             return "";
         }
-        if (key == "decoded" || key == "decoded_budget")
-            return "'" + key + "' is no longer an [exec] key: the "
-                   "executors now stream traces block by block, so there "
-                   "is no decoded tier to configure";
-        if (key == "batch" || key == "raw_budget")
-            return "'" + key + "' is no longer an [exec] key: the "
-                   "executors always run whole trace groups, streaming "
-                   "each trace once, so there is no per-point schedule or "
-                   "raw-tier budget to configure";
         if (key == "store") {
             e.storeDir = value;
             return "";

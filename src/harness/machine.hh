@@ -2,7 +2,7 @@
  * @file
  * A machine configuration = core (Table III) + memory (Table IV),
  * consistently wired (the memory system's scalar L1 ports come from the
- * core's Mem-FU count; the vector port width follows Table III).
+ * core's Mem-FU count).
  */
 
 #ifndef VMMX_HARNESS_MACHINE_HH
@@ -22,14 +22,16 @@ struct MachineConfig
     unsigned way;
     CoreParams core;
     MemParams mem;
-
-    /** e.g. "4-way vmmx128". */
-    std::string label() const;
 };
+
+/** "" when @p key is a row of CoreParams::knobs() or MemParams::knobs(),
+ *  else an error naming it and the nearest knob. */
+std::string unknownKnob(const std::string &key);
 
 /**
  * Build the paper's configuration for @p kind at @p way.
- * @param overrides optional knobs (core.*, mem.*) for ablation studies.
+ * @param overrides knobs for ablation studies; an unknown key or a
+ *        value its row rejects is fatal.
  */
 MachineConfig makeMachine(SimdKind kind, unsigned way,
                           const Config &overrides = {});

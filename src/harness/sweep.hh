@@ -44,7 +44,7 @@ struct SweepPoint
     Config overrides;
 
     /** e.g. "idct/vmmx128/4-way", with any ablation overrides appended
-     *  ("+core.robEntries=64") so knob-only variants stay tellable
+     *  ("+core.rob=64") so knob-only variants stay tellable
      *  apart in bench output. */
     std::string label() const;
 };

@@ -20,9 +20,6 @@ CacheArray::CacheArray(const CacheParams &params)
     while ((1u << lineShift_) < params_.lineBytes)
         ++lineShift_;
     setMask_ = numSets_ - 1;
-    bankMask_ = (params_.banks && !(params_.banks & (params_.banks - 1)))
-                    ? params_.banks - 1
-                    : 0;
     lines_.resize(size_t(numSets_) * params_.assoc);
 }
 

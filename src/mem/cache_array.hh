@@ -57,18 +57,6 @@ class CacheArray
 
     u32 lineBytes() const { return params_.lineBytes; }
 
-    /** Bank servicing @p addr (line-interleaved).  Line size is a
-     *  power of two; bank counts are too in every Table IV machine, so
-     *  the hot path is shift+mask with a modulo fallback. */
-    u32
-    bank(Addr addr) const
-    {
-        Addr line = addr >> lineShift_;
-        if (bankMask_)
-            return u32(line & bankMask_);
-        return u32(line % params_.banks);
-    }
-
   private:
     struct Line
     {
@@ -90,7 +78,6 @@ class CacheArray
     u32 lineShift_;
     u32 numSets_;
     u64 setMask_;
-    u64 bankMask_; ///< banks - 1 when banks is a power of two, else 0
     std::vector<Line> lines_; // numSets_ x assoc
     u64 stamp_ = 0;
 };

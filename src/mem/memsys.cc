@@ -12,11 +12,14 @@ MemorySystem::MemorySystem(const MemParams &params)
       l1_(params.l1),
       l2_(params.l2),
       l1PortFree_(params.l1Ports, 0),
-      l1BankFree_(params.l1.banks, 0)
+      l1BankFree_(params.l1Banks, 0)
 {
     vmmx_assert(params_.l1Ports > 0, "need at least one L1 port");
     vmmx_assert(params_.vecPortBytes >= 8, "vector port below 64 bits");
     mshr_.reserve(params_.mshrs);
+    l1LineShift_ = u32(std::countr_zero(params_.l1.lineBytes));
+    if (!(params_.l1Banks & (params_.l1Banks - 1)))
+        l1BankMask_ = params_.l1Banks - 1;
     if (params_.l1PortBytes &&
         !(params_.l1PortBytes & (params_.l1PortBytes - 1))) {
         while ((1u << l1PortShift_) < params_.l1PortBytes)
@@ -160,7 +163,8 @@ MemorySystem::reserveL1(Addr addr, u32 bytes, Cycle when)
 
     // Earliest-free port.
     auto port = std::min_element(l1PortFree_.begin(), l1PortFree_.end());
-    u32 bank = l1_.bank(addr);
+    Addr line = addr >> l1LineShift_;
+    u32 bank = u32(l1BankMask_ ? line & l1BankMask_ : line % params_.l1Banks);
     Cycle start = std::max({when, *port, l1BankFree_[bank]});
     *port = start + portCycles;
     l1BankFree_[bank] = start + portCycles;

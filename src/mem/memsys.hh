@@ -104,6 +104,10 @@ class MemorySystem
     /** log2(l1PortBytes) when it is a power of two (it is in every
      *  Table IV machine), else 0 to take the division fallback. */
     u32 l1PortShift_ = 0;
+    /** log2(L1 line bytes); l1Banks - 1 when that is a power of two (as
+     *  in every Table IV machine), else 0 for the modulo fallback. */
+    u32 l1LineShift_ = 0;
+    u64 l1BankMask_ = 0;
 
     std::vector<Cycle> l1PortFree_;
     std::vector<Cycle> l1BankFree_;

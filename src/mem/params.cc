@@ -1,5 +1,7 @@
 #include "mem/params.hh"
 
+#include <limits>
+
 #include "common/logging.hh"
 
 namespace vmmx
@@ -8,26 +10,38 @@ namespace vmmx
 namespace
 {
 
-void
-atLeast(u64 v, u64 min, const char *key)
-{
-    if (v < min)
-        fatal("%s must be at least %llu (got %llu)", key,
-              static_cast<unsigned long long>(min),
-              static_cast<unsigned long long>(v));
-}
+constexpr unsigned noMax = std::numeric_limits<unsigned>::max();
+
+// Key, field, min, max, meaning.
+#define FIELD(f) [](MemParams &p, unsigned v) { p.f = v; }
+const Knob<MemParams> memKnobs[] = {
+    {"mem.l1.size", FIELD(l1.sizeBytes), 1, noMax, "L1 bytes"},
+    {"mem.l1.assoc", FIELD(l1.assoc), 1, noMax, "L1 ways"},
+    {"mem.l1.line", FIELD(l1.lineBytes), 1, noMax, "L1 line bytes (2^n)"},
+    {"mem.l1.banks", FIELD(l1Banks), 1, noMax, "L1 banks, line-interleaved"},
+    {"mem.l1.latency", FIELD(l1.latency), 0, noMax, "L1 hit cycles"},
+    {"mem.l1.ports", FIELD(l1Ports), 1, noMax, "scalar L1 ports"},
+    {"mem.l1.port_bytes", FIELD(l1PortBytes), 1, noMax, "bytes/cycle/port"},
+    {"mem.l2.size", FIELD(l2.sizeBytes), 1, noMax, "L2 bytes"},
+    {"mem.l2.assoc", FIELD(l2.assoc), 1, noMax, "L2 ways"},
+    {"mem.l2.line", FIELD(l2.lineBytes), 1, noMax, "L2 line bytes (2^n)"},
+    {"mem.l2.latency", FIELD(l2.latency), 0, noMax, "L2 hit cycles"},
+    {"mem.l2.fill_bytes", FIELD(l2FillBytes), 0, noMax, "L1 fill bytes/cycle"},
+    {"mem.vec.port_bytes", FIELD(vecPortBytes), 8, noMax,
+     "vector-port bytes/cycle, stride one"},
+    {"mem.vec.strided_bytes", FIELD(vecStridedBytes), 1, noMax,
+     "vector-port bytes/cycle, other strides"},
+    {"mem.latency", FIELD(memLatency), 0, noMax, "main-memory cycles"},
+    {"mem.mshrs", FIELD(mshrs), 1, noMax, "outstanding L1 misses"},
+};
+#undef FIELD
 
 /** The shape CacheArray indexes: power-of-two lines and sets. */
 void
-checkCache(const CacheParams &c)
+checkCache(const CacheParams &c, const char *n)
 {
-    const char *n = c.name.c_str();
-    if (c.lineBytes == 0 || (c.lineBytes & (c.lineBytes - 1)))
+    if (c.lineBytes & (c.lineBytes - 1))
         fatal("mem.%s.line must be a power of two (got %u)", n, c.lineBytes);
-    if (c.assoc == 0)
-        fatal("mem.%s.assoc must be at least 1", n);
-    if (c.banks == 0)
-        fatal("mem.%s.banks must be at least 1", n);
     u64 sets = u64(c.sizeBytes) / (u64(c.lineBytes) * c.assoc);
     if (sets == 0 || (sets & (sets - 1)))
         fatal("mem.%s.size / (mem.%s.line x mem.%s.assoc) must be a "
@@ -37,49 +51,34 @@ checkCache(const CacheParams &c)
 
 } // namespace
 
+std::span<const Knob<MemParams>>
+MemParams::knobs()
+{
+    return memKnobs;
+}
+
 MemParams
-MemParams::forWay(unsigned way, const Config &cfg)
+MemParams::forWay(unsigned way, unsigned l1Ports, const Config &cfg)
 {
     if (way != 2 && way != 4 && way != 8)
         fatal("unsupported superscalar width %u (want 2, 4 or 8)", way);
 
     unsigned idx = way == 2 ? 0 : way == 4 ? 1 : 2;
-
-    MemParams p;
-    p.l1.name = "l1";
-    p.l1.sizeBytes = u32(cfg.getUint("mem.l1.size", 32 * 1024));
-    p.l1.assoc = u32(cfg.getUint("mem.l1.assoc", 4));
-    p.l1.lineBytes = u32(cfg.getUint("mem.l1.line", 32));
-    p.l1.banks = u32(cfg.getUint("mem.l1.banks", 8));
-    p.l1.latency = cfg.getUint("mem.l1.latency", 3);
-
-    p.l2.name = "l2";
-    p.l2.sizeBytes = u32(cfg.getUint("mem.l2.size", 512 * 1024));
-    p.l2.assoc = u32(cfg.getUint("mem.l2.assoc", 2));
-    p.l2.lineBytes = u32(cfg.getUint("mem.l2.line", 128));
-    p.l2.banks = u32(cfg.getUint("mem.l2.banks", 2));
-    p.l2.latency = cfg.getUint("mem.l2.latency", 12);
-
-    static const unsigned l1PortsByWay[3] = {1, 2, 4};
     static const u32 fillByWay[3] = {16, 32, 64};
     static const u32 vecByWay[3] = {8, 16, 32};
 
-    p.l1Ports = unsigned(cfg.getUint("mem.l1.ports", l1PortsByWay[idx]));
-    p.l1PortBytes = u32(cfg.getUint("mem.l1.port_bytes", 8));
-    p.l2FillBytes = u32(cfg.getUint("mem.l2.fill_bytes", fillByWay[idx]));
-    p.vecPortBytes = u32(cfg.getUint("mem.vec.port_bytes", vecByWay[idx]));
-    p.vecStridedBytes = u32(cfg.getUint("mem.vec.strided_bytes", 8));
-    p.memLatency = cfg.getUint("mem.latency", 500);
-    p.memPipeCycles = cfg.getUint("mem.pipe_cycles", 30);
-    p.mshrs = unsigned(cfg.getUint("mem.mshrs", 8));
+    MemParams p;
+    p.l1 = {.sizeBytes = 32 * 1024, .assoc = 4, .lineBytes = 32, .latency = 3};
+    p.l2 = {.sizeBytes = 512 * 1024, .assoc = 2, .lineBytes = 128,
+            .latency = 12};
+    p.l1Ports = l1Ports;
+    p.l2FillBytes = fillByWay[idx];
+    p.vecPortBytes = vecByWay[idx];
 
-    checkCache(p.l1);
-    checkCache(p.l2);
-    atLeast(p.l1Ports, 1, "mem.l1.ports");
-    atLeast(p.l1PortBytes, 1, "mem.l1.port_bytes");
-    atLeast(p.vecPortBytes, 8, "mem.vec.port_bytes");
-    atLeast(p.vecStridedBytes, 1, "mem.vec.strided_bytes");
-    atLeast(p.mshrs, 1, "mem.mshrs");
+    applyKnobs(knobs(), cfg, p);
+
+    checkCache(p.l1, "l1");
+    checkCache(p.l2, "l2");
     return p;
 }
 

@@ -13,8 +13,6 @@
 #ifndef VMMX_MEM_PARAMS_HH
 #define VMMX_MEM_PARAMS_HH
 
-#include <string>
-
 #include "common/config.hh"
 #include "common/types.hh"
 
@@ -23,11 +21,9 @@ namespace vmmx
 
 struct CacheParams
 {
-    std::string name;
     u32 sizeBytes = 0;
     u32 assoc = 1;
     u32 lineBytes = 32;
-    u32 banks = 1;
     Cycle latency = 1;
 
     u32 numSets() const { return sizeBytes / (lineBytes * assoc); }
@@ -38,7 +34,10 @@ struct MemParams
     CacheParams l1;
     CacheParams l2;
 
-    /** Number of L1 data ports (Table IV: 1/2/4 for 2/4/8-way). */
+    /** L1 banks, line-interleaved (Table IV: 8).  The L2's two banks
+     *  are implicit in the vector port's two-line stride-one read. */
+    u32 l1Banks = 8;
+    /** Number of L1 data ports: the core's Mem FUs (Table III). */
     unsigned l1Ports = 1;
     /** Width of each L1 port in bytes (Table IV: 8). */
     u32 l1PortBytes = 8;
@@ -53,17 +52,18 @@ struct MemParams
     u32 vecStridedBytes = 8;
     /** Main memory latency in cycles (Table IV: 500). */
     Cycle memLatency = 500;
-    /** Additional pipelined-memory cycles per extra outstanding line. */
-    Cycle memPipeCycles = 30;
     /** Maximum outstanding L1 misses. */
     unsigned mshrs = 8;
 
     /**
-     * Build the Table IV configuration for a given superscalar width.
-     * @param way 2, 4 or 8.
-     * @param overrides optional config keys (mem.l1.size, mem.latency...).
+     * Table IV for @p way (2, 4 or 8) with @p l1Ports L1 ports (the
+     * core's memory ports), then the overrides of knobs() applied.
      */
-    static MemParams forWay(unsigned way, const Config &overrides = {});
+    static MemParams forWay(unsigned way, unsigned l1Ports,
+                            const Config &overrides = {});
+
+    /** The memory system's override keys (README "Machine knobs"). */
+    static std::span<const Knob<MemParams>> knobs();
 };
 
 } // namespace vmmx

@@ -1,11 +1,41 @@
 #include "sim/params.hh"
 
-#include <utility>
+#include <limits>
 
 #include "common/logging.hh"
 
 namespace vmmx
 {
+
+namespace
+{
+
+constexpr unsigned noMax = std::numeric_limits<unsigned>::max();
+
+// Key, field, min, max, meaning.
+#define FIELD(f) [](CoreParams &p, unsigned v) { p.f = v; }
+const Knob<CoreParams> coreKnobs[] = {
+    {"core.rob", FIELD(robSize), 1, noMax, "reorder-buffer entries"},
+    {"core.iq", FIELD(iqSize), 1, 65536, "issue-queue entries"},
+    {"core.front_depth", FIELD(frontDepth), 0, noMax, "front-end stages"},
+    {"core.mispredict", FIELD(mispredictPenalty), 0, noMax, "redirect cycles"},
+    {"core.bpred", FIELD(bpredEntries), 1, noMax, "gshare entries (2^n)"},
+    {"core.lanes", FIELD(lanesPerFu), 1, noMax, "lanes per SIMD unit"},
+    {"core.simd_fus", FIELD(simdFus), 1, noMax, "SIMD functional units"},
+    {"core.simd_issue", FIELD(simdIssue), 1, noMax, "SIMD issue per cycle"},
+    {"core.phys_simd", FIELD(physSimd), 1, noMax, "physical SIMD registers"},
+    {"core.store_window", FIELD(storeWindow), 0, noMax,
+     "stores searched for disambiguation"},
+};
+#undef FIELD
+
+} // namespace
+
+std::span<const Knob<CoreParams>>
+CoreParams::knobs()
+{
+    return coreKnobs;
+}
 
 CoreParams
 CoreParams::forConfig(SimdKind kind, unsigned way, const Config &cfg)
@@ -57,32 +87,11 @@ CoreParams::forConfig(SimdKind kind, unsigned way, const Config &cfg)
     p.robSize = 16u * way;
     p.iqSize = 8u * way;
 
-    // Overrides for ablations and tests.
-    p.robSize = unsigned(cfg.getUint("core.rob", p.robSize));
-    p.iqSize = unsigned(cfg.getUint("core.iq", p.iqSize));
-    p.frontDepth = unsigned(cfg.getUint("core.front_depth", p.frontDepth));
-    p.mispredictPenalty =
-        unsigned(cfg.getUint("core.mispredict", p.mispredictPenalty));
-    p.bpredEntries = unsigned(cfg.getUint("core.bpred", p.bpredEntries));
-    p.lanesPerFu = unsigned(cfg.getUint("core.lanes", p.lanesPerFu));
-    p.simdFus = unsigned(cfg.getUint("core.simd_fus", p.simdFus));
-    p.simdIssue = unsigned(cfg.getUint("core.simd_issue", p.simdIssue));
-    p.physSimd = unsigned(cfg.getUint("core.phys_simd", p.physSimd));
-    p.storeWindow = unsigned(cfg.getUint("core.store_window",
-                                         p.storeWindow));
+    applyKnobs(knobs(), cfg, p);
 
     // Reject what the model cannot run, naming the key, before any
     // simulation state is built.
-    const std::pair<unsigned, const char *> positive[] = {
-        {p.robSize, "core.rob"},      {p.iqSize, "core.iq"},
-        {p.lanesPerFu, "core.lanes"}, {p.simdFus, "core.simd_fus"},
-        {p.simdIssue, "core.simd_issue"}};
-    for (const auto &[v, key] : positive)
-        if (v == 0)
-            fatal("%s must be at least 1", key);
-    if (p.iqSize > 65536)
-        fatal("core.iq must be at most 65536 (got %u)", p.iqSize);
-    if (p.bpredEntries == 0 || (p.bpredEntries & (p.bpredEntries - 1)))
+    if (p.bpredEntries & (p.bpredEntries - 1))
         fatal("core.bpred must be a power of two (got %u)", p.bpredEntries);
     if (p.physSimd <= p.logicalSimd)
         fatal("core.phys_simd must exceed the %u logical SIMD registers "

@@ -47,11 +47,14 @@ struct CoreParams
     unsigned storeWindow = 64;        ///< disambiguation window
 
     /**
-     * Table III configuration for @p kind at @p way, with optional
-     * overrides (keys: core.rob, core.iq, core.mispredict, ...).
+     * Table III configuration for @p kind at @p way, with the overrides
+     * of knobs() applied.
      */
     static CoreParams forConfig(SimdKind kind, unsigned way,
                                 const Config &overrides = {});
+
+    /** The core's override keys (README "Machine knobs"). */
+    static std::span<const Knob<CoreParams>> knobs();
 };
 
 } // namespace vmmx

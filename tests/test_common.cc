@@ -28,25 +28,30 @@ namespace vmmx
 namespace
 {
 
-TEST(Config, TypedAccessAndDefaults)
+// Config stores override strings; the knob tables parse them.
+TEST(Config, StoresAssignmentsAsStrings)
 {
-    Config c({"a=5", "b=true", "c=hello", "d=2.5"});
-    EXPECT_EQ(c.getInt("a"), 5);
-    EXPECT_TRUE(c.getBool("b"));
-    EXPECT_EQ(c.getString("c"), "hello");
-    EXPECT_DOUBLE_EQ(c.getDouble("d"), 2.5);
-    EXPECT_EQ(c.getInt("missing", 7), 7);
+    Config c({"b=010", "a=x=y", "c="});
+    EXPECT_EQ(c.keys(), (std::vector<std::string>{"a", "b", "c"}));
+    EXPECT_EQ(c.getString("a"), "x=y"); // split at the first '='
+    EXPECT_EQ(c.getString("b"), "010"); // kept verbatim, not parsed
+    EXPECT_EQ(c.getString("c"), "");
     EXPECT_FALSE(c.has("missing"));
-}
 
-TEST(Config, MergeOverrides)
-{
-    Config a({"x=1", "y=2"});
-    Config b({"y=3", "z=4"});
-    a.merge(b);
-    EXPECT_EQ(a.getInt("x"), 1);
-    EXPECT_EQ(a.getInt("y"), 3);
-    EXPECT_EQ(a.getInt("z"), 4);
+    Config d;
+    d.set("c", std::string());
+    d.set("b", s64(10));
+    EXPECT_FALSE(c == d);
+    d.set("b", std::string("010")); // the last assignment wins
+    d.set("a", "x=y");
+    EXPECT_TRUE(c == d);
+
+    EXPECT_EXIT(Config({"novalue"}), testing::ExitedWithCode(1),
+                "malformed config assignment 'novalue'");
+    EXPECT_EXIT(Config({"=5"}), testing::ExitedWithCode(1),
+                "malformed config assignment");
+    EXPECT_EXIT(c.getString("missing"), testing::ExitedWithCode(1),
+                "missing required config key 'missing'");
 }
 
 TEST(MemImage, ReadWriteRoundTrip)

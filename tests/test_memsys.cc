@@ -18,7 +18,7 @@ namespace
 MemParams
 params2way()
 {
-    return MemParams::forWay(2);
+    return MemParams::forWay(2, 1);
 }
 
 TEST(MemSys, ColdMissThenHit)
@@ -90,7 +90,7 @@ TEST(MemSys, MshrMergesOutstandingMisses)
 
 TEST(MemSys, VectorStrideOneFasterThanStrided)
 {
-    MemParams mp = MemParams::forWay(8);
+    MemParams mp = MemParams::forWay(8, 4);
     mp.vecPortBytes = 32;
     MemorySystem ms(mp);
     // Warm both regions in the L2.

@@ -16,6 +16,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <random>
@@ -228,23 +229,60 @@ TEST_F(StudyTest, SpecFileParseErrors)
         EXPECT_NE(err.find("0 to 17"), std::string::npos) << err;
     }
 
-    // The decoded tier's knobs are gone; a spec still setting them is
-    // told why instead of being silently accepted.
-    for (const char *text : {"[exec]\ndecoded = on\n",
-                             "[exec]\ndecoded_budget = 2M\n"}) {
-        EXPECT_FALSE(parseStudySpec(text, spec, err)) << text;
-        EXPECT_NE(err.find("stream traces"), std::string::npos) << err;
-    }
-    // So are the per-point schedule and the raw-tier budget: the
-    // executors always run whole trace groups.
-    for (const char *text : {"[exec]\nbatch = off\n", "[exec]\nbatch = on\n",
-                             "[exec]\nraw_budget = 64k\n"}) {
-        EXPECT_FALSE(parseStudySpec(text, spec, err)) << text;
-        EXPECT_NE(err.find("line 2"), std::string::npos) << err;
-        EXPECT_NE(err.find("always run whole trace groups"),
+    // Keys of removed execution paths fail like any other unknown key.
+    for (const char *key : {"decoded", "decoded_budget", "batch",
+                            "raw_budget"}) {
+        EXPECT_FALSE(parseStudySpec(std::string("[exec]\n") + key + " = on\n",
+                                    spec, err))
+            << key;
+        EXPECT_NE(err.find(std::string("line 2: unknown [exec] key '") + key +
+                           "'"),
                   std::string::npos)
             << err;
     }
+}
+
+// An override key no knob table declares is a parse error naming the
+// line and the nearest knob: a typo or a retired key would otherwise
+// reproduce the baseline and read like a finding.
+TEST_F(StudyTest, UnknownOverrideKeysAreParseErrors)
+{
+    StudySpec spec;
+    std::string err;
+    EXPECT_FALSE(parseStudySpec("[grid]\nkernels = idct\n"
+                                "override = core.rob=32\n"
+                                "override = mem.mshrs=4, core.robb=1\n",
+                                spec, err));
+    EXPECT_NE(err.find("line 4: unknown machine knob 'core.robb' "
+                       "(nearest: core.rob)"),
+              std::string::npos)
+        << err;
+    for (const char *bad : {"mem.l3.size=0", "core.robEntries=64"}) {
+        EXPECT_FALSE(parseStudySpec(
+            std::string("[grid]\noverride = ") + bad + "\n", spec, err))
+            << bad;
+        std::string key = std::string(bad).substr(0, std::string(bad).find('='));
+        EXPECT_NE(err.find("line 2: unknown machine knob '" + key + "'"),
+                  std::string::npos)
+            << err;
+    }
+    EXPECT_FALSE(
+        applySpecSetting("grid.override=core.robb=1", spec, err));
+    EXPECT_NE(err.find("'grid.override=core.robb=1': unknown machine knob "
+                       "'core.robb' (nearest: core.rob)"),
+              std::string::npos)
+        << err;
+
+    // A Config built in code cannot carry a typo either, into a machine
+    // or into spec text the parser would then reject.
+    EXPECT_EXIT(makeMachine(SimdKind::MMX64, 2, Config({"core.robb=1"})),
+                testing::ExitedWithCode(1),
+                "unknown machine knob 'core\\.robb' \\(nearest: "
+                "core\\.rob\\)");
+    StudySpec coded;
+    coded.overrideSets = {Config({"mem.l3.size=65536"})};
+    EXPECT_EXIT(formatStudySpec(coded), testing::ExitedWithCode(1),
+                "unknown machine knob 'mem\\.l3\\.size'");
 }
 
 TEST_F(StudyTest, SetAssignmentsLayerOverTheSpec)
@@ -304,9 +342,7 @@ TEST_F(StudyTest, SetAssignmentsLayerOverTheSpec)
         EXPECT_FALSE(applySpecSetting(gone, spec, err)) << gone;
         EXPECT_NE(err.find(std::string("'") + gone + "'"), std::string::npos)
             << err;
-        EXPECT_NE(err.find("always run whole trace groups"),
-                  std::string::npos)
-            << err;
+        EXPECT_NE(err.find("unknown [exec] key"), std::string::npos) << err;
     }
     EXPECT_FALSE(applySpecSetting("bogus.threads=1", spec, err));
     EXPECT_NE(err.find("unknown section [bogus]"), std::string::npos) << err;
@@ -370,6 +406,75 @@ TEST_F(StudyTest, DegenerateOverridesFailAtGridExpansion)
     }
 }
 
+// Knob values are plain decimal and checked against their row's bounds
+// before they reach a 32-bit field: none wraps, and none is read as
+// octal or hex.
+TEST_F(StudyTest, OverrideValuesAreDecimalAndBounded)
+{
+    struct Case
+    {
+        const char *assignment;
+        const char *message;
+    };
+    for (const Case &c :
+         {Case{"core.rob=4294967304", "core\\.rob wants a decimal number "
+                                      "from 1 to 4294967295 \\(got "
+                                      "'4294967304'\\)"},
+          Case{"core.rob=4294967296", "core\\.rob wants a decimal number"},
+          Case{"core.iq=4294967298", "core\\.iq wants a decimal number "
+                                     "from 1 to 65536"},
+          Case{"core.iq=65537", "core\\.iq must be at most 65536"},
+          Case{"mem.l1.line=4294967360", "mem\\.l1\\.line wants a decimal"},
+          Case{"core.rob=010", "core\\.rob wants a decimal number"},
+          Case{"core.rob=0x8", "core\\.rob wants a decimal number"},
+          Case{"core.rob=+8", "core\\.rob wants a decimal number"},
+          Case{"core.rob=-8", "core\\.rob wants a decimal number"},
+          Case{"core.rob=", "core\\.rob wants a decimal number"},
+          Case{"mem.vec.port_bytes=4",
+               "mem\\.vec\\.port_bytes must be at least 8"}}) {
+        StudySpec spec;
+        spec.kernels = {"idct"};
+        spec.kinds = {SimdKind::MMX64};
+        spec.ways = {2};
+        std::string err;
+        ASSERT_TRUE(applySpecSetting(std::string("grid.override=") +
+                                         c.assignment,
+                                     spec, err))
+            << err;
+        EXPECT_EXIT(Study(spec).points(), testing::ExitedWithCode(1),
+                    c.message)
+            << c.assignment;
+    }
+}
+
+// exec.store and exec.journal are read by the processes backend alone;
+// on the others they would be accepted and silently ignored.
+TEST_F(StudyTest, StoreAndJournalNeedTheProcessesBackend)
+{
+    StudySpec spec;
+    spec.kernels = {"motion1"};
+    spec.kinds = {SimdKind::MMX64};
+    spec.ways = {2};
+    spec.exec.repo = &repo;
+    for (const char *backend : {"serial", "threads"}) {
+        for (const char *setting : {"exec.store=", "exec.journal="}) {
+            StudySpec s = spec;
+            std::string err;
+            ASSERT_TRUE(applySpecSetting(std::string("exec.backend=") +
+                                             backend,
+                                         s, err));
+            ASSERT_TRUE(applySpecSetting(setting + (dir_ / "x").string(), s,
+                                         err));
+            std::string key(setting, std::strlen(setting) - 1);
+            EXPECT_EXIT(Study(s).run(), testing::ExitedWithCode(1),
+                        key + " is read only by the processes backend, "
+                              "not " + backend)
+                << backend;
+        }
+    }
+    EXPECT_FALSE(fs::exists(dir_ / "x"));
+}
+
 // ---- backend equivalence -------------------------------------------------
 
 /** A randomized grid over the short-trace kernels: random flavours,
@@ -406,7 +511,6 @@ TEST_F(StudyTest, BackendsBitIdenticalOnRandomizedGrid)
         StudySpec spec = randomizedSpec(rng);
         spec.exec.repo = &repo;
         spec.exec.threads = 4;
-        spec.exec.storeDir = storeDir();
         Study study(spec);
         auto points = study.points();
         ASSERT_GE(points.size(), 8u);
@@ -420,6 +524,7 @@ TEST_F(StudyTest, BackendsBitIdenticalOnRandomizedGrid)
         // sharing traces through the on-disk store.
         policy.backend = ExecutionPolicy::Backend::Process;
         policy.processes = 2;
+        policy.storeDir = storeDir();
         auto processes = runPoints(points, policy);
 
         ASSERT_EQ(serial.size(), points.size());
@@ -476,7 +581,9 @@ TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
             policy.repo = &fresh;
             policy.threads = 3;
             policy.processes = 2;
-            policy.storeDir = storeDir() + "-" + std::to_string(ways.size());
+            if (backend == ExecutionPolicy::Backend::Process)
+                policy.storeDir =
+                    storeDir() + "-" + std::to_string(ways.size());
             policy.distStats = &ds;
             policy.backend = backend;
             auto got = runPoints(points, policy);

@@ -220,10 +220,10 @@ TEST_F(EngineTest, LabelIncludesAblationOverrides)
 {
     // Two points that differ only in a knob must not print identically.
     Config robSmall;
-    robSmall.set("core.robEntries", s64(32));
+    robSmall.set("core.rob", s64(32));
     Config robLarge;
-    robLarge.set("core.robEntries", s64(128));
-    robLarge.set("mem.l2Latency", s64(9));
+    robLarge.set("core.rob", s64(128));
+    robLarge.set("mem.l2.latency", s64(9));
 
     const std::vector<SweepPoint> pts = {
         kernelPoint("idct", SimdKind::VMMX128, 4, robSmall),
@@ -232,11 +232,10 @@ TEST_F(EngineTest, LabelIncludesAblationOverrides)
     EXPECT_NE(pts[0].label(), pts[1].label());
     EXPECT_NE(pts[0].label(), pts[2].label());
     EXPECT_EQ(pts[2].label(), "idct/vmmx128/4-way");
-    EXPECT_EQ(pts[0].label(),
-              "idct/vmmx128/4-way+core.robEntries=32");
+    EXPECT_EQ(pts[0].label(), "idct/vmmx128/4-way+core.rob=32");
     // Multiple overrides all appear (sorted by key).
     EXPECT_EQ(pts[1].label(),
-              "idct/vmmx128/4-way+core.robEntries=128+mem.l2Latency=9");
+              "idct/vmmx128/4-way+core.rob=128+mem.l2.latency=9");
 }
 
 TEST_F(EngineTest, ResultsMatchDirectRunTrace)
