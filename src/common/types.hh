@@ -83,6 +83,12 @@ asChars(const u8 *p)
     return reinterpret_cast<const char *>(p);
 }
 
+inline char *
+asChars(u8 *p)
+{
+    return reinterpret_cast<char *>(p);
+}
+
 } // namespace vmmx
 
 #endif // VMMX_COMMON_TYPES_HH

@@ -1,7 +1,5 @@
 #include "isa/opcode.hh"
 
-#include <array>
-
 #include "common/logging.hh"
 
 namespace vmmx
@@ -23,7 +21,9 @@ constexpr auto F_SIMD = FuType::Simd;
 constexpr auto F_MEM = FuType::Mem;
 constexpr auto F_NONE = FuType::None;
 
-const std::array<OpTraits, size_t(Opcode::NUM_OPCODES)> opTable = {{
+} // namespace
+
+const OpTraits opTable[size_t(Opcode::NUM_OPCODES)] = {
     // cls     fu      lat  name
     {C_SAR, F_ALU, 1, "nop"},      // NOP
     {C_SAR, F_ALU, 1, "li"},       // LI
@@ -87,21 +87,16 @@ const std::array<OpTraits, size_t(Opcode::NUM_OPCODES)> opTable = {{
     {C_VMEM, F_MEM, 1, "vstore"},  // VSTORE
     {C_VMEM, F_MEM, 1, "vloadp"},  // VLOADP
     {C_VMEM, F_MEM, 1, "vstorep"}, // VSTOREP
-}};
+};
+
+namespace
+{
 
 const char *classNames[numInstClasses] = {
     "smem", "sarith", "sctrl", "vmem", "varith",
 };
 
 } // namespace
-
-const OpTraits &
-traits(Opcode op)
-{
-    auto idx = static_cast<size_t>(op);
-    vmmx_assert(idx < opTable.size(), "opcode out of range");
-    return opTable[idx];
-}
 
 const char *
 instClassName(InstClass c)

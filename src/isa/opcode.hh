@@ -18,6 +18,7 @@
 #ifndef VMMX_ISA_OPCODE_HH
 #define VMMX_ISA_OPCODE_HH
 
+#include "common/logging.hh"
 #include "common/types.hh"
 
 namespace vmmx
@@ -141,8 +142,17 @@ struct OpTraits
     const char *name; ///< mnemonic for disassembly
 };
 
+/** One row per opcode, in Opcode order (isa/opcode.cc). */
+extern const OpTraits opTable[size_t(Opcode::NUM_OPCODES)];
+
 /** @return the traits row for @p op. */
-const OpTraits &traits(Opcode op);
+inline const OpTraits &
+traits(Opcode op)
+{
+    auto idx = static_cast<size_t>(op);
+    vmmx_assert(idx < size_t(Opcode::NUM_OPCODES), "opcode out of range");
+    return opTable[idx];
+}
 
 inline const char *
 opcodeName(Opcode op)

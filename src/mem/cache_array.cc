@@ -23,48 +23,12 @@ CacheArray::CacheArray(const CacheParams &params)
     lines_.resize(size_t(numSets_) * params_.assoc);
 }
 
-const CacheArray::Line *
-CacheArray::find(Addr addr) const
-{
-    Addr line = lineAddr(addr);
-    const Line *base = &lines_[size_t(setOf(line)) * params_.assoc];
-    for (u32 w = 0; w < params_.assoc; ++w) {
-        if (base[w].valid && base[w].tag == line)
-            return &base[w];
-    }
-    return nullptr;
-}
-
-CacheArray::Line *
-CacheArray::find(Addr addr)
-{
-    return const_cast<Line *>(
-        static_cast<const CacheArray *>(this)->find(addr));
-}
-
-bool
-CacheArray::probe(Addr addr) const
-{
-    return find(addr) != nullptr;
-}
-
-void
-CacheArray::touch(Addr addr)
-{
-    Line *l = find(addr);
-    vmmx_assert(l, "touch of absent line");
-    l->lruStamp = ++stamp_;
-}
-
 CacheArray::FillResult
 CacheArray::fill(Addr addr, bool dirty)
 {
     FillResult res;
-    if (Line *existing = find(addr)) {
-        existing->lruStamp = ++stamp_;
-        existing->dirty = existing->dirty || dirty;
+    if (hit(addr, dirty))
         return res;
-    }
 
     Addr line = lineAddr(addr);
     Line *base = &lines_[size_t(setOf(line)) * params_.assoc];
@@ -107,22 +71,6 @@ CacheArray::isDirty(Addr addr) const
 {
     const Line *l = find(addr);
     return l && l->dirty;
-}
-
-void
-CacheArray::setDirty(Addr addr)
-{
-    Line *l = find(addr);
-    vmmx_assert(l, "setDirty of absent line");
-    l->dirty = true;
-}
-
-void
-CacheArray::clean(Addr addr)
-{
-    Line *l = find(addr);
-    vmmx_assert(l, "clean of absent line");
-    l->dirty = false;
 }
 
 void

@@ -29,10 +29,19 @@ class CacheArray
     };
 
     /** @return true when the line holding @p addr is present. */
-    bool probe(Addr addr) const;
+    bool probe(Addr addr) const { return find(addr) != nullptr; }
 
-    /** Mark the line as most recently used.  Line must be present. */
-    void touch(Addr addr);
+    /** Look the line up once: on a hit, mark it most recently used and,
+     *  for a write, dirty.  @return true on a hit. */
+    bool hit(Addr addr, bool write)
+    {
+        Line *l = find(addr);
+        if (!l)
+            return false;
+        l->lruStamp = ++stamp_;
+        l->dirty = l->dirty || write;
+        return true;
+    }
 
     /** Insert the line holding @p addr, evicting the LRU way if needed. */
     FillResult fill(Addr addr, bool dirty = false);
@@ -42,12 +51,6 @@ class CacheArray
 
     /** @return true when present and dirty. */
     bool isDirty(Addr addr) const;
-
-    /** Mark an existing line dirty (store hit). Line must be present. */
-    void setDirty(Addr addr);
-
-    /** Mark an existing line clean (after writeback). */
-    void clean(Addr addr);
 
     /** Drop everything (used between benchmark repetitions). */
     void flush();
@@ -66,8 +69,22 @@ class CacheArray
         u64 lruStamp = 0;
     };
 
-    const Line *find(Addr addr) const;
-    Line *find(Addr addr);
+    const Line *find(Addr addr) const
+    {
+        Addr line = lineAddr(addr);
+        const Line *base = &lines_[size_t(setOf(line)) * params_.assoc];
+        for (u32 w = 0; w < params_.assoc; ++w) {
+            if (base[w].valid && base[w].tag == line)
+                return &base[w];
+        }
+        return nullptr;
+    }
+
+    Line *find(Addr addr)
+    {
+        return const_cast<Line *>(
+            static_cast<const CacheArray *>(this)->find(addr));
+    }
 
     /** Set index of a line-aligned address (numSets_ is a power of
      *  two, asserted at construction). */

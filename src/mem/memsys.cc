@@ -118,11 +118,8 @@ MemorySystem::l2Lookup(Addr lineAddr, bool isWrite, Cycle when)
         mshrErase(e); // fill completed; retire the entry
     }
 
-    if (l2_.probe(lineAddr)) {
+    if (l2_.hit(lineAddr, isWrite)) {
         ++l2Hits_;
-        l2_.touch(lineAddr);
-        if (isWrite)
-            l2_.setDirty(lineAddr);
         return when + params_.l2.latency;
     }
 
@@ -154,40 +151,13 @@ MemorySystem::l2Lookup(Addr lineAddr, bool isWrite, Cycle when)
 }
 
 Cycle
-MemorySystem::reserveL1(Addr addr, u32 bytes, Cycle when)
+MemorySystem::scalarMissOrStraddle(Addr addr, u32 bytes, bool firstHit,
+                                   bool isWrite, Cycle start)
 {
-    u32 portCycles = std::max<u32>(
-        1, l1PortShift_
-               ? (bytes + params_.l1PortBytes - 1) >> l1PortShift_
-               : (bytes + params_.l1PortBytes - 1) / params_.l1PortBytes);
-
-    // Earliest-free port.
-    auto port = std::min_element(l1PortFree_.begin(), l1PortFree_.end());
-    Addr line = addr >> l1LineShift_;
-    u32 bank = u32(l1BankMask_ ? line & l1BankMask_ : line % params_.l1Banks);
-    Cycle start = std::max({when, *port, l1BankFree_[bank]});
-    *port = start + portCycles;
-    l1BankFree_[bank] = start + portCycles;
-    return start;
-}
-
-Cycle
-MemorySystem::scalarAccess(Addr addr, u32 bytes, bool isWrite, Cycle when)
-{
-    vmmx_assert(bytes >= 1 && bytes <= 16, "scalar access size %u", bytes);
-
-    Cycle start = reserveL1(addr, bytes, when);
     Addr line = l1_.lineAddr(addr);
-    // An access that straddles two lines pays a second (sequential) probe;
-    // media code keeps data aligned so this is rare.
-    bool straddles = l1_.lineAddr(addr + bytes - 1) != line;
-
     Cycle done;
-    if (l1_.probe(line)) {
+    if (firstHit) {
         ++l1Hits_;
-        l1_.touch(line);
-        if (isWrite)
-            l1_.setDirty(line);
         done = start + params_.l1.latency;
     } else {
         ++l1Misses_;
@@ -199,18 +169,15 @@ MemorySystem::scalarAccess(Addr addr, u32 bytes, bool isWrite, Cycle when)
         auto ev = l1_.fill(line, isWrite);
         if (ev.evicted && ev.evictedDirty)
             l2_.fill(ev.evictedLine, true);
-        if (isWrite)
-            l1_.setDirty(line);
         done = fill;
     }
 
-    if (straddles) {
+    // An access that straddles two lines pays a second (sequential) probe;
+    // media code keeps data aligned so this is rare.
+    if (l1_.lineAddr(addr + bytes - 1) != line) {
         Addr line2 = line + l1_.lineBytes();
-        if (l1_.probe(line2)) {
+        if (l1_.hit(line2, isWrite)) {
             ++l1Hits_;
-            l1_.touch(line2);
-            if (isWrite)
-                l1_.setDirty(line2);
             done = std::max(done, start + params_.l1.latency + 1);
         } else {
             ++l1Misses_;

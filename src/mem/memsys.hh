@@ -20,8 +20,10 @@
 #ifndef VMMX_MEM_MEMSYS_HH
 #define VMMX_MEM_MEMSYS_HH
 
+#include <algorithm>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/types.hh"
 #include "mem/cache_array.hh"
 #include "mem/params.hh"
@@ -43,7 +45,19 @@ class MemorySystem
      * @return cycle at which the value is available (loads) or the access
      *         is accepted (stores).
      */
-    Cycle scalarAccess(Addr addr, u32 bytes, bool isWrite, Cycle when);
+    Cycle scalarAccess(Addr addr, u32 bytes, bool isWrite, Cycle when)
+    {
+        vmmx_assert(bytes >= 1 && bytes <= 16, "scalar access size %u",
+                    bytes);
+        Cycle start = reserveL1(addr, bytes, when);
+        Addr line = l1_.lineAddr(addr);
+        bool hit = l1_.hit(line, isWrite);
+        if (hit && l1_.lineAddr(addr + bytes - 1) == line) {
+            ++l1Hits_;
+            return start + params_.l1.latency;
+        }
+        return scalarMissOrStraddle(addr, bytes, hit, isWrite, start);
+    }
 
     /**
      * Issue a matrix (vector) access of @p vl rows of @p rowBytes each,
@@ -72,7 +86,28 @@ class MemorySystem
     Cycle l2Lookup(Addr lineAddr, bool isWrite, Cycle when);
 
     /** Reserve an L1 port and bank; @return transfer start cycle. */
-    Cycle reserveL1(Addr addr, u32 bytes, Cycle when);
+    Cycle reserveL1(Addr addr, u32 bytes, Cycle when)
+    {
+        u32 portCycles = std::max<u32>(
+            1, l1PortShift_
+                   ? (bytes + params_.l1PortBytes - 1) >> l1PortShift_
+                   : (bytes + params_.l1PortBytes - 1) / params_.l1PortBytes);
+
+        // Earliest-free port.
+        auto port = std::min_element(l1PortFree_.begin(), l1PortFree_.end());
+        Addr line = addr >> l1LineShift_;
+        u32 bank =
+            u32(l1BankMask_ ? line & l1BankMask_ : line % params_.l1Banks);
+        Cycle start = std::max({when, *port, l1BankFree_[bank]});
+        *port = start + portCycles;
+        l1BankFree_[bank] = start + portCycles;
+        return start;
+    }
+
+    /** The rest of scalarAccess() once its first line missed
+     *  (@p firstHit false) or the access straddles two lines. */
+    Cycle scalarMissOrStraddle(Addr addr, u32 bytes, bool firstHit,
+                               bool isWrite, Cycle start);
 
     /**
      * Outstanding-miss table entry.  The table is a flat array of at most

@@ -16,7 +16,6 @@ BranchPredictor::BranchPredictor(unsigned entries)
 bool
 BranchPredictor::predict(u32 staticId, bool taken)
 {
-    ++lookups_;
     // Knuth multiplicative hash spreads the dense site ids.
     u32 pc = staticId * 2654435761u;
     u32 idx = (pc ^ history_) & mask_;
@@ -30,10 +29,7 @@ BranchPredictor::predict(u32 staticId, bool taken)
 
     history_ = ((history_ << 1) | u32(taken)) & mask_;
 
-    bool correct = pred == taken;
-    if (!correct)
-        ++mispredicts_;
-    return correct;
+    return pred == taken;
 }
 
 void
@@ -42,7 +38,6 @@ BranchPredictor::reset()
     for (auto &c : table_)
         c = 2;
     history_ = 0;
-    lookups_ = mispredicts_ = 0;
 }
 
 } // namespace vmmx

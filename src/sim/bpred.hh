@@ -29,15 +29,10 @@ class BranchPredictor
 
     void reset();
 
-    u64 lookups() const { return lookups_; }
-    u64 mispredicts() const { return mispredicts_; }
-
   private:
     std::vector<u8> table_;
     u32 mask_;
     u32 history_ = 0;
-    u64 lookups_ = 0;
-    u64 mispredicts_ = 0;
 };
 
 } // namespace vmmx

@@ -1,39 +1,34 @@
 #include "sim/resources.hh"
 
+#include <bit>
+
 namespace vmmx
 {
-
-namespace
-{
-
-u32
-nextPow2(u32 v)
-{
-    u32 p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
-
-} // namespace
 
 IssueQueueModel::IssueQueueModel(unsigned capacity) : capacity_(capacity)
 {
     vmmx_assert(capacity > 0, "issue queue with zero entries");
-    u32 cap = nextPow2(u32(capacity));
+    u32 cap = std::bit_ceil(u32(capacity));
     ring_.assign(cap, 0);
     mask_ = cap - 1;
 }
 
 RegFreeList::RegFreeList(unsigned physRegs, unsigned logicalRegs)
-    : free_(physRegs - logicalRegs), initialFree_(physRegs - logicalRegs)
+    : initialFree_(physRegs - logicalRegs)
 {
     vmmx_assert(physRegs > logicalRegs,
                 "physical registers must exceed logical registers");
-    // At most physRegs mappings can be pending release at once; one
-    // spare slot keeps head != tail unambiguous at full occupancy.
-    u32 cap = nextPow2(u32(physRegs) + 1);
+    u64 cap = std::bit_ceil(initialFree_);
     ring_.assign(cap, 0);
+    mask_ = cap - 1;
+}
+
+StoreWindow::StoreWindow(unsigned window) : window_(window)
+{
+    if (window == 0)
+        return;
+    u64 cap = std::bit_ceil(u64(window));
+    ring_ = std::make_unique_for_overwrite<Pending[]>(cap);
     mask_ = cap - 1;
 }
 

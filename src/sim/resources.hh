@@ -10,18 +10,17 @@
  * keeping the acquired reservations.
  *
  * Every model here sits on the per-instruction hot path of the timing
- * loop (the profile is dominated by them, not by the caches), so they
- * are defined inline and avoid heap-backed containers: the issue queue
- * is a sorted ring whose front is the earliest leaver, and the free
- * lists exploit that releases arrive in non-decreasing commit order,
- * turning the priority queue this replaced into a plain FIFO ring with
- * identical semantics.
+ * loop, so they are defined inline and avoid heap-backed containers:
+ * the issue queue is a sorted ring whose front is the earliest leaver,
+ * the free lists pair each allocation with the one release it can wait
+ * for, and the store window walks only the stores still in flight.
  */
 
 #ifndef VMMX_SIM_RESOURCES_HH
 #define VMMX_SIM_RESOURCES_HH
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "common/logging.hh"
@@ -156,11 +155,15 @@ class IssueQueueModel
  * one register; committing a later writer of the same logical register
  * releases the previous mapping.
  *
- * Commit is in order, so release() sees non-decreasing cycles and the
- * pending releases form a sorted FIFO: a power-of-two ring indexed by
- * monotone head/tail counters replaces the priority queue bit for bit.
- * At most total physical registers can be awaiting release, bounding
- * the ring occupancy.
+ * Releases arrive in commit order, so registers come back first in,
+ * first out: allocation n, once the initially free registers are used
+ * up, takes release n - initialFree.  It waits for that release only
+ * when the release is later than both the requested cycle and every
+ * earlier allocation's result.  Otherwise an allocation made after the
+ * release already reached its cycle and freed it (the ones made before
+ * all returned earlier cycles, since rename precedes commit).  This is
+ * bit for bit a free count that each allocation tops up with every
+ * release due by its cycle.
  */
 class RegFreeList
 {
@@ -171,54 +174,117 @@ class RegFreeList
      *  performs the allocation. */
     Cycle allocate(Cycle c)
     {
-        harvest(c);
-        while (free_ == 0) {
-            vmmx_assert(head_ != tail_,
+        if (allocs_ >= initialFree_) {
+            u64 n = allocs_ - initialFree_;
+            vmmx_assert(n < releases_,
                         "rename deadlock: no free registers and none in "
                         "flight");
-            c = std::max(c, ring_[head_ & mask_]);
-            harvest(c);
+            Cycle freed = ring_[n & mask_];
+            if (freed > c && freed > last_)
+                c = freed;
         }
-        --free_;
+        ++allocs_;
+        last_ = std::max(last_, c);
         return c;
     }
 
-    /** A previous mapping becomes free when its successor commits;
-     *  successive commits never move backwards in time (the ring is
-     *  sorted only because of this -- fail fast if a caller breaks it,
-     *  since harvest() would otherwise silently strand entries). */
+    /** A previous mapping becomes free when its successor commits.
+     *  Rename precedes commit, so a release follows every allocation
+     *  made so far, in count and in cycle, and successive commits never
+     *  move backwards in time; allocate() relies on all three. */
     void release(Cycle commitCycle)
     {
-        vmmx_assert(head_ == tail_ ||
-                        commitCycle >= ring_[(tail_ - 1) & mask_],
+        vmmx_assert(releases_ < allocs_ && commitCycle > last_,
+                    "free-list release before its allocation");
+        vmmx_assert(releases_ == 0 ||
+                        commitCycle >= ring_[(releases_ - 1) & mask_],
                     "free-list releases must be in commit order");
-        ring_[tail_ & mask_] = commitCycle;
-        ++tail_;
+        ring_[releases_++ & mask_] = commitCycle;
     }
 
     void reset()
     {
-        head_ = tail_ = 0;
-        free_ = initialFree_;
+        allocs_ = releases_ = 0;
+        last_ = 0;
     }
-
-    unsigned freeNow() const { return free_; }
 
   private:
-    void harvest(Cycle c)
+    /** Release cycles not yet taken by an allocation: at most
+     *  initialFree_, since each follows its own allocation. */
+    std::vector<Cycle> ring_;
+    u64 mask_;
+    u64 allocs_ = 0;
+    u64 releases_ = 0;
+    Cycle last_ = 0; ///< latest cycle any allocation returned
+    u64 initialFree_;
+};
+
+/**
+ * Store->load disambiguation: a load waits for every store among the
+ * last @p window stores whose bytes overlap its own and whose access is
+ * not done when the load would issue.
+ *
+ * Rename is monotone, and every load issues after its rename, so a store
+ * done by a load's rename cycle + 1 can delay neither that load nor any
+ * later one.  The walk drops such stores, and stores pushed out of the
+ * window, as it passes them, so it visits only the few stores still in
+ * flight rather than the whole window.
+ */
+class StoreWindow
+{
+  public:
+    explicit StoreWindow(unsigned window);
+
+    void push(Addr lo, Addr hi, Cycle done)
     {
-        while (head_ != tail_ && ring_[head_ & mask_] <= c) {
+        if (window_ == 0)
+            return;
+        // With window_ entries held, the oldest leaves the window now.
+        if (tail_ - head_ == window_)
             ++head_;
-            ++free_;
-        }
+        ring_[tail_++ & mask_] = {lo, hi, done, pushes_++};
     }
 
-    std::vector<Cycle> ring_; ///< pending release cycles, oldest first
-    u32 head_ = 0;
-    u32 tail_ = 0;
-    u32 mask_;
-    unsigned free_;
-    unsigned initialFree_;
+    /** @return @p issue raised to the done cycle of every overlapping
+     *  store in the window; @p floor is the load's rename cycle + 1 and
+     *  must not decrease from one load to the next. */
+    Cycle disambiguate(Addr lo, Addr hi, Cycle issue, Cycle floor)
+    {
+        // Newest first; survivors are packed against the tail.
+        u64 keep = tail_;
+        for (u64 i = tail_; i != head_;) {
+            const Pending st = ring_[--i & mask_];
+            if (st.push + window_ < pushes_)
+                break; // out of the window, as is every older store
+            if (st.done <= floor)
+                continue;
+            if (st.done > issue && st.lo < hi && lo < st.hi)
+                issue = st.done;
+            ring_[--keep & mask_] = st;
+        }
+        head_ = keep;
+        return issue;
+    }
+
+    void reset() { head_ = tail_ = pushes_ = 0; }
+
+  private:
+    struct Pending
+    {
+        Addr lo;
+        Addr hi;
+        Cycle done;
+        u64 push; ///< push number, for the window check
+    };
+
+    /** Live stores, oldest first.  Left uninitialised, so a large
+     *  window commits only the pages its stores reach. */
+    std::unique_ptr<Pending[]> ring_;
+    u64 mask_ = 0;
+    u64 head_ = 0;
+    u64 tail_ = 0;
+    u64 pushes_ = 0;
+    u64 window_;
 };
 
 } // namespace vmmx

@@ -26,13 +26,13 @@
  *    (real cycle values stay far below it).
  *
  * What stays scalar per lane -- the data-dependent tails vectorization
- * cannot reach: the issue-queue window, free-list FIFO bookkeeping,
- * memory-system accesses and store-set disambiguation, branch-predictor
- * updates (skipped for lanes 1..N-1 when every lane has the same
- * predictor geometry, since prediction inputs are trace-determined and
- * the tables then evolve identically), and the O(1) writebacks after
- * each vector min scan.  These go through the inline helpers below,
- * which reach into the borrowed SimContexts (SimBatch is a friend).
+ * cannot reach: the issue-queue window, the free lists, memory-system
+ * accesses and the store-window walk, branch-predictor updates (skipped
+ * for lanes 1..N-1 when every lane has the same predictor geometry,
+ * since prediction inputs are trace-determined and the tables then
+ * evolve identically), and the O(1) writebacks after each vector min
+ * scan.  These go through the inline helpers below, which reach into
+ * the borrowed SimContexts (SimBatch is a friend).
  *
  * Statistics that are trace-determined (instruction, branch, mem-op
  * and class counts -- identical for every lane by construction) are
@@ -155,15 +155,15 @@ struct SimBatch
     }
 
     /** The whole Mem-FU case for one lane: disambiguation, the cache
-     *  access, store-window push.  Reads ready[l], writes issue[l] and
-     *  done[l]. */
+     *  access, store-window push.  Reads rn[l] and ready[l], writes
+     *  issue[l] and done[l]. */
     void
     memAccess(size_t l, const DecodedInst &inst)
     {
         SimContext &sc = *ctx[l];
         Cycle is = ready[l];
         if (inst.has(DecodedInst::kLoad))
-            is = sc.disambiguate(inst.lo, inst.hi, is);
+            is = sc.stores_.disambiguate(inst.lo, inst.hi, is, rn[l] + 1);
         bool isWrite = inst.has(DecodedInst::kStore);
         Cycle dn;
         if (inst.has(DecodedInst::kVecMem)) {
@@ -175,7 +175,7 @@ struct SimBatch
                                        is);
         }
         if (isWrite)
-            sc.pushStore(inst.lo, inst.hi, dn);
+            sc.stores_.push(inst.lo, inst.hi, dn);
         issue[l] = is;
         done[l] = dn;
     }

@@ -36,16 +36,14 @@ SimContext::SimContext(const CoreParams &params, MemorySystem *mem)
       simdPool_(params.simdFus),
       simdIssuePool_(params.simdIssue),
       bpred_(params.bpredEntries),
-      robRing_(params.robSize, 0)
+      freeLists_{RegFreeList(params.physInt, params.logicalInt),
+                 RegFreeList(params.physFp, params.logicalFp),
+                 RegFreeList(params.physSimd, params.logicalSimd),
+                 RegFreeList(params.physAcc, params.logicalAcc)},
+      robRing_(params.robSize, 0),
+      stores_(params.storeWindow)
 {
     vmmx_assert(mem_ != nullptr, "simulation context needs a memory system");
-    stores_.reserve(params.storeWindow);
-
-    freeLists_.reserve(numRegClasses);
-    freeLists_.emplace_back(params.physInt, params.logicalInt);
-    freeLists_.emplace_back(params.physFp, params.logicalFp);
-    freeLists_.emplace_back(params.physSimd, params.logicalSimd);
-    freeLists_.emplace_back(params.physAcc, params.logicalAcc);
 
     static_assert(readySlots == decodedReadySlots,
                   "ready table must match the decoded slot numbering");
@@ -74,66 +72,10 @@ SimContext::reset()
         fl.reset();
     regReady_.fill(0);
     std::fill(robRing_.begin(), robRing_.end(), 0);
-    resetStores();
+    stores_.reset();
     robPos_ = 0;
     lastCommit_ = 0;
     fetchRedirect_ = 0;
-}
-
-void
-SimContext::pushStore(Addr lo, Addr hi, Cycle done)
-{
-    if (params_.storeWindow == 0)
-        return;
-    if (stores_.size() < params_.storeWindow) {
-        stores_.push_back({lo, hi, done});
-    } else {
-        stores_[storeHead_] = {lo, hi, done};
-        if (++storeHead_ == stores_.size())
-            storeHead_ = 0;
-    }
-    storesMaxDone_ = std::max(storesMaxDone_, done);
-    storesLoMin_ = std::min(storesLoMin_, lo);
-    storesHiMax_ = std::max(storesHiMax_, hi);
-}
-
-Cycle
-SimContext::disambiguate(Addr lo, Addr hi, Cycle issue)
-{
-    // The bounds over-approximate the live window, so a miss here proves
-    // no overlapping store is still in flight.
-    if (stores_.empty() || issue >= storesMaxDone_ ||
-        hi <= storesLoMin_ || lo >= storesHiMax_) {
-        return issue;
-    }
-
-    // The final issue cycle is max(issue, done of overlapping in-flight
-    // stores) -- order independent, so the ring is walked linearly while
-    // the bounds are re-tightened to the exact live set.
-    Cycle maxDone = 0;
-    Addr loMin = ~Addr(0);
-    Addr hiMax = 0;
-    for (const PendingStore &st : stores_) {
-        if (st.done > issue && st.lo < hi && lo < st.hi)
-            issue = st.done;
-        maxDone = std::max(maxDone, st.done);
-        loMin = std::min(loMin, st.lo);
-        hiMax = std::max(hiMax, st.hi);
-    }
-    storesMaxDone_ = maxDone;
-    storesLoMin_ = loMin;
-    storesHiMax_ = hiMax;
-    return issue;
-}
-
-void
-SimContext::resetStores()
-{
-    stores_.clear();
-    storeHead_ = 0;
-    storesMaxDone_ = 0;
-    storesLoMin_ = ~Addr(0);
-    storesHiMax_ = 0;
 }
 
 void
@@ -218,7 +160,7 @@ SimContext::step(const DecodedInst &inst)
         issue = ready;
         if (inst.has(DecodedInst::kLoad)) {
             // Wait for older overlapping stores still in flight.
-            issue = disambiguate(inst.lo, inst.hi, issue);
+            issue = stores_.disambiguate(inst.lo, inst.hi, issue, rn + 1);
         }
         bool isWrite = inst.has(DecodedInst::kStore);
         if (inst.has(DecodedInst::kVecMem)) {
@@ -229,7 +171,7 @@ SimContext::step(const DecodedInst &inst)
                                       issue);
         }
         if (isWrite)
-            pushStore(inst.lo, inst.hi, done);
+            stores_.push(inst.lo, inst.hi, done);
         ++stats_.memOps;
         break;
       }

@@ -22,7 +22,7 @@
  *
  * A SimContext owns every piece of mutable per-run state of the model
  * -- the width gates, issue queue, functional-unit pools, branch
- * predictor, register free lists, ready tables, ROB and store rings,
+ * predictor, register free lists, ready tables, ROB ring, store window
  * and the statistics of the run in flight -- bound to one CoreParams
  * and one MemorySystem.  That is what makes batched simulation
  * possible: N contexts can be stepped against the *same* dynamic
@@ -111,7 +111,7 @@ class SimContext
     SlotPool simdIssuePool_;
     BranchPredictor bpred_;
 
-    std::vector<RegFreeList> freeLists_;
+    std::array<RegFreeList, numRegClasses> freeLists_;
 
     /** Flat per-logical-register ready table: all classes side by side
      *  at fixed offsets (64 Int | 64 Fp | 64 Simd | 8 Acc), indexed by
@@ -129,32 +129,8 @@ class SimContext
     Cycle lastCommit_ = 0;
     Cycle fetchRedirect_ = 0;
 
-    struct PendingStore
-    {
-        Addr lo;
-        Addr hi;
-        Cycle done;
-    };
-
-    /**
-     * The last storeWindow stores, kept in a fixed ring (the newest
-     * overwrites the oldest).  The interval and completion-time bounds
-     * over the live entries let the per-load disambiguation walk be
-     * skipped outright when no pending store can overlap or is still in
-     * flight; they are conservative (never under-approximate) and are
-     * tightened on every full walk.
-     */
-    std::vector<PendingStore> stores_;
-    size_t storeHead_ = 0;
-    Cycle storesMaxDone_ = 0;
-    Addr storesLoMin_ = ~Addr(0);
-    Addr storesHiMax_ = 0;
-
-    void pushStore(Addr lo, Addr hi, Cycle done);
-    /** @return the load's issue cycle after waiting for overlapping
-     *  older stores still in flight at @p issue. */
-    Cycle disambiguate(Addr lo, Addr hi, Cycle issue);
-    void resetStores();
+    /** The last storeWindow stores, for store->load disambiguation. */
+    StoreWindow stores_;
 
     RunStats stats_;
 };

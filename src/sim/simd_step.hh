@@ -17,7 +17,8 @@
  * The pool min scans reproduce SlotPool's first-strict-minimum scan
  * order, so tie-breaking is identical, not just equivalent.  The issue
  * queue is not vectorized: each lane calls its context's
- * IssueQueueModel, as it does its free lists.
+ * IssueQueueModel, as it does its free lists and store window, all
+ * inline (sim/resources.hh), as are the L1 port reservation and hit.
  *
  * This header is included only by the per-ISA kernel translation
  * units, each compiled with the matching -m flags; the ISA-specific

@@ -75,13 +75,20 @@ bool
 TraceStore::open(const TraceKey &key, std::vector<u8> &bytes,
                  wire::Reader &r)
 {
-    std::ifstream in(path(key), std::ios::binary);
+    const std::string file = path(key);
+    std::ifstream in(file, std::ios::binary);
     if (!in) {
         ++misses_;
         return false;
     }
-    bytes.assign(std::istreambuf_iterator<char>(in),
-                 std::istreambuf_iterator<char>());
+    // One sized read.  A path without a size (not a regular file) reads
+    // as empty and a short read keeps what arrived; the checks below
+    // reject both.
+    std::error_code ec;
+    auto size = fs::file_size(file, ec);
+    bytes.resize(ec ? 0 : size_t(size));
+    in.read(asChars(bytes.data()), std::streamsize(bytes.size()));
+    bytes.resize(size_t(in.gcount()));
     in.close();
 
     // Checksum covers everything before the trailing fixed64.

@@ -4,11 +4,13 @@
  * stalls, branch prediction effects, and vector lane occupancy;
  * hand-timed micro-traces (independent ops at width, a dependency
  * chain, a full issue queue, a full ROB, a mispredict redirect, VTRANSP
- * lane-exchange occupancy, an L1 hit, an L2 hit and a memory access)
- * with exact cycle counts; the issue-queue
- * window against its linear-scan reference; and the rejection of core
- * overrides the model cannot run.
+ * lane-exchange occupancy, an L1 hit, an L2 hit, a memory access and
+ * store->load disambiguation) with exact cycle counts; the issue-queue
+ * window, the free list and the store window against their reference
+ * models; and the rejection of core overrides the model cannot run.
  */
+
+#include <deque>
 
 #include <gtest/gtest.h>
 
@@ -230,6 +232,98 @@ TEST(Core, StoreToLoadDependencyHonored)
     EXPECT_EQ(p.val(a), 7u);
     auto r = runTrace(makeMachine(SimdKind::MMX64, 4), p.trace());
     EXPECT_GT(r.core.cycles, 4u);
+}
+
+// Hand-timed store->load disambiguation on the 2-way MMX64 core (the
+// Table IV memory of MemoryLevelsHandTimed: a 3-cycle L1 of 32-byte
+// lines behind one 8-byte port, a 12-cycle L2, M = 500 cycles of memory
+// and a 16-byte-per-cycle L1 fill), over three traces at a 128-byte-
+// aligned base:
+//   overlap:  li a, base; li v, 7; store v, 0(a); load r, 0(a)
+//   disjoint: the same, but load r, 8(a)
+//   pushed:   li a, base; li v, 7; store v, 0(a); store v, 16(a);
+//             load r, 0(a)
+// The li's are fetched at 0, rename at 3 and are done at 5; the rest
+// are fetched in pairs from cycle 1 and rename 3 cycles later.
+//  - The first store issues at 5 and misses both levels: the L2 is
+//    asked at 8 and answers at 8 + 12 + M, and the L1 fill takes
+//    32 / 16 = 2 more, so it is done at 522 and commits at 523.  The
+//    model marks the line present when the miss starts, so a later
+//    access to it that does not wait hits at once.
+//  - overlap: the load is ready at 5 but overlaps the store still in
+//    flight, so it issues when the store is done, at 522, hits, is done
+//    at 525 and commits at 526.  With core.store_window = 0 nothing is
+//    searched: it issues at 5, gets the port at 6 (the store held it at
+//    5), is done at 9 and commits with the store at 523.
+//  - disjoint: bytes 8..15 overlap no store, so at every window the
+//    load runs as in the window-0 overlap case: 523 cycles.
+//  - pushed: the second store is ready at 5, gets the port at 6, hits,
+//    is done at 9 and commits at 523 beside the first.  The load renames
+//    at 5 and is ready at 6.  In the default 64-store window it waits
+//    for the first store as in overlap: done 525, commit 526.  With
+//    core.store_window = 1 the second store pushed the first out and
+//    overlaps nothing, so the load issues at 6, gets the port at 7 and
+//    is done at 10; cycle 523 already commits two, so it commits at
+//    524.  The same with a window of 0.
+TEST(Core, StoreWindowHandTimed)
+{
+    Config one, none;
+    one.set("core.store_window", s64(1));
+    none.set("core.store_window", s64(0));
+    std::vector<MachineConfig> machines = {
+        makeMachine(SimdKind::MMX64, 2),
+        makeMachine(SimdKind::MMX64, 2, one),
+        makeMachine(SimdKind::MMX64, 2, none)};
+    const struct
+    {
+        const char *name;
+        s64 loadDisp;
+        bool secondStore;
+        u64 cycles[3]; ///< per machine: window 64, 1, 0
+    } cases[] = {{"overlap", 0, false, {526, 526, 523}},
+                 {"disjoint", 8, false, {523, 523, 523}},
+                 {"pushed", 0, true, {526, 524, 524}}};
+
+    for (const auto &c : cases) {
+        MemImage mem(1 << 16);
+        Addr base = mem.alloc(256, 128);
+        Program p(mem, SimdKind::MMX64);
+        SReg a = p.sreg(), v = p.sreg(), r = p.sreg();
+        p.li(a, base);
+        p.li(v, 7);
+        p.store(v, a, 0, 8);
+        if (c.secondStore)
+            p.store(v, a, 16, 8);
+        p.load(r, a, c.loadDisp, 8);
+
+        std::vector<RunResult> alone;
+        for (size_t m = 0; m < machines.size(); ++m) {
+            alone.push_back(runTrace(machines[m], p.trace()));
+            const RunResult &res = alone.back();
+            EXPECT_EQ(res.core.cycles, c.cycles[m]) << c.name << " " << m;
+            EXPECT_EQ(res.l1Misses, 1u) << c.name;
+            EXPECT_EQ(res.l1Hits, c.secondStore ? 2u : 1u) << c.name;
+            EXPECT_EQ(res.l2Misses, 1u) << c.name;
+            EXPECT_EQ(res.core.renameStallRegs, 0u);
+            EXPECT_EQ(res.core.renameStallIq, 0u);
+            EXPECT_EQ(res.core.renameStallRob, 0u);
+        }
+
+        // Every step path this host runs walks the same window.
+        u32 runnable = simd::compiledMask() & simd::supportedMask();
+        for (unsigned path = 0; path < simd::numPaths; ++path) {
+            if (!(runnable & (1u << path)))
+                continue;
+            ASSERT_EQ(simd::setActivePath(simd::Path(path)), "");
+            auto batch = runTraceBatch(machines, p.trace());
+            ASSERT_EQ(batch.size(), machines.size());
+            for (size_t m = 0; m < machines.size(); ++m)
+                EXPECT_TRUE(batch[m] == alone[m])
+                    << simd::pathName(simd::Path(path)) << " " << c.name
+                    << " " << m;
+        }
+        simd::setActivePathAuto();
+    }
 }
 
 // Hand-timed IQ-full micro-trace: eight independent `li`s on the 2-way
@@ -671,6 +765,177 @@ TEST(Resources, RegFreeListReleases)
     EXPECT_EQ(fl.allocate(0), 0u);
     fl.release(20);
     EXPECT_EQ(fl.allocate(5), 20u); // must wait for the release
+}
+
+/** The free list as a free count and a FIFO of pending releases that
+ *  each allocation harvests up to its cycle: RegFreeList must match it
+ *  return for return. */
+class HarvestFreeList
+{
+  public:
+    explicit HarvestFreeList(unsigned initialFree)
+        : initialFree_(initialFree), free_(initialFree)
+    {
+    }
+
+    Cycle
+    allocate(Cycle c)
+    {
+        harvest(c);
+        while (free_ == 0) {
+            c = std::max(c, pending_.front());
+            harvest(c);
+        }
+        --free_;
+        return c;
+    }
+
+    void release(Cycle commitCycle) { pending_.push_back(commitCycle); }
+
+    void
+    reset()
+    {
+        pending_.clear();
+        free_ = initialFree_;
+    }
+
+  private:
+    void
+    harvest(Cycle c)
+    {
+        for (; !pending_.empty() && pending_.front() <= c;
+             pending_.pop_front())
+            ++free_;
+    }
+
+    unsigned initialFree_;
+    unsigned free_;
+    std::deque<Cycle> pending_;
+};
+
+// Randomized streams under the rename protocol: every allocation is
+// released once, in allocation order, at a commit cycle later than every
+// cycle granted so far and no earlier than the release before it.
+// Requests wander, sometimes below the last grant; releases lag their
+// allocations by up to the whole free pool; resets come mid-stream.
+TEST(Resources, RegFreeListMatchesHarvest)
+{
+    Rng rng(0xf1ee);
+    for (unsigned phys : {1u, 2u, 3u, 8u, 20u, 40u, 64u, 96u}) {
+        for (unsigned logical : {0u, phys / 2, phys - 1}) {
+            unsigned initialFree = phys - logical;
+            RegFreeList fl(phys, logical);
+            HarvestFreeList ref(initialFree);
+            unsigned unreleased = 0;
+            Cycle clock = 0, lastRelease = 0; // clock: the latest grant
+            for (int step = 0; step < 20000; ++step) {
+                // Allocating with every register granted and none
+                // released would deadlock the rename.
+                if (unreleased < initialFree &&
+                    (unreleased == 0 || rng.below(2))) {
+                    Cycle c = rng.below(8) == 0 ? rng.below(clock + 1)
+                                                : clock + rng.below(4);
+                    Cycle got = fl.allocate(c);
+                    ASSERT_EQ(got, ref.allocate(c))
+                        << phys << "/" << logical << ", step " << step;
+                    clock = std::max(clock, got);
+                    ++unreleased;
+                } else {
+                    Cycle lag = rng.below(4) == 0 ? rng.below(40)
+                                                  : rng.below(3);
+                    lastRelease = std::max(lastRelease, clock + 1 + lag);
+                    fl.release(lastRelease);
+                    ref.release(lastRelease);
+                    --unreleased;
+                }
+                if (rng.below(3000) == 0) {
+                    fl.reset();
+                    ref.reset();
+                    unreleased = 0;
+                    clock = lastRelease = 0;
+                }
+            }
+        }
+    }
+}
+
+/** The store window as the last @p window stores, every one of them
+ *  searched by every load: StoreWindow must match it return for
+ *  return. */
+class FullWalkStores
+{
+  public:
+    explicit FullWalkStores(unsigned window) : window_(window) {}
+
+    void
+    push(Addr lo, Addr hi, Cycle done)
+    {
+        if (window_ == 0)
+            return;
+        stores_.push_back({lo, hi, done});
+        if (stores_.size() > window_)
+            stores_.pop_front();
+    }
+
+    Cycle
+    disambiguate(Addr lo, Addr hi, Cycle issue) const
+    {
+        for (const Store &st : stores_)
+            if (st.done > issue && st.lo < hi && lo < st.hi)
+                issue = st.done;
+        return issue;
+    }
+
+    void reset() { stores_.clear(); }
+
+  private:
+    struct Store
+    {
+        Addr lo;
+        Addr hi;
+        Cycle done;
+    };
+
+    unsigned window_;
+    std::deque<Store> stores_;
+};
+
+// Randomized streams under the model's protocol: instructions rename at
+// non-decreasing cycles, a load issues at or after its rename + 1, and a
+// store is done at or after its own, mostly soon and sometimes a memory
+// latency later.  Accesses of 1..16 bytes within 256 bytes overlap
+// often.  Resets come mid-stream.
+TEST(Resources, StoreWindowMatchesFullWalk)
+{
+    Rng rng(0x5707);
+    for (unsigned window : {0u, 1u, 16u, 64u}) {
+        StoreWindow fast(window);
+        FullWalkStores ref(window);
+        Cycle rename = 0;
+        for (int step = 0; step < 100000; ++step) {
+            rename += rng.below(3);
+            Cycle floor = rename + 1;
+            Addr lo = rng.below(256);
+            Addr hi = lo + 1 + rng.below(16);
+            if (rng.below(2)) {
+                Cycle done = floor + (rng.below(8) == 0 ? rng.below(600)
+                                                        : rng.below(8));
+                fast.push(lo, hi, done);
+                ref.push(lo, hi, done);
+            } else {
+                Cycle issue = floor + (rng.below(4) == 0 ? rng.below(600)
+                                                         : rng.below(3));
+                ASSERT_EQ(fast.disambiguate(lo, hi, issue, floor),
+                          ref.disambiguate(lo, hi, issue))
+                    << "window " << window << ", step " << step;
+            }
+            if (rng.below(5000) == 0) {
+                fast.reset();
+                ref.reset();
+                rename = 0;
+            }
+        }
+    }
 }
 
 TEST(Bpred, LearnsBiasedBranch)

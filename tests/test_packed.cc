@@ -224,7 +224,12 @@ TEST_P(PackedWidth, MinMaxAvg)
 
 INSTANTIATE_TEST_SUITE_P(Widths, PackedWidth, testing::Values(8u, 16u),
                          [](const auto &tpi) {
-                             return "w" + std::to_string(tpi.param);
+                             // Appended, not prepended: gcc 12's
+                             // -Wrestrict misfires on "w" + string in
+                             // Release builds.
+                             std::string name = "w";
+                             name += std::to_string(tpi.param);
+                             return name;
                          });
 
 TEST(Accumulator, SadAccumulates)
