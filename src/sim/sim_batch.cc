@@ -7,6 +7,20 @@
 namespace vmmx
 {
 
+namespace
+{
+
+/** Registers of each class free before the first rename: the
+ *  initialFree of the context's RegFreeList, in RegClass order. */
+std::array<u64, numRegClasses>
+initialFree(const CoreParams &p)
+{
+    return {p.physInt - p.logicalInt, p.physFp - p.logicalFp,
+            p.physSimd - p.logicalSimd, p.physAcc - p.logicalAcc};
+}
+
+} // namespace
+
 SimBatch::SimBatch(std::span<SimContext *const> ctxs)
 {
     lanes = ctxs.size();
@@ -26,8 +40,7 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
     zeroed(cUsed);
     zeroed(redirect);
     zeroed(lastCommit);
-    zeroed(robPos);
-    zeroed(robSize);
+    zeroed(iqCap);
     zeroed(stallRob);
     zeroed(stallIq);
     zeroed(stallRegs);
@@ -38,14 +51,12 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
     zeroed(ready);
     zeroed(issue);
     zeroed(done);
-    zeroed(cc);
     zeroed(occ);
-    zeroed(robFree);
     zeroed(t1);
 
     regReady.assign(decodedReadySlots * padded, 0);
     lanesOcc.assign(17 * padded, 0);
-    robRing.assign(padded, nullptr);
+    regLast.assign(numRegClasses * padded, 0);
 
     size_t maxInt = 0, maxFp = 0, maxSimd = 0, maxIssue = 0;
     for (size_t l = 0; l < lanes; ++l) {
@@ -73,6 +84,36 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
     initPool(simdIssuePool, maxIssue,
              [](const CoreParams &p) { return p.simdIssue; });
 
+    // Each ring is max(minRows, the deepest lane's depth) + spare rows.
+    // Pad lanes read the write row itself: any in-range row would do.
+    auto initRing = [&](Ring &ring, size_t minRows, size_t spare,
+                        auto depthOf) {
+        size_t deepest = minRows;
+        for (size_t l = 0; l < lanes; ++l)
+            deepest = std::max<size_t>(deepest, depthOf(ctx[l]->params()));
+        ring.rows = deepest + spare;
+        ring.slots.assign(ring.rows * padded, 0);
+        ring.readOff.assign(padded, 0);
+        for (size_t l = 0; l < padded; ++l) {
+            size_t depth =
+                l < lanes ? depthOf(ctx[l]->params()) : ring.rows;
+            ring.readOff[l] = (ring.rows - depth) * padded + l;
+        }
+    };
+    initRing(rob, 1, 0, [](const CoreParams &p) { return p.robSize; });
+    // The vector insert rewrites iqWindow rows under the write row and
+    // reads the one below them.
+    initRing(iq, iqWindow, 1,
+             [](const CoreParams &p) { return p.iqSize; });
+    for (unsigned k = 0; k < numRegClasses; ++k) {
+        initRing(regs[k], 1, 0,
+                 [k](const CoreParams &p) { return initialFree(p)[k]; });
+        minFree[k] = ~u64(0);
+        for (size_t l = 0; l < lanes; ++l)
+            minFree[k] = std::min(minFree[k],
+                                  initialFree(ctx[l]->params())[k]);
+    }
+
     bpredShared = true;
     for (size_t l = 0; l < lanes; ++l) {
         SimContext &sc = *ctx[l];
@@ -81,11 +122,9 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
         frontDepth[l] = p.frontDepth;
         penalty[l] = p.mispredictPenalty;
         lanesPerFu[l] = p.lanesPerFu;
+        iqCap[l] = p.iqSize;
         for (size_t vl = 0; vl < sc.lanesOcc_.size(); ++vl)
             lanesOcc[vl * padded + l] = sc.lanesOcc_[vl];
-        robRing[l] = sc.robRing_.data();
-        robPos[l] = sc.robPos_;
-        robSize[l] = sc.robRing_.size();
         if (p.bpredEntries != ctx[0]->params().bpredEntries)
             bpredShared = false;
     }
@@ -102,7 +141,6 @@ SimBatch::finish()
         SimContext &sc = *ctx[l];
         sc.lastCommit_ = lastCommit[l];
         sc.fetchRedirect_ = redirect[l];
-        sc.robPos_ = u32(robPos[l]);
         RunStats &st = sc.stats_;
         st.instructions = instructions;
         st.branches = branches;

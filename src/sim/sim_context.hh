@@ -77,7 +77,9 @@ class SimContext
 {
     /** The SoA batch view (sim/sim_batch.hh) hoists this context's hot
      *  state into lane arrays and reaches back in for the scalar
-     *  sub-phases (issue queue, free lists, memory, predictor, ROB). */
+     *  sub-phases (memory, store window, predictor).  It keeps its own
+     *  issue queue, free lists and ROB, so a batched run leaves iq_,
+     *  freeLists_ and robRing_ as reset() left them. */
     friend struct SimBatch;
 
   public:

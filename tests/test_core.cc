@@ -47,6 +47,28 @@ twoAndEightWay()
     return {makeMachine(SimdKind::MMX64, 2), makeMachine(SimdKind::MMX64, 8)};
 }
 
+/** Every step path this host runs -- context-major and each SoA kernel
+ *  -- must time @p trace on @p machines, batched, as each machine's
+ *  run alone did (@p alone). */
+void
+expectEveryPathMatches(const std::vector<MachineConfig> &machines,
+                       const std::vector<InstRecord> &trace,
+                       const std::vector<RunResult> &alone)
+{
+    u32 runnable = simd::compiledMask() & simd::supportedMask();
+    for (unsigned path = 0; path < simd::numPaths; ++path) {
+        if (!(runnable & (1u << path)))
+            continue;
+        ASSERT_EQ(simd::setActivePath(simd::Path(path)), "");
+        auto batch = runTraceBatch(machines, trace);
+        ASSERT_EQ(batch.size(), machines.size());
+        for (size_t m = 0; m < machines.size(); ++m)
+            EXPECT_TRUE(batch[m] == alone[m])
+                << simd::pathName(simd::Path(path)) << ", machine " << m;
+    }
+    simd::setActivePathAuto();
+}
+
 // Hand-timed independent ops: sixteen `li`s to eight registers on the
 // MMX64 cores of width w = 2 and 8 (fetch = rename = commit width w,
 // front depth 3, w integer ALUs at 1-cycle latency, a 16/64-entry IQ and
@@ -73,11 +95,7 @@ TEST(Core, IpcBoundedByWidth)
         EXPECT_EQ(r->core.renameStallRob, 0u);
     }
 
-    // The batched kernel over both machines times the same trace.
-    auto batch = runTraceBatch(machines, trace);
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_TRUE(batch[0] == two);
-    EXPECT_TRUE(batch[1] == eight);
+    expectEveryPathMatches(machines, trace, {two, eight});
 }
 
 // Hand-timed dependency chain: `li a` and fifteen `addi a, a, 1` on the
@@ -107,10 +125,7 @@ TEST(Core, DependencyChainSerializes)
     EXPECT_EQ(two.core.renameStallRegs, 5u);
     EXPECT_EQ(eight.core.renameStallRegs, 0u);
 
-    auto batch = runTraceBatch(machines, p.trace());
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_TRUE(batch[0] == two);
-    EXPECT_TRUE(batch[1] == eight);
+    expectEveryPathMatches(machines, p.trace(), {two, eight});
 }
 
 TEST(Core, MulLatencyLongerThanAdd)
@@ -201,7 +216,9 @@ TEST(Core, VectorLengthDrivesOccupancy)
 TEST(Core, RegisterPressureStallsRename)
 {
     // Many live SIMD registers with long-latency producers: the small
-    // VMMX free list (20 phys - 16 logical at 2-way) must throttle.
+    // VMMX free list (20 phys - 16 logical at 2-way) must throttle, and
+    // one with a single free register the more.  The 8-way core's 48
+    // free registers ride in the same batch.
     MemImage mem(1 << 20);
     Addr buf = mem.alloc(8192);
     Program p(mem, SimdKind::VMMX128);
@@ -214,8 +231,20 @@ TEST(Core, RegisterPressureStallsRename)
         x = p.vreg();
     for (int i = 0; i < 64; ++i)
         v.loadU(r[i % 8], base, (i % 4) * 256);
-    auto res = runTrace(makeMachine(SimdKind::VMMX128, 2), p.trace());
-    EXPECT_GT(res.core.renameStallRegs, 0u);
+
+    Config oneFree;
+    oneFree.set("core.phys_simd", s64(17));
+    std::vector<MachineConfig> machines = {
+        makeMachine(SimdKind::VMMX128, 2),
+        makeMachine(SimdKind::VMMX128, 2, oneFree),
+        makeMachine(SimdKind::VMMX128, 8)};
+    std::vector<RunResult> alone;
+    for (const MachineConfig &m : machines)
+        alone.push_back(runTrace(m, p.trace()));
+    EXPECT_GT(alone[0].core.renameStallRegs, 0u);
+    EXPECT_GT(alone[1].core.renameStallRegs,
+              alone[0].core.renameStallRegs);
+    expectEveryPathMatches(machines, p.trace(), alone);
 }
 
 TEST(Core, StoreToLoadDependencyHonored)
@@ -310,19 +339,8 @@ TEST(Core, StoreWindowHandTimed)
         }
 
         // Every step path this host runs walks the same window.
-        u32 runnable = simd::compiledMask() & simd::supportedMask();
-        for (unsigned path = 0; path < simd::numPaths; ++path) {
-            if (!(runnable & (1u << path)))
-                continue;
-            ASSERT_EQ(simd::setActivePath(simd::Path(path)), "");
-            auto batch = runTraceBatch(machines, p.trace());
-            ASSERT_EQ(batch.size(), machines.size());
-            for (size_t m = 0; m < machines.size(); ++m)
-                EXPECT_TRUE(batch[m] == alone[m])
-                    << simd::pathName(simd::Path(path)) << " " << c.name
-                    << " " << m;
-        }
-        simd::setActivePathAuto();
+        SCOPED_TRACE(c.name);
+        expectEveryPathMatches(machines, p.trace(), alone);
     }
 }
 
@@ -362,11 +380,8 @@ TEST(Core, IssueQueueFullHandTimed)
     EXPECT_EQ(full.core.cycles, 12u);
     EXPECT_EQ(full.core.renameStallIq, 6u);
 
-    // The batched kernel models the same queue.
-    auto batch = runTraceBatch(machines, p.trace());
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_TRUE(batch[0] == roomy);
-    EXPECT_TRUE(batch[1] == full);
+    // Every step path this host runs models the same queue.
+    expectEveryPathMatches(machines, p.trace(), {roomy, full});
 }
 
 // Hand-timed ROB-full micro-trace: `li a, 12`, a 12-cycle `div q, a, a`
@@ -420,11 +435,8 @@ TEST(Core, RobFullHandTimed)
         EXPECT_EQ(res->core.renameStallIq, 0u);
     }
 
-    // The batched kernel models the same ROB.
-    auto batch = runTraceBatch(machines, p.trace());
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_TRUE(batch[0] == roomy);
-    EXPECT_TRUE(batch[1] == full);
+    // Every step path this host runs models the same ROB.
+    expectEveryPathMatches(machines, p.trace(), {roomy, full});
 }
 
 // Hand-timed mispredict: `li a, 1`, a not-taken branch on a, and six
@@ -468,11 +480,8 @@ TEST(Core, MispredictPenaltyHandTimed)
         EXPECT_EQ(res->core.renameStallIq, 0u);
     }
 
-    // The batched kernel redirects fetch the same way.
-    auto batch = runTraceBatch(machines, p.trace());
-    ASSERT_EQ(batch.size(), 2u);
-    EXPECT_TRUE(batch[0] == slow);
-    EXPECT_TRUE(batch[1] == fast);
+    // Every step path this host runs redirects fetch the same way.
+    expectEveryPathMatches(machines, p.trace(), {slow, fast});
 }
 
 // Hand-timed VTRANSP: `setvl 8`, `vzero v0` and N in {1, 2, 4}
@@ -533,19 +542,8 @@ TEST(Core, TransposeOccupancyHandTimed)
         }
 
         // Every step path this host runs times the same transposes.
-        u32 runnable = simd::compiledMask() & simd::supportedMask();
-        for (unsigned path = 0; path < simd::numPaths; ++path) {
-            if (!(runnable & (1u << path)))
-                continue;
-            ASSERT_EQ(simd::setActivePath(simd::Path(path)), "");
-            auto batch = runTraceBatch(machines, p.trace());
-            ASSERT_EQ(batch.size(), 2u);
-            EXPECT_TRUE(batch[0] == alone[0])
-                << simd::pathName(simd::Path(path)) << " N = " << c.n;
-            EXPECT_TRUE(batch[1] == alone[1])
-                << simd::pathName(simd::Path(path)) << " N = " << c.n;
-        }
-        simd::setActivePathAuto();
+        SCOPED_TRACE(testing::Message() << "N = " << c.n);
+        expectEveryPathMatches(machines, p.trace(), alone);
     }
 }
 
@@ -624,19 +622,8 @@ TEST(Core, MemoryLevelsHandTimed)
         }
 
         // Every step path this host runs times the same loads.
-        u32 runnable = simd::compiledMask() & simd::supportedMask();
-        for (unsigned path = 0; path < simd::numPaths; ++path) {
-            if (!(runnable & (1u << path)))
-                continue;
-            ASSERT_EQ(simd::setActivePath(simd::Path(path)), "");
-            auto batch = runTraceBatch(machines, prefix);
-            ASSERT_EQ(batch.size(), 2u);
-            EXPECT_TRUE(batch[0] == alone[0])
-                << simd::pathName(simd::Path(path)) << " " << c.records;
-            EXPECT_TRUE(batch[1] == alone[1])
-                << simd::pathName(simd::Path(path)) << " " << c.records;
-        }
-        simd::setActivePathAuto();
+        SCOPED_TRACE(testing::Message() << c.records << " records");
+        expectEveryPathMatches(machines, prefix, alone);
     }
 }
 
@@ -980,10 +967,18 @@ TEST(Overrides, SmallestCoreKnobsRun)
     for (const char *key : {"core.iq", "core.rob", "core.lanes",
                             "core.simd_fus", "core.simd_issue", "core.bpred"})
         knobs.set(key, s64(1));
-    auto r = runTrace(makeMachine(SimdKind::MMX64, 2, knobs),
-                      independentAlus(200));
-    EXPECT_EQ(r.core.instructions, 200u);
-    EXPECT_GT(r.core.cycles, 200u);
+    auto trace = independentAlus(200);
+    std::vector<MachineConfig> machines = {
+        makeMachine(SimdKind::MMX64, 2, knobs),
+        makeMachine(SimdKind::MMX64, 8)};
+    std::vector<RunResult> alone;
+    for (const MachineConfig &m : machines)
+        alone.push_back(runTrace(m, trace));
+    EXPECT_EQ(alone[0].core.instructions, 200u);
+    EXPECT_GT(alone[0].core.cycles, 200u);
+
+    // One-entry queues and a one-entry ROB step beside default ones.
+    expectEveryPathMatches(machines, trace, alone);
 }
 
 } // namespace

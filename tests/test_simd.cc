@@ -13,11 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <random>
 #include <vector>
 
 #include "common/logging.hh"
 #include "harness/sweep.hh"
+#include "sim/params.hh"
 #include "sim/simd_dispatch.hh"
 #include "trace/trace_repo.hh"
 
@@ -140,35 +142,51 @@ TEST_F(SimdTest, WidthOneBatchesAlwaysTakeTheSerialStep)
     }
 }
 
-/** A machine with randomized ablation knobs, mirroring the sweep
+/** @p n machines with randomized ablation knobs, mirroring the sweep
  *  tests: wide coverage of the per-lane state the SoA kernels must
- *  keep exact (ROB/IQ/lane/store-window/bpred/memory shapes). */
-MachineConfig
-randomMachine(std::mt19937 &rng, SimdKind kind)
+ *  keep exact (ROB/IQ/free-list/lane/store-window/bpred/memory
+ *  shapes).  Issue-queue and ROB sizes step through their lists from a
+ *  random start, so neighbouring machines differ in both and every
+ *  batch of two or more steps rings of mixed depth: queues shallower
+ *  than the kernels' vector insert window and queues deeper than their
+ *  own ROB among them.  Some machines keep just one or two SIMD
+ *  registers beyond the flavour's logical ones. */
+std::vector<MachineConfig>
+randomMachines(std::mt19937 &rng, SimdKind kind, size_t n)
 {
     auto pick = [&](std::initializer_list<s64> choices) {
         std::vector<s64> v(choices);
         return v[rng() % v.size()];
     };
-    unsigned way = unsigned(pick({2, 4, 8}));
-    Config knobs;
-    if (rng() % 2)
-        knobs.set("core.rob", pick({16, 32, 64, 128}));
-    if (rng() % 2)
-        knobs.set("core.iq", pick({1, 2, 8, 16, 32}));
-    if (rng() % 2)
-        knobs.set("core.lanes", pick({1, 2, 4}));
-    if (rng() % 2)
-        knobs.set("core.store_window", pick({0, 16, 64}));
-    if (rng() % 2)
-        knobs.set("core.bpred", pick({256, 4096}));
-    if (rng() % 2)
-        knobs.set("mem.l2.latency", pick({6, 12, 20}));
-    if (rng() % 2)
-        knobs.set("mem.mshrs", pick({2, 8}));
-    if (rng() % 2)
-        knobs.set("mem.l1.size", pick({16 * 1024, 32 * 1024}));
-    return makeMachine(kind, way, knobs);
+    static constexpr s64 iqs[] = {1, 2, 8, 16, 32, 64, 128};
+    static constexpr s64 robs[] = {1, 8, 16, 32, 64, 128};
+    const size_t iq0 = rng() % std::size(iqs);
+    const size_t rob0 = rng() % std::size(robs);
+    std::vector<MachineConfig> machines;
+    for (size_t i = 0; i < n; ++i) {
+        unsigned way = unsigned(pick({2, 4, 8}));
+        Config knobs;
+        knobs.set("core.iq", iqs[(iq0 + i) % std::size(iqs)]);
+        knobs.set("core.rob", robs[(rob0 + i) % std::size(robs)]);
+        if (rng() % 3 == 0)
+            knobs.set("core.phys_simd",
+                      s64(CoreParams::forConfig(kind, way).logicalSimd) +
+                          pick({1, 2}));
+        if (rng() % 2)
+            knobs.set("core.lanes", pick({1, 2, 4}));
+        if (rng() % 2)
+            knobs.set("core.store_window", pick({0, 16, 64}));
+        if (rng() % 2)
+            knobs.set("core.bpred", pick({256, 4096}));
+        if (rng() % 2)
+            knobs.set("mem.l2.latency", pick({6, 12, 20}));
+        if (rng() % 2)
+            knobs.set("mem.mshrs", pick({2, 8}));
+        if (rng() % 2)
+            knobs.set("mem.l1.size", pick({16 * 1024, 32 * 1024}));
+        machines.push_back(makeMachine(kind, way, knobs));
+    }
+    return machines;
 }
 
 // The dispatch contract: every kernel path this host can run is
@@ -191,10 +209,8 @@ TEST_F(SimdTest, EveryRunnablePathBitIdenticalToSerial)
             auto stream = repo.decoded(key);
             std::mt19937 rng(0x51bd);
             for (size_t batchSize : {1, 2, 4, 8, 9, 12}) {
-                std::vector<MachineConfig> machines;
-                machines.reserve(batchSize);
-                for (size_t i = 0; i < batchSize; ++i)
-                    machines.push_back(randomMachine(rng, kind));
+                std::vector<MachineConfig> machines =
+                    randomMachines(rng, kind, batchSize);
 
                 auto batched = runTraceBatch(machines, *trace);
                 auto decoded = runTraceBatch(machines, stream.stream());
@@ -226,9 +242,8 @@ TEST_F(SimdTest, TinyDecodedBudgetStaysBitIdentical)
                        TraceRepository::defaultSeed};
     auto trace = tiny.raw(key);
     std::mt19937 rng(0xd0de);
-    std::vector<MachineConfig> machines;
-    for (size_t i = 0; i < 9; ++i)
-        machines.push_back(randomMachine(rng, SimdKind::VMMX64));
+    std::vector<MachineConfig> machines =
+        randomMachines(rng, SimdKind::VMMX64, 9);
 
     std::vector<RunResult> expect;
     for (const MachineConfig &m : machines)
