@@ -47,45 +47,6 @@ flag(const char *var, bool dflt)
 }
 
 bool
-parseByteSize(const char *text, u64 &bytes)
-{
-    if (!text || !*text)
-        return false;
-    // strtoull would silently wrap a leading '-' to a huge size.
-    if (text[0] == '-')
-        return false;
-    char *end = nullptr;
-    u64 v = std::strtoull(text, &end, 0);
-    if (end == text)
-        return false;
-    switch (*end) {
-      case 'k': case 'K': v <<= 10; ++end; break;
-      case 'm': case 'M': v <<= 20; ++end; break;
-      case 'g': case 'G': v <<= 30; ++end; break;
-      default: break;
-    }
-    if (*end != '\0')
-        return false;
-    bytes = v;
-    return true;
-}
-
-u64
-byteSize(const char *var, u64 dflt)
-{
-    const char *text = std::getenv(var);
-    if (!text || !*text)
-        return dflt;
-    u64 bytes = 0;
-    if (!parseByteSize(text, bytes)) {
-        warn("ignoring unparsable %s='%s' (want e.g. 256M, 2G, 4096)",
-             var, text);
-        return dflt;
-    }
-    return bytes;
-}
-
-bool
 parseUnsigned(const char *text, unsigned &value)
 {
     if (!text || !*text || text[0] == '-')

@@ -3,9 +3,8 @@
  * The one place environment variables are parsed.
  *
  * Every VMMX_* knob used to have its own ad-hoc parser (the sweep
- * engine's flag reader, the trace repository's budget reader, the CLI
- * front ends); they all live here now so a flag spelled "off" or a
- * budget spelled "64M" means the same thing to every consumer, and so
+ * engine's flag reader, the CLI front ends); they all live here now so
+ * a flag spelled "off" means the same thing to every consumer, and so
  * garbage input is diagnosed once, the same way, everywhere.
  *
  * Policy: an unset or empty variable always means "use the built-in
@@ -35,18 +34,6 @@ bool parseFlag(const char *text, bool &value);
 /** Flag from the environment; unset/empty = @p dflt, junk warns and
  *  falls back to @p dflt. */
 bool flag(const char *var, bool dflt);
-
-/**
- * Parse a byte size: a non-negative integer with an optional k/K, m/M
- * or g/G binary suffix ("64M" = 64 MiB, "4096" = 4096 bytes).  A
- * leading '-' is rejected rather than wrapped to a huge value.
- * @return false on junk; @p bytes is untouched then.
- */
-bool parseByteSize(const char *text, u64 &bytes);
-
-/** Byte size from the environment; unset/empty = @p dflt, junk warns
- *  and falls back to @p dflt. */
-u64 byteSize(const char *var, u64 dflt = 0);
 
 /**
  * Parse a plain decimal count into an unsigned.  Rejects negatives

@@ -1,7 +1,7 @@
 #include "dist/worker.hh"
 
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <unistd.h>
 
@@ -230,21 +230,24 @@ workerServe(int fd)
 bool
 maybeWorkerMain(int argc, char **argv)
 {
-    int fd = -1;
+    const char *fdText = nullptr;
     bool worker = false;
     for (int i = 1; i < argc; ++i) {
         if (std::strcmp(argv[i], "--worker") == 0)
             worker = true;
         else if (std::strcmp(argv[i], "--fd") == 0 && i + 1 < argc)
-            fd = std::atoi(argv[i + 1]);
+            fdText = argv[i + 1];
     }
     if (!worker)
         return false;
-    if (fd < 0)
-        fatal("--worker requires --fd <descriptor>");
+    unsigned fd = 0;
+    if (!env::parseUnsigned(fdText, fd) ||
+        fd > unsigned(std::numeric_limits<int>::max()))
+        fatal("--worker requires --fd <descriptor> (got '%s')",
+              fdText ? fdText : "");
     // _exit: a worker forked from a threaded or gtest parent must not run
     // the parent's atexit handlers.
-    ::_exit(workerServe(fd));
+    ::_exit(workerServe(int(fd)));
 }
 
 } // namespace vmmx::dist

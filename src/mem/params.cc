@@ -11,16 +11,22 @@ namespace
 {
 
 constexpr unsigned noMax = std::numeric_limits<unsigned>::max();
+/** Caps of the rows that size a per-configuration allocation (the MSHR
+ *  table, the port and bank clocks, the L1 tag array), so a huge value
+ *  fails here, naming the key, rather than in the allocator. */
+constexpr unsigned maxEntries = 65536;
+constexpr unsigned maxL1Bytes = 1u << 20;
 
 // Key, field, min, max, meaning.
 #define FIELD(f) [](MemParams &p, unsigned v) { p.f = v; }
 const Knob<MemParams> memKnobs[] = {
-    {"mem.l1.size", FIELD(l1.sizeBytes), 1, noMax, "L1 bytes"},
+    {"mem.l1.size", FIELD(l1.sizeBytes), 1, maxL1Bytes, "L1 bytes"},
     {"mem.l1.assoc", FIELD(l1.assoc), 1, noMax, "L1 ways"},
     {"mem.l1.line", FIELD(l1.lineBytes), 1, noMax, "L1 line bytes (2^n)"},
-    {"mem.l1.banks", FIELD(l1Banks), 1, noMax, "L1 banks, line-interleaved"},
+    {"mem.l1.banks", FIELD(l1Banks), 1, maxEntries,
+     "L1 banks, line-interleaved"},
     {"mem.l1.latency", FIELD(l1.latency), 0, noMax, "L1 hit cycles"},
-    {"mem.l1.ports", FIELD(l1Ports), 1, noMax, "scalar L1 ports"},
+    {"mem.l1.ports", FIELD(l1Ports), 1, maxEntries, "scalar L1 ports"},
     {"mem.l1.port_bytes", FIELD(l1PortBytes), 1, noMax, "bytes/cycle/port"},
     {"mem.l2.size", FIELD(l2.sizeBytes), 1, noMax, "L2 bytes"},
     {"mem.l2.assoc", FIELD(l2.assoc), 1, noMax, "L2 ways"},
@@ -32,7 +38,7 @@ const Knob<MemParams> memKnobs[] = {
     {"mem.vec.strided_bytes", FIELD(vecStridedBytes), 1, noMax,
      "vector-port bytes/cycle, other strides"},
     {"mem.latency", FIELD(memLatency), 0, noMax, "main-memory cycles"},
-    {"mem.mshrs", FIELD(mshrs), 1, noMax, "outstanding L1 misses"},
+    {"mem.mshrs", FIELD(mshrs), 1, maxEntries, "outstanding L1 misses"},
 };
 #undef FIELD
 

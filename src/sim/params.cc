@@ -11,20 +11,26 @@ namespace
 {
 
 constexpr unsigned noMax = std::numeric_limits<unsigned>::max();
+/** Cap of every row that sizes a per-configuration allocation (queues,
+ *  rings, register files, FU pools, the predictor table), so a huge
+ *  value fails here, naming the key, rather than in the allocator. */
+constexpr unsigned maxEntries = 65536;
 
 // Key, field, min, max, meaning.
 #define FIELD(f) [](CoreParams &p, unsigned v) { p.f = v; }
 const Knob<CoreParams> coreKnobs[] = {
-    {"core.rob", FIELD(robSize), 1, noMax, "reorder-buffer entries"},
-    {"core.iq", FIELD(iqSize), 1, 65536, "issue-queue entries"},
+    {"core.rob", FIELD(robSize), 1, maxEntries, "reorder-buffer entries"},
+    {"core.iq", FIELD(iqSize), 1, maxEntries, "issue-queue entries"},
     {"core.front_depth", FIELD(frontDepth), 0, noMax, "front-end stages"},
     {"core.mispredict", FIELD(mispredictPenalty), 0, noMax, "redirect cycles"},
-    {"core.bpred", FIELD(bpredEntries), 1, noMax, "gshare entries (2^n)"},
+    {"core.bpred", FIELD(bpredEntries), 1, maxEntries, "gshare entries (2^n)"},
     {"core.lanes", FIELD(lanesPerFu), 1, noMax, "lanes per SIMD unit"},
-    {"core.simd_fus", FIELD(simdFus), 1, noMax, "SIMD functional units"},
-    {"core.simd_issue", FIELD(simdIssue), 1, noMax, "SIMD issue per cycle"},
-    {"core.phys_simd", FIELD(physSimd), 1, noMax, "physical SIMD registers"},
-    {"core.store_window", FIELD(storeWindow), 0, noMax,
+    {"core.simd_fus", FIELD(simdFus), 1, maxEntries, "SIMD functional units"},
+    {"core.simd_issue", FIELD(simdIssue), 1, maxEntries,
+     "SIMD issue per cycle"},
+    {"core.phys_simd", FIELD(physSimd), 1, maxEntries,
+     "physical SIMD registers"},
+    {"core.store_window", FIELD(storeWindow), 0, maxEntries,
      "stores searched for disambiguation"},
 };
 #undef FIELD

@@ -91,7 +91,7 @@ struct DecodedStream
 
     size_t size() const { return insts.size(); }
     bool empty() const { return insts.empty(); }
-    /** Resident footprint (the tier-2 budget accounting unit). */
+    /** Resident footprint (what decodedStats().bytes counts). */
     u64 bytes() const { return insts.size() * sizeof(DecodedInst); }
 };
 

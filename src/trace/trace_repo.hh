@@ -1,7 +1,6 @@
 /**
  * @file
- * Unified tiered trace repository: one budget-aware home for the whole
- * trace lifecycle.
+ * Unified trace repository: one home for the whole trace lifecycle.
  *
  *   tier 0  disk     content-addressed TraceStore files (delta+varint
  *                    codec, checksummed, shared across processes)
@@ -23,27 +22,12 @@
  * miss in one tier fills from the tier below (decoded <- raw <- disk <-
  * generate).
  *
- * Tiers 1 and 2 share one LRU clock and one eviction pass: each tier
- * has its own byte budget (VMMX_TRACE_CACHE_BUDGET for raw,
- * VMMX_DECODED_CACHE_BUDGET for decoded, or the constructor arguments),
- * and when a tier runs over, the globally least-recently-used
- * *evictable* entry of that tier drops its bytes.  Raw copies are
- * evictable only when mirrored on disk (without a store the raw budget
- * is accounting-only); decoded streams are always evictable because
- * they re-materialize from tier 1.  Outstanding RAII pin handles
- * (TraceHandle, DecodedHandle) make an entry's tier ineligible, so
- * borrowed traces and decoded streams can never be dropped under a
- * consumer -- eviction only ever affects when memory is reclaimed.
- *
- * Thread model (inherited from the PR-1 cache): lookups take a short
- * registry lock to find or create the entry, then build under the
- * entry's own mutex so different keys materialize in parallel while
- * concurrent requests for the same key block on the first builder.
- * Eviction acquires entry mutexes only via try_lock while holding the
- * registry lock, which lookups never hold while acquiring an entry
- * mutex, so the two lock orders cannot deadlock.  Pins are taken under
- * the entry mutex and released without it; eviction re-checks the pin
- * count after winning the try_lock.
+ * Tiers 1 and 2 are plain memos: a copy, once built, stays until
+ * clear(), and a handle is a copyable holder of its shared_ptr.
+ * Lookups take a short registry lock to find or create the entry, then
+ * build under the entry's own mutex, so each key builds once while
+ * different keys build in parallel and concurrent requests for one key
+ * wait for the first builder.
  */
 
 #ifndef VMMX_TRACE_TRACE_REPO_HH
@@ -78,12 +62,12 @@ class TraceRepository
     /**
      * @param store optional persistent tier 0 (not owned; must outlive
      *              the repository).
-     * @param rawBudgetBytes tier-1 RAM budget; 0 = unlimited.
-     * @param decodedBudgetBytes tier-2 RAM budget; 0 = unlimited.
+     * The trailing arguments are what is left of the retired RAM
+     * budgets: callers that still pass them pass 0, 0, and any other
+     * value fails an assertion.
      */
-    explicit TraceRepository(TraceStore *store = nullptr,
-                             u64 rawBudgetBytes = rawBudgetFromEnv(),
-                             u64 decodedBudgetBytes = decodedBudgetFromEnv());
+    explicit TraceRepository(TraceStore *store = nullptr, u64 retiredRaw = 0,
+                             u64 retiredDecoded = 0);
     ~TraceRepository();
     TraceRepository(const TraceRepository &) = delete;
     TraceRepository &operator=(const TraceRepository &) = delete;
@@ -92,43 +76,13 @@ class TraceRepository
      *  engine.  Attaches a store iff $VMMX_TRACE_STORE is set. */
     static TraceRepository &instance();
 
-    /** Budget from @p envVar; 0/unset/invalid (warns) = unlimited.
-     *  (Compatibility shim over env::byteSize.) */
-    static u64 budgetFromEnv(const char *envVar);
-    static u64 rawBudgetFromEnv()
-    {
-        return budgetFromEnv("VMMX_TRACE_CACHE_BUDGET");
-    }
-    static u64 decodedBudgetFromEnv()
-    {
-        return budgetFromEnv("VMMX_DECODED_CACHE_BUDGET");
-    }
-
     TraceStore *store() const { return store_; }
 
-    void setDecodedBudget(u64 bytes) { decodedBudget_.store(bytes); }
-    u64 rawBudget() const { return rawBudget_.load(); }
-
-  private:
-    struct Entry;
-
-  public:
-    /**
-     * RAII pin on a raw (tier-1) trace: while alive, the repository
-     * will not evict the entry's RAM copy, so the reference stays the
-     * canonical resident object (stable pointers, no re-materialization
-     * churn).  Movable, not copyable; a moved-from or default handle is
-     * null.
-     */
+    /** A raw (tier-1) trace: a copyable holder of its shared_ptr. */
     class TraceHandle
     {
       public:
-        TraceHandle() = default;
-        TraceHandle(TraceHandle &&o) noexcept;
-        TraceHandle &operator=(TraceHandle &&o) noexcept;
-        TraceHandle(const TraceHandle &) = delete;
-        TraceHandle &operator=(const TraceHandle &) = delete;
-        ~TraceHandle();
+        explicit TraceHandle(SharedTrace t) : trace_(std::move(t)) {}
 
         const std::vector<InstRecord> &operator*() const { return *trace_; }
         const std::vector<InstRecord> *operator->() const
@@ -136,45 +90,25 @@ class TraceRepository
             return trace_.get();
         }
         const std::vector<InstRecord> *get() const { return trace_.get(); }
-        /** The underlying shared_ptr (outlives the pin if copied out). */
         const SharedTrace &shared() const { return trace_; }
-        explicit operator bool() const { return trace_ != nullptr; }
 
       private:
-        friend class TraceRepository;
-        TraceHandle(SharedTrace t, std::shared_ptr<Entry> e);
-        void release();
         SharedTrace trace_;
-        std::shared_ptr<Entry> entry_;
     };
 
-    /**
-     * RAII pin on a decoded (tier-2) stream.  Same contract as
-     * TraceHandle: the pinned stream survives any budget pressure, and
-     * the shared_ptr keeps the data alive even past clear().
-     */
+    /** A decoded (tier-2) stream: a copyable holder of its shared_ptr. */
     class DecodedHandle
     {
       public:
-        DecodedHandle() = default;
-        DecodedHandle(DecodedHandle &&o) noexcept;
-        DecodedHandle &operator=(DecodedHandle &&o) noexcept;
-        DecodedHandle(const DecodedHandle &) = delete;
-        DecodedHandle &operator=(const DecodedHandle &) = delete;
-        ~DecodedHandle();
+        explicit DecodedHandle(SharedDecoded s) : stream_(std::move(s)) {}
 
         const DecodedStream &stream() const { return *stream_; }
         const DecodedStream *get() const { return stream_.get(); }
         /** Dynamic trace length in records. */
         u64 records() const { return stream_->size(); }
-        explicit operator bool() const { return stream_ != nullptr; }
 
       private:
-        friend class TraceRepository;
-        DecodedHandle(SharedDecoded s, std::shared_ptr<Entry> e);
-        void release();
         SharedDecoded stream_;
-        std::shared_ptr<Entry> entry_;
     };
 
     // ---- tier-1 lookups (raw InstRecord traces) ----------------------
@@ -206,10 +140,9 @@ class TraceRepository
     // ---- statistics --------------------------------------------------
     struct TierStats
     {
-        u64 hits = 0;      ///< lookups served from this tier
-        u64 fills = 0;     ///< entries materialized into this tier
-        u64 evictions = 0; ///< resident copies dropped for the budget
-        u64 bytes = 0;     ///< bytes currently resident in this tier
+        u64 hits = 0;  ///< lookups served from this tier
+        u64 fills = 0; ///< entries materialized into this tier
+        u64 bytes = 0; ///< bytes currently resident in this tier
     };
 
     TierStats rawStats() const;
@@ -227,32 +160,23 @@ class TraceRepository
      *  process-wide telemetry registry. */
     void publishMetrics() const;
 
-    /**
-     * Drop every cached trace and decoded stream and reset the stats.
-     * Only safe when no handles into this repository are still live;
-     * intended for tests and benches using a private repository.
-     */
+    /** Drop every cached trace and decoded stream and reset the stats;
+     *  handles already returned keep their data alive. */
     void clear();
 
   private:
+    struct Entry;
+
     std::shared_ptr<Entry> entryFor(const TraceKey &key);
     /** Fill tier 1 of @p e (store, else generate); build mutex held. */
-    SharedTrace materializeRaw(Entry &e);
-    /** Stamp @p e's tier-1 (or tier-2) LRU clock and evict whatever the
-     *  budgets no longer cover, never touching @p keep. */
-    void touchRawAndEnforce(Entry *keep);
-    void touchDecodedAndEnforce(Entry *keep);
-    void enforceBudgets(Entry *keep);
+    void materializeRaw(Entry &e);
 
     TraceStore *store_ = nullptr;
-    std::atomic<u64> rawBudget_;
-    std::atomic<u64> decodedBudget_;
 
     mutable std::mutex registryMu_;
     /** Generated traces, content addressed by TraceKey. */
     std::map<TraceKey, std::shared_ptr<Entry>> keyed_;
 
-    std::atomic<u64> useClock_{0};
     std::atomic<u64> bytesRaw_{0};
     std::atomic<u64> bytesDecoded_{0};
     std::atomic<u64> generations_{0};
@@ -260,8 +184,6 @@ class TraceRepository
     std::atomic<u64> decodes_{0};
     std::atomic<u64> rawHits_{0};
     std::atomic<u64> decodedHits_{0};
-    std::atomic<u64> rawEvictions_{0};
-    std::atomic<u64> decodedEvictions_{0};
 };
 
 /** Run the workload @p key names and return its whole trace. */

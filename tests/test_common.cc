@@ -250,34 +250,6 @@ TEST(Env, ParseFlagRejectsGarbage)
     EXPECT_FALSE(env::parseFlag(nullptr, v));
 }
 
-TEST(Env, ParseByteSizeSuffixesAndBounds)
-{
-    u64 b = 0;
-    EXPECT_TRUE(env::parseByteSize("4096", b));
-    EXPECT_EQ(b, 4096u);
-    EXPECT_TRUE(env::parseByteSize("64k", b));
-    EXPECT_EQ(b, u64(64) << 10);
-    EXPECT_TRUE(env::parseByteSize("64K", b));
-    EXPECT_EQ(b, u64(64) << 10);
-    EXPECT_TRUE(env::parseByteSize("3M", b));
-    EXPECT_EQ(b, u64(3) << 20);
-    EXPECT_TRUE(env::parseByteSize("2g", b));
-    EXPECT_EQ(b, u64(2) << 30);
-    EXPECT_TRUE(env::parseByteSize("0", b));
-    EXPECT_EQ(b, 0u);
-}
-
-TEST(Env, ParseByteSizeRejectsNegativesAndGarbage)
-{
-    u64 b = 12345;
-    for (const char *t :
-         {"", "-1", "-64k", "64q", "k", "64kk", "12 34", "lots"}) {
-        EXPECT_FALSE(env::parseByteSize(t, b)) << "'" << t << "'";
-        EXPECT_EQ(b, 12345u) << t; // untouched on failure
-    }
-    EXPECT_FALSE(env::parseByteSize(nullptr, b));
-}
-
 TEST(Env, ParseUnsignedRejectsNegativesOverflowAndGarbage)
 {
     unsigned v = 7;
@@ -309,19 +281,16 @@ TEST(Env, EnvLookupsFallBackToDefaults)
     ::unsetenv("VMMX_TEST_KNOB");
     EXPECT_TRUE(env::flag("VMMX_TEST_KNOB", true));
     EXPECT_FALSE(env::flag("VMMX_TEST_KNOB", false));
-    EXPECT_EQ(env::byteSize("VMMX_TEST_KNOB", 77), 77u);
     EXPECT_EQ(env::str("VMMX_TEST_KNOB", "dflt"), "dflt");
 
     ::setenv("VMMX_TEST_KNOB", "off", 1);
     EXPECT_FALSE(env::flag("VMMX_TEST_KNOB", true));
     ::setenv("VMMX_TEST_KNOB", "64k", 1);
-    EXPECT_EQ(env::byteSize("VMMX_TEST_KNOB", 77), u64(64) << 10);
     EXPECT_EQ(env::str("VMMX_TEST_KNOB", "dflt"), "64k");
 
     // Garbage warns and falls back to the default rather than aborting.
     ::setenv("VMMX_TEST_KNOB", "sideways", 1);
     EXPECT_TRUE(env::flag("VMMX_TEST_KNOB", true));
-    EXPECT_EQ(env::byteSize("VMMX_TEST_KNOB", 77), 77u);
 
     if (saved)
         ::setenv("VMMX_TEST_KNOB", savedValue.c_str(), 1);

@@ -7,8 +7,8 @@
  * same grid is served entirely from the on-disk TraceStore (zero trace
  * regenerations); and an interrupted journaled run resumes without
  * re-executing completed grid points.  Plus the TraceStore (tier-0)
- * mechanics: round trips and corruption tolerance.  Budgeted eviction
- * and the tiered repository itself live in tests/test_trace_repo.cc.
+ * mechanics: round trips and corruption tolerance.  The tiered
+ * repository itself lives in tests/test_trace_repo.cc.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 
 #include "common/logging.hh"
 #include "dist/driver.hh"
+#include "dist/worker.hh"
 #include "harness/study.hh"
 #include "trace/trace_repo.hh"
 #include "trace/trace_store.hh"
@@ -465,6 +466,20 @@ TEST_F(DistTest, UnparsableFaultSpecIsFatalBeforeSpawning)
     auto points = gridPoints();
     EXPECT_DEATH(dist::runSweep(points, policy),
                  "unparsable fault spec 'bogus-directive'");
+}
+
+// The self-exec hook serves only a descriptor it can parse: junk, a
+// negative number or one past int is fatal before any frame is read,
+// never a silent serve on fd 0.
+TEST_F(DistTest, WorkerModeRejectsAnUnparsableFd)
+{
+    for (const char *fd : {"junk", "", "-1", "2147483648"}) {
+        const char *argv[] = {"vmmx_study", "--worker", "--fd", fd};
+        EXPECT_EXIT(dist::maybeWorkerMain(4, const_cast<char **>(argv)),
+                    testing::ExitedWithCode(1),
+                    "--worker requires --fd <descriptor> \\(got '")
+            << "'" << fd << "'";
+    }
 }
 
 TEST_F(DistTest, FaultyRunJournalsCompletelyAndResumes)

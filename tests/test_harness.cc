@@ -31,7 +31,7 @@ class MachineSweep
     unsigned way() const { return std::get<1>(GetParam()); }
 };
 
-// Pins every default of Tables III and IV (and the scalar core's
+// Asserts every default of Tables III and IV (and the scalar core's
 // scaling, which Table III leaves open), as literal references.
 TEST_P(MachineSweep, TableIIIParameters)
 {

@@ -8,7 +8,7 @@
  * must be bit-identical to the fused serial reference on randomized
  * configuration grids, through both the raw-trace and pre-decoded
  * overloads, at batch widths below, at, and above the widest vector
- * width, and under a decoded-tier budget too small to cache anything.
+ * width.
  */
 
 #include <gtest/gtest.h>
@@ -226,40 +226,6 @@ TEST_F(SimdTest, EveryRunnablePathBitIdenticalToSerial)
                         << ", config " << i;
                 }
             }
-        }
-    }
-}
-
-// A decoded-tier budget too small to retain anything forces the raw
-// overload through its bounded blockwise-decode scratch path on every
-// group; the SoA kernels must then see the trace in windows rather
-// than one span, with identical results.
-TEST_F(SimdTest, TinyDecodedBudgetStaysBitIdentical)
-{
-    TraceRepository tiny(nullptr, 0, 1);
-    const TraceKey key{false, "h2v2", SimdKind::VMMX64,
-                       TraceRepository::kernelImageBytes,
-                       TraceRepository::defaultSeed};
-    auto trace = tiny.raw(key);
-    std::mt19937 rng(0xd0de);
-    std::vector<MachineConfig> machines =
-        randomMachines(rng, SimdKind::VMMX64, 9);
-
-    std::vector<RunResult> expect;
-    for (const MachineConfig &m : machines)
-        expect.push_back(runTrace(m, *trace));
-
-    for (simd::Path path : runnablePaths()) {
-        ASSERT_EQ(simd::setActivePath(path), "");
-        auto got = runTraceBatch(machines, *trace);
-        auto stream = tiny.decoded(key);
-        auto decoded = runTraceBatch(machines, stream.stream());
-        ASSERT_EQ(got.size(), expect.size());
-        for (size_t i = 0; i < expect.size(); ++i) {
-            EXPECT_TRUE(got[i] == expect[i])
-                << simd::pathName(path) << " config " << i;
-            EXPECT_TRUE(decoded[i] == expect[i])
-                << simd::pathName(path) << " decoded config " << i;
         }
     }
 }

@@ -418,12 +418,31 @@ TEST_F(StudyTest, OverrideValuesAreDecimalAndBounded)
     };
     for (const Case &c :
          {Case{"core.rob=4294967304", "core\\.rob wants a decimal number "
-                                      "from 1 to 4294967295 \\(got "
+                                      "from 1 to 65536 \\(got "
                                       "'4294967304'\\)"},
           Case{"core.rob=4294967296", "core\\.rob wants a decimal number"},
           Case{"core.iq=4294967298", "core\\.iq wants a decimal number "
                                      "from 1 to 65536"},
+          // One past the cap of each row that sizes a per-configuration
+          // allocation: a clean fatal, not std::bad_alloc.
+          Case{"core.rob=65537", "core\\.rob must be at most 65536"},
           Case{"core.iq=65537", "core\\.iq must be at most 65536"},
+          Case{"core.bpred=65537", "core\\.bpred must be at most 65536"},
+          Case{"core.simd_fus=65537",
+               "core\\.simd_fus must be at most 65536"},
+          Case{"core.simd_issue=65537",
+               "core\\.simd_issue must be at most 65536"},
+          Case{"core.phys_simd=65537",
+               "core\\.phys_simd must be at most 65536"},
+          Case{"core.store_window=65537",
+               "core\\.store_window must be at most 65536"},
+          Case{"mem.l1.size=1048577",
+               "mem\\.l1\\.size must be at most 1048576"},
+          Case{"mem.l1.banks=65537",
+               "mem\\.l1\\.banks must be at most 65536"},
+          Case{"mem.l1.ports=65537",
+               "mem\\.l1\\.ports must be at most 65536"},
+          Case{"mem.mshrs=65537", "mem\\.mshrs must be at most 65536"},
           Case{"mem.l1.line=4294967360", "mem\\.l1\\.line wants a decimal"},
           Case{"core.rob=010", "core\\.rob wants a decimal number"},
           Case{"core.rob=0x8", "core\\.rob wants a decimal number"},
@@ -565,7 +584,7 @@ TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
         }
 
         // The oracle resolves every trace whole, in its own repository.
-        TraceRepository oracleRepo(nullptr, 0, 0);
+        TraceRepository oracleRepo;
         ExecutionPolicy oracle;
         oracle.repo = &oracleRepo;
         std::vector<SweepResult> expect;

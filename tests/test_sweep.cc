@@ -61,35 +61,30 @@ class EngineTest : public testing::Test
   protected:
     void SetUp() override { setQuiet(true); }
 
-    /** A private repository per test so counters start at zero.
-     *  Budgets come from the environment, so a CI run with tiny
-     *  budgets exercises the eviction/refill paths under every test
-     *  that only asserts results (count-sensitive tests below build
-     *  their own explicitly unbounded repository). */
+    /** A private repository per test so counters start at zero. */
     TraceRepository repo;
 };
 
 TEST_F(EngineTest, RepositoryGeneratesOncePerKey)
 {
-    TraceRepository unbounded(nullptr, 0, 0);
-    EXPECT_EQ(unbounded.generations(), 0u);
-    auto t1 = unbounded.kernel("idct", SimdKind::VMMX128);
-    EXPECT_EQ(unbounded.generations(), 1u);
-    EXPECT_EQ(unbounded.rawStats().hits, 0u);
+    EXPECT_EQ(repo.generations(), 0u);
+    auto t1 = repo.kernel("idct", SimdKind::VMMX128);
+    EXPECT_EQ(repo.generations(), 1u);
+    EXPECT_EQ(repo.rawStats().hits, 0u);
 
     // Second and third lookups of the same key: raw-tier hits, no
     // regeneration, same shared immutable trace object.
-    auto t2 = unbounded.kernel("idct", SimdKind::VMMX128);
-    auto t3 = unbounded.kernel("idct", SimdKind::VMMX128);
-    EXPECT_EQ(unbounded.generations(), 1u);
-    EXPECT_EQ(unbounded.rawStats().hits, 2u);
+    auto t2 = repo.kernel("idct", SimdKind::VMMX128);
+    auto t3 = repo.kernel("idct", SimdKind::VMMX128);
+    EXPECT_EQ(repo.generations(), 1u);
+    EXPECT_EQ(repo.rawStats().hits, 2u);
     EXPECT_EQ(t1.get(), t2.get());
     EXPECT_EQ(t1.get(), t3.get());
 
     // A different key generates again.
-    auto t4 = unbounded.kernel("idct", SimdKind::MMX64);
-    EXPECT_EQ(unbounded.generations(), 2u);
-    EXPECT_EQ(unbounded.size(), 2u);
+    auto t4 = repo.kernel("idct", SimdKind::MMX64);
+    EXPECT_EQ(repo.generations(), 2u);
+    EXPECT_EQ(repo.size(), 2u);
 }
 
 TEST_F(EngineTest, RepositoryDistinguishesKindAndWorkload)
@@ -180,7 +175,7 @@ TEST_F(EngineTest, SweepStreamsTracesAndReplaysResidentOnesInPlace)
 
     // Each trace is replayed by exactly one group, so it is streamed
     // from the generator into the group's pass and never kept.
-    TraceRepository streamed(nullptr, 0, 0);
+    TraceRepository streamed;
     ExecutionPolicy policy;
     policy.repo = &streamed;
     policy.threads = 4;
@@ -195,7 +190,7 @@ TEST_F(EngineTest, SweepStreamsTracesAndReplaysResidentOnesInPlace)
     // groups agree with the materialize-then-replay oracle bit for bit.
     EXPECT_EQ(results[0].traceLength, results[1].traceLength);
     EXPECT_EQ(results[0].traceLength, results[2].traceLength);
-    TraceRepository oracleRepo(nullptr, 0, 0);
+    TraceRepository oracleRepo;
     ExecutionPolicy oracle;
     oracle.repo = &oracleRepo;
     auto expect = runReference(points, oracle);
@@ -204,7 +199,7 @@ TEST_F(EngineTest, SweepStreamsTracesAndReplaysResidentOnesInPlace)
 
     // A sweep over traces a raw() lookup left resident replays them in
     // place (raw hits) instead of generating again.
-    TraceRepository warm(nullptr, 0, 0);
+    TraceRepository warm;
     warm.raw(traceKeyFor(points[0]));
     warm.raw(traceKeyFor(points[3]));
     EXPECT_EQ(warm.generations(), 2u);

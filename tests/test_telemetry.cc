@@ -194,7 +194,7 @@ TEST_F(TelemetryTest, OneUnitThreadsStudyEndsInDoneEvent)
     ExecutionPolicy policy;
     policy.backend = ExecutionPolicy::Backend::ThreadPool;
     policy.threads = 4;
-    TraceRepository repo(nullptr, 0, 0);
+    TraceRepository repo;
     policy.repo = &repo;
     ASSERT_EQ(runPoints(points, policy).size(), points.size());
     telemetry::setProgress(telemetry::ProgressMode::Off);
@@ -231,7 +231,7 @@ TEST_F(TelemetryTest, SweepResultsBitIdenticalOnOrOff)
     ExecutionPolicy policy;
     policy.backend = ExecutionPolicy::Backend::ThreadPool;
     policy.threads = 2;
-    TraceRepository repo(nullptr, 0, 0);
+    TraceRepository repo;
     policy.repo = &repo;
 
     telemetry::setEnabled(false);

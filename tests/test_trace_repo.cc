@@ -1,11 +1,10 @@
 /**
  * @file
  * Tiered TraceRepository tests: the decoded tier amortizes the
- * per-record decode process-wide, pins protect borrowed traces and
- * decoded streams against eviction, evicted copies re-materialize from
- * the tier below (decoded from raw, raw from disk), and results are
- * bit-identical no matter how tiny the budgets, because budgets only
- * ever change *when* memory is reclaimed, never *what* a run computes.
+ * per-record decode process-wide, each key builds once however many
+ * threads ask for it, a store-backed repository's traces come back
+ * from disk in a fresh one, and results are bit-identical to an
+ * unshared repository's.
  *
  * The streaming half: a trace handed over block by block -- by the
  * generator, by the store reader, through the producer/consumer ring --
@@ -18,10 +17,10 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <unistd.h>
@@ -64,8 +63,6 @@ class TraceRepoTest : public testing::Test
              TraceRepository::kernelImageBytes, TraceRepository::defaultSeed},
             {false, "motion2", SimdKind::MMX64,
              TraceRepository::kernelImageBytes, TraceRepository::defaultSeed},
-            {false, "comp", SimdKind::MMX64,
-             TraceRepository::kernelImageBytes, TraceRepository::defaultSeed},
         };
         return keys[i];
     }
@@ -75,7 +72,7 @@ class TraceRepoTest : public testing::Test
 
 TEST_F(TraceRepoTest, DecodedStreamBuiltOncePerKey)
 {
-    TraceRepository repo(nullptr, 0, 0);
+    TraceRepository repo;
     auto s1 = repo.decoded(key(0));
     EXPECT_EQ(repo.generations(), 1u);
     EXPECT_EQ(repo.decodes(), 1u);
@@ -97,7 +94,7 @@ TEST_F(TraceRepoTest, DecodedStreamBuiltOncePerKey)
 
 TEST_F(TraceRepoTest, DecodedMatchesPerRecordDecode)
 {
-    TraceRepository repo(nullptr, 0, 0);
+    TraceRepository repo;
     auto raw = repo.raw(key(1));
     auto stream = repo.decoded(key(1));
     ASSERT_EQ(stream.records(), raw->size());
@@ -115,117 +112,26 @@ TEST_F(TraceRepoTest, DecodedMatchesPerRecordDecode)
     }
 }
 
-TEST_F(TraceRepoTest, TinyDecodedBudgetEvictsAndRematerializes)
+// The constructor's trailing arguments are the retired RAM budgets: a
+// caller still asking for one is stopped, not silently ignored.
+TEST_F(TraceRepoTest, NonzeroRetiredBudgetArgumentIsFatal)
 {
-    // A 1-byte decoded budget: every unpinned stream is evicted as soon
-    // as the next lookup enforces the budget.
-    TraceRepository repo(nullptr, 0, 1);
-    { auto s = repo.decoded(key(0)); }
-    EXPECT_EQ(repo.decodes(), 1u);
-
-    // The next decoded lookup of another key evicts the first (it is
-    // unpinned); looking the first up again re-decodes from raw.
-    { auto s = repo.decoded(key(1)); }
-    EXPECT_GE(repo.decodedStats().evictions, 1u);
-    { auto s = repo.decoded(key(0)); }
-    EXPECT_EQ(repo.decodes(), 3u);
-    // ... but never regenerates the trace itself: tier 1 is intact.
-    EXPECT_EQ(repo.generations(), 2u);
-}
-
-TEST_F(TraceRepoTest, PinnedDecodedStreamSurvivesTinyBudget)
-{
-    TraceRepository repo(nullptr, 0, 1);
-    auto pinned = repo.decoded(key(0));
-    const DecodedStream *object = pinned.get();
-
-    // Budget pressure from other keys cannot evict the pinned stream.
-    { auto other = repo.decoded(key(1)); }
-    { auto other = repo.decoded(key(2)); }
-    auto again = repo.decoded(key(0));
-    EXPECT_EQ(again.get(), object) << "pinned stream was evicted";
-    EXPECT_EQ(repo.decodedStats().hits, 1u);
-
-    // Once the pins drop, the same pressure does evict it.
-    again = TraceRepository::DecodedHandle();
-    pinned = TraceRepository::DecodedHandle();
-    { auto other = repo.decoded(key(1)); }
-    auto rebuilt = repo.decoded(key(0));
-    EXPECT_EQ(repo.decodedStats().hits, 1u) << "expected a re-decode";
-}
-
-TEST_F(TraceRepoTest, EvictedRawTraceRematerializesFromDisk)
-{
-    TraceStore store(storeDir());
-    TraceRepository repo(&store, /*rawBudgetBytes=*/1, 0);
-    u64 aBytes = 0;
-    {
-        auto a = repo.kernel("motion1", SimdKind::MMX64);
-        aBytes = a->size() * sizeof(InstRecord);
-    } // unpinned: the repository's copy is now evictable
-
-    // Generating a second trace pushes the first out of RAM (it is disk
-    // backed), leaving only the just-returned trace resident.
-    auto b = repo.kernel("motion2", SimdKind::MMX64);
-    EXPECT_EQ(repo.generations(), 2u);
-    EXPECT_GE(repo.rawStats().evictions, 1u);
-    EXPECT_LT(repo.rawStats().bytes,
-              aBytes + b->size() * sizeof(InstRecord));
-
-    // The evicted trace comes back from disk, not from regeneration.
-    auto a2 = repo.kernel("motion1", SimdKind::MMX64);
-    EXPECT_EQ(repo.generations(), 2u);
-    EXPECT_EQ(repo.diskLoads(), 1u);
-    ASSERT_TRUE(bool(a2));
-
-    // A pinned raw trace survives the same pressure.
-    auto pinnedB = repo.kernel("motion2", SimdKind::MMX64);
-    const std::vector<InstRecord> *object = pinnedB.get();
-    { auto c = repo.kernel("comp", SimdKind::MMX64); }
-    auto b2 = repo.kernel("motion2", SimdKind::MMX64);
-    EXPECT_EQ(b2.get(), object) << "pinned raw trace was evicted";
-
-    // Without a store, the budget cannot evict (nothing is disk backed).
-    TraceRepository ramOnly(nullptr, 1, 0);
-    { auto t1 = ramOnly.kernel("motion1", SimdKind::MMX64); }
-    { auto t2 = ramOnly.kernel("motion2", SimdKind::MMX64); }
-    EXPECT_EQ(ramOnly.rawStats().evictions, 0u);
-    EXPECT_EQ(ramOnly.size(), 2u);
-}
-
-TEST_F(TraceRepoTest, BudgetFromEnvParsesSuffixes)
-{
-    for (const char *var :
-         {"VMMX_TRACE_CACHE_BUDGET", "VMMX_DECODED_CACHE_BUDGET"}) {
-        ::setenv(var, "64M", 1);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 64ull << 20);
-        ::setenv(var, "2g", 1);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 2ull << 30);
-        ::setenv(var, "4096", 1);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 4096ull);
-        ::setenv(var, "potato", 1);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 0u);
-        ::setenv(var, "-5", 1);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 0u);
-        ::unsetenv(var);
-        EXPECT_EQ(TraceRepository::budgetFromEnv(var), 0u);
-    }
+    EXPECT_DEATH(TraceRepository(nullptr, 1, 0), "keeps no RAM budgets");
+    EXPECT_DEATH(TraceRepository(nullptr, 0, 64 << 10),
+                 "keeps no RAM budgets");
 }
 
 // A randomized ablation grid looked up point by point through tier 1 --
 // four threads each running runSweepPoint over a slice of it, against
-// one repository with a 1-byte raw budget over a store, set through the
-// environment as CI does -- is bit-identical to the unbounded oracle
-// run: concurrent lookups, constant eviction and reloads from disk
-// change memory behaviour only, never results.
-TEST_F(TraceRepoTest, RandomizedGridTinyRawBudgetBitIdentical)
+// one repository over a store -- is bit-identical to the same points
+// run in an unshared repository: concurrent lookups build each key once
+// and never change what a run computes.  The store the lookups wrote
+// through then serves every trace to a fresh repository from disk.
+TEST_F(TraceRepoTest, RandomizedGridSharedRepositoryBitIdentical)
 {
     TraceStore store(storeDir());
-    ::setenv("VMMX_TRACE_CACHE_BUDGET", "1", 1);
-    TraceRepository tiny(&store); // budgets read from the environment
-    ::unsetenv("VMMX_TRACE_CACHE_BUDGET");
-    ASSERT_EQ(tiny.rawBudget(), 1u);
-    TraceRepository unbounded(nullptr, 0, 0);
+    TraceRepository shared(&store);
+    TraceRepository unshared;
 
     std::mt19937 rng(0x5eed);
     const std::vector<std::string> kernels = {"motion1", "comp", "addblock"};
@@ -245,10 +151,10 @@ TEST_F(TraceRepoTest, RandomizedGridTinyRawBudgetBitIdentical)
         points.push_back(std::move(p));
     }
 
-    ExecutionPolicy tinyPolicy;
-    tinyPolicy.repo = &tiny;
-    ExecutionPolicy bigPolicy;
-    bigPolicy.repo = &unbounded;
+    ExecutionPolicy sharedPolicy;
+    sharedPolicy.repo = &shared;
+    ExecutionPolicy unsharedPolicy;
+    unsharedPolicy.repo = &unshared;
 
     constexpr size_t threads = 4;
     std::vector<SweepResult> a(points.size());
@@ -256,19 +162,29 @@ TEST_F(TraceRepoTest, RandomizedGridTinyRawBudgetBitIdentical)
     for (size_t t = 0; t < threads; ++t)
         pool.emplace_back([&, t] {
             for (size_t i = t; i < points.size(); i += threads)
-                a[i] = runSweepPoint(points[i], tinyPolicy);
+                a[i] = runSweepPoint(points[i], sharedPolicy);
         });
     for (auto &th : pool)
         th.join();
     for (size_t i = 0; i < points.size(); ++i) {
-        SweepResult b = runSweepPoint(points[i], bigPolicy);
+        SweepResult b = runSweepPoint(points[i], unsharedPolicy);
         EXPECT_TRUE(a[i].sameRun(b))
             << "point " << i << " (" << a[i].point.label() << ")";
     }
 
-    // The tiny-budget run really did exercise the eviction path.
-    EXPECT_GT(tiny.rawStats().evictions, 0u);
-    EXPECT_GT(tiny.diskLoads(), 0u);
+    // Each key was built once, whichever thread got there first.
+    std::set<TraceKey> keys;
+    for (const SweepPoint &p : points)
+        keys.insert(traceKeyFor(p));
+    EXPECT_EQ(shared.size(), keys.size());
+    EXPECT_EQ(shared.generations(), keys.size());
+    EXPECT_EQ(shared.rawStats().hits, points.size() - keys.size());
+
+    TraceRepository reloaded(&store);
+    for (const TraceKey &k : keys)
+        EXPECT_TRUE(*reloaded.raw(k) == *unshared.raw(k)) << k.describe();
+    EXPECT_EQ(reloaded.diskLoads(), keys.size());
+    EXPECT_EQ(reloaded.generations(), 0u);
 }
 
 // ---- streaming ------------------------------------------------------------
@@ -461,7 +377,7 @@ TEST_F(TraceRepoTest, WriteThroughStoreFileMatchesSave)
     TraceStore streamed(storeDir() + "-streamed");
     TraceStore saved(storeDir() + "-saved");
     for (const TraceKey &k : {key(0), longKey()}) {
-        TraceRepository repo(&streamed, 0, 0);
+        TraceRepository repo(&streamed);
         CollectSink sink;
         repo.stream(k, sink); // a miss: generated and written through
         EXPECT_EQ(repo.generations(), 1u);
@@ -535,7 +451,7 @@ TEST_F(TraceRepoTest, MalformedStoreRecordsAreAMissNotAPartialTrace)
     // and the results are exactly the regenerated run's.
     std::vector<MachineConfig> machines = threeWidths(k.kind);
     std::vector<RunResult> expect = runTraceBatch(machines, whole);
-    TraceRepository repo(&store, 0, 0);
+    TraceRepository repo(&store);
     SweepPoint lead;
     lead.workload = SweepPoint::Workload::Kernel;
     lead.name = k.name;

@@ -255,7 +255,7 @@ main(int argc, char **argv)
     if (check) {
         // A private repository: the reference shares nothing with the
         // run it checks.
-        TraceRepository referenceRepo(nullptr, 0, 0);
+        TraceRepository referenceRepo;
         ExecutionPolicy reference;
         reference.repo = &referenceRepo;
         size_t mismatches = 0;
