@@ -31,7 +31,6 @@ class App
     virtual ~App() = default;
 
     virtual std::string name() const = 0;
-    virtual std::string description() const = 0;
 
     /** Allocate and fill inputs (and, for decoders, synthesise the
      *  input bitstream by running the encoder functionally). */

@@ -45,10 +45,6 @@ class GsmEnc : public App
 {
   public:
     std::string name() const override { return "gsmenc"; }
-    std::string description() const override
-    {
-        return "GSM 06.10 speech encoder";
-    }
     void prepare(MemImage &mem, Rng &rng) override;
     void emit(Program &p) override;
     u64 checksum(const MemImage &mem) const override;
@@ -63,10 +59,6 @@ class GsmDec : public App
 {
   public:
     std::string name() const override { return "gsmdec"; }
-    std::string description() const override
-    {
-        return "GSM 06.10 speech decoder";
-    }
     void prepare(MemImage &mem, Rng &rng) override;
     void emit(Program &p) override;
     u64 checksum(const MemImage &mem) const override;

@@ -49,10 +49,6 @@ class JpegEnc : public App
 {
   public:
     std::string name() const override { return "jpegenc"; }
-    std::string description() const override
-    {
-        return "JPEG still image encoder";
-    }
     void prepare(MemImage &mem, Rng &rng) override;
     void emit(Program &p) override;
     u64 checksum(const MemImage &mem) const override;
@@ -67,10 +63,6 @@ class JpegDec : public App
 {
   public:
     std::string name() const override { return "jpegdec"; }
-    std::string description() const override
-    {
-        return "JPEG still image decoder";
-    }
     void prepare(MemImage &mem, Rng &rng) override;
     void emit(Program &p) override;
     u64 checksum(const MemImage &mem) const override;

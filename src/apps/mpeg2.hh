@@ -53,10 +53,6 @@ class Mpeg2Enc : public App
 {
   public:
     std::string name() const override { return "mpeg2enc"; }
-    std::string description() const override
-    {
-        return "MPEG-2 video encoder";
-    }
     void prepare(MemImage &mem, Rng &rng) override;
     void emit(Program &p) override;
     u64 checksum(const MemImage &mem) const override;
@@ -71,10 +67,6 @@ class Mpeg2Dec : public App
 {
   public:
     std::string name() const override { return "mpeg2dec"; }
-    std::string description() const override
-    {
-        return "MPEG-2 video decoder";
-    }
     void prepare(MemImage &mem, Rng &rng) override;
     void emit(Program &p) override;
     u64 checksum(const MemImage &mem) const override;

@@ -9,7 +9,7 @@ namespace vmmx
 
 namespace
 {
-/** Atomic so sweep worker threads and bench mains can race setQuiet()
+/** Atomic so sweep worker threads and tool mains can race setQuiet()
  *  against warn()/inform() without UB. */
 std::atomic<bool> quietFlag{false};
 

@@ -29,7 +29,7 @@ void warn(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
-/** Suppress warn()/inform() output (used by tests and benches). */
+/** Suppress warn()/inform() output (used by tests, tools and workers). */
 void setQuiet(bool quiet);
 
 /** @return true when warn()/inform() output is suppressed. */

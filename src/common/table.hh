@@ -1,7 +1,7 @@
 /**
  * @file
- * ASCII table printer used by the bench binaries to render paper-style
- * tables and figure series.
+ * ASCII table printer used by study reports (Study::writeReport) and
+ * the tools and examples to render paper-style tables.
  */
 
 #ifndef VMMX_COMMON_TABLE_HH

@@ -76,6 +76,13 @@ name(ReportSpec::Metric m)
       case ReportSpec::Metric::ScalarOfBase: return "scalar_of_base";
       case ReportSpec::Metric::VectorOfBase: return "vector_of_base";
       case ReportSpec::Metric::TotalOfBase: return "total_of_base";
+      case ReportSpec::Metric::SmemOfBase: return "smem_of_base";
+      case ReportSpec::Metric::SarithOfBase: return "sarith_of_base";
+      case ReportSpec::Metric::SctrlOfBase: return "sctrl_of_base";
+      case ReportSpec::Metric::VmemOfBase: return "vmem_of_base";
+      case ReportSpec::Metric::VarithOfBase: return "varith_of_base";
+      case ReportSpec::Metric::InstsOfBase: return "insts_of_base";
+      case ReportSpec::Metric::VectorInstsPct: return "vector_insts_pct";
     }
     panic("bad metric %d", int(m));
 }
@@ -83,7 +90,7 @@ name(ReportSpec::Metric m)
 bool
 parseMetric(const std::string &text, ReportSpec::Metric &m)
 {
-    for (int i = 0; i <= int(ReportSpec::Metric::TotalOfBase); ++i) {
+    for (unsigned i = 0; i < ReportSpec::numMetrics; ++i) {
         if (text == name(ReportSpec::Metric(i))) {
             m = ReportSpec::Metric(i);
             return true;
@@ -130,6 +137,11 @@ metricValue(ReportSpec::Metric m, const SweepResult &r,
         baseline ? double(baseline->result.core.scalarCycles) +
                        double(baseline->result.core.vectorCycles)
                  : 0.0;
+    double baseInsts =
+        baseline ? double(baseline->result.core.instructions) : 0.0;
+    auto ofBaseInsts = [&](u64 n) {
+        return baseInsts ? 100.0 * double(n) / baseInsts : nan;
+    };
     switch (m) {
       case ReportSpec::Metric::Cycles:
         return double(r.cycles());
@@ -153,6 +165,23 @@ metricValue(ReportSpec::Metric m, const SweepResult &r,
         return baseTotal ? 100.0 * vector / baseTotal : nan;
       case ReportSpec::Metric::TotalOfBase:
         return baseTotal ? 100.0 * total / baseTotal : nan;
+      case ReportSpec::Metric::SmemOfBase:
+        return ofBaseInsts(core.classCount(InstClass::SMEM));
+      case ReportSpec::Metric::SarithOfBase:
+        return ofBaseInsts(core.classCount(InstClass::SARITH));
+      case ReportSpec::Metric::SctrlOfBase:
+        return ofBaseInsts(core.classCount(InstClass::SCTRL));
+      case ReportSpec::Metric::VmemOfBase:
+        return ofBaseInsts(core.classCount(InstClass::VMEM));
+      case ReportSpec::Metric::VarithOfBase:
+        return ofBaseInsts(core.classCount(InstClass::VARITH));
+      case ReportSpec::Metric::InstsOfBase:
+        return ofBaseInsts(core.instructions);
+      case ReportSpec::Metric::VectorInstsPct:
+        return core.instructions
+                   ? 100.0 * double(core.vectorInsts()) /
+                         double(core.instructions)
+                   : nan;
     }
     panic("bad metric %d", int(m));
 }

@@ -62,7 +62,21 @@ struct ReportSpec
         ScalarOfBase,
         VectorOfBase,
         TotalOfBase,
+        /** Dynamic instruction mix normalised to the baseline's
+         *  instruction count (the Figure 7 shape): each of the five
+         *  instruction classes, and all instructions, as a percentage
+         *  of the baseline configuration's committed instructions. */
+        SmemOfBase,
+        SarithOfBase,
+        SctrlOfBase,
+        VmemOfBase,
+        VarithOfBase,
+        InstsOfBase,
+        VectorInstsPct, ///< vector share of this point's instructions, %
     };
+    /** Number of Metric values (the last enumerator plus one). */
+    static constexpr unsigned numMetrics =
+        unsigned(Metric::VectorInstsPct) + 1;
 
     Layout layout = Layout::Points;
     /** Points-layout columns. */

@@ -45,7 +45,7 @@ struct SweepPoint
 
     /** e.g. "idct/vmmx128/4-way", with any ablation overrides appended
      *  ("+core.rob=64") so knob-only variants stay tellable
-     *  apart in bench output. */
+     *  apart in reports. */
     std::string label() const;
 };
 

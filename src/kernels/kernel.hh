@@ -33,9 +33,6 @@ class Kernel
 
     /** Figure-4 name ("idct", "motion1", ...). */
     virtual std::string name() const = 0;
-    virtual std::string description() const = 0;
-    /** Table II data-size note ("16x16 8-bit", ...). */
-    virtual std::string dataSize() const = 0;
 
     /** Allocate and fill inputs and outputs; deterministic via @p rng. */
     virtual void prepare(MemImage &mem, Rng &rng) = 0;

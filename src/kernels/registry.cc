@@ -127,15 +127,15 @@ class MotionKernel : public Kernel
     Addr exp_ = 0;
 };
 
+/**
+ * motion1: the sum of absolute differences of a 16x16 8-bit block
+ * against each of kCands candidate positions, keeping the best sum and
+ * its index (the MPEG-2 encoder's motion-estimation inner loop).
+ */
 class Motion1Kernel : public MotionKernel
 {
   public:
     std::string name() const override { return "motion1"; }
-    std::string description() const override
-    {
-        return "Sum of Absolute Differences";
-    }
-    std::string dataSize() const override { return "16x16 8-bit"; }
 
   protected:
     u64
@@ -171,15 +171,15 @@ class Motion1Kernel : public MotionKernel
     }
 };
 
+/**
+ * motion2: motion1's candidate search, scoring each candidate by the
+ * sum of quadratic (squared) differences of the 16x16 8-bit blocks
+ * instead of the sum of absolute differences.
+ */
 class Motion2Kernel : public MotionKernel
 {
   public:
     std::string name() const override { return "motion2"; }
-    std::string description() const override
-    {
-        return "Sum of Quadratic Differences";
-    }
-    std::string dataSize() const override { return "16x16 8-bit"; }
 
   protected:
     u64
@@ -217,6 +217,11 @@ class Motion2Kernel : public MotionKernel
 
 // ---------------------------------------------------------------- comp
 
+/**
+ * comp: bidirectional motion compensation -- the rounded average of two
+ * 8x4 8-bit predictions from an 800-pixel-wide frame, for kBlocks
+ * horizontally adjacent blocks.
+ */
 class CompKernel : public Kernel
 {
   public:
@@ -224,11 +229,6 @@ class CompKernel : public Kernel
     static constexpr unsigned kBlocks = 32;
 
     std::string name() const override { return "comp"; }
-    std::string description() const override
-    {
-        return "Motion compensation (bidirectional average)";
-    }
-    std::string dataSize() const override { return "8x4 8-bit"; }
 
     void
     prepare(MemImage &mem, Rng &rng) override
@@ -316,6 +316,11 @@ class CompKernel : public Kernel
 
 // ---------------------------------------------------------------- addblock
 
+/**
+ * addblock: picture reconstruction -- an 8x8 8-bit prediction block
+ * plus its 16-bit residual, saturated back to 8 bits, for kBlocks
+ * horizontally adjacent blocks.
+ */
 class AddblockKernel : public Kernel
 {
   public:
@@ -324,11 +329,6 @@ class AddblockKernel : public Kernel
     static constexpr unsigned kOutLx = kBlocks * 8;
 
     std::string name() const override { return "addblock"; }
-    std::string description() const override
-    {
-        return "Picture reconstruction (pred + residual, saturated)";
-    }
-    std::string dataSize() const override { return "8x8 8-bit"; }
 
     void
     prepare(MemImage &mem, Rng &rng) override
@@ -515,11 +515,6 @@ class IdctKernel : public DctKernelBase
 {
   public:
     std::string name() const override { return "idct"; }
-    std::string description() const override
-    {
-        return "Inverse Discrete Cosine Transform";
-    }
-    std::string dataSize() const override { return "8x8 16-bit"; }
 
   protected:
     bool forward() const override { return false; }
@@ -529,11 +524,6 @@ class FdctKernel : public DctKernelBase
 {
   public:
     std::string name() const override { return "fdct"; }
-    std::string description() const override
-    {
-        return "Forward Discrete Cosine Transform";
-    }
-    std::string dataSize() const override { return "8x8 16-bit"; }
 
   protected:
     bool forward() const override { return true; }
@@ -547,11 +537,6 @@ class RgbKernel : public Kernel
     static constexpr unsigned kPixels = 1920;
 
     std::string name() const override { return "rgb"; }
-    std::string description() const override
-    {
-        return "RGB to YCC colour conversion";
-    }
-    std::string dataSize() const override { return "RGB triads"; }
 
     void
     prepare(MemImage &mem, Rng &rng) override
@@ -635,14 +620,6 @@ class YccKernel : public Kernel
     static constexpr unsigned kPixels = 3840;
 
     std::string name() const override { return "ycc"; }
-    std::string description() const override
-    {
-        return "YCC to RGB colour conversion";
-    }
-    std::string dataSize() const override
-    {
-        return "(Y,Cb,Cr) x width 8-bit";
-    }
 
     void
     prepare(MemImage &mem, Rng &rng) override
@@ -726,11 +703,6 @@ class H2v2Kernel : public Kernel
     static constexpr unsigned kOutPitch = 2 * kW;
 
     std::string name() const override { return "h2v2"; }
-    std::string description() const override
-    {
-        return "Image up-sampling (triangle filter)";
-    }
-    std::string dataSize() const override { return "Image width"; }
 
     void
     prepare(MemImage &mem, Rng &rng) override
@@ -818,11 +790,6 @@ class LtpparKernel : public Kernel
 {
   public:
     std::string name() const override { return "ltppar"; }
-    std::string description() const override
-    {
-        return "LTP parameter calculation (lag search)";
-    }
-    std::string dataSize() const override { return "40 16-bit"; }
 
     void
     prepare(MemImage &mem, Rng &rng) override
@@ -901,11 +868,6 @@ class LtpfiltKernel : public Kernel
 {
   public:
     std::string name() const override { return "ltpfilt"; }
-    std::string description() const override
-    {
-        return "Long-term parameter filtering";
-    }
-    std::string dataSize() const override { return "120 16-bit"; }
 
     void
     prepare(MemImage &mem, Rng &rng) override

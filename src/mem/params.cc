@@ -16,6 +16,9 @@ constexpr unsigned noMax = std::numeric_limits<unsigned>::max();
  *  fails here, naming the key, rather than in the allocator. */
 constexpr unsigned maxEntries = 65536;
 constexpr unsigned maxL1Bytes = 1u << 20;
+/** Cap of a cache's line count (CacheArray allocates a tag per line):
+ *  the most lines the capped L1 can hold, at one-byte lines. */
+constexpr unsigned maxLines = maxL1Bytes;
 
 // Key, field, min, max, meaning.
 #define FIELD(f) [](MemParams &p, unsigned v) { p.f = v; }
@@ -42,12 +45,17 @@ const Knob<MemParams> memKnobs[] = {
 };
 #undef FIELD
 
-/** The shape CacheArray indexes: power-of-two lines and sets. */
+/** The shape CacheArray indexes: power-of-two lines and sets, and at
+ *  most maxLines lines. */
 void
 checkCache(const CacheParams &c, const char *n)
 {
     if (c.lineBytes & (c.lineBytes - 1))
         fatal("mem.%s.line must be a power of two (got %u)", n, c.lineBytes);
+    if (c.sizeBytes / c.lineBytes > maxLines)
+        fatal("mem.%s.size / mem.%s.line must be at most %u lines "
+              "(got %u / %u)",
+              n, n, maxLines, c.sizeBytes, c.lineBytes);
     u64 sets = u64(c.sizeBytes) / (u64(c.lineBytes) * c.assoc);
     if (sets == 0 || (sets & (sets - 1)))
         fatal("mem.%s.size / (mem.%s.line x mem.%s.assoc) must be a "

@@ -89,7 +89,7 @@ Path bestPath();
 Path activePath();
 
 /**
- * Pin the active path explicitly (tests and benches).  @return an empty
+ * Pin the active path explicitly (tests and perfbench).  @return an empty
  * string on success, else a diagnostic naming the path and why it was
  * rejected (not compiled in / host cpuid lacks it); the active path is
  * unchanged on failure.

@@ -98,9 +98,9 @@ TraceRepository::~TraceRepository() = default;
 TraceRepository &
 TraceRepository::instance()
 {
-    // The disk tier is opt-in for the process-wide repository: benches
-    // that keep references for the process lifetime should not silently
-    // start writing files unless the user asked for a store.
+    // The disk tier is opt-in for the process-wide repository: a
+    // process should not silently start writing files unless the user
+    // asked for a store.
     static TraceStore *store = []() -> TraceStore * {
         std::string dir = env::str("VMMX_TRACE_STORE");
         if (dir.empty())
@@ -130,6 +130,7 @@ TraceRepository::entryFor(const TraceKey &key)
 void
 TraceRepository::materializeRaw(Entry &e)
 {
+    ++rawFills_;
     if (store_) {
         TELEMETRY_SPAN("trace.diskLoad", telemetry::enabled()
                                              ? e.key.name
@@ -257,8 +258,7 @@ TraceRepository::decoded(const TraceKey &key)
 TraceRepository::TierStats
 TraceRepository::rawStats() const
 {
-    return {rawHits_.load(), generations_.load() + diskLoads_.load(),
-            bytesRaw_.load()};
+    return {rawHits_.load(), rawFills_.load(), bytesRaw_.load()};
 }
 
 TraceRepository::TierStats
@@ -303,6 +303,7 @@ TraceRepository::clear()
     bytesDecoded_ = 0;
     generations_ = 0;
     diskLoads_ = 0;
+    rawFills_ = 0;
     decodes_ = 0;
     rawHits_ = 0;
     decodedHits_ = 0;

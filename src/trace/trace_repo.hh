@@ -56,7 +56,7 @@ class TraceRepository
      *  likewise reserved, not committed; no application writes past
      *  128 KiB of it. */
     static constexpr u32 appImageBytes = 32u << 20;
-    /** Default input-generation seed (matches the figure benches). */
+    /** Default input-generation seed (the one every study uses). */
     static constexpr u64 defaultSeed = 0xbeef;
 
     /**
@@ -72,8 +72,8 @@ class TraceRepository
     TraceRepository(const TraceRepository &) = delete;
     TraceRepository &operator=(const TraceRepository &) = delete;
 
-    /** The shared per-process repository used by benches and the sweep
-     *  engine.  Attaches a store iff $VMMX_TRACE_STORE is set. */
+    /** The shared per-process repository used by the sweep engine.
+     *  Attaches a store iff $VMMX_TRACE_STORE is set. */
     static TraceRepository &instance();
 
     TraceStore *store() const { return store_; }
@@ -181,6 +181,7 @@ class TraceRepository
     std::atomic<u64> bytesDecoded_{0};
     std::atomic<u64> generations_{0};
     std::atomic<u64> diskLoads_{0};
+    std::atomic<u64> rawFills_{0};
     std::atomic<u64> decodes_{0};
     std::atomic<u64> rawHits_{0};
     std::atomic<u64> decodedHits_{0};

@@ -438,6 +438,13 @@ TEST_F(StudyTest, OverrideValuesAreDecimalAndBounded)
                "core\\.store_window must be at most 65536"},
           Case{"mem.l1.size=1048577",
                "mem\\.l1\\.size must be at most 1048576"},
+          // A cache allocates a tag per line: at most 2^20 lines.
+          Case{"mem.l2.size=2147483648",
+               "mem\\.l2\\.size / mem\\.l2\\.line must be at most "
+               "1048576 lines \\(got 2147483648 / 128\\)"},
+          Case{"mem.l2.size=2097152,mem.l2.line=1",
+               "mem\\.l2\\.size / mem\\.l2\\.line must be at most "
+               "1048576 lines"},
           Case{"mem.l1.banks=65537",
                "mem\\.l1\\.banks must be at most 65536"},
           Case{"mem.l1.ports=65537",
@@ -463,6 +470,27 @@ TEST_F(StudyTest, OverrideValuesAreDecimalAndBounded)
         EXPECT_EXIT(Study(spec).points(), testing::ExitedWithCode(1),
                     c.message)
             << c.assignment;
+    }
+}
+
+// The largest caches the line cap admits build and run.
+TEST_F(StudyTest, CachesOfTwoToTheTwentyLinesRun)
+{
+    for (const char *set : {"mem.l2.size=134217728",
+                            "mem.l2.size=1048576,mem.l2.line=1"}) {
+        StudySpec spec;
+        spec.kernels = {"comp"};
+        spec.kinds = {SimdKind::MMX64};
+        spec.ways = {2};
+        spec.exec.repo = &repo;
+        spec.exec.backend = ExecutionPolicy::Backend::Serial;
+        std::string err;
+        ASSERT_TRUE(applySpecSetting(std::string("grid.override=") + set,
+                                     spec, err))
+            << err;
+        auto results = Study(spec).run();
+        ASSERT_EQ(results.size(), 1u) << set;
+        EXPECT_GT(results[0].cycles(), 0u) << set;
     }
 }
 
@@ -686,6 +714,36 @@ TEST_F(StudyTest, DerivedMetricsMatchHandComputedValues)
         EXPECT_DOUBLE_EQ(
             metricValue(ReportSpec::Metric::ScalarOfBase, r, found),
             100.0 * sc / baseTotal);
+
+        // The Figure 7 instruction mix, from the committed class counts.
+        const RunStats &core = r.result.core;
+        double baseInsts = double(base.result.core.instructions);
+        using M = ReportSpec::Metric;
+        const std::pair<M, InstClass> classMetrics[] = {
+            {M::SmemOfBase, InstClass::SMEM},
+            {M::SarithOfBase, InstClass::SARITH},
+            {M::SctrlOfBase, InstClass::SCTRL},
+            {M::VmemOfBase, InstClass::VMEM},
+            {M::VarithOfBase, InstClass::VARITH},
+        };
+        double sum = 0;
+        for (auto [m, cls] : classMetrics) {
+            double v = metricValue(m, r, found);
+            EXPECT_DOUBLE_EQ(v, 100.0 * double(core.classCount(cls)) /
+                                    baseInsts)
+                << name(m);
+            sum += v;
+            EXPECT_TRUE(std::isnan(metricValue(m, r, nullptr))) << name(m);
+        }
+        double insts = metricValue(M::InstsOfBase, r, found);
+        EXPECT_DOUBLE_EQ(insts, 100.0 * double(core.instructions) / baseInsts);
+        EXPECT_NEAR(sum, insts, 1e-9);
+        EXPECT_TRUE(std::isnan(metricValue(M::InstsOfBase, r, nullptr)));
+        EXPECT_DOUBLE_EQ(metricValue(M::VectorInstsPct, r, nullptr),
+                         100.0 *
+                             double(core.classCount(InstClass::VMEM) +
+                                    core.classCount(InstClass::VARITH)) /
+                             double(core.instructions));
     }
 
     // The baseline's own speedup is exactly 1; speedup without a
@@ -705,6 +763,22 @@ TEST_F(StudyTest, DerivedMetricsMatchHandComputedValues)
     EXPECT_NE(os.str().find(TextTable::num(sp)), std::string::npos)
         << os.str();
     EXPECT_NE(os.str().find("idct:"), std::string::npos);
+}
+
+// Every metric the report prints parses back from its spec spelling,
+// and numMetrics counts them all: the value past the last has no name.
+TEST(StudyMetrics, EveryMetricNameRoundTrips)
+{
+    for (unsigned i = 0; i < ReportSpec::numMetrics; ++i) {
+        auto m = ReportSpec::Metric(i);
+        ReportSpec::Metric parsed = ReportSpec::Metric::Cycles;
+        EXPECT_TRUE(parseMetric(name(m), parsed)) << name(m);
+        EXPECT_EQ(parsed, m) << name(m);
+    }
+    EXPECT_DEATH(name(ReportSpec::Metric(ReportSpec::numMetrics)),
+                 "bad metric");
+    ReportSpec::Metric m = ReportSpec::Metric::Cycles;
+    EXPECT_FALSE(parseMetric("insts_of_bass", m));
 }
 
 TEST_F(StudyTest, BaselinePrefersMatchingOverrideSet)

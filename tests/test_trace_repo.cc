@@ -92,6 +92,28 @@ TEST_F(TraceRepoTest, DecodedStreamBuiltOncePerKey)
     EXPECT_LT(repo.decodedStats().bytes, 2 * rawBytes);
 }
 
+// A raw fill is a trace materialized into tier 1.  Streams keep
+// nothing: each counts as a generation, never as a fill.
+TEST_F(TraceRepoTest, RawFillsCountOnlyTierOneFills)
+{
+    TraceRepository repo;
+    repo.stream(key(0), discardSink());
+    repo.stream(key(1), discardSink());
+    repo.stream(key(0), discardSink());
+    EXPECT_EQ(repo.generations(), 3u);
+    EXPECT_EQ(repo.rawStats().fills, 0u);
+    EXPECT_EQ(repo.rawStats().bytes, 0u);
+
+    // A raw() lookup fills; a second one, and a stream, replay the copy.
+    repo.raw(key(0));
+    EXPECT_EQ(repo.generations(), 4u);
+    EXPECT_EQ(repo.rawStats().fills, 1u);
+    repo.raw(key(0));
+    repo.stream(key(0), discardSink());
+    EXPECT_EQ(repo.rawStats().fills, 1u);
+    EXPECT_EQ(repo.rawStats().hits, 2u);
+}
+
 TEST_F(TraceRepoTest, DecodedMatchesPerRecordDecode)
 {
     TraceRepository repo;
