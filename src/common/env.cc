@@ -105,12 +105,6 @@ parseFaultSpec(const char *text, std::vector<FaultAction> &plan,
             name = body.substr(0, eq);
             value = body.substr(eq + 1);
         }
-        // `stall=worker2`: a worker reference in value position is the
-        // scope, not a number.
-        if (scope.empty() && value.rfind("worker", 0) == 0) {
-            scope = value;
-            value.clear();
-        }
 
         FaultAction a;
         bool wantsValue = true;

@@ -53,8 +53,7 @@ std::string str(const char *var, const std::string &dflt = "");
  * comma-separated list of `name[=value][@workerN]` directives, where N
  * is the spawn ordinal of the worker the fault applies to (respawned
  * replacements get fresh ordinals, so a scoped fault fires exactly
- * once); an unscoped directive applies to every worker.  `stall=worker2`
- * is accepted as a synonym for `stall@worker2`.
+ * once); an unscoped directive applies to every worker.
  *
  * Directives (honored by dist/worker.cc, at the frame layer for
  * CorruptFrame):

@@ -1,7 +1,7 @@
 #include "common/telemetry.hh"
 
 #include <algorithm>
-#include <cinttypes>
+#include <cstdio>
 #include <ctime>
 #include <iomanip>
 #include <sstream>
@@ -30,9 +30,6 @@ threadOrdinal()
     thread_local u32 tid = next.fetch_add(1, std::memory_order_relaxed);
     return tid;
 }
-
-std::atomic<ProgressMode> gProgressMode{ProgressMode::Off};
-std::FILE *gProgressStream = nullptr; // null = stderr
 
 } // namespace
 
@@ -91,13 +88,6 @@ Tracer::drain()
     std::vector<SpanRecord> out;
     out.swap(spans_);
     return out;
-}
-
-size_t
-Tracer::size() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return spans_.size();
 }
 
 void
@@ -199,14 +189,14 @@ void
 Registry::addCounter(const std::string &name, u64 delta)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    counters_[name] += delta;
+    values_[name] += delta;
 }
 
 void
 Registry::setGauge(const std::string &name, u64 value)
 {
     std::lock_guard<std::mutex> lock(mu_);
-    gauges_[name] = value;
+    values_[name] = value;
 }
 
 void
@@ -225,65 +215,24 @@ Registry::drainUnits()
     return out;
 }
 
-std::vector<UnitRecord>
-Registry::units() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return units_;
-}
-
 void
 Registry::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
-    counters_.clear();
-    gauges_.clear();
+    values_.clear();
     units_.clear();
-}
-
-MetricsSnapshot
-Registry::snapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    MetricsSnapshot snap;
-    snap.values = counters_;
-    for (const auto &[name, v] : gauges_)
-        snap.values[name] = v;
-    return snap;
-}
-
-void
-Registry::dumpText(std::ostream &os) const
-{
-    MetricsSnapshot snap = snapshot();
-    for (const auto &[name, v] : snap.values)
-        os << name << ' ' << v << '\n';
-    os << "host.peakRssKiB " << peakRssKiB() << '\n';
-    std::vector<UnitRecord> us = units();
-    std::ostringstream num;
-    num << std::fixed << std::setprecision(1);
-    for (const UnitRecord &u : us) {
-        num.str("");
-        num << u.pointsPerSec();
-        os << "unit " << u.label << " points " << u.points << " records "
-           << u.records << " wallNs " << u.wallNs << " points/s "
-           << num.str();
-        if (!u.simd.empty())
-            os << " simd " << u.simd;
-        os << '\n';
-    }
 }
 
 void
 Registry::dumpJson(std::ostream &os) const
 {
-    MetricsSnapshot snap = snapshot();
+    std::lock_guard<std::mutex> lock(mu_);
     // Nest by the first dotted component so consumers address sections
     // ("repo", "dist", ...) directly; undotted names become top-level
     // scalars.  std::map keeps every ordering deterministic.
     std::map<std::string, std::map<std::string, u64>> sections;
     std::map<std::string, u64> toplevel;
-    for (const auto &[name, v] : snap.values) {
+    for (const auto &[name, v] : values_) {
         size_t dot = name.find('.');
         if (dot == std::string::npos || dot == 0 ||
             dot + 1 == name.size()) {
@@ -321,11 +270,10 @@ Registry::dumpJson(std::ostream &os) const
        << "\"\n  }";
     sep();
     os << "  \"units\": [";
-    std::vector<UnitRecord> us = units();
     std::ostringstream pps;
     pps << std::fixed << std::setprecision(1);
-    for (size_t i = 0; i < us.size(); ++i) {
-        const UnitRecord &u = us[i];
+    for (size_t i = 0; i < units_.size(); ++i) {
+        const UnitRecord &u = units_[i];
         pps.str("");
         pps << u.pointsPerSec();
         os << (i ? ",\n" : "\n") << "    {\"traceHash\":" << u.traceHash
@@ -335,7 +283,7 @@ Registry::dumpJson(std::ostream &os) const
            << pps.str() << ",\"workerId\":" << u.workerId
            << ",\"simd\":\"" << jsonEscape(u.simd) << "\"}";
     }
-    os << (us.empty() ? "]" : "\n  ]") << "\n}\n";
+    os << (units_.empty() ? "]" : "\n  ]") << "\n}\n";
 }
 
 std::string
@@ -361,82 +309,6 @@ jsonEscape(const std::string &s)
         }
     }
     return out;
-}
-
-// ---- live progress -------------------------------------------------------
-
-void
-setProgress(ProgressMode mode, std::FILE *stream)
-{
-    gProgressStream = stream;
-    gProgressMode.store(mode, std::memory_order_relaxed);
-}
-
-ProgressMode
-progressMode()
-{
-    return gProgressMode.load(std::memory_order_relaxed);
-}
-
-Progress::Progress(std::string what, u64 total)
-    : what_(std::move(what)), total_(total)
-{
-    if (progressMode() != ProgressMode::Off)
-        startNs_ = nowNs();
-}
-
-void
-Progress::update(u64 done, const std::string &extra)
-{
-    if (progressMode() == ProgressMode::Off)
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    constexpr u64 minGapNs = 200'000'000; // at most ~5 lines a second
-    u64 now = nowNs();
-    if (lastEmitNs_ != 0 && now - lastEmitNs_ < minGapNs)
-        return;
-    lastEmitNs_ = now;
-    emit(done, extra, false);
-}
-
-void
-Progress::finish(u64 done)
-{
-    if (progressMode() == ProgressMode::Off)
-        return;
-    std::lock_guard<std::mutex> lock(mu_);
-    emit(done, std::string(), true);
-}
-
-void
-Progress::emit(u64 done, const std::string &extra, bool final)
-{
-    std::FILE *out = gProgressStream ? gProgressStream : stderr;
-    double elapsedS = double(nowNs() - startNs_) / 1e9;
-    double rate = elapsedS > 0 ? double(done) / elapsedS : 0.0;
-    double etaS =
-        (rate > 0 && total_ > done) ? double(total_ - done) / rate : 0.0;
-    if (progressMode() == ProgressMode::Jsonl) {
-        std::fprintf(out,
-                     "{\"type\":\"%s\",\"what\":\"%s\",\"done\":%" PRIu64
-                     ",\"total\":%" PRIu64
-                     ",\"elapsedS\":%.3f,\"pointsPerSec\":%.1f,"
-                     "\"etaS\":%.1f%s%s%s}\n",
-                     final ? "done" : "progress",
-                     jsonEscape(what_).c_str(), done, total_, elapsedS,
-                     rate, etaS, extra.empty() ? "" : ",\"extra\":\"",
-                     extra.empty() ? "" : jsonEscape(extra).c_str(),
-                     extra.empty() ? "" : "\"");
-    } else {
-        double pct = total_ ? 100.0 * double(done) / double(total_) : 100.0;
-        std::fprintf(out,
-                     "progress: %s %" PRIu64 "/%" PRIu64
-                     " (%.1f%%) %.1f points/s eta %.1fs%s%s%s\n",
-                     what_.c_str(), done, total_, pct, rate, etaS,
-                     extra.empty() ? "" : " [", extra.c_str(),
-                     extra.empty() ? "" : "]");
-    }
-    std::fflush(out);
 }
 
 } // namespace vmmx::telemetry

@@ -1,8 +1,8 @@
 /**
  * @file
- * Process-wide observability: a metrics registry, RAII span tracing,
- * and rate-limited run progress -- the measurement substrate for the
- * ROADMAP's cost-model scheduler, TCP fleet, and vmmx_studyd rungs.
+ * Process-wide observability: a metrics registry and RAII span tracing,
+ * behind the two exports vmmx_study writes (--metrics-json and
+ * --trace-events).
  *
  * Everything here is *observational*: no simulation state is read or
  * written, so results are bit-identical with telemetry on or off (CI
@@ -11,12 +11,11 @@
  * expensive parts (string formatting, locking, allocation) only run
  * behind enabled().
  *
- * Three pieces:
+ * Two pieces:
  *
- *   Registry  federates named counters/gauges and per-unit timing
- *             records behind one dumpText()/dumpJson() with
- *             deterministic (name-sorted) ordering and snapshot
- *             support.
+ *   Registry  one name->value map of counters and gauges plus per-unit
+ *             timing records, rendered by dumpJson() in deterministic
+ *             (name-sorted) order.
  *
  *   Tracer    collects SpanRecords (TELEMETRY_SPAN RAII timers) and
  *             renders them as a Chrome trace-event JSON array that
@@ -24,17 +23,12 @@
  *             spans are forwarded to the driver over the protocol's
  *             Event frame and merged into one timeline keyed by
  *             pid/workerId.
- *
- *   Progress  rate-limited live progress (points done/total, points/s,
- *             ETA) to stderr or as streamed JSONL events -- the forward
- *             substrate for vmmx_studyd's streamed events.
  */
 
 #ifndef VMMX_COMMON_TELEMETRY_HH
 #define VMMX_COMMON_TELEMETRY_HH
 
 #include <atomic>
-#include <cstdio>
 #include <map>
 #include <mutex>
 #include <ostream>
@@ -105,8 +99,6 @@ class Tracer
     void record(SpanRecord &&rec);
     /** Remove and return every buffered span (worker-side flush). */
     std::vector<SpanRecord> drain();
-    /** Buffered span count (tests). */
-    size_t size() const;
     void clear();
 
     /** Label a pid's track in the rendered timeline ("driver",
@@ -164,8 +156,8 @@ class Span
 
 // ---- metrics registry ----------------------------------------------------
 
-/** One executed sweep unit: the per-(trace, width) cost record the
- *  future cost-model scheduler trains on. */
+/** One executed sweep unit: the per-(trace, width) cost record of the
+ *  metrics export's "units" section. */
 struct UnitRecord
 {
     u64 traceHash = 0;  ///< FNV-1a of the lead point's trace identity
@@ -182,17 +174,12 @@ struct UnitRecord
     }
 };
 
-/** Flattened name->value view of the registry at one instant. */
-struct MetricsSnapshot
-{
-    std::map<std::string, u64> values;
-};
-
 /**
- * The process-wide metrics registry.  Counters accumulate, gauges are
- * last-write-wins, and unit records accumulate into the "units" section
- * of dumpJson().  All orderings are deterministic (sorted by name;
- * units in record order).
+ * The process-wide metrics registry.  Counters and gauges share one
+ * name->value map (no name is used as both): addCounter() accumulates,
+ * setGauge() is last-write-wins.  Unit records accumulate into the
+ * "units" section of dumpJson().  All orderings are deterministic
+ * (sorted by name; units in record order).
  */
 class Registry
 {
@@ -204,14 +191,8 @@ class Registry
     void addUnit(UnitRecord &&rec);
     /** Remove and return every buffered unit record (worker flush). */
     std::vector<UnitRecord> drainUnits();
-    std::vector<UnitRecord> units() const;
     void clear();
 
-    /** Flattened counters + gauges, sorted by name. */
-    MetricsSnapshot snapshot() const;
-
-    /** "name value" lines, sorted by name, then one line per unit. */
-    void dumpText(std::ostream &os) const;
     /** One JSON object, nested by the first dotted name component
      *  ("dist.respawns" -> {"dist": {"respawns": N}}), plus a "units"
      *  array of per-unit timing records.  Deterministically ordered. */
@@ -219,52 +200,12 @@ class Registry
 
   private:
     mutable std::mutex mu_;
-    std::map<std::string, u64> counters_;
-    std::map<std::string, u64> gauges_;
+    std::map<std::string, u64> values_;
     std::vector<UnitRecord> units_;
 };
 
 /** JSON string escaping for names/details/labels. */
 std::string jsonEscape(const std::string &s);
-
-// ---- live progress -------------------------------------------------------
-
-enum class ProgressMode : u8
-{
-    Off,    ///< the default: Progress methods return immediately
-    Stderr, ///< human-readable rate-limited lines on stderr
-    Jsonl,  ///< one JSON event per line on the configured stream
-};
-
-/** Select the process-wide progress mode; @p stream (Jsonl mode) stays
- *  owned by the caller and defaults to stderr. */
-void setProgress(ProgressMode mode, std::FILE *stream = nullptr);
-ProgressMode progressMode();
-
-/**
- * Rate-limited progress for one run.  update() emits at most every
- * ~200ms; finish() always emits.  Thread-safe: pool workers may tick
- * concurrently.  All methods are no-ops in ProgressMode::Off.
- */
-class Progress
-{
-  public:
-    Progress(std::string what, u64 total);
-
-    /** @p done is absolute (points completed so far); @p extra is an
-     *  optional free-form suffix (per-worker in-flight counts...). */
-    void update(u64 done, const std::string &extra = std::string());
-    void finish(u64 done);
-
-  private:
-    void emit(u64 done, const std::string &extra, bool final);
-
-    std::mutex mu_;
-    std::string what_;
-    u64 total_ = 0;
-    u64 startNs_ = 0;
-    u64 lastEmitNs_ = 0;
-};
 
 } // namespace vmmx::telemetry
 

@@ -1,6 +1,6 @@
 #include "cost/rf_model.hh"
 
-#include "common/logging.hh"
+#include "sim/params.hh"
 
 namespace vmmx
 {
@@ -29,15 +29,9 @@ RfDesign::areaUnits() const
 RfDesign
 RfDesign::forMachine(SimdKind kind, unsigned way)
 {
-    if (way != 2 && way != 4 && way != 8)
-        fatal("unsupported width %u for RF model", way);
-    unsigned idx = way == 2 ? 0 : way == 4 ? 1 : 2;
-
-    static const unsigned mmxPhys[3] = {40, 64, 96};
-    static const unsigned vmmxPhys[3] = {20, 36, 64};
-    static const unsigned memPorts[3] = {1, 2, 4};
-    static const unsigned vmmxBanksPerLane[3] = {1, 2, 4};
-
+    // Table III's SIMD resources (forConfig rejects widths other than
+    // 2, 4 and 8).
+    CoreParams core = CoreParams::forConfig(kind, way);
     const SimdGeometry &g = geometry(kind);
 
     RfDesign d;
@@ -45,11 +39,12 @@ RfDesign::forMachine(SimdKind kind, unsigned way)
     d.way = way;
     d.rowBits = g.rowBits;
     d.rows = g.maxVl;
+    d.physRegs = core.physSimd;
+    d.lanes = core.lanesPerFu;
 
     if (g.matrix) {
-        d.physRegs = vmmxPhys[idx];
-        d.lanes = 4;
-        d.banksPerLane = vmmxBanksPerLane[idx];
+        // Table I: 1, 2 and 4 banks per lane at 2, 4 and 8-way.
+        d.banksPerLane = way / 2;
         // Each bank feeds one functional unit per cycle (2 operand reads
         // + 1 result write), one memory stream read and one memory/
         // reduction write: the banked organisation keeps this constant
@@ -57,13 +52,11 @@ RfDesign::forMachine(SimdKind kind, unsigned way)
         d.readPortsPerBank = 4;
         d.writePortsPerBank = 2;
     } else {
-        d.physRegs = mmxPhys[idx];
-        d.lanes = 1;
         d.banksPerLane = 1;
         // Centralized file: every SIMD FU needs 2 reads + 1 write, plus
         // the memory ports.
-        d.readPortsPerBank = 2 * way + memPorts[idx];
-        d.writePortsPerBank = way + memPorts[idx];
+        d.readPortsPerBank = 2 * core.simdFus + core.memPorts;
+        d.writePortsPerBank = core.simdFus + core.memPorts;
     }
     return d;
 }

@@ -46,7 +46,8 @@ struct RfDesign
     /** Area in cell units: bits x (r + w)^2 summed over banks. */
     double areaUnits() const;
 
-    /** Table I design point for @p kind at @p way. */
+    /** Table I design point for @p kind at @p way, sized from the
+     *  Table III resources of CoreParams::forConfig(kind, way). */
     static RfDesign forMachine(SimdKind kind, unsigned way);
 };
 

@@ -761,20 +761,6 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
         return false;
     };
 
-    telemetry::Progress progress("sweep", points.size());
-    auto inflightExtra = [&]() {
-        if (telemetry::progressMode() == telemetry::ProgressMode::Off)
-            return std::string();
-        std::string s;
-        for (const auto &w : workers) {
-            if (!s.empty())
-                s += ' ';
-            s += 'w' + std::to_string(w.slot) + ':' +
-                 (w.live() ? (w.inflight ? "1" : "0") : "dead");
-        }
-        return s;
-    };
-
     std::vector<u8> frame;
     while (remaining > 0 || awaitingStats()) {
         fireRespawns();
@@ -870,8 +856,6 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
                         workerDied(*w, WorkerExit::Cause::Lost,
                                    "write failed during dispatch", false);
                 }
-                progress.update(points.size() - remaining,
-                                inflightExtra());
                 break;
               }
               case Msg::Event: {
@@ -927,8 +911,6 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
             }
         }
     }
-
-    progress.finish(points.size() - remaining);
 
     // ---- teardown --------------------------------------------------------
     for (auto &w : workers) {

@@ -55,11 +55,8 @@ runUnit(const std::vector<SweepPoint> &points, const std::vector<u32> &unit,
         // Attribute the unit's throughput to the step kernel that
         // produced it: width-1 units take the fused serial (scalar)
         // step, wider units the dispatched host-SIMD path.
-        simd::Path path = simd::pathFor(unit.size());
-        rec.simd = simd::pathName(path);
-        telemetry::Registry &reg = telemetry::Registry::instance();
-        reg.setGauge("sim.simd", u64(path));
-        reg.addUnit(std::move(rec));
+        rec.simd = simd::pathName(simd::pathFor(unit.size()));
+        telemetry::Registry::instance().addUnit(std::move(rec));
     }
     for (size_t k = 0; k < unit.size(); ++k) {
         SweepResult &r = results[unit[k]];
@@ -119,8 +116,6 @@ runSerial(const std::vector<SweepPoint> &points,
     } joiner{ring, producer};
 
     std::vector<SweepResult> results(points.size());
-    telemetry::Progress progress("sweep", points.size());
-    u64 done = 0;
     for (const std::vector<u32> &unit : units) {
         runUnit(points, unit, results,
                 [&](std::span<const MachineConfig> machines,
@@ -130,10 +125,7 @@ runSerial(const std::vector<SweepPoint> &points,
                     traceLength = replay.records();
                     return replay.finish();
                 });
-        done += unit.size();
-        progress.update(done);
     }
-    progress.finish(done);
     return results;
 }
 
@@ -143,7 +135,7 @@ runSerial(const std::vector<SweepPoint> &points,
  * result vector is deterministic.  Units are independent
  * (per-configuration MemorySystem/SimContext, immutable shared trace
  * artifacts).  One effective thread is the serial schedule, producer
- * ring and progress reporting included.
+ * ring included.
  */
 std::vector<SweepResult>
 runThreadPool(const std::vector<SweepPoint> &points,
@@ -156,15 +148,10 @@ runThreadPool(const std::vector<SweepPoint> &points,
 
     std::vector<SweepResult> results(points.size());
     std::atomic<size_t> next{0};
-    std::atomic<u64> done{0};
-    telemetry::Progress progress("sweep", points.size());
     auto worker = [&]() {
         for (size_t u = next.fetch_add(1); u < units.size();
-             u = next.fetch_add(1)) {
+             u = next.fetch_add(1))
             runSweepUnit(points, units[u], policy, results);
-            progress.update(done.fetch_add(units[u].size()) +
-                            units[u].size());
-        }
     };
 
     std::vector<std::thread> pool;
@@ -173,7 +160,6 @@ runThreadPool(const std::vector<SweepPoint> &points,
         pool.emplace_back(worker);
     for (auto &th : pool)
         th.join();
-    progress.finish(done.load());
     return results;
 }
 

@@ -331,11 +331,11 @@ TEST(Env, EnvLookupsFallBackToDefaults)
 TEST(Env, ParseFaultSpecDirectivesScopesAndSynonyms)
 {
     // The documented example: a scoped kill, an unscoped frame
-    // corruption, and the `stall=workerN` scope synonym.
+    // corruption, and a scoped stall.
     std::vector<env::FaultAction> plan;
     std::string err;
     ASSERT_TRUE(env::parseFaultSpec(
-        "kill-after-units=3@worker1,corrupt-frame=7,stall=worker2", plan,
+        "kill-after-units=3@worker1,corrupt-frame=7,stall@worker2", plan,
         err))
         << err;
     ASSERT_EQ(plan.size(), 3u);
@@ -386,7 +386,8 @@ TEST(Env, ParseFaultSpecRejectsJunkWithADiagnosis)
           "kill-after-units=3@worker",    // scope without an ordinal
           "kill-after-units=3@workerX",   // non-numeric ordinal
           "kill-after-units=3@machine1",  // wrong scope keyword
-          "stall=worker"}) {              // synonym without an ordinal
+          "stall=worker",                 // a scope in value position
+          "stall=worker2"}) {             // (spell it stall@worker2)
         err.clear();
         EXPECT_FALSE(env::parseFaultSpec(t, plan, err)) << "'" << t << "'";
         EXPECT_FALSE(err.empty()) << "'" << t << "'";

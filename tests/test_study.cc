@@ -651,20 +651,25 @@ TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
     }
 }
 
+/** The grid is one trace group, so one unit however many threads the
+ *  pool has: the threads backend takes the serial schedule and must
+ *  still return every point. */
 TEST_F(StudyTest, StudyRunHonoursBackendChoice)
 {
     StudySpec spec;
     spec.kernels = {"motion1"};
     spec.kinds = {SimdKind::VMMX64};
-    spec.ways = {2, 4};
+    spec.ways = {2, 4, 8};
     spec.exec.repo = &repo;
+    ASSERT_EQ(groupPointsByTrace(Study(spec).points()).size(), 1u);
 
     spec.exec.backend = ExecutionPolicy::Backend::Serial;
     auto a = Study(spec).run();
     spec.exec.backend = ExecutionPolicy::Backend::ThreadPool;
-    spec.exec.threads = 2;
+    spec.exec.threads = 4;
     auto b = Study(spec).run();
-    ASSERT_EQ(a.size(), b.size());
+    ASSERT_EQ(a.size(), 3u);
+    ASSERT_EQ(b.size(), 3u);
     for (size_t i = 0; i < a.size(); ++i)
         EXPECT_TRUE(a[i].sameRun(b[i]));
 }

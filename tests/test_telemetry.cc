@@ -1,14 +1,13 @@
 /**
  * @file
  * Tests for the observability substrate (common/telemetry.hh): span
- * recording and ordering, the metrics registry's deterministic dumps
- * and snapshot/delta arithmetic, JSON escaping, progress plumbing, and
- * the load-bearing invariant that telemetry never changes results --
- * a randomized sweep grid must be bit-identical with it on or off.
+ * recording and ordering, the metrics registry's deterministic JSON
+ * dump, JSON escaping, and the load-bearing invariant that telemetry
+ * never changes results -- a randomized sweep grid must be
+ * bit-identical with it on or off.
  */
 
 #include <gtest/gtest.h>
-#include <cstdio>
 #include <sstream>
 #include <string>
 
@@ -36,7 +35,6 @@ class TelemetryTest : public ::testing::Test
         telemetry::setEnabled(false);
         telemetry::Tracer::instance().clear();
         telemetry::Registry::instance().clear();
-        telemetry::setProgress(telemetry::ProgressMode::Off);
     }
 };
 
@@ -47,7 +45,7 @@ TEST_F(TelemetryTest, DisabledSpansRecordNothing)
         TELEMETRY_SPAN("outer");
         TELEMETRY_SPAN("inner", "detail");
     }
-    EXPECT_EQ(telemetry::Tracer::instance().size(), 0u);
+    EXPECT_TRUE(telemetry::Tracer::instance().drain().empty());
 }
 
 TEST_F(TelemetryTest, NestedSpansOrderAndAttribution)
@@ -71,7 +69,7 @@ TEST_F(TelemetryTest, NestedSpansOrderAndAttribution)
     EXPECT_EQ(spans[0].pid, u64(::getpid()));
     EXPECT_EQ(spans[0].workerId, -1);
     // drain() emptied the buffer.
-    EXPECT_EQ(telemetry::Tracer::instance().size(), 0u);
+    EXPECT_TRUE(telemetry::Tracer::instance().drain().empty());
 }
 
 TEST_F(TelemetryTest, TraceEventJsonShape)
@@ -102,19 +100,14 @@ TEST_F(TelemetryTest, RegistryCountersGaugesAndSortedDump)
     reg.setGauge("a.gauge", 7);
     reg.setGauge("a.gauge", 9); // gauges are last-write-wins
 
-    auto snap = reg.snapshot();
-    EXPECT_EQ(snap.values.at("z.count"), 5u);
-    EXPECT_EQ(snap.values.at("a.gauge"), 9u);
-
     std::ostringstream os;
-    reg.dumpText(os);
-    const std::string text = os.str();
-    EXPECT_LT(text.find("a.gauge 9"), text.find("z.count 5"));
-
-    // The host's peak RSS rides along, nonzero in any live process.
-    size_t rss = text.find("host.peakRssKiB ");
-    ASSERT_NE(rss, std::string::npos) << text;
-    EXPECT_GT(std::stoull(text.substr(rss + 16)), 0u);
+    reg.dumpJson(os);
+    const std::string json = os.str();
+    size_t gauge = json.find("\"gauge\": 9");
+    size_t count = json.find("\"count\": 5");
+    ASSERT_NE(gauge, std::string::npos) << json;
+    ASSERT_NE(count, std::string::npos) << json;
+    EXPECT_LT(gauge, count) << "sections are sorted by name";
 }
 
 TEST_F(TelemetryTest, DumpJsonNestsByDottedPrefixWithUnits)
@@ -152,11 +145,11 @@ TEST_F(TelemetryTest, DumpJsonNestsByDottedPrefixWithUnits)
     EXPECT_NE(json.find("\"traceHash\":42"), std::string::npos);
     EXPECT_NE(json.find("\"workerId\":-1"), std::string::npos);
 
-    // Unit buffering: units() peeks, drainUnits() empties.
-    EXPECT_EQ(reg.units().size(), 1u);
-    EXPECT_DOUBLE_EQ(reg.units()[0].pointsPerSec(), 1.5);
-    EXPECT_EQ(reg.drainUnits().size(), 1u);
-    EXPECT_TRUE(reg.units().empty());
+    // Unit buffering: drainUnits() hands the records over and empties.
+    std::vector<telemetry::UnitRecord> units = reg.drainUnits();
+    ASSERT_EQ(units.size(), 1u);
+    EXPECT_DOUBLE_EQ(units[0].pointsPerSec(), 1.5);
+    EXPECT_TRUE(reg.drainUnits().empty());
 }
 
 TEST_F(TelemetryTest, JsonEscape)
@@ -167,49 +160,7 @@ TEST_F(TelemetryTest, JsonEscape)
     EXPECT_EQ(telemetry::jsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 
-TEST_F(TelemetryTest, ProgressOffIsSilentAndModeSticks)
-{
-    EXPECT_EQ(telemetry::progressMode(), telemetry::ProgressMode::Off);
-    telemetry::Progress p("test", 100);
-    p.update(50);
-    p.finish(100); // must not crash or write anywhere
-    telemetry::setProgress(telemetry::ProgressMode::Jsonl, nullptr);
-    EXPECT_EQ(telemetry::progressMode(), telemetry::ProgressMode::Jsonl);
-}
-
-/** A threads study with one effective thread runs the serial schedule,
- *  progress reporting included: its JSONL stream ends in a done event
- *  covering every point. */
-TEST_F(TelemetryTest, OneUnitThreadsStudyEndsInDoneEvent)
-{
-    std::FILE *sink = std::tmpfile();
-    ASSERT_NE(sink, nullptr);
-    telemetry::setProgress(telemetry::ProgressMode::Jsonl, sink);
-
-    // One trace group, so one unit however many threads the pool has.
-    std::vector<SweepPoint> points;
-    for (unsigned way : {2u, 4u, 8u})
-        points.push_back({SweepPoint::Workload::Kernel, "motion1",
-                          SimdKind::MMX64, way, {}});
-    ExecutionPolicy policy;
-    policy.backend = ExecutionPolicy::Backend::ThreadPool;
-    policy.threads = 4;
-    TraceRepository repo;
-    policy.repo = &repo;
-    ASSERT_EQ(runPoints(points, policy).size(), points.size());
-    telemetry::setProgress(telemetry::ProgressMode::Off);
-
-    std::rewind(sink);
-    std::string last;
-    char line[512];
-    while (std::fgets(line, sizeof(line), sink))
-        last = line;
-    std::fclose(sink);
-    EXPECT_NE(last.find("\"type\":\"done\""), std::string::npos) << last;
-    EXPECT_NE(last.find("\"done\":3,"), std::string::npos) << last;
-}
-
-/** The whole point of the PR: telemetry is purely observational.  A
+/** Telemetry is purely observational.  A
  *  randomized grid run with spans + unit records on must be
  *  bit-identical to the same grid with telemetry off. */
 TEST_F(TelemetryTest, SweepResultsBitIdenticalOnOrOff)
@@ -247,8 +198,8 @@ TEST_F(TelemetryTest, SweepResultsBitIdenticalOnOrOff)
             << "telemetry changed results at " << points[i].label();
 
     // And the instrumented run actually produced observations.
-    EXPECT_GT(telemetry::Tracer::instance().size(), 0u);
-    EXPECT_FALSE(telemetry::Registry::instance().units().empty());
+    EXPECT_FALSE(telemetry::Tracer::instance().drain().empty());
+    EXPECT_FALSE(telemetry::Registry::instance().drainUnits().empty());
 }
 
 } // namespace

@@ -78,9 +78,6 @@ usage(int rc)
         "                  tiers, dist counters, per-unit timing) as JSON\n"
         "  --trace-events FILE  write a Chrome trace-event JSON timeline\n"
         "                  for chrome://tracing or ui.perfetto.dev\n"
-        "  --progress      rate-limited live progress on stderr\n"
-        "  --progress-json FILE  streamed JSONL progress events\n"
-        "                  ('-' = stderr)\n"
         "  --help          this text\n"
         "environment: VMMX_SIMD pins the host-SIMD step kernel,\n"
         "VMMX_FAULT_SPEC injects worker faults, VMMX_JOURNAL_SYNC=1\n"
@@ -101,8 +98,7 @@ main(int argc, char **argv)
     std::vector<std::string> settings;
     bool reportOnly = false, dumpSpec = false, check = false;
     bool verbose = false;
-    std::string metricsPath, tracePath, progressJsonPath;
-    bool progressStderr = false;
+    std::string metricsPath, tracePath;
 
     auto value = [&](int &i) -> std::string {
         if (i + 1 >= argc)
@@ -125,10 +121,6 @@ main(int argc, char **argv)
             metricsPath = value(i);
         else if (arg == "--trace-events")
             tracePath = value(i);
-        else if (arg == "--progress")
-            progressStderr = true;
-        else if (arg == "--progress-json")
-            progressJsonPath = value(i);
         else if (arg == "--help")
             usage(0);
         else if (!arg.empty() && arg[0] == '-')
@@ -165,18 +157,6 @@ main(int argc, char **argv)
     // worker in the Setup frame.
     if (!metricsPath.empty() || !tracePath.empty())
         telemetry::setEnabled(true);
-    std::FILE *progressFile = nullptr;
-    if (!progressJsonPath.empty()) {
-        if (progressJsonPath != "-") {
-            progressFile = std::fopen(progressJsonPath.c_str(), "w");
-            if (!progressFile)
-                fatal("cannot open '%s'", progressJsonPath.c_str());
-        }
-        telemetry::setProgress(telemetry::ProgressMode::Jsonl,
-                               progressFile);
-    } else if (progressStderr) {
-        telemetry::setProgress(telemetry::ProgressMode::Stderr);
-    }
     telemetry::Tracer::instance().setProcessName(u64(::getpid()),
                                                  "driver");
     dist::DistStats distStats;
@@ -239,9 +219,6 @@ main(int argc, char **argv)
             std::cout << "study: trace events written to " << tracePath
                       << '\n';
     }
-    if (progressFile)
-        std::fclose(progressFile);
-
     // Quarantined points never executed; their report rows are default
     // zeros, which must not read as success.
     if (!distStats.quarantinedPoints.empty()) {
