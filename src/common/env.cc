@@ -70,87 +70,4 @@ str(const char *var, const std::string &dflt)
     return text;
 }
 
-bool
-parseFaultSpec(const char *text, std::vector<FaultAction> &plan,
-               std::string &err)
-{
-    plan.clear();
-    if (!text || !*text)
-        return true;
-
-    std::string spec(text);
-    size_t pos = 0;
-    while (pos <= spec.size()) {
-        size_t comma = spec.find(',', pos);
-        std::string tok = spec.substr(
-            pos, comma == std::string::npos ? std::string::npos
-                                            : comma - pos);
-        pos = comma == std::string::npos ? spec.size() + 1 : comma + 1;
-        if (tok.empty())
-            continue;
-
-        std::string body = tok, scope, value;
-        size_t at = body.find('@');
-        if (at != std::string::npos) {
-            scope = body.substr(at + 1);
-            body = body.substr(0, at);
-            if (scope.empty()) {
-                err = "fault directive '" + tok + "' has an empty scope";
-                return false;
-            }
-        }
-        std::string name = body;
-        size_t eq = body.find('=');
-        if (eq != std::string::npos) {
-            name = body.substr(0, eq);
-            value = body.substr(eq + 1);
-        }
-
-        FaultAction a;
-        bool wantsValue = true;
-        if (name == "kill-after-units")
-            a.kind = FaultAction::Kind::KillAfterUnits;
-        else if (name == "kill-mid-unit")
-            a.kind = FaultAction::Kind::KillMidUnit;
-        else if (name == "kill-on-point")
-            a.kind = FaultAction::Kind::KillOnPoint;
-        else if (name == "corrupt-frame")
-            a.kind = FaultAction::Kind::CorruptFrame;
-        else if (name == "exit-code")
-            a.kind = FaultAction::Kind::ExitCode;
-        else if (name == "stall") {
-            a.kind = FaultAction::Kind::Stall;
-            wantsValue = false;
-        } else {
-            err = "unknown fault directive '" + name + "'";
-            return false;
-        }
-
-        if (!value.empty()) {
-            unsigned v = 0;
-            if (!parseUnsigned(value.c_str(), v)) {
-                err = "fault directive '" + name + "' has a bad value '" +
-                      value + "'";
-                return false;
-            }
-            a.value = v;
-        } else if (wantsValue) {
-            err = "fault directive '" + name + "' needs a value";
-            return false;
-        }
-
-        if (!scope.empty()) {
-            unsigned w = 0;
-            if (scope.rfind("worker", 0) != 0 ||
-                !parseUnsigned(scope.c_str() + 6, w)) {
-                err = "fault scope '" + scope + "' is not workerN";
-                return false;
-            }
-            a.worker = s64(w);
-        }
-        plan.push_back(a);
-    }
-    return true;
-}
-
 } // namespace vmmx::env

@@ -86,7 +86,7 @@ struct SpanRecord
     u64 durNs = 0;      ///< duration
     u64 pid = 0;        ///< originating process
     u32 tid = 0;        ///< per-process thread ordinal
-    s32 workerId = -1;  ///< dist spawn ordinal; -1 = driver/local
+    s32 workerId = -1;  ///< dist worker slot; -1 = driver/local
 };
 
 /** Global span buffer; workers drain it into Event frames, drivers and
@@ -102,7 +102,7 @@ class Tracer
     void clear();
 
     /** Label a pid's track in the rendered timeline ("driver",
-     *  "worker0/spawn2", ...). */
+     *  "worker slot 1", ...). */
     void setProcessName(u64 pid, const std::string &name);
 
     /**
@@ -165,7 +165,7 @@ struct UnitRecord
     u32 points = 0;     ///< configs batched into the unit (its width)
     u64 records = 0;    ///< trace length replayed
     u64 wallNs = 0;     ///< wall-clock of the whole unit
-    s32 workerId = -1;  ///< dist spawn ordinal; -1 = driver/local
+    s32 workerId = -1;  ///< dist worker slot; -1 = driver/local
     std::string simd;   ///< step path (scalar = context-major, avx2, avx512)
 
     double pointsPerSec() const
@@ -194,7 +194,7 @@ class Registry
     void clear();
 
     /** One JSON object, nested by the first dotted name component
-     *  ("dist.respawns" -> {"dist": {"respawns": N}}), plus a "units"
+     *  ("dist.jobsRun" -> {"dist": {"jobsRun": N}}), plus a "units"
      *  array of per-unit timing records.  Deterministically ordered. */
     void dumpJson(std::ostream &os) const;
 

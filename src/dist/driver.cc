@@ -4,13 +4,9 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <ctime>
-#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
-#include <memory>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -21,7 +17,6 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include "common/env.hh"
 #include "common/telemetry.hh"
 #include "dist/protocol.hh"
 #include "dist/worker.hh"
@@ -37,53 +32,19 @@ namespace
 
 constexpr u32 journalMagic = 0x4c4a4d56; // "VMJL" little-endian
 constexpr u32 journalVersion = 1;
-/** Respawn backoff: base << (respawnsUsed - 1), capped.  Bounded so a
- *  worker that dies instantly on spawn cannot busy-loop the driver, and
- *  short enough that a transient failure costs milliseconds. */
-constexpr u64 backoffBaseMs = 20;
-constexpr u64 backoffCapMs = 1000;
-
-/** Monotonic milliseconds (deadlines and backoff; never wall clock). */
-u64
-nowMs()
-{
-    timespec ts;
-    clock_gettime(CLOCK_MONOTONIC, &ts);
-    return u64(ts.tv_sec) * 1000 + u64(ts.tv_nsec) / 1000000;
-}
-
-/** The unit a worker is running: dispatched, not yet fully answered. */
-struct Inflight
-{
-    u32 unit = 0;    ///< unit id
-    u32 expect = 0;  ///< result frames still expected
-    u64 started = 0; ///< dispatch time (the unit deadline runs from here)
-};
 
 /**
- * One worker *slot*.  A slot and its respawn budget outlive the
- * processes that serve it: when a spawn dies the slot is respawned
- * (fresh pid/fd/spawnId) after a backoff, until maxRespawns is spent
- * and the slot is abandoned.
+ * One worker process.  A worker runs one unit at a time and is sent the
+ * next only when it has answered every point of this one.
  */
 struct WorkerProc
 {
     pid_t pid = -1;
     int fd = -1;
-    unsigned slot = 0; ///< stable slot index (WorkerExit::slot)
-    u32 spawnId = 0;   ///< spawn ordinal (the faultSpec "workerN" id)
-    /** A worker runs one unit at a time and is sent the next only when
-     *  it has answered every point of this one. */
-    std::optional<Inflight> inflight;
+    const SweepPoint *lead = nullptr; ///< lead point of the last unit sent
+    u32 expect = 0; ///< its result frames still owed (0 = idle)
     bool doneSent = false;
     bool statsSeen = false;
-    unsigned respawnsUsed = 0;
-    bool respawnPending = false;
-    u64 respawnDue = 0; ///< nowMs() timestamp the respawn fires at
-    u64 diedNs = 0;     ///< death time of the pending respawn's
-                        ///< predecessor (telemetry backoff span)
-
-    bool live() const { return fd >= 0; }
 };
 
 // ---- journal ------------------------------------------------------------
@@ -320,6 +281,53 @@ spawnWorker(const ExecutionPolicy &policy, const std::vector<int> &closeFds)
     return {pid, sv[0]};
 }
 
+/** Close @p w's socket, SIGKILL it first when @p kill, and reap it.
+ *  @return how it ended: "exit N" or "signal N". */
+std::string
+reap(WorkerProc &w, bool kill)
+{
+    // kill(-1, ...) would signal every process this user owns.
+    vmmx_assert(w.pid > 0, "reaping a worker twice");
+    if (w.fd >= 0) {
+        ::close(w.fd);
+        w.fd = -1;
+    }
+    if (kill)
+        ::kill(w.pid, SIGKILL);
+    int status = 0;
+    pid_t got = waitpid(w.pid, &status, 0);
+    w.pid = -1;
+    if (got < 0)
+        return "status unknown";
+    if (WIFSIGNALED(status))
+        return "signal " + std::to_string(WTERMSIG(status));
+    return "exit " + std::to_string(WEXITSTATUS(status));
+}
+
+/**
+ * The one failure path.  A worker that closed its socket, sent a
+ * malformed or Error frame, or exited abnormally ends the run: the model
+ * is deterministic in each unit's TraceKey, so a retry would fail the
+ * same way.  Every other worker is SIGKILLed and reaped first, so none
+ * outlives the driver; every result already appended stays in the
+ * journal for a rerun to resume.  @p status is how @p w ended (reap()).
+ */
+[[noreturn]] void
+failRun(std::vector<WorkerProc> &workers, bool journaled,
+        const WorkerProc &w, const std::string &why,
+        const std::string &status)
+{
+    for (auto &other : workers)
+        if (other.pid > 0)
+            reap(other, true);
+    std::string where = w.expect ? "on unit '" + w.lead->label() + "'"
+                                 : std::string("with no unit in flight");
+    fatal("worker slot %u failed %s (%s): %s%s",
+          unsigned(&w - workers.data()), where.c_str(), status.c_str(),
+          why.c_str(),
+          journaled ? "; rerun with the same journal to resume" : "");
+}
+
 } // namespace
 
 std::string
@@ -335,17 +343,6 @@ DistStats::summary() const
        << " decoded hits, " << bytesResident / (1024.0 * 1024.0)
        << " MiB raw + " << decodedBytes / (1024.0 * 1024.0)
        << " MiB decoded resident at exit";
-    if (respawns || reassignedUnits || retries)
-        os << "; recovery: " << respawns << " respawns, " << reassignedUnits
-           << " units reclaimed, " << retries << " retried";
-    if (quarantinedUnits)
-        os << "; QUARANTINED " << quarantinedUnits << " units ("
-           << quarantinedPoints.size() << " points unexecuted)";
-    if (degraded)
-        os << "; DEGRADED to in-driver execution (" << degradedJobs
-           << " jobs run by the driver)";
-    if (abnormalExits)
-        os << "; " << abnormalExits << " abnormal worker exits";
     if (journalSkipped)
         os << "; " << journalSkipped << " damaged journal entries skipped";
     return os.str();
@@ -361,14 +358,6 @@ publishMetrics(const DistStats &st)
     reg.setGauge("dist.jobsRun", st.jobsRun);
     reg.setGauge("dist.jobsResumed", st.jobsResumed);
     reg.setGauge("dist.groupsRun", st.groupsRun);
-    reg.setGauge("dist.respawns", st.respawns);
-    reg.setGauge("dist.reassignedUnits", st.reassignedUnits);
-    reg.setGauge("dist.retries", st.retries);
-    reg.setGauge("dist.quarantinedUnits", st.quarantinedUnits);
-    reg.setGauge("dist.quarantinedPoints", st.quarantinedPoints.size());
-    reg.setGauge("dist.degraded", st.degraded ? 1 : 0);
-    reg.setGauge("dist.degradedJobs", st.degradedJobs);
-    reg.setGauge("dist.abnormalExits", st.abnormalExits);
     reg.setGauge("dist.journalSkipped", st.journalSkipped);
     // The worker fleet's trace-repository tier aggregate: the "repo"
     // section of a distributed run's metrics export.
@@ -380,21 +369,6 @@ publishMetrics(const DistStats &st)
     reg.setGauge("repo.decodes", st.decodes);
     reg.setGauge("repo.decoded.hits", st.decodedHits);
     reg.setGauge("repo.decoded.bytes", st.decodedBytes);
-}
-
-const char *
-name(WorkerExit::Cause c)
-{
-    switch (c) {
-      case WorkerExit::Cause::Clean: return "clean";
-      case WorkerExit::Cause::Exit: return "exit";
-      case WorkerExit::Cause::Signal: return "signal";
-      case WorkerExit::Cause::Malformed: return "malformed";
-      case WorkerExit::Cause::Hung: return "hung";
-      case WorkerExit::Cause::Lost: return "lost";
-      case WorkerExit::Cause::Error: return "error";
-    }
-    panic("bad exit cause %d", int(c));
 }
 
 u64
@@ -412,14 +386,6 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
 {
     vmmx_assert(policy.processes >= 1,
                 "distributed sweep needs at least one worker");
-    // A fault plan is a test instrument: one that does not parse must
-    // stop the run, not leave every worker running fault-free.
-    std::vector<env::FaultAction> plan;
-    std::string planError;
-    if (!env::parseFaultSpec(policy.faultSpec.c_str(), plan, planError))
-        fatal("unparsable fault spec '%s': %s", policy.faultSpec.c_str(),
-              planError.c_str());
-    const bool quiet = vmmx::quiet();
     DistStats local;
     DistStats &st = policy.distStats ? *policy.distStats : local;
     st = DistStats{};
@@ -479,17 +445,15 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
     for (size_t i = 0; i < points.size(); ++i)
         if (!have[i])
             pending.push_back(u32(i));
-    size_t remaining = pending.size();
-    if (remaining == 0)
+    if (pending.empty())
         return results; // fully resumed; nothing to spawn
 
     // The schedulable unit is the trace group, as for the in-process
     // backends; a journal-resumed prefix simply shrinks the affected
-    // groups.
+    // groups.  The unit queue is these units in submission order, and
+    // an idle worker takes the next one.
     std::vector<std::vector<u32>> units = groupPointsByTrace(points, pending);
-    std::vector<unsigned> attempts(units.size(), 0);
-    std::vector<bool> failed(points.size(), false); // quarantined points
-    const unsigned maxAttempts = std::max(policy.maxUnitAttempts, 1u);
+    u32 nextUnit = 0;
 
     // Writing to a worker that died must surface as an EPIPE error code,
     // not kill the driver.
@@ -497,378 +461,114 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
     ignore.sa_handler = SIG_IGN;
     sigaction(SIGPIPE, &ignore, &oldPipe);
 
-    // ---- slots and the unit queue ---------------------------------------
     const unsigned n = unsigned(
         std::min<size_t>(policy.processes, units.size()));
     st.workers = n;
-    SetupMsg setup; // per-spawn workerId filled in at spawn time
+    SetupMsg setup; // workerId (the slot) set per worker
     setup.storeDir =
         policy.storeDir.empty() ? TraceStore::defaultDir() : policy.storeDir;
-    setup.quiet = quiet;
-    setup.faultSpec = policy.faultSpec;
+    setup.quiet = vmmx::quiet();
     setup.telemetry = telemetry::enabled();
-
-    u32 nextSpawnId = 0;
     std::vector<WorkerProc> workers(n);
-    for (unsigned w = 0; w < n; ++w)
-        workers[w].slot = w;
-    // Unit ids in submission order; an idle worker takes the head.
-    std::deque<u32> queue(units.size());
-    for (u32 u = 0; u < units.size(); ++u)
-        queue[u] = u;
 
-    // ---- supervision machinery ------------------------------------------
+    const bool journaled = journal.ok();
 
-    /** Abandon a unit that has exhausted its attempts: its missing
-     *  points are reported failed and never retried, even in degraded
-     *  mode. */
-    auto quarantineUnit = [&](u32 u) {
-        ++st.quarantinedUnits;
-        for (u32 i : units[u]) {
-            if (have[i] || failed[i])
-                continue;
-            failed[i] = true;
-            st.quarantinedPoints.push_back(i);
-            --remaining;
-        }
-        warn("unit %u quarantined after killing %u workers", u, maxAttempts);
-    };
-
-    /** Charge a dead worker's unit an attempt and requeue it at the
-     *  back -- behind the units nobody has tried, so a fleet-wide
-     *  failure spreads its deaths over many units instead of
-     *  quarantining the first -- or quarantine it once it has killed
-     *  maxUnitAttempts workers. */
-    auto reclaim = [&](WorkerProc &w) {
-        if (!w.inflight)
-            return;
-        u32 u = w.inflight->unit;
-        w.inflight.reset();
-        if (++attempts[u] >= maxAttempts) {
-            quarantineUnit(u);
-            return;
-        }
-        ++st.retries;
-        ++st.reassignedUnits;
-        queue.push_back(u);
-    };
-
-    /**
-     * A spawn is gone (EOF, malformed frame, deadline...): reap it,
-     * record its fate, reclaim its unit, and schedule a backed-off
-     * respawn of the slot if the budget allows.  @p killFirst for
-     * causes where the process may still be running (hung, babbling a
-     * corrupt stream) and must be stopped before the blocking waitpid.
-     */
-    auto workerDied = [&](WorkerProc &w, WorkerExit::Cause cause,
-                          const std::string &reason, bool killFirst) {
-        if (w.fd >= 0) {
-            ::close(w.fd);
-            w.fd = -1;
-        }
-        std::string statusText = "status unknown";
-        if (w.pid > 0) {
-            if (killFirst)
-                ::kill(w.pid, SIGKILL);
-            int status = 0;
-            if (waitpid(w.pid, &status, 0) == w.pid) {
-                if (WIFSIGNALED(status)) {
-                    statusText =
-                        "signal " + std::to_string(WTERMSIG(status));
-                    if (cause == WorkerExit::Cause::Lost)
-                        cause = WorkerExit::Cause::Signal;
-                } else if (WIFEXITED(status)) {
-                    statusText = "exit " +
-                                 std::to_string(WEXITSTATUS(status));
-                    if (cause == WorkerExit::Cause::Lost)
-                        cause = WorkerExit::Cause::Exit;
-                }
-            }
-            w.pid = -1;
-        }
-        ++st.abnormalExits;
-        std::string detail =
-            reason.empty() ? statusText : reason + "; " + statusText;
-        st.exitCauses.push_back({w.slot, w.spawnId, cause, detail});
-        if (!quiet)
-            warn("worker %u (slot %u) lost -- %s: %s -- recovering",
-                 unsigned(w.spawnId), w.slot, name(cause), detail.c_str());
-        reclaim(w);
-        w.doneSent = false;
-        if (remaining > 0 && w.respawnsUsed < policy.maxRespawns) {
-            ++w.respawnsUsed;
-            w.respawnPending = true;
-            u64 backoff = std::min(
-                backoffBaseMs << (w.respawnsUsed - 1), backoffCapMs);
-            w.respawnDue = nowMs() + backoff;
-            if (telemetry::enabled())
-                w.diedNs = telemetry::nowNs();
-        }
-    };
-
-    /** Ship one unit as a JobGroup of its still-missing points, so a
-     *  reclaimed, partially-answered group is not re-run in full.  A
-     *  fully-covered unit sends nothing.  @return false when the write
-     *  fails (caller must treat the worker as dead). */
-    auto sendUnit = [&](WorkerProc &w, u32 unit) -> bool {
-        TELEMETRY_SPAN("wire.encode");
-        JobGroupMsg group;
-        for (u32 i : units[unit]) {
-            if (have[i] || failed[i])
-                continue;
-            group.indices.push_back(i);
-            group.points.push_back(points[i]);
-        }
-        if (group.indices.empty())
-            return true;
-        if (!wire::writeFrame(w.fd, encode(group)))
-            return false;
-        w.inflight = Inflight{unit, u32(group.indices.size()), nowMs()};
-        ++st.groupsRun;
-        return true;
-    };
-
-    /** Hand an idle worker the head of the queue, or complete its Done
-     *  handshake when the queue is empty.  @return false on a write
-     *  failure. */
+    /** Hand an idle worker the next unit, or its Done when the queue is
+     *  empty.  @return false when the write fails. */
     auto dispatch = [&](WorkerProc &w) -> bool {
-        while (w.live() && !w.doneSent && !w.inflight) {
-            if (queue.empty()) {
-                if (!wire::writeFrame(w.fd, encodeDone()))
-                    return false;
-                w.doneSent = true;
-                break;
-            }
-            u32 unit = queue.front();
-            queue.pop_front();
-            if (!sendUnit(w, unit)) {
-                // Never reached the worker: no attempt to charge.
-                queue.push_front(unit);
-                return false;
-            }
+        if (nextUnit == units.size()) {
+            w.doneSent = true;
+            return wire::writeFrame(w.fd, encodeDone());
         }
-        return true;
+        TELEMETRY_SPAN("wire.encode");
+        const std::vector<u32> &unit = units[nextUnit++];
+        JobGroupMsg group;
+        group.indices = unit;
+        for (u32 i : unit)
+            group.points.push_back(points[i]);
+        w.lead = &points[unit.front()];
+        w.expect = u32(unit.size());
+        ++st.groupsRun;
+        return wire::writeFrame(w.fd, encode(group));
     };
 
-    /** Spawn a process into slot @p w and hand it its setup and first
-     *  unit; a failure right here re-enters the death path. */
-    auto startWorker = [&](WorkerProc &w) {
+    // ---- spawn ----------------------------------------------------------
+    for (unsigned slot = 0; slot < n; ++slot) {
+        WorkerProc &w = workers[slot];
+        // The child drops the driver's other sockets and the journal, so
+        // a dead driver reads as EOF everywhere.
         std::vector<int> closeFds;
         for (const auto &other : workers)
             if (other.fd >= 0)
                 closeFds.push_back(other.fd);
-        if (journal.ok())
+        if (journaled)
             closeFds.push_back(journal.fd());
         auto [pid, fd] = spawnWorker(policy, closeFds);
         w.pid = pid;
         w.fd = fd;
-        w.spawnId = nextSpawnId++;
-        w.doneSent = false;
-        w.statsSeen = false;
-        w.inflight.reset();
-        SetupMsg s = setup;
-        s.workerId = w.spawnId;
-        if (!wire::writeFrame(w.fd, encode(s)) || !dispatch(w))
-            workerDied(w, WorkerExit::Cause::Lost, "failed during setup",
-                       false);
-    };
-
-    /** Respawns are deferred to the loop top: never mid-poll-iteration,
-     *  so a recycled descriptor can never alias a stale pollfd. */
-    auto fireRespawns = [&]() {
-        for (auto &w : workers) {
-            if (!w.respawnPending || nowMs() < w.respawnDue)
-                continue;
-            w.respawnPending = false;
-            if (remaining == 0)
-                continue;
-            ++st.respawns;
-            // One span covering death -> respawn: the backoff wait is a
-            // real scheduling cost the timeline should show.
-            if (telemetry::enabled() && w.diedNs) {
-                telemetry::SpanRecord rec;
-                rec.name = "respawn.backoff";
-                rec.detail = "slot " + std::to_string(w.slot);
-                rec.startNs = w.diedNs;
-                rec.durNs = telemetry::nowNs() - w.diedNs;
-                rec.pid = u64(::getpid());
-                telemetry::Tracer::instance().record(std::move(rec));
-                w.diedNs = 0;
-            }
-            startWorker(w);
-        }
-    };
-
-    /** True when work remains but nobody can do it: every slot is dead
-     *  or past its Done handshake, and no respawn is coming. */
-    auto fleetCollapsed = [&]() {
-        if (remaining == 0)
-            return false;
-        for (const auto &w : workers)
-            if ((w.live() && !w.doneSent) || w.respawnPending)
-                return false;
-        return true;
-    };
-
-    /** Graceful degradation: run every still-missing, non-quarantined
-     *  point in-driver through the serial unit runner.  Same units,
-     *  same submission-order slots, so the bytes match what the fleet
-     *  would have produced. */
-    auto degrade = [&]() {
-        st.degraded = true;
-        if (!quiet)
-            warn("worker fleet exhausted; running %zu remaining points "
-                 "in-driver", remaining);
-        // The driver's own store-backed repository stands in for the
-        // workers' (the policy's in-process one may have no disk tier).
-        auto store = std::make_unique<TraceStore>(setup.storeDir);
-        TraceRepository repo(store.get());
-        ExecutionPolicy pol = policy;
-        pol.repo = &repo;
-        for (u32 u = 0; u < units.size() && remaining > 0; ++u) {
-            std::vector<u32> subset;
-            for (u32 i : units[u])
-                if (!have[i] && !failed[i])
-                    subset.push_back(i);
-            if (subset.empty())
-                continue;
-            runSweepUnit(points, subset, pol, results);
-            for (u32 i : subset) {
-                have[i] = true;
-                --remaining;
-                ++st.degradedJobs;
-                if (journal.ok()) {
-                    ResultMsg m;
-                    m.index = i;
-                    m.traceLength = results[i].traceLength;
-                    m.result = results[i].result;
-                    journal.append(encode(m));
-                }
-            }
-        }
-        queue.clear();
-    };
-
-    // ---- spawn ----------------------------------------------------------
-    for (auto &w : workers)
-        startWorker(w);
+        setup.workerId = slot;
+        if (!wire::writeFrame(w.fd, encode(setup)) || !dispatch(w))
+            failRun(workers, journaled, w, "write failed during setup",
+                    reap(w, false));
+    }
 
     // ---- event loop -----------------------------------------------------
-    auto awaitingStats = [&]() {
-        for (const auto &w : workers)
-            if (w.live() && !w.statsSeen)
-                return true;
-        return false;
-    };
-
+    // A worker is polled until its Stats reply, which it sends only after
+    // Done, and Done goes out only once the queue is empty and the
+    // worker idle: so the loop ends exactly when every result is in.
     std::vector<u8> frame;
-    while (remaining > 0 || awaitingStats()) {
-        fireRespawns();
-        if (policy.unitTimeoutMs > 0) {
-            u64 now = nowMs();
-            for (auto &w : workers)
-                if (w.live() && w.inflight &&
-                    now - w.inflight->started >= policy.unitTimeoutMs)
-                    workerDied(w, WorkerExit::Cause::Hung,
-                               "unit " + std::to_string(w.inflight->unit) +
-                                   " blew the " +
-                                   std::to_string(policy.unitTimeoutMs) +
-                                   "ms deadline",
-                               true);
-        }
-        if (fleetCollapsed()) {
-            degrade();
-            continue;
-        }
-
-        // Poll must wake for the earliest pending respawn or unit
-        // deadline even if no descriptor stirs.
-        int timeout = -1;
-        u64 now = nowMs();
-        auto wakeAt = [&](u64 when) {
-            u64 delta = when > now ? when - now : 0;
-            if (timeout < 0 || u64(timeout) > delta)
-                timeout = int(std::min<u64>(delta, 60000));
-        };
-        std::vector<pollfd> pfds;
-        for (const auto &w : workers) {
-            if (w.respawnPending)
-                wakeAt(w.respawnDue);
-            if (!w.live() || w.statsSeen)
+    std::vector<pollfd> pfds;
+    std::vector<WorkerProc *> polled;
+    for (;;) {
+        pfds.clear();
+        polled.clear();
+        for (auto &w : workers) {
+            if (w.statsSeen)
                 continue;
             pfds.push_back({w.fd, POLLIN, 0});
-            if (policy.unitTimeoutMs > 0 && w.inflight)
-                wakeAt(w.inflight->started + policy.unitTimeoutMs);
+            polled.push_back(&w);
         }
-        if (pfds.empty()) {
-            if (timeout < 0)
-                break; // nothing live, nothing scheduled
-            poll(nullptr, 0, timeout);
-            continue;
-        }
-        if (poll(pfds.data(), nfds_t(pfds.size()), timeout) < 0) {
+        if (polled.empty())
+            break;
+        if (poll(pfds.data(), nfds_t(pfds.size()), -1) < 0) {
             if (errno == EINTR)
                 continue;
             fatal("poll failed: %s", std::strerror(errno));
         }
-        for (const auto &p : pfds) {
-            if (!(p.revents & (POLLIN | POLLHUP | POLLERR)))
+        for (size_t k = 0; k < pfds.size(); ++k) {
+            if (!(pfds[k].revents & (POLLIN | POLLHUP | POLLERR)))
                 continue;
-            // Resolve by *current* fd: a worker that died earlier in
-            // this same sweep of pfds left a stale entry behind.
-            WorkerProc *w = nullptr;
-            for (auto &cand : workers)
-                if (cand.live() && cand.fd == p.fd)
-                    w = &cand;
-            if (!w)
-                continue;
-
-            if (!wire::readFrame(w->fd, frame)) {
-                workerDied(*w, WorkerExit::Cause::Lost,
-                           "connection lost with " +
-                               std::to_string(w->inflight
-                                                  ? w->inflight->expect
-                                                  : 0) +
-                               " results outstanding",
-                           false);
-                continue;
-            }
+            WorkerProc &w = *polled[k];
+            if (!wire::readFrame(w.fd, frame))
+                failRun(workers, journaled, w, "connection closed",
+                        reap(w, false));
             switch (frameType(frame)) {
               case Msg::Result: {
                 ResultMsg m;
                 if (!decode(frame, m) || m.index >= results.size() ||
-                    have[m.index] || failed[m.index] || !w->inflight) {
-                    workerDied(*w, WorkerExit::Cause::Malformed,
-                               "malformed or protocol-violating result",
-                               true);
-                    break;
-                }
+                    have[m.index] || w.expect == 0)
+                    failRun(workers, journaled, w,
+                            "malformed or unexpected result frame",
+                            reap(w, true));
                 results[m.index].result = m.result;
                 results[m.index].traceLength = m.traceLength;
                 have[m.index] = true;
-                --remaining;
                 ++st.jobsRun;
-                if (journal.ok())
+                if (journaled)
                     journal.append(frame); // same bytes as encode(m)
-                if (--w->inflight->expect == 0) {
-                    w->inflight.reset();
-                    if (!dispatch(*w))
-                        workerDied(*w, WorkerExit::Cause::Lost,
-                                   "write failed during dispatch", false);
-                }
+                if (--w.expect == 0 && !dispatch(w))
+                    failRun(workers, journaled, w,
+                            "write failed during dispatch", reap(w, false));
                 break;
               }
               case Msg::Event: {
                 EventMsg m;
-                if (!decode(frame, m)) {
-                    workerDied(*w, WorkerExit::Cause::Malformed,
-                               "malformed event frame", true);
-                    break;
-                }
+                if (!decode(frame, m))
+                    failRun(workers, journaled, w, "malformed event frame",
+                            reap(w, true));
                 telemetry::Tracer &tracer = telemetry::Tracer::instance();
-                tracer.setProcessName(
-                    m.pid, "worker slot " + std::to_string(w->slot) +
-                               " spawn " + std::to_string(m.workerId));
+                tracer.setProcessName(m.pid, "worker slot " +
+                                                 std::to_string(m.workerId));
                 for (telemetry::SpanRecord &s : m.spans)
                     tracer.record(std::move(s));
                 // Workers only emit Event frames when setup.telemetry
@@ -881,11 +581,10 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
               }
               case Msg::Stats: {
                 StatsMsg m;
-                if (!decode(frame, m)) {
-                    workerDied(*w, WorkerExit::Cause::Malformed,
-                               "malformed stats frame", true);
-                    break;
-                }
+                if (!decode(frame, m) || !w.doneSent)
+                    failRun(workers, journaled, w,
+                            "malformed or unexpected stats frame",
+                            reap(w, true));
                 st.generations += m.generations;
                 st.hits += m.hits;
                 st.diskLoads += m.diskLoads;
@@ -894,65 +593,34 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
                 st.decodes += m.decodes;
                 st.decodedHits += m.decodedHits;
                 st.decodedBytes += m.decodedBytes;
-                w->statsSeen = true;
+                w.statsSeen = true;
                 break;
               }
               case Msg::Error: {
                 std::string what;
                 decodeError(frame, what);
-                workerDied(*w, WorkerExit::Cause::Error, what, false);
-                break;
+                failRun(workers, journaled, w, "worker error: " + what,
+                        reap(w, false));
               }
               default:
-                workerDied(*w, WorkerExit::Cause::Malformed,
-                           "unexpected frame type " +
-                               std::to_string(unsigned(frameType(frame))),
-                           true);
+                failRun(workers, journaled, w,
+                        "unexpected frame type " +
+                            std::to_string(unsigned(frameType(frame))),
+                        reap(w, true));
             }
         }
     }
 
     // ---- teardown --------------------------------------------------------
-    for (auto &w : workers) {
-        if (w.fd >= 0) {
-            ::close(w.fd);
-            w.fd = -1;
-        }
-        if (w.pid <= 0)
-            continue; // this slot's last spawn was already reaped
-        int status = 0;
-        if (waitpid(w.pid, &status, 0) != w.pid)
-            continue;
-        w.pid = -1;
-        if (WIFEXITED(status) && WEXITSTATUS(status) == 0) {
-            st.exitCauses.push_back(
-                {w.slot, w.spawnId, WorkerExit::Cause::Clean, "exit 0"});
-            continue;
-        }
-        // The worker finished its jobs, then died on the way out; the
-        // results are fine but the fate must not be lost (a real crash
-        // in teardown code hides real bugs).
-        ++st.abnormalExits;
-        WorkerExit e;
-        e.slot = w.slot;
-        e.spawnId = w.spawnId;
-        if (WIFSIGNALED(status)) {
-            e.cause = WorkerExit::Cause::Signal;
-            e.detail = "signal " + std::to_string(WTERMSIG(status)) +
-                       " after completing its jobs";
-        } else {
-            e.cause = WorkerExit::Cause::Exit;
-            e.detail = "exit " + std::to_string(WEXITSTATUS(status)) +
-                       " after completing its jobs";
-        }
-        if (!quiet)
-            warn("worker %u (slot %u) exited abnormally after completing "
-                 "its jobs (%s)", unsigned(w.spawnId), w.slot,
-                 e.detail.c_str());
-        st.exitCauses.push_back(std::move(e));
-    }
+    // A worker that answered everything and then exited abnormally still
+    // fails the run: a crash in teardown code is a bug to see.
+    for (auto &w : workers)
+        if (std::string status = reap(w, false); status != "exit 0")
+            failRun(workers, journaled, w,
+                    "exited abnormally after its Stats reply", status);
     sigaction(SIGPIPE, &oldPipe, nullptr);
-    vmmx_assert(remaining == 0, "distributed sweep lost grid points");
+    vmmx_assert(st.jobsRun == pending.size(),
+                "distributed sweep lost grid points");
     return results;
 }
 

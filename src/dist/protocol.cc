@@ -33,7 +33,6 @@ struct SetupMsgMirror
     std::string storeDir;
     bool quiet;
     u32 workerId;
-    std::string faultSpec;
     bool telemetry;
 };
 static_assert(sizeof(SetupMsg) == sizeof(SetupMsgMirror),
@@ -116,7 +115,6 @@ encode(const SetupMsg &m)
     w.str(m.storeDir);
     w.boolean(m.quiet);
     w.fixed32(m.workerId);
-    w.str(m.faultSpec);
     w.boolean(m.telemetry);
     return w.take();
 }
@@ -131,7 +129,6 @@ decode(const std::vector<u8> &frame, SetupMsg &m)
     m.storeDir = r.str();
     m.quiet = r.boolean();
     m.workerId = r.fixed32();
-    m.faultSpec = r.str();
     m.telemetry = r.boolean();
     return r.ok() && r.atEnd() && m.version == protocolVersion;
 }

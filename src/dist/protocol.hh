@@ -29,17 +29,19 @@
 namespace vmmx::dist
 {
 
-/** v9: a JobGroup point no longer carries a trace -- every point is a
- *  kernel or app the worker streams by TraceKey, and the byte that
- *  flagged a shipped trace must be 0.  (v8 retired the single-point
- *  Job frame (type byte 2) and Setup's raw-tier budget; v7 dropped the
- *  decoded-tier switch and budget; v6 named the host-SIMD step-kernel
- *  path in each Event unit record; v5 added Event telemetry frames --
- *  buffered spans + per-unit timing records interleaved with Results,
- *  purely observational; v4 supervised workers with spawn ordinals and
- *  fault specs; v3 the tiered-repository budgets; v2 JobGroup
- *  frames.) */
-constexpr u32 protocolVersion = 9;
+/** v10: Setup no longer carries a fault plan; workerId is the worker's
+ *  slot.  (v9 dropped the trace a JobGroup point could carry -- every
+ *  point is a kernel or app the worker streams by TraceKey, and the
+ *  byte that flagged a shipped trace must be 0; v8 retired the
+ *  single-point Job frame (type byte 2) and Setup's raw-tier budget; v7
+ *  dropped the decoded-tier switch and budget; v6 named the host-SIMD
+ *  step-kernel path in each Event unit record; v5 added Event telemetry
+ *  frames -- buffered spans + per-unit timing records interleaved with
+ *  Results, purely observational; v4 supervised workers with spawn
+ *  ordinals and fault specs; v3 the tiered-repository budgets; v2
+ *  JobGroup frames.)  Result frames are unchanged since v1, so journals
+ *  written by every earlier version still resume. */
+constexpr u32 protocolVersion = 10;
 
 /** Frame type bytes.  The values are wire format -- the journal stores
  *  encoded Result frames, so Result must stay 4 for journals written by
@@ -65,10 +67,7 @@ struct SetupMsg
     u32 version = protocolVersion;
     std::string storeDir;   ///< trace store directory ("" = no store)
     bool quiet = true;
-    u32 workerId = 0;       ///< spawn ordinal (fault scoping, stable per
-                            ///< process across respawns of a slot)
-    std::string faultSpec;  ///< deterministic fault plan ("" = none);
-                            ///< grammar in common/env.hh (FaultAction)
+    u32 workerId = 0;       ///< the worker's slot (Event telemetry)
     bool telemetry = false; ///< buffer spans/unit records and forward
                             ///< them in Event frames
 };
@@ -111,7 +110,7 @@ struct StatsMsg
  */
 struct EventMsg
 {
-    u32 workerId = 0; ///< spawn ordinal (matches SetupMsg.workerId)
+    u32 workerId = 0; ///< the worker's slot (SetupMsg.workerId)
     u64 pid = 0;      ///< worker process id (timeline track key)
     std::vector<telemetry::SpanRecord> spans;
     std::vector<telemetry::UnitRecord> units;

@@ -169,7 +169,6 @@ ExecutionPolicy
 ExecutionPolicy::fromEnv()
 {
     ExecutionPolicy p;
-    p.faultSpec = env::str("VMMX_FAULT_SPEC");
     p.journalSync = env::flag("VMMX_JOURNAL_SYNC", p.journalSync);
     return p;
 }

@@ -12,10 +12,10 @@
  *
  * All three schedule the same units -- the trace groups of
  * groupPointsByTrace() -- each replayed in one batched pass by
- * runSweepUnit(), which the threads backend, the dist worker and the
- * driver's in-driver fallback all call.  The serial backend differs
- * only in where the blocks come from: a producer thread streams the
- * traces one ring of blocks ahead of the simulation.  Every backend
+ * runSweepUnit(), which the threads backend and the dist worker call.
+ * The serial backend differs only in where the blocks come from: a
+ * producer thread streams the traces one ring of blocks ahead of the
+ * simulation.  Every backend
  * writes results into submission-order slots, so for any grid and any
  * policy the three result vectors are bit-identical -- asserted by
  * tests/test_study.cc and CI.  A new backend is one more case of
@@ -25,9 +25,9 @@
  * from the generator or the trace store straight into the group's
  * batched step in 32K-record blocks and is never held whole.
  *
- * ExecutionPolicy::fromEnv() layers the two runtime-only environment
- * knobs, VMMX_FAULT_SPEC and VMMX_JOURNAL_SYNC, over the built-in
- * defaults (via common/env.hh); every declarative knob is a spec key.
+ * ExecutionPolicy::fromEnv() layers the one runtime-only environment
+ * knob, VMMX_JOURNAL_SYNC, over the built-in defaults (via
+ * common/env.hh); every declarative knob is a spec key.
  */
 
 #ifndef VMMX_HARNESS_EXECUTOR_HH
@@ -66,16 +66,6 @@ struct ExecutionPolicy
     std::string storeDir;
     /** Crash-resume journal (Process backend); "" = no journal. */
     std::string journalPath;
-    /** Process backend: times one worker slot is respawned after a
-     *  death before the slot is abandoned; 0 = never respawn. */
-    unsigned maxRespawns = 3;
-    /** Process backend: wall-clock deadline per dispatched unit in ms;
-     *  a worker past it is declared hung, SIGKILLed and treated as
-     *  crashed.  0 = no deadline. */
-    u64 unitTimeoutMs = 0;
-    /** Process backend: workers a single unit may kill before it is
-     *  quarantined rather than retried (>= 1). */
-    unsigned maxUnitAttempts = 3;
 
     // ---- runtime-only wiring (not part of the declarative spec) ------
     /** Repository to resolve traces against; null = the process-wide
@@ -87,17 +77,13 @@ struct ExecutionPolicy
      *  without exec); its main() must call dist::maybeWorkerMain()
      *  first. */
     std::string execPath;
-    /** Process backend: deterministic fault plan forwarded to every
-     *  worker spawn ("" = none; grammar in common/env.hh, FaultAction).
-     *  A plan that does not parse is fatal before any worker spawns. */
-    std::string faultSpec;
     /** Process backend: fdatasync() the journal after every appended
      *  entry, so results survive a host crash, not just a driver crash.
      *  Off by default: the sync costs more than most grid points. */
     bool journalSync = false;
 
-    /** The built-in defaults with the runtime-only environment knobs
-     *  layered on top: VMMX_FAULT_SPEC and VMMX_JOURNAL_SYNC. */
+    /** The built-in defaults with the runtime-only environment knob
+     *  VMMX_JOURNAL_SYNC layered on top. */
     static ExecutionPolicy fromEnv();
 
     /** The repository this policy resolves traces through. */
@@ -109,10 +95,7 @@ struct ExecutionPolicy
     {
         return backend == o.backend && threads == o.threads &&
                processes == o.processes && storeDir == o.storeDir &&
-               journalPath == o.journalPath &&
-               maxRespawns == o.maxRespawns &&
-               unitTimeoutMs == o.unitTimeoutMs &&
-               maxUnitAttempts == o.maxUnitAttempts;
+               journalPath == o.journalPath;
     }
 };
 
@@ -153,8 +136,8 @@ SweepResult runSweepPoint(const SweepPoint &point,
 /**
  * Run one schedulable unit -- points of @p points replaying one trace,
  * in a single batched pass -- writing into the submission-order slots
- * of @p results.  The one unit runner: the threads backend, the dist
- * worker and the driver's in-driver fallback all call it.
+ * of @p results.  The one unit runner: the threads backend and the
+ * dist worker call it.
  */
 void runSweepUnit(const std::vector<SweepPoint> &points,
                   const std::vector<u32> &unit,

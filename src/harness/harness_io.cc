@@ -3,8 +3,10 @@
 #include <map>
 #include <sstream>
 
+#include "apps/app.hh"
 #include "common/env.hh"
 #include "dist/driver.hh"
+#include "kernels/kernel.hh"
 
 namespace vmmx
 {
@@ -53,13 +55,9 @@ struct ExecutionPolicyMirror
     unsigned processes;
     std::string storeDir;
     std::string journalPath;
-    unsigned maxRespawns;
-    u64 unitTimeoutMs;
-    unsigned maxUnitAttempts;
     TraceRepository *repo;
     dist::DistStats *distStats;
     std::string execPath;
-    std::string faultSpec;
     bool journalSync;
 };
 
@@ -76,13 +74,12 @@ struct DistStatsMirror
 {
     u64 generations, hits, diskLoads, storeSaves, bytesResident, decodes,
         decodedHits, decodedBytes;
-    u64 jobsRun, jobsResumed, groupsRun, steals;
+    u64 jobsRun, jobsResumed, groupsRun;
     unsigned workers;
-    u64 respawns, reassignedUnits, retries, quarantinedUnits;
+    u64 journalSkipped;
+    u64 steals, respawns, retries;
     std::vector<u32> quarantinedPoints;
-    bool degraded;
-    u64 degradedJobs, abnormalExits, journalSkipped;
-    std::vector<dist::WorkerExit> exitCauses;
+    u64 abnormalExits;
 };
 
 } // namespace
@@ -349,9 +346,6 @@ formatStudySpec(const StudySpec &spec)
     os << "store = " << e.storeDir << "\n";
     checkSpecValue("journal path", e.journalPath, /*listItem=*/false);
     os << "journal = " << e.journalPath << "\n";
-    os << "max_respawns = " << e.maxRespawns << "\n";
-    os << "unit_timeout_ms = " << e.unitTimeoutMs << "\n";
-    os << "max_unit_attempts = " << e.maxUnitAttempts << "\n";
 
     const ReportSpec &r = spec.report;
     os << "\n[report]\n";
@@ -408,10 +402,22 @@ setSpecKey(StudySpec &spec, const std::string &section,
     }
 
     if (section == "grid") {
+        // A workload name is checked here, not when its first point runs.
+        auto workloads = [&](const char *what,
+                             const std::vector<std::string> &known,
+                             std::vector<std::string> &out) {
+            std::vector<std::string> names = splitList(value);
+            for (const auto &n : names)
+                if (std::string bad = unknownName(what, n, known);
+                    !bad.empty())
+                    return bad;
+            out = std::move(names);
+            return std::string();
+        };
         if (key == "kernels") {
-            spec.kernels = splitList(value);
+            return workloads("kernel", kernelNames(), spec.kernels);
         } else if (key == "apps") {
-            spec.apps = splitList(value);
+            return workloads("app", appNames(), spec.apps);
         } else if (key == "kinds") {
             spec.kinds.clear();
             for (const auto &k : splitList(value)) {
@@ -473,23 +479,6 @@ setSpecKey(StudySpec &spec, const std::string &section,
         }
         if (key == "journal") {
             e.journalPath = value;
-            return "";
-        }
-        if (key == "max_respawns")
-            return wantNumber(e.maxRespawns);
-        if (key == "unit_timeout_ms") {
-            // Plain count, not a byte size; 32 bits of milliseconds is
-            // 49 days of deadline, enough for any unit.
-            unsigned ms = 0;
-            std::string what = wantNumber(ms);
-            if (what.empty())
-                e.unitTimeoutMs = ms;
-            return what;
-        }
-        if (key == "max_unit_attempts") {
-            if (!env::parseUnsigned(value.c_str(), e.maxUnitAttempts) ||
-                e.maxUnitAttempts == 0)
-                return "'max_unit_attempts' must be >= 1";
             return "";
         }
         return "unknown [exec] key '" + key + "'";

@@ -33,19 +33,25 @@ editDistance(std::string_view a, std::string_view b)
 } // namespace
 
 std::string
+unknownName(const std::string &what, const std::string &name,
+            const std::vector<std::string> &names)
+{
+    if (std::ranges::find(names, name) != names.end())
+        return "";
+    const std::string &nearest = *std::ranges::min_element(
+        names, {}, [&](const std::string &n) { return editDistance(name, n); });
+    return "unknown " + what + " '" + name + "' (nearest: " + nearest + ")";
+}
+
+std::string
 unknownKnob(const std::string &key)
 {
-    std::vector<std::string_view> keys;
+    std::vector<std::string> keys;
     for (const auto &k : CoreParams::knobs())
         keys.push_back(k.key);
     for (const auto &k : MemParams::knobs())
         keys.push_back(k.key);
-    if (std::ranges::find(keys, key) != keys.end())
-        return "";
-    std::string_view nearest = *std::ranges::min_element(
-        keys, {}, [&](std::string_view k) { return editDistance(key, k); });
-    return "unknown machine knob '" + key + "' (nearest: " +
-           std::string(nearest) + ")";
+    return unknownName("machine knob", key, keys);
 }
 
 MachineConfig

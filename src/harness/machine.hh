@@ -9,6 +9,7 @@
 #define VMMX_HARNESS_MACHINE_HH
 
 #include <string>
+#include <vector>
 
 #include "mem/params.hh"
 #include "sim/params.hh"
@@ -24,8 +25,13 @@ struct MachineConfig
     MemParams mem;
 };
 
-/** "" when @p key is a row of CoreParams::knobs() or MemParams::knobs(),
- *  else an error naming it and the nearest knob. */
+/** "" when @p name is one of @p names, else "unknown WHAT 'NAME'
+ *  (nearest: N)", N being the entry of @p names fewest edits away. */
+std::string unknownName(const std::string &what, const std::string &name,
+                        const std::vector<std::string> &names);
+
+/** unknownName() over the rows of CoreParams::knobs() and
+ *  MemParams::knobs(). */
 std::string unknownKnob(const std::string &key);
 
 /**

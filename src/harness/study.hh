@@ -8,7 +8,7 @@
  *   grid axes        kernels/apps, flavours, machine widths, and
  *                    optional ablation override sets (cross product)
  *   ExecutionPolicy  which backend runs the grid and how (threads,
- *                    processes, store, journal, supervision)
+ *                    processes, store, journal)
  *   ReportSpec       which derived metrics to print -- speedup against
  *                    a named baseline configuration, cycle breakdown,
  *                    IPC -- so consumers stop plucking RunStats fields

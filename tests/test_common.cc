@@ -328,71 +328,5 @@ TEST(Env, EnvLookupsFallBackToDefaults)
         ::unsetenv("VMMX_TEST_KNOB");
 }
 
-TEST(Env, ParseFaultSpecDirectivesScopesAndSynonyms)
-{
-    // The documented example: a scoped kill, an unscoped frame
-    // corruption, and a scoped stall.
-    std::vector<env::FaultAction> plan;
-    std::string err;
-    ASSERT_TRUE(env::parseFaultSpec(
-        "kill-after-units=3@worker1,corrupt-frame=7,stall@worker2", plan,
-        err))
-        << err;
-    ASSERT_EQ(plan.size(), 3u);
-
-    EXPECT_EQ(plan[0].kind, env::FaultAction::Kind::KillAfterUnits);
-    EXPECT_EQ(plan[0].value, 3u);
-    EXPECT_EQ(plan[0].worker, 1);
-    EXPECT_FALSE(plan[0].applies(0));
-    EXPECT_TRUE(plan[0].applies(1));
-
-    EXPECT_EQ(plan[1].kind, env::FaultAction::Kind::CorruptFrame);
-    EXPECT_EQ(plan[1].value, 7u);
-    EXPECT_EQ(plan[1].worker, -1) << "unscoped applies to every worker";
-    EXPECT_TRUE(plan[1].applies(0));
-    EXPECT_TRUE(plan[1].applies(5));
-
-    EXPECT_EQ(plan[2].kind, env::FaultAction::Kind::Stall);
-    EXPECT_EQ(plan[2].worker, 2);
-
-    // The remaining directive names, and a bare stall.
-    ASSERT_TRUE(env::parseFaultSpec(
-        "kill-mid-unit=2,kill-on-point=5,exit-code=7,stall", plan, err))
-        << err;
-    ASSERT_EQ(plan.size(), 4u);
-    EXPECT_EQ(plan[0].kind, env::FaultAction::Kind::KillMidUnit);
-    EXPECT_EQ(plan[1].kind, env::FaultAction::Kind::KillOnPoint);
-    EXPECT_EQ(plan[2].kind, env::FaultAction::Kind::ExitCode);
-    EXPECT_EQ(plan[3].kind, env::FaultAction::Kind::Stall);
-    EXPECT_EQ(plan[3].worker, -1);
-
-    // Null or empty is an empty plan, not an error.
-    EXPECT_TRUE(env::parseFaultSpec(nullptr, plan, err));
-    EXPECT_TRUE(plan.empty());
-    EXPECT_TRUE(env::parseFaultSpec("", plan, err));
-    EXPECT_TRUE(plan.empty());
-}
-
-TEST(Env, ParseFaultSpecRejectsJunkWithADiagnosis)
-{
-    std::vector<env::FaultAction> plan;
-    std::string err;
-    for (const char *t :
-         {"explode",                      // unknown directive
-          "kill-after-units",             // missing required value
-          "kill-after-units=",            // empty value
-          "kill-after-units=many",        // non-numeric value
-          "kill-after-units=3@",          // empty scope
-          "kill-after-units=3@worker",    // scope without an ordinal
-          "kill-after-units=3@workerX",   // non-numeric ordinal
-          "kill-after-units=3@machine1",  // wrong scope keyword
-          "stall=worker",                 // a scope in value position
-          "stall=worker2"}) {             // (spell it stall@worker2)
-        err.clear();
-        EXPECT_FALSE(env::parseFaultSpec(t, plan, err)) << "'" << t << "'";
-        EXPECT_FALSE(err.empty()) << "'" << t << "'";
-    }
-}
-
 } // namespace
 } // namespace vmmx

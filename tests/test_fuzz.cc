@@ -107,7 +107,6 @@ seedFrames()
     dist::SetupMsg setup;
     setup.storeDir = "/var/tmp/store";
     setup.workerId = 3;
-    setup.faultSpec = "kill-after-units=2@worker0,stall@worker1";
     setup.telemetry = true;
 
     StudySpec spec;

@@ -83,9 +83,6 @@ threads = 3
 processes = 5
 store = /tmp/some-store
 journal = /tmp/some.vmjl
-max_respawns = 5
-unit_timeout_ms = 2500
-max_unit_attempts = 4
 
 [report]
 layout = pivot
@@ -115,9 +112,6 @@ precision = 3
     EXPECT_EQ(spec.exec.processes, 5u);
     EXPECT_EQ(spec.exec.storeDir, "/tmp/some-store");
     EXPECT_EQ(spec.exec.journalPath, "/tmp/some.vmjl");
-    EXPECT_EQ(spec.exec.maxRespawns, 5u);
-    EXPECT_EQ(spec.exec.unitTimeoutMs, 2500u);
-    EXPECT_EQ(spec.exec.maxUnitAttempts, 4u);
     EXPECT_EQ(spec.report.layout, ReportSpec::Layout::Pivot);
     EXPECT_EQ(spec.report.pivot, ReportSpec::Metric::Ipc);
     EXPECT_EQ(spec.report.baselineKind, SimdKind::MMX128);
@@ -151,10 +145,6 @@ TEST_F(StudyTest, SpecFileDefaultsAndFromFile)
     EXPECT_EQ(spec.ways, (std::vector<unsigned>{2, 4, 8}));
     EXPECT_TRUE(spec.overrideSets.empty());
     EXPECT_EQ(spec.report.layout, ReportSpec::Layout::Points);
-    // Supervision knobs keep their built-in defaults when unspecified.
-    EXPECT_EQ(spec.exec.maxRespawns, 3u);
-    EXPECT_EQ(spec.exec.unitTimeoutMs, 0u);
-    EXPECT_EQ(spec.exec.maxUnitAttempts, 3u);
 
     // The facade's specText round-trips too.
     Study again = Study::fromSpecText(study.specText());
@@ -184,13 +174,18 @@ TEST_F(StudyTest, SpecFileParseErrors)
     EXPECT_FALSE(parseStudySpec("[report]\nbaseline = mmx64/-2\n",
                                 spec, err));
     EXPECT_FALSE(parseStudySpec("[exec]\nbackend = cloud\n", spec, err));
-    EXPECT_FALSE(parseStudySpec("[exec]\nmax_respawns = some\n", spec, err));
-    EXPECT_FALSE(parseStudySpec("[exec]\nunit_timeout_ms = -5\n",
-                                spec, err));
-    // Zero attempts would mean "quarantine everything on sight".
-    EXPECT_FALSE(parseStudySpec("[exec]\nmax_unit_attempts = 0\n",
-                                spec, err));
-    EXPECT_NE(err.find("max_unit_attempts"), std::string::npos);
+    // A retired supervision key is an unknown key.
+    EXPECT_FALSE(parseStudySpec("[exec]\nmax_respawns = 1\n", spec, err));
+    EXPECT_NE(err.find("unknown [exec] key"), std::string::npos) << err;
+    // A workload name is checked when the spec is parsed, not when its
+    // first point runs.
+    EXPECT_FALSE(parseStudySpec("[grid]\nkernels = nosuch\n", spec, err));
+    EXPECT_NE(err.find("unknown kernel 'nosuch' (nearest: "),
+              std::string::npos)
+        << err;
+    EXPECT_FALSE(parseStudySpec("[grid]\napps = nosuch\n", spec, err));
+    EXPECT_NE(err.find("unknown app 'nosuch' (nearest: "), std::string::npos)
+        << err;
     EXPECT_FALSE(parseStudySpec("[report]\nmetrics = cycles,joules\n",
                                 spec, err));
     EXPECT_FALSE(parseStudySpec("[report]\nbaseline = mmx64\n", spec, err));
@@ -317,14 +312,10 @@ TEST_F(StudyTest, SetAssignmentsLayerOverTheSpec)
     EXPECT_EQ(spec.overrideSets[1].getString("mem.mshrs"), "4");
 
     // Values past INT_MAX reach the policy unchanged.
-    ASSERT_TRUE(
-        applySpecSetting("exec.unit_timeout_ms=3000000000", spec, err))
-        << err;
     ASSERT_TRUE(applySpecSetting("exec.threads=4294967295", spec, err))
         << err;
-    EXPECT_EQ(spec.exec.unitTimeoutMs, 3000000000u);
     EXPECT_EQ(spec.exec.threads, 4294967295u);
-    EXPECT_NE(formatStudySpec(spec).find("unit_timeout_ms = 3000000000"),
+    EXPECT_NE(formatStudySpec(spec).find("threads = 4294967295"),
               std::string::npos);
 
     // Rejected with the offending argument named: an unknown section,
@@ -332,7 +323,7 @@ TEST_F(StudyTest, SetAssignmentsLayerOverTheSpec)
     // accept either.
     for (const char *bad :
          {"bogus.threads=1", "exec.bogus=1", "grid.kinds=mmx96",
-          "exec.threads", "exec.threads=-1", "exec.max_unit_attempts=0",
+          "exec.threads", "exec.threads=-1", "grid.kernels=idct,nosuch",
           "exec.decoded=on", "threads=4"}) {
         EXPECT_FALSE(applySpecSetting(bad, spec, err)) << bad;
         EXPECT_NE(err.find(std::string("'") + bad + "'"), std::string::npos)

@@ -113,7 +113,7 @@ TEST_F(TelemetryTest, RegistryCountersGaugesAndSortedDump)
 TEST_F(TelemetryTest, DumpJsonNestsByDottedPrefixWithUnits)
 {
     auto &reg = telemetry::Registry::instance();
-    reg.addCounter("dist.respawns", 1);
+    reg.addCounter("dist.journal.appends", 1);
     reg.setGauge("repo.decodes", 24);
     reg.setGauge("toplevel", 3);
     telemetry::UnitRecord rec;
@@ -128,7 +128,7 @@ TEST_F(TelemetryTest, DumpJsonNestsByDottedPrefixWithUnits)
     reg.dumpJson(os);
     const std::string json = os.str();
     EXPECT_NE(json.find("\"dist\""), std::string::npos);
-    EXPECT_NE(json.find("\"respawns\": 1"), std::string::npos);
+    EXPECT_NE(json.find("\"journal.appends\": 1"), std::string::npos);
     EXPECT_NE(json.find("\"repo\""), std::string::npos);
     EXPECT_NE(json.find("\"toplevel\": 3"), std::string::npos);
     EXPECT_NE(json.find("\"units\""), std::string::npos);

@@ -387,10 +387,12 @@ TEST_F(WireTest, ProtocolMessagesRoundTrip)
     setup.version = dist::protocolVersion;
     setup.storeDir = "/tmp/store";
     setup.quiet = true;
+    setup.workerId = 3;
     dist::SetupMsg setup2;
     ASSERT_TRUE(dist::decode(dist::encode(setup), setup2));
     EXPECT_EQ(setup2.storeDir, setup.storeDir);
     EXPECT_EQ(setup2.quiet, setup.quiet);
+    EXPECT_EQ(setup2.workerId, setup.workerId);
 
     // A group of one: what the driver ships when only one point of a
     // trace group is still missing.

@@ -19,8 +19,9 @@
  * (every trace resolved whole, then replayed point by point) and exits
  * nonzero unless every point is bit-identical -- the backend-equivalence
  * guarantee of harness/executor.hh, asserted here on real specs for the
- * streaming backends.  A processes-backend run that quarantined grid
- * points prints a FAILED line and exits 3 before any check.
+ * streaming backends.  On every backend a failing grid point ends the
+ * run with exit 1; a processes run with exec.journal set resumes from
+ * its journal when rerun.
  */
 
 #include <chrono>
@@ -58,10 +59,12 @@ selfPath(const char *argv0)
     return argv0; // non-procfs fallback; must then be an absolute path
 }
 
+/** Print the usage text -- to stdout for --help (@p rc 0), to stderr
+ *  for a usage error -- and exit with @p rc. */
 [[noreturn]] void
 usage(int rc)
 {
-    std::cout <<
+    (rc == 0 ? std::cout : std::cerr) <<
         "usage: vmmx_study [options] SPEC.study\n"
         "  --set SECTION.KEY=VALUE  override one spec key after the file\n"
         "                  is read (repeatable; the syntax and checks of\n"
@@ -80,9 +83,8 @@ usage(int rc)
         "                  for chrome://tracing or ui.perfetto.dev\n"
         "  --help          this text\n"
         "environment: VMMX_SIMD pins the host-SIMD step kernel,\n"
-        "VMMX_FAULT_SPEC injects worker faults, VMMX_JOURNAL_SYNC=1\n"
-        "fdatasyncs every journal entry (README \"Host SIMD\" and\n"
-        "\"Fault tolerance\").\n";
+        "VMMX_JOURNAL_SYNC=1 fdatasyncs every journal entry (README\n"
+        "\"Host SIMD\" and \"Failure and resume\").\n";
     std::exit(rc);
 }
 
@@ -193,8 +195,6 @@ main(int argc, char **argv)
             std::cout << "study: " << distStats.summary() << '\n';
     }
 
-    // Exports are written even for runs that then fail the quarantine
-    // check below: a failed run's telemetry is the interesting kind.
     if (!metricsPath.empty()) {
         // The "repo" section: worker-fleet tier aggregate for the
         // processes backend, the in-process repository otherwise.
@@ -219,16 +219,6 @@ main(int argc, char **argv)
             std::cout << "study: trace events written to " << tracePath
                       << '\n';
     }
-    // Quarantined points never executed; their report rows are default
-    // zeros, which must not read as success.
-    if (!distStats.quarantinedPoints.empty()) {
-        std::cout << "vmmx_study: FAILED -- "
-                  << distStats.quarantinedPoints.size()
-                  << " grid points quarantined (their units kept killing "
-                     "workers)\n";
-        return 3;
-    }
-
     if (check) {
         // A private repository: the reference shares nothing with the
         // run it checks.
