@@ -265,6 +265,10 @@ spawnWorker(const ExecutionPolicy &policy, const std::vector<int> &closeFds)
         for (int fd : closeFds)
             ::close(fd);
         if (policy.execPath.empty()) {
+            // The parent's atexit handlers and static destructors are
+            // not this child's to run: leave through _exit on every
+            // path, fatal() included.
+            setFatalSkipsExitHandlers();
             ::_exit(workerServe(sv[1]));
         } else {
             std::vector<std::string> args = {policy.execPath, "--worker",

@@ -49,7 +49,18 @@ class MemorySystem
     {
         vmmx_assert(bytes >= 1 && bytes <= 16, "scalar access size %u",
                     bytes);
-        Cycle start = reserveL1(addr, bytes, when);
+        return scalarAccessAt(addr, bytes, isWrite,
+                              reserveL1(addr, bytes, when));
+    }
+
+    /**
+     * scalarAccess() past the L1 port: the tag check and, on a miss or
+     * a straddle, the rest.  @p start is the transfer start cycle an
+     * L1 port and bank were reserved at.  The SoA kernels reserve them
+     * in their own lane rows (sim/sim_batch.hh) and call this.
+     */
+    Cycle scalarAccessAt(Addr addr, u32 bytes, bool isWrite, Cycle start)
+    {
         Addr line = l1_.lineAddr(addr);
         bool hit = l1_.hit(line, isWrite);
         if (hit && l1_.lineAddr(addr + bytes - 1) == line) {
@@ -72,6 +83,23 @@ class MemorySystem
 
     const MemParams &params() const { return params_; }
 
+    /** The L1 bank @p addr's line interleaves to. */
+    u32 l1Bank(Addr addr) const
+    {
+        Addr line = addr >> l1LineShift_;
+        return u32(l1BankMask_ ? line & l1BankMask_
+                               : line % params_.l1Banks);
+    }
+
+    /** Cycles an access of @p bytes holds an L1 port and bank. */
+    u32 l1PortCycles(u32 bytes) const
+    {
+        return std::max<u32>(
+            1, l1PortShift_
+                   ? (bytes + params_.l1PortBytes - 1) >> l1PortShift_
+                   : (bytes + params_.l1PortBytes - 1) / params_.l1PortBytes);
+    }
+
     u64 l1Hits() const { return l1Hits_; }
     u64 l1Misses() const { return l1Misses_; }
     u64 l2Hits() const { return l2Hits_; }
@@ -85,22 +113,18 @@ class MemorySystem
      *  @return cycle the line's data is available at the L2.  */
     Cycle l2Lookup(Addr lineAddr, bool isWrite, Cycle when);
 
-    /** Reserve an L1 port and bank; @return transfer start cycle. */
+    /** Reserve an L1 port and bank; @return transfer start cycle.  The
+     *  SoA kernels keep the same clocks as lane rows (SimBatch::l1Ports
+     *  and l1Banks), so a batched run leaves these as reset() did. */
     Cycle reserveL1(Addr addr, u32 bytes, Cycle when)
     {
-        u32 portCycles = std::max<u32>(
-            1, l1PortShift_
-                   ? (bytes + params_.l1PortBytes - 1) >> l1PortShift_
-                   : (bytes + params_.l1PortBytes - 1) / params_.l1PortBytes);
-
+        u32 portCycles = l1PortCycles(bytes);
         // Earliest-free port.
         auto port = std::min_element(l1PortFree_.begin(), l1PortFree_.end());
-        Addr line = addr >> l1LineShift_;
-        u32 bank =
-            u32(l1BankMask_ ? line & l1BankMask_ : line % params_.l1Banks);
-        Cycle start = std::max({when, *port, l1BankFree_[bank]});
+        Cycle &bankFree = l1BankFree_[l1Bank(addr)];
+        Cycle start = std::max({when, *port, bankFree});
         *port = start + portCycles;
-        l1BankFree_[bank] = start + portCycles;
+        bankFree = start + portCycles;
         return start;
     }
 

@@ -1,6 +1,7 @@
 #include "sim/sim_batch.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -27,7 +28,7 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
     padded = (lanes + padLanes - 1) / padLanes * padLanes;
     ctx.assign(ctxs.begin(), ctxs.end());
 
-    auto zeroed = [&](std::vector<u64> &v) { v.assign(padded, 0); };
+    auto zeroed = [&](LaneVec &v) { v.assign(padded, 0); };
     zeroed(gateW);
     zeroed(frontDepth);
     zeroed(penalty);
@@ -53,36 +54,55 @@ SimBatch::SimBatch(std::span<SimContext *const> ctxs)
     zeroed(done);
     zeroed(occ);
     zeroed(t1);
+    zeroed(start);
 
     regReady.assign(decodedReadySlots * padded, 0);
     lanesOcc.assign(17 * padded, 0);
     regLast.assign(numRegClasses * padded, 0);
 
-    size_t maxInt = 0, maxFp = 0, maxSimd = 0, maxIssue = 0;
-    for (size_t l = 0; l < lanes; ++l) {
-        const CoreParams &p = ctx[l]->params();
-        maxInt = std::max<size_t>(maxInt, p.intFus);
-        maxFp = std::max<size_t>(maxFp, p.fpFus);
-        maxSimd = std::max<size_t>(maxSimd, p.simdFus);
-        maxIssue = std::max<size_t>(maxIssue, p.simdIssue);
-    }
-    auto initPool = [&](Pool &pool, size_t rows, auto slotsOf) {
-        pool.rows = rows;
-        pool.slots.assign(rows * padded, kInf);
+    // The widest lane's value of a per-lane parameter.
+    auto widest = [&](auto valueOf) {
+        size_t most = 0;
+        for (size_t l = 0; l < lanes; ++l)
+            most = std::max<size_t>(most, valueOf(l));
+        return most;
+    };
+    auto initPool = [&](Pool &pool, auto slotsOf) {
+        pool.rows = widest(slotsOf);
+        pool.slots.assign(pool.rows * padded, kInf);
         // A lane's real slots start free at cycle 0; slots it does not
         // have keep the sentinel so no min scan ever selects them.
         for (size_t l = 0; l < lanes; ++l) {
-            size_t n = slotsOf(ctx[l]->params());
+            size_t n = slotsOf(l);
             for (size_t s = 0; s < n; ++s)
                 pool.slots[s * padded + l] = 0;
         }
     };
-    initPool(intPool, maxInt, [](const CoreParams &p) { return p.intFus; });
-    initPool(fpPool, maxFp, [](const CoreParams &p) { return p.fpFus; });
-    initPool(simdPool, maxSimd,
-             [](const CoreParams &p) { return p.simdFus; });
-    initPool(simdIssuePool, maxIssue,
-             [](const CoreParams &p) { return p.simdIssue; });
+    auto core = [&](size_t l) -> const CoreParams & {
+        return ctx[l]->params();
+    };
+    initPool(intPool, [&](size_t l) { return core(l).intFus; });
+    initPool(fpPool, [&](size_t l) { return core(l).fpFus; });
+    initPool(simdPool, [&](size_t l) { return core(l).simdFus; });
+    initPool(simdIssuePool, [&](size_t l) { return core(l).simdIssue; });
+
+    // The L1 front end: MemorySystem::reserveL1's ports and banks.
+    auto l1 = [&](size_t l) -> const MemParams & {
+        return ctx[l]->mem()->params();
+    };
+    initPool(l1Ports, [&](size_t l) { return l1(l).l1Ports; });
+    l1Banks.assign(widest([&](size_t l) { return l1(l).l1Banks; }) * padded,
+                   0);
+
+    // The store window: one row per push the widest window holds.
+    size_t widestWindow =
+        widest([&](size_t l) { return core(l).storeWindow; });
+    stores.rows = widestWindow ? std::bit_ceil(widestWindow) : 0;
+    stores.footprint.resize(stores.rows);
+    stores.done.assign(stores.rows * padded, 0);
+    zeroed(stores.window);
+    for (size_t l = 0; l < lanes; ++l)
+        stores.window[l] = core(l).storeWindow;
 
     // Each ring is max(minRows, the deepest lane's depth) + spare rows.
     // Pad lanes read the write row itself: any in-range row would do.

@@ -9,18 +9,21 @@
  * AVX2 and AVX-512 paths the SoA form turns that inside out: the
  * per-config mutable timing state the inner step touches every record
  * -- the width gates, the ready table, functional-unit pool slots, the
- * issue queue, free lists and ROB, the stall counters -- is hoisted
- * into parallel u64 arrays indexed by configuration ("lane"), so one
- * DecodedInst advances all N configurations with vector arithmetic:
- * cycle compares, maxes and blends across lanes.
+ * issue queue, free lists, ROB and store window, the L1 port and bank
+ * clocks, the stall counters -- is hoisted into parallel u64 arrays
+ * indexed by configuration ("lane"), so one DecodedInst advances all N
+ * configurations with vector arithmetic: cycle compares, maxes and
+ * blends across lanes.
  *
  * Layout rules the kernels rely on:
- *  - every per-lane array is padded to a multiple of 8 lanes (the
- *    widest kernel) so any vector width can stream it without tail
- *    handling; pad lanes hold inert values and are never read back,
+ *  - every per-lane array is a LaneVec, on a 64-byte cache line, and
+ *    padded to a multiple of 8 lanes (the widest kernel) so any vector
+ *    width can stream it without tail handling; pad lanes hold inert
+ *    values and are never read back,
  *  - multi-slot structures (ready table, pools, rings) are slot-major,
  *    `[slot * padded + lane]`, so one slot across all lanes is one
- *    contiguous vector load,
+ *    contiguous vector load, and every slot row starts on a cache line
+ *    (a row is padLanes x 8 B = 64 B),
  *  - pool slot arrays are sized to the widest lane; slots a lane does
  *    not have hold the kInf sentinel, which no min scan can select
  *    (real cycle values stay far below it).
@@ -54,22 +57,51 @@
  * sim/simd_step.hh for why sorting rows outside a lane's window is
  * harmless.
  *
- * Each ring is sized from the batch's largest capacity and costs
- * rows x padded lanes x 8 B: the ROB max robSize rows (a 15-config
+ * The store window is a lockstep ring too: every lane pushes a store
+ * on the same records, with the same footprint.  StoreRing keeps one
+ * shared footprint (lo, hi) per push and one row of done cycles, and a
+ * lane's core.store_window becomes a depth mask: push p is in lane l's
+ * window iff p + window_l >= pushes.  A load tests overlap once per
+ * entry, newest first, in shared scalar code, and each overlapping
+ * entry raises the issue row by one masked max.  The shared head moves
+ * past an entry once every lane has it out of its window or done by
+ * its floor (rename + 1, which never decreases): such a store can
+ * never raise an issue again, since issue >= ready >= rename + 1.  So
+ * the ring answers what StoreWindow answers, and the context's
+ * stores_ stays the oracle.
+ *
+ * The L1 port and bank clocks are lane rows for the same reason: every
+ * scalar access reserves a port and a bank on the same records.  The
+ * ports are a Pool (MemorySystem::reserveL1 takes the first earliest-
+ * free port, as SlotPool does) and the line-interleaved banks a
+ * slot-major table; which bank an address picks and how long an access
+ * holds its port and bank stay the lane's MemorySystem's (l1Bank,
+ * l1PortCycles).  The rest of the access -- the L1 tag check and any
+ * miss -- is the lane's own MemorySystem::scalarAccessAt(); a batched
+ * run leaves the memory system's own port and bank clocks as reset()
+ * left them.
+ *
+ * Each ring and row table is sized from the batch's largest capacity
+ * and costs rows x padded lanes x 8 B: the ROB max robSize rows (a 15-config
  * ablation-wide group: 128 x 16 x 8 B = 16 KiB), the issue queue
  * max(iqSize, iqWindow) + 1 (65 rows, 8.1 KiB), each free list
  * max(phys - logical) (64 Int, 40 Fp, 64 SIMD and 1 Acc rows in the
- * MMX64 group, 21 KiB together).
+ * MMX64 group, 21 KiB together), the store window the widest window
+ * rounded up to a power of two (64 rows, 8 KiB, plus 16 B of footprint
+ * per row), the L1 ports and banks max ports and max banks rows (1 to
+ * 4 and 8 rows, 1 KiB for the banks).
  *
  * What stays scalar per lane -- the data-dependent tails vectorization
- * cannot reach: memory-system accesses and the store-window walk,
+ * cannot reach: the L1 tag check and everything past it, vector
+ * (matrix) accesses through the L2 port, a lane's L1 bank pick,
  * issue-queue inserts that sink past the vector window,
  * branch-predictor updates (skipped for lanes 1..N-1 when every lane
  * has the same predictor geometry, since prediction inputs are
  * trace-determined and the tables then evolve identically), and the
- * O(1) writebacks after each vector min scan.  memAccess() and
- * predictLane() reach into the borrowed SimContexts for them
- * (SimBatch is a friend).
+ * O(1) writebacks after each vector min scan (FU pools, L1 ports and
+ * banks).  predictLane() reaches into the borrowed SimContexts for the
+ * predictor (SimBatch is a friend), and the memory accesses go through
+ * each lane's MemorySystem.
  *
  * Statistics that are trace-determined (instruction, branch, mem-op
  * and class counts -- identical for every lane by construction) are
@@ -82,6 +114,7 @@
 #define VMMX_SIM_SIM_BATCH_HH
 
 #include <array>
+#include <new>
 #include <span>
 #include <vector>
 
@@ -89,6 +122,40 @@
 
 namespace vmmx
 {
+
+/**
+ * std::allocator on a 64-byte cache line.  malloc aligns to 16 bytes,
+ * which splits most 512-bit row loads across two lines.
+ */
+template <class T>
+struct LineAlloc
+{
+    using value_type = T;
+    static constexpr std::align_val_t line{64};
+
+    LineAlloc() = default;
+    template <class U>
+    LineAlloc(const LineAlloc<U> &)
+    {
+    }
+
+    T *
+    allocate(size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), line));
+    }
+    void deallocate(T *p, size_t) { ::operator delete(p, line); }
+
+    template <class U>
+    bool
+    operator==(const LineAlloc<U> &) const
+    {
+        return true;
+    }
+};
+
+/** A lane array, on a cache line (lint rule lane-alignment). */
+using LaneVec = std::vector<u64, LineAlloc<u64>>;
 
 struct SimBatch
 {
@@ -120,28 +187,28 @@ struct SimBatch
     std::vector<SimContext *> ctx;
 
     // ---- per-lane parameters (u64 so vector ops load them directly)
-    std::vector<u64> gateW;      ///< way: fetch = rename = commit width
-    std::vector<u64> frontDepth;
-    std::vector<u64> penalty;    ///< mispredict redirect cycles
-    std::vector<u64> lanesPerFu; ///< for the vl > 16 occupancy divide
+    LaneVec gateW;      ///< way: fetch = rename = commit width
+    LaneVec frontDepth;
+    LaneVec penalty;    ///< mispredict redirect cycles
+    LaneVec lanesPerFu; ///< for the vl > 16 occupancy divide
 
     // ---- per-lane pipeline state (WidthGate cur/used triples) ----
-    std::vector<u64> fCur, fUsed; ///< fetch gate
-    std::vector<u64> rCur, rUsed; ///< rename gate
-    std::vector<u64> cCur, cUsed; ///< commit gate
-    std::vector<u64> redirect;    ///< fetchRedirect_
-    std::vector<u64> lastCommit;
+    LaneVec fCur, fUsed; ///< fetch gate
+    LaneVec rCur, rUsed; ///< rename gate
+    LaneVec cCur, cUsed; ///< commit gate
+    LaneVec redirect;    ///< fetchRedirect_
+    LaneVec lastCommit;
 
     /** Ready table, slot-major: decodedReadySlots rows x padded. */
-    std::vector<u64> regReady;
+    LaneVec regReady;
     /** ceil(vl / lanesPerFu) table, slot-major: 17 rows x padded. */
-    std::vector<u64> lanesOcc;
+    LaneVec lanesOcc;
 
     // ---- functional-unit pools (slot-major) ----
     struct Pool
     {
         size_t rows = 0; ///< widest lane's unit count
-        std::vector<u64> slots;
+        LaneVec slots;
     };
     Pool intPool, fpPool, simdPool, simdIssuePool;
 
@@ -150,11 +217,11 @@ struct SimBatch
     {
         size_t rows = 0; ///< enough for the deepest lane's reads
         size_t pos = 0;  ///< shared write row
-        std::vector<u64> slots; ///< rows x padded, zeroed
+        LaneVec slots;   ///< rows x padded, zeroed
         /** Per lane, (rows - depth) * padded + lane: lane l reads
          *  element pos * padded + readOff[l], wrapped into the ring,
          *  i.e. its entry depth pushes before the write row. */
-        std::vector<u64> readOff;
+        LaneVec readOff;
 
         /** Move the write row on by one push. */
         void advance() { pos = pos + 1 == rows ? 0 : pos + 1; }
@@ -171,14 +238,37 @@ struct SimBatch
     std::array<u64, numRegClasses> minFree{};
     /** Latest cycle any allocation of each class returned, per lane:
      *  numRegClasses rows x padded (RegFreeList's last_). */
-    std::vector<u64> regLast;
+    LaneVec regLast;
     /** Issue-queue capacity per lane, bounding an insert's scalar
      *  tail to the lane's own rows. */
-    std::vector<u64> iqCap;
+    LaneVec iqCap;
+
+    /** The store window of every lane (see the file comment): pushes
+     *  [head, tail) are the ones some lane may still wait for. */
+    struct StoreRing
+    {
+        struct Footprint
+        {
+            Addr lo, hi; ///< bytes [lo, hi)
+        };
+        /** Power of two >= the widest window; 0 when every lane's
+         *  window is 0, and then nothing is pushed or walked. */
+        size_t rows = 0;
+        u64 head = 0;
+        u64 tail = 0; ///< every push so far
+        std::vector<Footprint> footprint; ///< per row
+        LaneVec done;   ///< done cycles, rows x padded
+        LaneVec window; ///< core.store_window per lane; 0 in pad lanes
+    };
+    StoreRing stores;
+
+    // ---- L1 ports and banks (see the file comment) ----
+    Pool l1Ports;    ///< port free cycles
+    LaneVec l1Banks; ///< bank free cycles, slot-major, max banks rows
 
     // ---- per-lane statistics ----
-    std::vector<u64> stallRob, stallIq, stallRegs, mispredicts;
-    std::vector<u64> scalarCyc, vectorCyc;
+    LaneVec stallRob, stallIq, stallRegs, mispredicts;
+    LaneVec scalarCyc, vectorCyc;
 
     // ---- trace-determined counters (identical for every lane) ----
     u64 instructions = 0;
@@ -190,40 +280,13 @@ struct SimBatch
     bool bpredShared = false;
 
     // ---- per-record scratch, padded like the state arrays ----
-    std::vector<u64> rn, ready, issue, done, occ, t1;
-
-    // ---- scalar sub-phases reaching into the borrowed contexts ----
+    LaneVec rn, ready, issue, done, occ, t1;
+    LaneVec start; ///< L1 transfer start before the bank (memory records)
 
     bool
     predictLane(size_t l, u32 staticId, bool taken)
     {
         return ctx[l]->bpred_.predict(staticId, taken);
-    }
-
-    /** The whole Mem-FU case for one lane: disambiguation, the cache
-     *  access, store-window push.  Reads rn[l] and ready[l], writes
-     *  issue[l] and done[l]. */
-    void
-    memAccess(size_t l, const DecodedInst &inst)
-    {
-        SimContext &sc = *ctx[l];
-        Cycle is = ready[l];
-        if (inst.has(DecodedInst::kLoad))
-            is = sc.stores_.disambiguate(inst.lo, inst.hi, is, rn[l] + 1);
-        bool isWrite = inst.has(DecodedInst::kStore);
-        Cycle dn;
-        if (inst.has(DecodedInst::kVecMem)) {
-            dn = sc.mem_->vectorAccess(inst.addr, inst.rowBytes,
-                                       inst.stride, inst.rows, isWrite,
-                                       is);
-        } else {
-            dn = sc.mem_->scalarAccess(inst.addr, inst.rowBytes, isWrite,
-                                       is);
-        }
-        if (isWrite)
-            sc.stores_.push(inst.lo, inst.hi, dn);
-        issue[l] = is;
-        done[l] = dn;
     }
 };
 

@@ -76,10 +76,10 @@ namespace vmmx
 class SimContext
 {
     /** The SoA batch view (sim/sim_batch.hh) hoists this context's hot
-     *  state into lane arrays and reaches back in for the scalar
-     *  sub-phases (memory, store window, predictor).  It keeps its own
-     *  issue queue, free lists and ROB, so a batched run leaves iq_,
-     *  freeLists_ and robRing_ as reset() left them. */
+     *  state into lane arrays and reaches back in for the predictor and
+     *  the memory system.  It keeps its own issue queue, free lists,
+     *  ROB and store window, so a batched run leaves iq_, freeLists_,
+     *  robRing_ and stores_ as reset() left them. */
     friend struct SimBatch;
 
   public:

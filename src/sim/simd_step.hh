@@ -17,14 +17,18 @@
  * The pool min scans reproduce SlotPool's first-strict-minimum scan
  * order, so tie-breaking is identical, not just equivalent.
  *
- * The issue queue, the free lists and the ROB step as the lockstep
- * rings of sim/sim_batch.hh, whose file comment says why they answer
- * exactly what the context's IssueQueueModel, RegFreeList and ROB ring
- * would: one gather reads every lane's entry at its own depth and one
- * store pushes every lane's entry.  Only an issue-queue entry that
- * sinks below the vector insert's window finishes in scalar
- * (iqInsert).  The store window, the L1 port reservation and hit stay
- * per lane, inline (sim/resources.hh, mem/).
+ * The issue queue, the free lists, the ROB and the store window step
+ * as the lockstep rings of sim/sim_batch.hh, whose file comment says
+ * why they answer exactly what the context's IssueQueueModel,
+ * RegFreeList, ROB ring and StoreWindow would: one gather reads every
+ * lane's entry at its own depth and one store pushes every lane's
+ * entry; a load tests each store's footprint once for all lanes
+ * (storeWait).  The L1 ports are a pool and the banks a row table, as
+ * MemorySystem::reserveL1 keeps them (l1Access).  What stays per lane:
+ * an issue-queue entry that sinks below the vector insert's window
+ * (iqInsert), a lane's bank pick and its port and bank writeback, and
+ * the access itself past the L1 port -- the tag check, any miss, and
+ * every vector access (mem/memsys.hh).
  *
  * Vector loops cover the chunks that hold a live lane, not every
  * padded lane: chunks past the last live lane are never read back.
@@ -192,14 +196,14 @@ ringRead(const SimBatch &b, const SimBatch::Ring &ring, size_t base,
 /**
  * SlotPool::acquire() minus the occupancy writeback: a first-strict-
  * minimum scan over the pool's slot rows per lane, then
- * issue = max(cIn, earliest free).  Leaves the acquired start cycles
- * in b.issue and the winning slot index per lane in b.t1; the caller
- * writes the occupancy back (it can differ per lane).
+ * start = max(cIn, earliest free).  Leaves the start cycles in @p out
+ * and the winning slot index per lane in b.t1; the caller writes the
+ * occupancy back (it can differ per lane).
  */
 template <class V>
 inline void
 poolAcquire(SimBatch &b, const SimBatch::Pool &pool, const u64 *cIn,
-            size_t C)
+            u64 *out, size_t C)
 {
     const size_t P = b.padded;
     for (size_t c = 0; c < C; c += V::W) {
@@ -211,14 +215,14 @@ poolAcquire(SimBatch &b, const SimBatch::Pool &pool, const u64 *cIn,
             bestV = V::blend(lt, v, bestV);
             bestI = V::blend(lt, V::bcast(r), bestI);
         }
-        V::store(&b.issue[c], V::max(V::load(&cIn[c]), bestV));
+        V::store(&out[c], V::max(V::load(&cIn[c]), bestV));
         V::store(&b.t1[c], bestI);
     }
 }
 
-/** The occupancy writeback after poolAcquire(): occupy each lane's
- *  winning slot until issue + max(occ, 1).  @p occArr overrides
- *  @p occConst per lane when non-null. */
+/** The occupancy writeback after poolAcquire() into b.issue: occupy
+ *  each lane's winning slot until issue + max(occ, 1).  @p occArr
+ *  overrides @p occConst per lane when non-null. */
 inline void
 poolWriteback(SimBatch &b, SimBatch::Pool &pool, const u64 *occArr,
               u64 occConst)
@@ -305,6 +309,102 @@ iqInsert(SimBatch &b, size_t C)
             iqSink(b, c + size_t(std::countr_zero(deep)));
     }
     ring.advance();
+}
+
+/**
+ * StoreWindow::disambiguate() for every lane: raise b.issue to the done
+ * cycle of every store in the lane's window whose bytes overlap the
+ * load's.
+ *
+ * First the shared head moves past the oldest stores that no lane can
+ * still wait for: each lane has the store out of its window or done by
+ * its floor, rename + 1.  Both hold for every later load too -- pushes
+ * only grow and rename never moves back -- and such a store cannot
+ * raise an issue, which is at least rename + 1.  Then a walk from the
+ * newest store tests each footprint once, in scalar, and an overlapping
+ * store raises every lane that has it in its window: push p is in lane
+ * l's window iff its age, pushes - p, is at most window_l.
+ */
+template <class V>
+inline void
+storeWait(SimBatch &b, const DecodedInst &inst, size_t C)
+{
+    SimBatch::StoreRing &s = b.stores;
+    const size_t P = b.padded;
+    const u64 mask = s.rows - 1;
+    const auto one = V::bcast(1);
+    for (; s.head != s.tail; ++s.head) {
+        const u64 *row = &s.done[(s.head & mask) * P];
+        const auto older = V::bcast(s.tail - s.head - 1); // age - 1
+        unsigned live = 0;
+        for (size_t c = 0; c < C && !live; c += V::W) {
+            auto inWindow = V::gtU(V::load(&s.window[c]), older);
+            auto pending = V::gtU(V::load(&row[c]),
+                                  V::add(V::load(&b.rn[c]), one));
+            live = V::bits(V::andM(inWindow, pending));
+        }
+        if (live)
+            break;
+    }
+    for (u64 i = s.tail; i != s.head;) {
+        --i;
+        const SimBatch::StoreRing::Footprint &f = s.footprint[i & mask];
+        if (!(f.lo < inst.hi && inst.lo < f.hi))
+            continue;
+        const u64 *row = &s.done[(i & mask) * P];
+        const auto older = V::bcast(s.tail - i - 1);
+        for (size_t c = 0; c < C; c += V::W) {
+            auto inWindow = V::gtU(V::load(&s.window[c]), older);
+            auto is = V::load(&b.issue[c]);
+            V::store(&b.issue[c],
+                     V::blend(inWindow, V::max(is, V::load(&row[c])), is));
+        }
+    }
+}
+
+/** StoreWindow::push() for every lane: the store's footprint and each
+ *  lane's b.done.  A full ring drops its oldest store, which is then
+ *  out of every lane's window. */
+template <class V>
+inline void
+storePush(SimBatch &b, const DecodedInst &inst, size_t C)
+{
+    SimBatch::StoreRing &s = b.stores;
+    if (s.tail - s.head == s.rows)
+        ++s.head;
+    const size_t r = s.tail++ & (s.rows - 1);
+    s.footprint[r] = {inst.lo, inst.hi};
+    u64 *row = &s.done[r * b.padded];
+    for (size_t c = 0; c < C; c += V::W)
+        V::store(&row[c], V::load(&b.done[c]));
+}
+
+/**
+ * MemorySystem::scalarAccess() for every lane from b.issue into
+ * b.done: reserveL1() on the batch's port pool and bank rows, then the
+ * lane's own scalarAccessAt() for the tag check and any miss.  The
+ * earliest-free port is a vector min scan; the bank pick and both
+ * writebacks go per lane, with the lane's MemorySystem's bank
+ * interleave and port cycles.
+ */
+template <class V>
+inline void
+l1Access(SimBatch &b, const DecodedInst &inst, size_t C)
+{
+    const size_t P = b.padded;
+    const u32 bytes = inst.rowBytes;
+    const bool isWrite = inst.has(DecodedInst::kStore);
+    vmmx_assert(bytes >= 1 && bytes <= 16, "scalar access size %u", bytes);
+    poolAcquire<V>(b, b.l1Ports, b.issue.data(), b.start.data(), C);
+    for (size_t l = 0; l < b.lanes; ++l) {
+        MemorySystem &mem = *b.ctx[l]->mem();
+        u64 &bankFree = b.l1Banks[mem.l1Bank(inst.addr) * P + l];
+        const Cycle start = std::max(b.start[l], bankFree);
+        const Cycle end = start + mem.l1PortCycles(bytes);
+        bankFree = end;
+        b.l1Ports.slots[b.t1[l] * P + l] = end;
+        b.done[l] = mem.scalarAccessAt(inst.addr, bytes, isWrite, start);
+    }
 }
 
 /**
@@ -400,7 +500,7 @@ stepBlockT(SimBatch &b, const DecodedInst *insts, size_t n)
         switch (static_cast<FuType>(inst.fu)) {
           case FuType::IntAlu:
           case FuType::IntMul: {
-            poolAcquire<V>(b, b.intPool, b.ready.data(), C);
+            poolAcquire<V>(b, b.intPool, b.ready.data(), b.issue.data(), C);
             poolWriteback(b, b.intPool, nullptr,
                           FuType(inst.fu) == FuType::IntMul ? inst.mulOcc
                                                             : 1);
@@ -410,7 +510,7 @@ stepBlockT(SimBatch &b, const DecodedInst *insts, size_t n)
             break;
           }
           case FuType::Fp: {
-            poolAcquire<V>(b, b.fpPool, b.ready.data(), C);
+            poolAcquire<V>(b, b.fpPool, b.ready.data(), b.issue.data(), C);
             poolWriteback(b, b.fpPool, nullptr, 1);
             auto lat = V::bcast(inst.latency);
             for (size_t c = 0; c < C; c += V::W)
@@ -431,9 +531,10 @@ stepBlockT(SimBatch &b, const DecodedInst *insts, size_t n)
                     b.occ[l] = (inst.vl + b.lanesPerFu[l] - 1) /
                                b.lanesPerFu[l];
             }
-            poolAcquire<V>(b, b.simdIssuePool, b.ready.data(), C);
+            poolAcquire<V>(b, b.simdIssuePool, b.ready.data(),
+                           b.issue.data(), C);
             poolWriteback(b, b.simdIssuePool, nullptr, 1);
-            poolAcquire<V>(b, b.simdPool, b.issue.data(), C);
+            poolAcquire<V>(b, b.simdPool, b.issue.data(), b.issue.data(), C);
             poolWriteback(b, b.simdPool, b.occ.data(), 1);
             // done = issue + occ - 1 + latency (occ >= 1, so the
             // unsigned wrap of latency - 1 cancels exactly).
@@ -446,8 +547,21 @@ stepBlockT(SimBatch &b, const DecodedInst *insts, size_t n)
             break;
           }
           case FuType::Mem: {
-            for (size_t l = 0; l < L; ++l)
-                b.memAccess(l, inst);
+            // Disambiguation, the access, the store-window push.
+            std::copy_n(b.ready.data(), C, b.issue.data());
+            if (b.stores.rows && inst.has(DecodedInst::kLoad))
+                storeWait<V>(b, inst, C);
+            if (inst.has(DecodedInst::kVecMem)) {
+                const bool isWrite = inst.has(DecodedInst::kStore);
+                for (size_t l = 0; l < L; ++l)
+                    b.done[l] = b.ctx[l]->mem()->vectorAccess(
+                        inst.addr, inst.rowBytes, inst.stride, inst.rows,
+                        isWrite, b.issue[l]);
+            } else {
+                l1Access<V>(b, inst, C);
+            }
+            if (b.stores.rows && inst.has(DecodedInst::kStore))
+                storePush<V>(b, inst, C);
             ++b.memOps;
             break;
           }

@@ -5,7 +5,8 @@
  * hand-timed micro-traces (independent ops at width, a dependency
  * chain, a full issue queue, a full ROB, a mispredict redirect, VTRANSP
  * lane-exchange occupancy, an L1 hit, an L2 hit, a memory access and
- * store->load disambiguation) with exact cycle counts; the issue-queue
+ * store->load disambiguation, alone and across lanes of one batch)
+ * with exact cycle counts; the issue-queue
  * window, the free list and the store window against their reference
  * models; and the rejection of core overrides the model cannot run.
  */
@@ -342,6 +343,68 @@ TEST(Core, StoreWindowHandTimed)
         SCOPED_TRACE(c.name);
         expectEveryPathMatches(machines, p.trace(), alone);
     }
+}
+
+// The batched sibling: one overlapping store that, when the load
+// renames, is already done in one lane and still in flight in another.
+// Three 2-way MMX64 lanes with the Table IV memory above and a 2-entry
+// ROB differ only in the L1 latency L: 1, 8 and 3 cycles, in that
+// order.  The trace, at a 128-byte-aligned base:
+//   li a, base; load x, 0(a); store x, 0(a); load r, 0(a)
+//  - li a is fetched at 0, renames at 3, is done at 5, commits at 6.
+//  - load x (fetched at 0, renamed at 3) is ready at 5, takes the port
+//    and bank at 5 and misses both levels: the L2 is asked at 5 + L and
+//    answers 12 + 500 cycles later, and the L1 fill takes 2 more, so it
+//    is done at D = 519 + L and commits at D + 1.
+//  - The store (fetched at 1) waits for li a to commit, so it renames
+//    at 7, one ROB stall.  Its data is ready at D, and the line has been
+//    present since the miss started, so it hits: done at D + L.
+//  - load r (fetched at 1) waits for load x to commit: it renames at
+//    D + 2, another ROB stall, and is ready at D + 3, its floor.
+//    - L = 1: D = 520.  The store was done at 521, before the rename,
+//      so the load issues at its floor, 523, hits, is done at 524 and
+//      commits at 525.
+//    - L = 8: D = 527.  The store is still in flight at the rename, so
+//      the load waits for it: it issues at D + 8 = 535, hits, is done at
+//      543 and commits at 544.  (A window that had dropped the store
+//      would read 539.)
+//    - L = 3: D = 522.  The store is done at 525, the floor itself; the
+//      load issues at 525, is done at 528 and commits at 529.
+// Lane 0 alone could retire the store from a shared window; lane 1 must
+// still wait for it.
+TEST(Core, StoreWindowLanesHandTimed)
+{
+    std::vector<MachineConfig> machines;
+    for (s64 latency : {1, 8, 3}) {
+        Config knobs;
+        knobs.set("core.rob", s64(2));
+        knobs.set("mem.l1.latency", latency);
+        machines.push_back(makeMachine(SimdKind::MMX64, 2, knobs));
+    }
+    const u64 cycles[] = {525, 544, 529};
+
+    MemImage mem(1 << 16);
+    Addr base = mem.alloc(256, 128);
+    Program p(mem, SimdKind::MMX64);
+    SReg a = p.sreg(), x = p.sreg(), r = p.sreg();
+    p.li(a, base);
+    p.load(x, a, 0, 8);
+    p.store(x, a, 0, 8);
+    p.load(r, a, 0, 8);
+
+    std::vector<RunResult> alone;
+    for (size_t m = 0; m < machines.size(); ++m) {
+        alone.push_back(runTrace(machines[m], p.trace()));
+        const RunResult &res = alone.back();
+        EXPECT_EQ(res.core.cycles, cycles[m]) << "lane " << m;
+        EXPECT_EQ(res.l1Misses, 1u);
+        EXPECT_EQ(res.l1Hits, 2u);
+        EXPECT_EQ(res.l2Misses, 1u);
+        EXPECT_EQ(res.core.renameStallRob, 2u);
+        EXPECT_EQ(res.core.renameStallIq, 0u);
+        EXPECT_EQ(res.core.renameStallRegs, 0u);
+    }
+    expectEveryPathMatches(machines, p.trace(), alone);
 }
 
 // Hand-timed IQ-full micro-trace: eight independent `li`s on the 2-way

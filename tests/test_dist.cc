@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -296,19 +297,39 @@ TEST_F(DistTest, WorkerFailureEndsTheRun)
 
     // The run's stderr goes to a file, to count its lines.  At exit the
     // driver must have reaped every worker: a child still alive or
-    // unreaped means one outlived it.
+    // unreaped means one outlived it.  The exit hook also appends its
+    // process to a second file: the forked workers inherit it, and
+    // must leave without running it, fatal() included.
     const std::string log = (dir_ / "stderr.txt").string();
+    static char exitLog[4096];
+    static pid_t driverPid;
+    std::snprintf(exitLog, sizeof exitLog, "%s",
+                  (dir_ / "atexit.txt").string().c_str());
     EXPECT_EXIT(
         {
             int fd = ::open(log.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
             ::dup2(fd, STDERR_FILENO);
+            driverPid = ::getpid();
             std::atexit([] {
+                if (FILE *f = std::fopen(exitLog, "a")) {
+                    std::fprintf(f, "%s %d\n",
+                                 ::getpid() == driverPid ? "driver" : "worker",
+                                 int(::getpid()));
+                    std::fclose(f);
+                }
                 if (::waitpid(-1, nullptr, WNOHANG) != -1 || errno != ECHILD)
                     std::fputs("a worker outlived the driver\n", stderr);
             });
             dist::runSweep(points, policy);
         },
         testing::ExitedWithCode(1), "");
+
+    // The hook ran exactly once, in the driver.
+    std::ifstream exits(exitLog);
+    std::string exitText{std::istreambuf_iterator<char>(exits), {}};
+    EXPECT_EQ(exitText.rfind("driver ", 0), 0u) << exitText;
+    EXPECT_EQ(std::count(exitText.begin(), exitText.end(), '\n'), 1)
+        << exitText;
 
     std::ifstream in(log);
     std::string text{std::istreambuf_iterator<char>(in), {}};

@@ -8,19 +8,27 @@
  * must be bit-identical to the fused serial reference on randomized
  * configuration grids, through both the raw-trace and pre-decoded
  * overloads, at batch widths below, at, and above the widest vector
- * width.
+ * width, on a Table II kernel and on store/load traffic that keeps the
+ * store window busy.  The SoA kernels' lane arrays start on a cache
+ * line.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <iterator>
+#include <memory>
 #include <random>
 #include <vector>
 
 #include "common/logging.hh"
 #include "harness/sweep.hh"
+#include "mem/memsys.hh"
 #include "sim/params.hh"
+#include "sim/sim_batch.hh"
+#include "sim/sim_context.hh"
 #include "sim/simd_dispatch.hh"
+#include "trace/program.hh"
 #include "trace/trace_repo.hh"
 
 namespace vmmx
@@ -145,12 +153,15 @@ TEST_F(SimdTest, WidthOneBatchesAlwaysTakeTheSerialStep)
 /** @p n machines with randomized ablation knobs, mirroring the sweep
  *  tests: wide coverage of the per-lane state the SoA kernels must
  *  keep exact (ROB/IQ/free-list/lane/store-window/bpred/memory
- *  shapes).  Issue-queue and ROB sizes step through their lists from a
- *  random start, so neighbouring machines differ in both and every
- *  batch of two or more steps rings of mixed depth: queues shallower
- *  than the kernels' vector insert window and queues deeper than their
- *  own ROB among them.  Some machines keep just one or two SIMD
- *  registers beyond the flavour's logical ones. */
+ *  shapes).  Issue-queue, ROB and store-window sizes and the L1 port
+ *  count, port width and bank count step through their lists from a
+ *  random start, so neighbouring machines differ in each and every
+ *  batch of two or more steps rings and L1 front ends of mixed shape:
+ *  queues shallower than the kernels' vector insert window and queues
+ *  deeper than their own ROB, store windows of 0 and 1 beside deep
+ *  ones, and 3 banks (the modulo bank pick) beside 1 and 8 among them.
+ *  Some machines keep just one or two SIMD registers beyond the
+ *  flavour's logical ones. */
 std::vector<MachineConfig>
 randomMachines(std::mt19937 &rng, SimdKind kind, size_t n)
 {
@@ -160,22 +171,34 @@ randomMachines(std::mt19937 &rng, SimdKind kind, size_t n)
     };
     static constexpr s64 iqs[] = {1, 2, 8, 16, 32, 64, 128};
     static constexpr s64 robs[] = {1, 8, 16, 32, 64, 128};
+    static constexpr s64 windows[] = {0, 1, 5, 16, 64};
+    static constexpr s64 ports[] = {1, 2, 4};
+    static constexpr s64 banks[] = {1, 3, 8};
+    static constexpr s64 portBytes[] = {4, 8, 16};
     const size_t iq0 = rng() % std::size(iqs);
     const size_t rob0 = rng() % std::size(robs);
+    const size_t window0 = rng() % std::size(windows);
+    const size_t port0 = rng() % std::size(ports);
+    const size_t bank0 = rng() % std::size(banks);
+    const size_t portBytes0 = rng() % std::size(portBytes);
     std::vector<MachineConfig> machines;
     for (size_t i = 0; i < n; ++i) {
         unsigned way = unsigned(pick({2, 4, 8}));
         Config knobs;
         knobs.set("core.iq", iqs[(iq0 + i) % std::size(iqs)]);
         knobs.set("core.rob", robs[(rob0 + i) % std::size(robs)]);
+        knobs.set("core.store_window",
+                  windows[(window0 + i) % std::size(windows)]);
+        knobs.set("mem.l1.ports", ports[(port0 + i) % std::size(ports)]);
+        knobs.set("mem.l1.banks", banks[(bank0 + i) % std::size(banks)]);
+        knobs.set("mem.l1.port_bytes",
+                  portBytes[(portBytes0 + i) % std::size(portBytes)]);
         if (rng() % 3 == 0)
             knobs.set("core.phys_simd",
                       s64(CoreParams::forConfig(kind, way).logicalSimd) +
                           pick({1, 2}));
         if (rng() % 2)
             knobs.set("core.lanes", pick({1, 2, 4}));
-        if (rng() % 2)
-            knobs.set("core.store_window", pick({0, 16, 64}));
         if (rng() % 2)
             knobs.set("core.bpred", pick({256, 4096}));
         if (rng() % 2)
@@ -187,6 +210,54 @@ randomMachines(std::mt19937 &rng, SimdKind kind, size_t n)
         machines.push_back(makeMachine(kind, way, knobs));
     }
     return machines;
+}
+
+// Every lane array of a real batch starts on a cache line, so no
+// 512-bit row load in the SoA kernels splits across two (lint rule
+// lane-alignment keeps SimBatch's arrays LaneVecs).  Five lanes pad to
+// eight and store windows of 0 and 5 give the store ring rows.
+TEST_F(SimdTest, LaneArraysStartOnACacheLine)
+{
+    std::mt19937 rng(0xa11);
+    std::vector<MachineConfig> machines =
+        randomMachines(rng, SimdKind::VMMX128, 5);
+    std::vector<std::unique_ptr<MemorySystem>> mems;
+    std::vector<std::unique_ptr<SimContext>> owned;
+    std::vector<SimContext *> ctxs;
+    for (const MachineConfig &m : machines) {
+        mems.push_back(std::make_unique<MemorySystem>(m.mem));
+        owned.push_back(
+            std::make_unique<SimContext>(m.core, mems.back().get()));
+        ctxs.push_back(owned.back().get());
+    }
+    SimBatch b(ctxs);
+    ASSERT_EQ(b.padded, 8u);
+    ASSERT_GT(b.stores.rows, 0u);
+    const std::pair<const char *, const LaneVec *> arrays[] = {
+        {"gateW", &b.gateW},
+        {"regReady", &b.regReady},
+        {"lanesOcc", &b.lanesOcc},
+        {"intPool", &b.intPool.slots},
+        {"simdIssuePool", &b.simdIssuePool.slots},
+        {"rob", &b.rob.slots},
+        {"rob.readOff", &b.rob.readOff},
+        {"iq", &b.iq.slots},
+        {"regs[Simd]", &b.regs[size_t(RegClass::Simd)].slots},
+        {"regLast", &b.regLast},
+        {"iqCap", &b.iqCap},
+        {"stores.done", &b.stores.done},
+        {"stores.window", &b.stores.window},
+        {"l1Ports", &b.l1Ports.slots},
+        {"l1Banks", &b.l1Banks},
+        {"vectorCyc", &b.vectorCyc},
+        {"issue", &b.issue},
+        {"start", &b.start},
+    };
+    for (const auto &[name, v] : arrays) {
+        ASSERT_FALSE(v->empty()) << name;
+        EXPECT_EQ(reinterpret_cast<uintptr_t>(v->data()) % 64, 0u) << name;
+        EXPECT_EQ(v->size() % SimBatch::padLanes, 0u) << name;
+    }
 }
 
 // The dispatch contract: every kernel path this host can run is
@@ -226,6 +297,55 @@ TEST_F(SimdTest, EveryRunnablePathBitIdenticalToSerial)
                         << ", config " << i;
                 }
             }
+        }
+    }
+}
+
+/** Scalar loads and stores of 1 to 8 bytes at random offsets of a
+ *  1 KiB buffer, each store carrying the value the last load read.
+ *  First touches of a line miss to memory, so loads keep finding
+ *  overlapping stores in flight at every depth of the store windows
+ *  randomMachines mixes (no Table II kernel reloads what it stored),
+ *  and unaligned accesses straddle lines and banks. */
+std::vector<InstRecord>
+storeLoadTraffic(std::mt19937 &rng)
+{
+    MemImage mem(1 << 16);
+    Addr base = mem.alloc(1024 + 8, 128);
+    Program p(mem, SimdKind::MMX64);
+    SReg a = p.sreg(), v = p.sreg();
+    p.li(a, base);
+    p.li(v, 7);
+    static constexpr unsigned sizes[] = {1, 2, 4, 8};
+    for (int i = 0; i < 4000; ++i) {
+        s64 disp = s64(rng() % 1024);
+        unsigned bytes = sizes[rng() % std::size(sizes)];
+        if (rng() % 2)
+            p.store(v, a, disp, bytes);
+        else
+            p.load(v, a, disp, bytes);
+    }
+    return p.takeTrace();
+}
+
+// The store window and the L1 front end under load: every runnable
+// path times storeLoadTraffic() on randomized grids as each machine
+// alone does.
+TEST_F(SimdTest, StoreLoadTrafficBitIdenticalToSerial)
+{
+    for (simd::Path path : runnablePaths()) {
+        ASSERT_EQ(simd::setActivePath(path), "");
+        std::mt19937 rng(0x5707e);
+        const std::vector<InstRecord> trace = storeLoadTraffic(rng);
+        for (size_t batchSize : {2, 5, 9, 16}) {
+            std::vector<MachineConfig> machines =
+                randomMachines(rng, SimdKind::MMX64, batchSize);
+            auto batched = runTraceBatch(machines, trace);
+            ASSERT_EQ(batched.size(), batchSize);
+            for (size_t i = 0; i < batchSize; ++i)
+                EXPECT_TRUE(batched[i] == runTrace(machines[i], trace))
+                    << simd::pathName(path) << " batch of " << batchSize
+                    << ", config " << i;
         }
     }
 }
