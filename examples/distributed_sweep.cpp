@@ -2,7 +2,10 @@
  * @file
  * Distributed sweep example: run a figure-style grid on worker
  * processes by naming the processes backend in an ExecutionPolicy,
- * backed by the persistent on-disk TraceStore.
+ * backed by the persistent on-disk TraceStore.  The driver starts each
+ * worker as `execPath --worker --fd N`; here execPath is this binary
+ * ("/proc/self/exe"), so main() hands its argv to
+ * dist::maybeWorkerMain() before anything else.
  *
  * Dispatch is group based: the driver splits the grid by *trace group*
  * (the points that replay one trace -- here, the two widths of each
@@ -29,13 +32,17 @@
 
 #include "common/table.hh"
 #include "dist/driver.hh"
+#include "dist/worker.hh"
 #include "harness/study.hh"
 
 using namespace vmmx;
 
 int
-main()
+main(int argc, char **argv)
 {
+    // The workers are this binary, started with "--worker --fd N":
+    // serve that first (it never returns).
+    dist::maybeWorkerMain(argc, argv);
     setQuiet(true);
     namespace fs = std::filesystem;
     const fs::path scratch =
@@ -60,11 +67,12 @@ main()
     for (const SweepPoint &p : points)
         expect.push_back(runSweepPoint(p, reference));
 
-    // Distributed: same grid, two worker processes, disk-backed traces,
-    // crash-resume journal.
-    ExecutionPolicy policy = ExecutionPolicy::fromEnv();
+    // Distributed: same grid, two worker processes (this binary again),
+    // disk-backed traces, crash-resume journal.
+    ExecutionPolicy policy;
     policy.backend = ExecutionPolicy::Backend::Process;
     policy.processes = 2;
+    policy.execPath = "/proc/self/exe";
     policy.storeDir = store;
     policy.journalPath = journal;
     dist::DistStats stats;

@@ -9,10 +9,13 @@
  * (flavour x width) grid with a pivot speed-up report, the second is an
  * ROB ablation expressed as override sets (the specs/rob_ablation.study
  * shape, built in code here).  Both run through the pluggable executor
- * backends -- flip `backend` to Backend::Process and the same spec
- * runs on worker processes, bit-identically.  The printed spec
- * text round-trips through Study::fromSpecText, so either study can be
- * saved to a file and rerun with tools/vmmx_study.
+ * backends.  To run them on worker processes, flip `backend` to
+ * Backend::Process and set `execPath` to a worker binary -- this one,
+ * as "/proc/self/exe", once main() calls dist::maybeWorkerMain()
+ * first -- and the results stay bit-identical.  The printed spec text
+ * round-trips through Study::fromSpecText, so either study can be
+ * saved to a file and rerun with tools/vmmx_study, which starts its
+ * own workers.
  */
 
 #include <iostream>

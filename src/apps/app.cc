@@ -33,13 +33,4 @@ makeApp(const std::string &name)
     fatal("unknown app '%s'", name.c_str());
 }
 
-std::vector<std::unique_ptr<App>>
-makeAllApps()
-{
-    std::vector<std::unique_ptr<App>> out;
-    for (const auto &n : appNames())
-        out.push_back(makeApp(n));
-    return out;
-}
-
 } // namespace vmmx

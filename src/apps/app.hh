@@ -48,7 +48,6 @@ class App
 
 std::vector<std::string> appNames();
 std::unique_ptr<App> makeApp(const std::string &name);
-std::vector<std::unique_ptr<App>> makeAllApps();
 
 /** RAII marker for a vectorised kernel region inside an app. */
 class VectorRegion

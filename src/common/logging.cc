@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <unistd.h>
 
 namespace vmmx
 {
@@ -13,7 +12,6 @@ namespace
 /** Atomic so sweep worker threads and tool mains can race setQuiet()
  *  against warn()/inform() without UB. */
 std::atomic<bool> quietFlag{false};
-std::atomic<bool> fatalSkipsExitHandlers{false};
 
 void
 vreport(const char *tag, const char *fmt, va_list ap)
@@ -37,12 +35,6 @@ quiet()
 }
 
 void
-setFatalSkipsExitHandlers()
-{
-    fatalSkipsExitHandlers.store(true, std::memory_order_relaxed);
-}
-
-void
 panic(const char *fmt, ...)
 {
     va_list ap;
@@ -59,8 +51,6 @@ fatal(const char *fmt, ...)
     va_start(ap, fmt);
     vreport("fatal", fmt, ap);
     va_end(ap);
-    if (fatalSkipsExitHandlers.load(std::memory_order_relaxed))
-        ::_exit(1);
     std::exit(1);
 }
 

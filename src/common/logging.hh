@@ -6,8 +6,7 @@
  *             this code base); aborts so a debugger/core dump is useful.
  * fatal()  -- the simulation cannot continue because of a user-level error
  *             (bad configuration, impossible parameters); exits with
- *             status 1, through the exit handlers unless
- *             setFatalSkipsExitHandlers() was called.
+ *             status 1.
  * warn()   -- functionality is approximated; results may still be useful.
  * inform() -- plain status message.
  */
@@ -33,11 +32,6 @@ void inform(const char *fmt, ...) __attribute__((format(printf, 1, 2)));
 
 /** Suppress warn()/inform() output (used by tests, tools and workers). */
 void setQuiet(bool quiet);
-
-/** Make fatal() leave through _exit(1): no atexit handler and no static
- *  destructor runs.  For a child forked without exec, whose handlers
- *  and statics belong to its parent. */
-void setFatalSkipsExitHandlers();
 
 /** @return true when warn()/inform() output is suppressed. */
 bool quiet();

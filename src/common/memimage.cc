@@ -66,11 +66,4 @@ MemImage::copyIn(Addr a, const void *src, size_t n)
     std::memcpy(&data_[a], src, n);
 }
 
-void
-MemImage::copyOut(void *dst, Addr a, size_t n) const
-{
-    check(a, n);
-    std::memcpy(dst, &data_[a], n);
-}
-
 } // namespace vmmx

@@ -55,9 +55,8 @@ class MemImage
     void write32(Addr a, u32 v) { writeT(a, v); }
     void write64(Addr a, u64 v) { writeT(a, v); }
 
-    /** Bulk copy helpers for test/bench setup. */
+    /** Bulk copy helper for test/bench setup. */
     void copyIn(Addr a, const void *src, size_t n);
-    void copyOut(void *dst, Addr a, size_t n) const;
 
     /** Direct pointer for golden references; valid while the image lives. */
     u8 *raw(Addr a, size_t n) { check(a, n); return &data_[a]; }

@@ -29,7 +29,6 @@ constexpr u8 satAddU8(u8 a, u8 b) { return clampTo<u8>(s64(a) + b); }
 constexpr u8 satSubU8(u8 a, u8 b) { return clampTo<u8>(s64(a) - b); }
 constexpr s16 satAddS16(s16 a, s16 b) { return clampTo<s16>(s64(a) + b); }
 constexpr s16 satSubS16(s16 a, s16 b) { return clampTo<s16>(s64(a) - b); }
-constexpr s32 satAddS32(s32 a, s32 b) { return clampTo<s32>(s64(a) + b); }
 
 /** Absolute difference of unsigned bytes (exact; no overflow). */
 constexpr u8 absDiffU8(u8 a, u8 b) { return a > b ? a - b : b - a; }
@@ -48,14 +47,6 @@ constexpr s64
 asr64(s64 v, unsigned sh)
 {
     return v >= 0 ? (v >> sh) : ~((~v) >> sh);
-}
-
-/** Fixed-point multiply with rounding used by the DCT kernels. */
-constexpr s32
-fixMul(s32 a, s32 coeff, unsigned frac_bits)
-{
-    s64 p = s64(a) * coeff + (s64(1) << (frac_bits - 1));
-    return s32(asr64(p, frac_bits));
 }
 
 } // namespace vmmx

@@ -41,8 +41,6 @@ struct RfDesign
     /** Total bits of storage. */
     u64 storageBits() const;
 
-    unsigned totalBanks() const { return lanes * banksPerLane; }
-
     /** Area in cell units: bits x (r + w)^2 summed over banks. */
     double areaUnits() const;
 

@@ -12,14 +12,15 @@
 
 #include <fcntl.h>
 #include <poll.h>
+#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "common/env.hh"
 #include "common/telemetry.hh"
 #include "dist/protocol.hh"
-#include "dist/worker.hh"
 #include "harness/executor.hh"
 #include "harness/harness_io.hh"
 #include "trace/trace_store.hh"
@@ -51,10 +52,9 @@ struct WorkerProc
 
 /**
  * Append side of the crash journal.  A plain fd, not an ofstream: with
- * ExecutionPolicy::journalSync each entry is fdatasync()ed so it
- * survives a *host* crash, and that requires the real descriptor.  Opened
- * O_CLOEXEC; fork-without-exec children close it via the spawn-time
- * close list.
+ * VMMX_JOURNAL_SYNC=1 each entry is fdatasync()ed so it survives a
+ * *host* crash, and that requires the real descriptor.  Opened
+ * O_CLOEXEC, so no worker inherits it.
  */
 class Journal
 {
@@ -75,7 +75,6 @@ class Journal
     }
 
     bool ok() const { return fd_ >= 0; }
-    int fd() const { return fd_; }
 
     void
     writeHeader(u64 signature)
@@ -246,43 +245,35 @@ setCloexec(int fd)
         fcntl(fd, F_SETFD, flags | FD_CLOEXEC);
 }
 
-/** Fork (or fork+exec) one worker process.  @p closeFds are the
- *  parent-side descriptors the child must drop so a dead driver reads
- *  as EOF everywhere.  @return {pid, driver-side fd}. */
-std::pair<pid_t, int>
-spawnWorker(const ExecutionPolicy &policy, const std::vector<int> &closeFds)
+/**
+ * Start one worker: posix_spawn @p execPath with "--worker --fd N".
+ * The argv is built before the call, so the child runs nothing but the
+ * exec.  Every other driver descriptor (the worker sockets, the
+ * journal) is close-on-exec, so a dead driver reads as EOF everywhere.
+ * @return 0, with @p w's pid and driver-side fd set, or an errno.
+ */
+int
+spawnWorker(const std::string &execPath, WorkerProc &w)
 {
     int sv[2];
     if (socketpair(AF_UNIX, SOCK_STREAM, 0, sv) != 0)
         fatal("socketpair failed: %s", std::strerror(errno));
     setCloexec(sv[0]);
-
-    pid_t pid = fork();
-    if (pid < 0)
-        fatal("fork failed: %s", std::strerror(errno));
-    if (pid == 0) {
-        ::close(sv[0]);
-        for (int fd : closeFds)
-            ::close(fd);
-        if (policy.execPath.empty()) {
-            // The parent's atexit handlers and static destructors are
-            // not this child's to run: leave through _exit on every
-            // path, fatal() included.
-            setFatalSkipsExitHandlers();
-            ::_exit(workerServe(sv[1]));
-        } else {
-            std::vector<std::string> args = {policy.execPath, "--worker",
-                                             "--fd", std::to_string(sv[1])};
-            std::vector<char *> argv;
-            for (auto &a : args)
-                argv.push_back(a.data());
-            argv.push_back(nullptr);
-            execv(policy.execPath.c_str(), argv.data());
-            ::_exit(127); // exec failed
-        }
-    }
+    std::string fdText = std::to_string(sv[1]);
+    // posix_spawn takes char *const[] but writes through none of it.
+    char *argv[] = {const_cast<char *>(execPath.c_str()),
+                    const_cast<char *>("--worker"),
+                    const_cast<char *>("--fd"), fdText.data(), nullptr};
+    int err = posix_spawn(&w.pid, execPath.c_str(), nullptr, nullptr, argv,
+                          environ);
     ::close(sv[1]);
-    return {pid, sv[0]};
+    if (err != 0) {
+        w.pid = -1;
+        ::close(sv[0]);
+        return err;
+    }
+    w.fd = sv[0];
+    return 0;
 }
 
 /** Close @p w's socket, SIGKILL it first when @p kill, and reap it.
@@ -390,6 +381,9 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
 {
     vmmx_assert(policy.processes >= 1,
                 "distributed sweep needs at least one worker");
+    if (policy.execPath.empty())
+        fatal("the processes backend needs ExecutionPolicy::execPath: a "
+              "binary whose main() calls dist::maybeWorkerMain() first");
     DistStats local;
     DistStats &st = policy.distStats ? *policy.distStats : local;
     st = DistStats{};
@@ -403,7 +397,7 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
 
     // ---- journal restore ------------------------------------------------
     const u64 signature = gridSignature(points);
-    Journal journal(policy.journalSync);
+    Journal journal(env::flag("VMMX_JOURNAL_SYNC", false));
     if (!policy.journalPath.empty()) {
         u64 validEnd = 0;
         bool needRewrite = false;
@@ -499,17 +493,13 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
     // ---- spawn ----------------------------------------------------------
     for (unsigned slot = 0; slot < n; ++slot) {
         WorkerProc &w = workers[slot];
-        // The child drops the driver's other sockets and the journal, so
-        // a dead driver reads as EOF everywhere.
-        std::vector<int> closeFds;
-        for (const auto &other : workers)
-            if (other.fd >= 0)
-                closeFds.push_back(other.fd);
-        if (journaled)
-            closeFds.push_back(journal.fd());
-        auto [pid, fd] = spawnWorker(policy, closeFds);
-        w.pid = pid;
-        w.fd = fd;
+        if (int err = spawnWorker(policy.execPath, w)) {
+            for (auto &other : workers)
+                if (other.pid > 0)
+                    reap(other, true);
+            fatal("cannot start worker '%s': %s", policy.execPath.c_str(),
+                  std::strerror(err));
+        }
         setup.workerId = slot;
         if (!wire::writeFrame(w.fd, encode(setup)) || !dispatch(w))
             failRun(workers, journaled, w, "write failed during setup",

@@ -4,10 +4,14 @@
  *
  * runSweep() runs a grid of SweepPoints on N worker processes as an
  * ExecutionPolicy (harness/executor.hh) describes -- it is the
- * processes case of runPoints().  Workers are spawned from this process
- * (fork, or fork+exec of ExecutionPolicy::execPath for binaries that
- * install the self-exec hook) and speak the length-prefixed frame
- * protocol of dist/protocol.hh over a socketpair.  The schedulable unit
+ * processes case of runPoints().  Each worker is a posix_spawn of
+ * ExecutionPolicy::execPath with "--worker --fd N", a binary whose main()
+ * calls dist::maybeWorkerMain() first (vmmx_study and vmmx_perf start
+ * themselves; the tests and examples pass "/proc/self/exe"), and speaks
+ * the length-prefixed frame protocol of dist/protocol.hh over a
+ * socketpair.  A worker is a fresh process image: it inherits the
+ * environment (VMMX_SIMD included) but none of the driver's memory --
+ * no telemetry buffers, no exit handlers.  The schedulable unit
  * is a *trace group* -- the points that replay one trace, which a
  * worker executes as a single batched pass (runSweepUnit) so the trace
  * is streamed once per group even across process boundaries, and no
@@ -96,12 +100,13 @@ u64 gridSignature(const std::vector<SweepPoint> &points);
 
 /**
  * Run every point of @p points across worker processes as @p policy
- * describes (processes, store, journal, self-exec binary) and return
+ * describes (processes, store, journal, worker binary) and return
  * the results in submission order, bit-identical to the serial
  * reference; statistics go to policy.distStats when set, and workers
- * are quiet when vmmx::quiet() is.  A worker failure is fatal (see
- * above); an interrupted or failed journaled run resumes on the next
- * invocation.
+ * are quiet when vmmx::quiet() is.  An empty execPath, a binary that
+ * cannot be started and a worker failure are fatal (see above); an
+ * interrupted or failed journaled run resumes on the next invocation.
+ * VMMX_JOURNAL_SYNC=1 fdatasync()s every journal entry.
  */
 std::vector<SweepResult> runSweep(const std::vector<SweepPoint> &points,
                                   const ExecutionPolicy &policy);

@@ -14,6 +14,11 @@
 namespace vmmx::dist
 {
 
+namespace
+{
+
+/** Serve jobs over @p fd until a Done frame or EOF.  @return the
+ *  process exit code (0 on a clean shutdown).  Closes @p fd. */
 int
 workerServe(int fd)
 {
@@ -48,9 +53,7 @@ workerServe(int fd)
     };
 
     // A private repository (not instance()): its statistics then
-    // describe exactly this worker's jobs, and forked workers behave
-    // identically to self-exec'd ones instead of inheriting
-    // parent-warmed traces.
+    // describe exactly this worker's jobs.
     std::unique_ptr<TraceStore> store;
     if (!setup.storeDir.empty())
         store = std::make_unique<TraceStore>(setup.storeDir);
@@ -112,6 +115,8 @@ workerServe(int fd)
     return rc;
 }
 
+} // namespace
+
 bool
 maybeWorkerMain(int argc, char **argv)
 {
@@ -130,8 +135,8 @@ maybeWorkerMain(int argc, char **argv)
         fd > unsigned(std::numeric_limits<int>::max()))
         fatal("--worker requires --fd <descriptor> (got '%s')",
               fdText ? fdText : "");
-    // _exit: a worker forked from a threaded or gtest parent must not run
-    // the parent's atexit handlers.
+    // _exit: the serve loop wrote every frame with write(2), so there is
+    // nothing to flush and no static of this image worth destroying.
     ::_exit(workerServe(int(fd)));
 }
 

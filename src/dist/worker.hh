@@ -3,13 +3,15 @@
  * Worker side of the distributed sweep protocol: a job loop that serves
  * grid points over one file descriptor until the driver sends Done.
  *
- * Workers are either forked children of the driver (library backend) or
- * self-exec'd processes (`vmmx_study --worker --fd N`); both run the
- * same serve loop.  Each worker owns a private tiered TraceRepository
- * so its per-tier statistics describe exactly the jobs it ran, with the
- * shared on-disk TraceStore as the cross-process tier 0.  Trace groups
- * stream their trace from the store (or the generator, writing through
- * to the store) block by block and retain nothing.
+ * The driver starts every worker the same way: posix_spawn of
+ * ExecutionPolicy::execPath with "--worker --fd N" (`vmmx_study
+ * --worker --fd N`, or a test binary through "/proc/self/exe"), whose
+ * main() hands that argv to maybeWorkerMain().  Each worker owns a
+ * private tiered TraceRepository so its per-tier statistics describe
+ * exactly the jobs it ran, with the shared on-disk TraceStore as the
+ * cross-process tier 0.  Trace groups stream their trace from the store
+ * (or the generator, writing through to the store) block by block and
+ * retain nothing.
  */
 
 #ifndef VMMX_DIST_WORKER_HH
@@ -19,17 +21,11 @@ namespace vmmx::dist
 {
 
 /**
- * Serve jobs over @p fd until a Done frame or EOF.  Blocks; returns the
- * process exit code (0 on a clean shutdown).  Closes @p fd.
- */
-int workerServe(int fd);
-
-/**
- * Self-exec entry hook: if @p argv requests worker mode
- * ("--worker --fd N"), serve on that descriptor and _exit() -- never
- * returns in that case.  Call first thing in main() of any binary used
- * as an ExecutionPolicy::execPath target.  @return false when argv is not a
- * worker invocation.
+ * Worker entry hook: if @p argv requests worker mode ("--worker --fd
+ * N"), serve jobs on that descriptor until Done or EOF and _exit() --
+ * never returns in that case.  Call first thing in main() of any binary
+ * used as an ExecutionPolicy::execPath target.  @return false when argv
+ * is not a worker invocation.
  */
 bool maybeWorkerMain(int argc, char **argv);
 

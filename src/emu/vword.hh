@@ -32,15 +32,6 @@ struct VWord
         return u8(w >> (8 * (i % 8)));
     }
 
-    void
-    setByte(unsigned i, u8 v)
-    {
-        vmmx_assert(i < 16, "byte index");
-        u64 &w = i < 8 ? lo : hi;
-        unsigned sh = 8 * (i % 8);
-        w = (w & ~(u64(0xff) << sh)) | (u64(v) << sh);
-    }
-
     u16
     word(unsigned i) const
     {

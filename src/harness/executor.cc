@@ -3,7 +3,6 @@
 #include <atomic>
 #include <thread>
 
-#include "common/env.hh"
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "dist/driver.hh"
@@ -164,14 +163,6 @@ runThreadPool(const std::vector<SweepPoint> &points,
 }
 
 } // namespace
-
-ExecutionPolicy
-ExecutionPolicy::fromEnv()
-{
-    ExecutionPolicy p;
-    p.journalSync = env::flag("VMMX_JOURNAL_SYNC", p.journalSync);
-    return p;
-}
 
 TraceRepository &
 ExecutionPolicy::repository() const

@@ -25,9 +25,9 @@
  * from the generator or the trace store straight into the group's
  * batched step in 32K-record blocks and is never held whole.
  *
- * ExecutionPolicy::fromEnv() layers the one runtime-only environment
- * knob, VMMX_JOURNAL_SYNC, over the built-in defaults (via
- * common/env.hh); every declarative knob is a spec key.
+ * Every declarative knob is a spec key.  The one runtime-only
+ * environment knob, VMMX_JOURNAL_SYNC, is read where the processes
+ * backend opens its journal (dist::runSweep).
  */
 
 #ifndef VMMX_HARNESS_EXECUTOR_HH
@@ -73,18 +73,11 @@ struct ExecutionPolicy
     TraceRepository *repo = nullptr;
     /** Optional out-param for Process-backend statistics. */
     dist::DistStats *distStats = nullptr;
-    /** Self-exec worker binary for the Process backend ("" forks
-     *  without exec); its main() must call dist::maybeWorkerMain()
-     *  first. */
+    /** Worker binary of the Process backend, which starts each worker
+     *  as `execPath --worker --fd N`; its main() must call
+     *  dist::maybeWorkerMain() first.  Required there: "" is fatal.
+     *  vmmx_study names itself; tests and examples "/proc/self/exe". */
     std::string execPath;
-    /** Process backend: fdatasync() the journal after every appended
-     *  entry, so results survive a host crash, not just a driver crash.
-     *  Off by default: the sync costs more than most grid points. */
-    bool journalSync = false;
-
-    /** The built-in defaults with the runtime-only environment knob
-     *  VMMX_JOURNAL_SYNC layered on top. */
-    static ExecutionPolicy fromEnv();
 
     /** The repository this policy resolves traces through. */
     TraceRepository &repository() const;

@@ -58,7 +58,6 @@ struct ExecutionPolicyMirror
     TraceRepository *repo;
     dist::DistStats *distStats;
     std::string execPath;
-    bool journalSync;
 };
 
 struct SweepPointMirror
@@ -90,8 +89,8 @@ static_assert(sizeof(SweepPoint) == sizeof(SweepPointMirror),
 
 static_assert(sizeof(ExecutionPolicy) == sizeof(ExecutionPolicyMirror),
               "ExecutionPolicy gained or lost a field: update the [exec] "
-              "spec codec, operator==, fromEnv(), dist::runSweep, and "
-              "this mirror in lockstep");
+              "spec codec, operator==, dist::runSweep, and this mirror "
+              "in lockstep");
 
 static_assert(sizeof(dist::DistStats) == sizeof(DistStatsMirror),
               "DistStats gained or lost a field: update summary(), "

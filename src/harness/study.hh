@@ -127,7 +127,7 @@ struct StudySpec
      *  set.  Empty = one unmodified machine per (workload, kind, way). */
     std::vector<Config> overrideSets;
 
-    ExecutionPolicy exec = ExecutionPolicy::fromEnv();
+    ExecutionPolicy exec;
     ReportSpec report;
 
     bool operator==(const StudySpec &o) const = default;

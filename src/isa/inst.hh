@@ -38,10 +38,8 @@ struct RegId
 };
 
 inline RegId intReg(u8 i) { return {RegClass::Int, i}; }
-inline RegId fpReg(u8 i) { return {RegClass::Fp, i}; }
 inline RegId simdReg(u8 i) { return {RegClass::Simd, i}; }
 inline RegId accReg(u8 i) { return {RegClass::Acc, i}; }
-inline RegId noReg() { return {}; }
 
 /**
  * One dynamic instruction.
@@ -96,8 +94,6 @@ struct InstRecord
         InstClass c = cls();
         return c == InstClass::VMEM || c == InstClass::VARITH;
     }
-    /** Total bytes moved by a memory operation. */
-    u32 memBytes() const { return u32(rowBytes) * (vl ? vl : 1); }
     /** Rows processed: vl for matrix ops, 1 otherwise. */
     u16 rows() const { return vl ? vl : 1; }
 

@@ -62,9 +62,6 @@ class Kernel
     virtual void emitVmmx(Program &p, Vmmx &v) = 0;
 };
 
-/** All Table II kernels in Figure 4/7 order. */
-std::vector<std::unique_ptr<Kernel>> makeAllKernels();
-
 /** Factory by Figure-4 name; fatal on unknown names. */
 std::unique_ptr<Kernel> makeKernel(const std::string &name);
 

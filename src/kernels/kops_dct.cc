@@ -415,14 +415,4 @@ dctVmmxBlock(Program &p, Vmmx &v, const DctTables &t, const VmmxDctCtx &ctx,
     p.release(f);
 }
 
-void
-dctVmmx(Program &p, Vmmx &v, const DctTables &t, SReg in, SReg out,
-        bool forward)
-{
-    auto f = p.mark();
-    VmmxDctCtx ctx = dctVmmxLoadTables(p, v, t, forward);
-    dctVmmxBlock(p, v, t, ctx, in, out);
-    p.release(f);
-}
-
 } // namespace vmmx::kops

@@ -68,10 +68,6 @@ VmmxDctCtx dctVmmxLoadTables(Program &p, Vmmx &v, const DctTables &t,
 void dctVmmxBlock(Program &p, Vmmx &v, const DctTables &t,
                   const VmmxDctCtx &ctx, SReg in, SReg out);
 
-/** Convenience: load tables + transform one block. */
-void dctVmmx(Program &p, Vmmx &v, const DctTables &t, SReg in, SReg out,
-             bool forward);
-
 } // namespace vmmx::kops
 
 #endif // VMMX_KERNELS_KOPS_DCT_HH

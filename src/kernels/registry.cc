@@ -987,13 +987,4 @@ makeKernel(const std::string &name)
     fatal("unknown kernel '%s'", name.c_str());
 }
 
-std::vector<std::unique_ptr<Kernel>>
-makeAllKernels()
-{
-    std::vector<std::unique_ptr<Kernel>> out;
-    for (const auto &n : kernelNames())
-        out.push_back(makeKernel(n));
-    return out;
-}
-
 } // namespace vmmx

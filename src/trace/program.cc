@@ -221,18 +221,6 @@ Program::or_(SReg d, SReg a, SReg b)
 }
 
 void
-Program::ori(SReg d, SReg a, u64 imm)
-{
-    aluOpImm(Opcode::OR, d, a, val(a) | imm);
-}
-
-void
-Program::xor_(SReg d, SReg a, SReg b)
-{
-    aluOp(Opcode::XOR, d, a, b, val(a) ^ val(b));
-}
-
-void
 Program::slli(SReg d, SReg a, unsigned sh)
 {
     aluOpImm(Opcode::SLL, d, a, val(a) << sh);
@@ -272,12 +260,6 @@ void
 Program::slt(SReg d, SReg a, SReg b)
 {
     aluOp(Opcode::SLT, d, a, b, sval(a) < sval(b) ? 1 : 0);
-}
-
-void
-Program::slti(SReg d, SReg a, s64 imm)
-{
-    aluOpImm(Opcode::SLT, d, a, sval(a) < imm ? 1 : 0);
 }
 
 u64
@@ -364,24 +346,6 @@ Program::brLt(SReg a, SReg b, Loc loc)
 }
 
 bool
-Program::brGe(SReg a, SReg b, Loc loc)
-{
-    return condBranch(sval(a) >= sval(b), a, b, loc);
-}
-
-bool
-Program::brEq(SReg a, SReg b, Loc loc)
-{
-    return condBranch(val(a) == val(b), a, b, loc);
-}
-
-bool
-Program::brNe(SReg a, SReg b, Loc loc)
-{
-    return condBranch(val(a) != val(b), a, b, loc);
-}
-
-bool
 Program::brLtI(SReg a, s64 imm, Loc loc)
 {
     return condBranch(sval(a) < imm, a, {}, loc);
@@ -397,12 +361,6 @@ bool
 Program::brEqI(SReg a, s64 imm, Loc loc)
 {
     return condBranch(val(a) == u64(imm), a, {}, loc);
-}
-
-bool
-Program::brNeI(SReg a, s64 imm, Loc loc)
-{
-    return condBranch(val(a) != u64(imm), a, {}, loc);
 }
 
 void

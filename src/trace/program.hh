@@ -84,7 +84,6 @@ class Program
     // ---- vectorised-region markers (Figure 6 attribution) ----
     void beginVectorRegion() { region_ = 1; }
     void endVectorRegion() { region_ = 0; }
-    bool inVectorRegion() const { return region_ != 0; }
 
     // ---- register allocation ----
     /** Allocation mark for scoped register reuse. */
@@ -122,8 +121,6 @@ class Program
     void and_(SReg d, SReg a, SReg b);
     void andi(SReg d, SReg a, u64 imm);
     void or_(SReg d, SReg a, SReg b);
-    void ori(SReg d, SReg a, u64 imm);
-    void xor_(SReg d, SReg a, SReg b);
     void slli(SReg d, SReg a, unsigned sh);
     void srli(SReg d, SReg a, unsigned sh);
     void srai(SReg d, SReg a, unsigned sh);
@@ -131,7 +128,6 @@ class Program
     void srl(SReg d, SReg a, SReg b);
     void sra(SReg d, SReg a, SReg b);
     void slt(SReg d, SReg a, SReg b);
-    void slti(SReg d, SReg a, s64 imm);
 
     // ---- scalar memory (displacement addressing) ----
     /**
@@ -152,13 +148,9 @@ class Program
     /** Compare-and-branch helpers; @return the taken direction so the
      *  caller's native control flow can follow the same path. */
     bool brLt(SReg a, SReg b, Loc loc = Loc::current());
-    bool brGe(SReg a, SReg b, Loc loc = Loc::current());
-    bool brEq(SReg a, SReg b, Loc loc = Loc::current());
-    bool brNe(SReg a, SReg b, Loc loc = Loc::current());
     bool brLtI(SReg a, s64 imm, Loc loc = Loc::current());
     bool brGeI(SReg a, s64 imm, Loc loc = Loc::current());
     bool brEqI(SReg a, s64 imm, Loc loc = Loc::current());
-    bool brNeI(SReg a, s64 imm, Loc loc = Loc::current());
 
     void jump(Loc loc = Loc::current());
     void call(Loc loc = Loc::current());

@@ -10,6 +10,10 @@
  * completed grid points.  Plus the TraceStore (tier-0)
  * mechanics: round trips and corruption tolerance.  The tiered
  * repository itself lives in tests/test_trace_repo.cc.
+ *
+ * Workers are this test binary, started through "/proc/self/exe" with
+ * "--worker --fd N" (tests/main.cc serves that argv), so every case runs
+ * the exec'd workers vmmx_study ships.
  */
 
 #include <gtest/gtest.h>
@@ -27,6 +31,7 @@
 #include <unistd.h>
 
 #include "common/logging.hh"
+#include "common/telemetry.hh"
 #include "dist/driver.hh"
 #include "dist/worker.hh"
 #include "harness/study.hh"
@@ -82,14 +87,15 @@ class DistTest : public testing::Test
 
     std::vector<SweepResult> runSerial() { return runReference(gridPoints()); }
 
-    /** Two worker processes over this test's store; the other knobs
-     *  keep their defaults. */
+    /** Two worker processes, this test binary, over this test's
+     *  store; the other knobs keep their defaults. */
     ExecutionPolicy processPolicy() const
     {
-        ExecutionPolicy p = ExecutionPolicy::fromEnv();
+        ExecutionPolicy p;
         p.backend = ExecutionPolicy::Backend::Process;
         p.processes = 2;
         p.storeDir = storeDir();
+        p.execPath = "/proc/self/exe";
         return p;
     }
 
@@ -210,10 +216,11 @@ TEST_F(DistTest, JournalResumeSkipsCompletedJobs)
     auto points = gridPoints();
     ExecutionPolicy policy = processPolicy();
     policy.journalPath = journalPath();
-    policy.journalSync = true; // fdatasync every entry
     dist::DistStats first;
     policy.distStats = &first;
+    ::setenv("VMMX_JOURNAL_SYNC", "1", 1); // fdatasync every entry
     dist::runSweep(points, policy);
+    ::unsetenv("VMMX_JOURNAL_SYNC");
     EXPECT_EQ(first.jobsRun, expect.size());
     EXPECT_EQ(first.jobsResumed, 0u);
 
@@ -298,8 +305,9 @@ TEST_F(DistTest, WorkerFailureEndsTheRun)
     // The run's stderr goes to a file, to count its lines.  At exit the
     // driver must have reaped every worker: a child still alive or
     // unreaped means one outlived it.  The exit hook also appends its
-    // process to a second file: the forked workers inherit it, and
-    // must leave without running it, fatal() included.
+    // process to a second file.  Workers are exec'd, so they never
+    // carry the hook: it must run once, in the driver, even though the
+    // failing worker leaves through fatal().
     const std::string log = (dir_ / "stderr.txt").string();
     static char exitLog[4096];
     static pid_t driverPid;
@@ -350,7 +358,7 @@ TEST_F(DistTest, WorkerFailureEndsTheRun)
         << text;
 }
 
-// The self-exec hook serves only a descriptor it can parse: junk, a
+// The worker hook serves only a descriptor it can parse: junk, a
 // negative number or one past int is fatal before any frame is read,
 // never a silent serve on fd 0.
 TEST_F(DistTest, WorkerModeRejectsAnUnparsableFd)
@@ -362,6 +370,78 @@ TEST_F(DistTest, WorkerModeRejectsAnUnparsableFd)
                     "--worker requires --fd <descriptor> \\(got '")
             << "'" << fd << "'";
     }
+}
+
+// The processes backend has one way to start a worker, and no default
+// binary: an empty execPath fails before any worker starts, naming the
+// field to set.
+TEST_F(DistTest, EmptyExecPathIsFatal)
+{
+    ExecutionPolicy policy = processPolicy();
+    policy.execPath.clear();
+    EXPECT_EXIT(dist::runSweep(gridPoints(), policy),
+                testing::ExitedWithCode(1),
+                "fatal: the processes backend needs "
+                "ExecutionPolicy::execPath");
+}
+
+// A worker binary that cannot be started fails the run with the path
+// and the reason, not as a worker that died on its first unit.
+TEST_F(DistTest, MissingWorkerBinaryIsFatal)
+{
+    ExecutionPolicy policy = processPolicy();
+    policy.execPath = (dir_ / "no-such-binary").string();
+    EXPECT_EXIT(dist::runSweep(gridPoints(), policy),
+                testing::ExitedWithCode(1),
+                "fatal: cannot start worker '.*/no-such-binary': No such "
+                "file or directory");
+}
+
+// Workers ship their spans and unit records back as Event frames, and
+// the driver merges them into its own buffers.  What the driver had
+// buffered before the run must come out exactly once and still its
+// own: a worker is a fresh image and has none of it to send back.
+TEST_F(DistTest, WorkerEventsMergeWithoutEchoingTheDriver)
+{
+    const std::vector<SweepPoint> points = gridPoints();
+    const size_t units = groupPointsByTrace(points).size();
+    telemetry::Tracer &tracer = telemetry::Tracer::instance();
+    telemetry::Registry &reg = telemetry::Registry::instance();
+    tracer.clear();
+    reg.clear();
+    telemetry::setEnabled(true);
+    {
+        TELEMETRY_SPAN("driver.marker");
+    }
+    telemetry::UnitRecord marker;
+    marker.label = "driver.marker";
+    reg.addUnit(std::move(marker));
+
+    dist::runSweep(points, processPolicy());
+    telemetry::setEnabled(false);
+    std::vector<telemetry::SpanRecord> spans = tracer.drain();
+    std::vector<telemetry::UnitRecord> records = reg.drainUnits();
+    reg.clear();
+
+    size_t markerSpans = 0, markerUnits = 0, workerUnits = 0;
+    for (const telemetry::SpanRecord &span : spans) {
+        if (span.name != "driver.marker")
+            continue;
+        ++markerSpans;
+        EXPECT_EQ(span.workerId, -1);
+    }
+    for (const telemetry::UnitRecord &u : records) {
+        if (u.label == "driver.marker") {
+            ++markerUnits;
+            EXPECT_EQ(u.workerId, -1);
+        } else if (u.workerId >= 0) {
+            ++workerUnits;
+        }
+    }
+    EXPECT_EQ(markerSpans, 1u);
+    EXPECT_EQ(markerUnits, 1u);
+    EXPECT_EQ(records.size(), units + 1);
+    EXPECT_EQ(workerUnits, units) << "every unit's record came back";
 }
 
 TEST_F(DistTest, MidFileJournalCorruptionSkipsOnlyThatEntry)

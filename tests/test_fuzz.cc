@@ -291,9 +291,10 @@ TEST_F(FuzzTest, MutatedJournalsResumeBitIdentical)
     for (const SweepPoint &p : points)
         expect.push_back(runSweepPoint(p, reference));
 
-    ExecutionPolicy policy = ExecutionPolicy::fromEnv();
+    ExecutionPolicy policy;
     policy.backend = ExecutionPolicy::Backend::Process;
     policy.processes = 1;
+    policy.execPath = "/proc/self/exe"; // tests/main.cc serves workers
     policy.storeDir = (dir_ / "store").string();
     policy.journalPath = (dir_ / "sweep.vmjl").string();
     dist::runSweep(points, policy);

@@ -558,11 +558,12 @@ TEST_F(StudyTest, BackendsBitIdenticalOnRandomizedGrid)
         auto serial = runPoints(points, policy);
         policy.backend = ExecutionPolicy::Backend::ThreadPool;
         auto threads = runPoints(points, policy);
-        // The Process backend forks workers with private repositories
-        // sharing traces through the on-disk store.
+        // The Process backend runs this binary as its workers, with
+        // private repositories sharing traces through the on-disk store.
         policy.backend = ExecutionPolicy::Backend::Process;
         policy.processes = 2;
         policy.storeDir = storeDir();
+        policy.execPath = "/proc/self/exe";
         auto processes = runPoints(points, policy);
 
         ASSERT_EQ(serial.size(), points.size());
@@ -619,9 +620,11 @@ TEST_F(StudyTest, StreamedBackendsMatchRunSerialOnRandomizedGrids)
             policy.repo = &fresh;
             policy.threads = 3;
             policy.processes = 2;
-            if (backend == ExecutionPolicy::Backend::Process)
+            if (backend == ExecutionPolicy::Backend::Process) {
                 policy.storeDir =
                     storeDir() + "-" + std::to_string(ways.size());
+                policy.execPath = "/proc/self/exe";
+            }
             policy.distStats = &ds;
             policy.backend = backend;
             auto got = runPoints(points, policy);

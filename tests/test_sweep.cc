@@ -281,12 +281,20 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
 // configurations is bit-identical to N independent runTrace() calls --
 // for a batch of one, a pair, and a batch wider than the sweep engine's
 // thread pool -- and the pre-decoded (tier-2) pass agrees with both.
+// idct runs on both flavours; gsmenc/MMX64 joins it because no Table II
+// kernel's cycles move with core.store_window and gsmenc's do, so a
+// store-window fault in one step path shows here.
 TEST_F(EngineTest, RunTraceBatchMatchesPerConfigRunTrace)
 {
-    for (SimdKind kind : {SimdKind::MMX64, SimdKind::VMMX128}) {
-        const TraceKey key{false, "idct", kind,
-                           TraceRepository::kernelImageBytes,
-                           TraceRepository::defaultSeed};
+    const TraceKey idct{false, "idct", SimdKind::MMX64,
+                        TraceRepository::kernelImageBytes,
+                        TraceRepository::defaultSeed};
+    TraceKey idct128 = idct;
+    idct128.kind = SimdKind::VMMX128;
+    const TraceKey gsmenc{true, "gsmenc", SimdKind::MMX64,
+                          TraceRepository::appImageBytes,
+                          TraceRepository::defaultSeed};
+    for (const TraceKey &key : {idct, idct128, gsmenc}) {
         auto trace = repo.raw(key);
         auto stream = repo.decoded(key);
         std::mt19937 rng(0xbeef);
@@ -294,7 +302,7 @@ TEST_F(EngineTest, RunTraceBatchMatchesPerConfigRunTrace)
             std::vector<MachineConfig> machines;
             machines.reserve(batchSize);
             for (size_t i = 0; i < batchSize; ++i)
-                machines.push_back(randomMachine(rng, kind));
+                machines.push_back(randomMachine(rng, key.kind));
 
             auto batched = runTraceBatch(machines, *trace);
             auto decoded = runTraceBatch(machines, stream.stream());
@@ -302,14 +310,25 @@ TEST_F(EngineTest, RunTraceBatchMatchesPerConfigRunTrace)
             for (size_t i = 0; i < batchSize; ++i) {
                 RunResult alone = runTrace(machines[i], *trace);
                 EXPECT_TRUE(batched[i] == alone)
-                    << name(kind) << " batch of " << batchSize
+                    << key.describe() << " batch of " << batchSize
                     << ", config " << i;
                 EXPECT_TRUE(decoded[i] == alone)
-                    << name(kind) << " decoded batch of " << batchSize
+                    << key.describe() << " decoded batch of " << batchSize
                     << ", config " << i;
             }
         }
     }
+
+    // The gsmenc case guards the store window only while its cycles
+    // depend on it (127,119 at 0 entries, 127,139 at 64).
+    auto trace = repo.raw(gsmenc);
+    auto cyclesAt = [&](s64 storeWindow) {
+        Config knobs;
+        knobs.set("core.store_window", storeWindow);
+        return runTrace(makeMachine(SimdKind::MMX64, 2, knobs), *trace)
+            .cycles();
+    };
+    EXPECT_NE(cyclesAt(0), cyclesAt(64));
 }
 
 // A batched sweep over a grid with trace groups wider than the thread
