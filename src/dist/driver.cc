@@ -332,12 +332,8 @@ DistStats::summary() const
     os << std::fixed << std::setprecision(1);
     os << "dist: " << workers << " workers, " << jobsRun << " jobs run in "
        << groupsRun << " units, " << jobsResumed << " resumed from journal; "
-       << "worker repositories: " << generations << " generations, " << hits
-       << " raw hits, " << diskLoads << " disk loads, " << storeSaves
-       << " store saves, " << decodes << " decodes, " << decodedHits
-       << " decoded hits, " << bytesResident / (1024.0 * 1024.0)
-       << " MiB raw + " << decodedBytes / (1024.0 * 1024.0)
-       << " MiB decoded resident at exit";
+       << "worker repositories: " << generations << " generations, "
+       << diskLoads << " disk loads, " << storeSaves << " store saves";
     if (journalSkipped)
         os << "; " << journalSkipped << " damaged journal entries skipped";
     return os.str();
@@ -354,16 +350,11 @@ publishMetrics(const DistStats &st)
     reg.setGauge("dist.jobsResumed", st.jobsResumed);
     reg.setGauge("dist.groupsRun", st.groupsRun);
     reg.setGauge("dist.journalSkipped", st.journalSkipped);
-    // The worker fleet's trace-repository tier aggregate: the "repo"
-    // section of a distributed run's metrics export.
+    // The worker fleet's trace-repository counters: the "repo" section
+    // of a distributed run's metrics export.
     reg.setGauge("repo.generations", st.generations);
-    reg.setGauge("repo.raw.hits", st.hits);
     reg.setGauge("repo.diskLoads", st.diskLoads);
     reg.setGauge("repo.storeSaves", st.storeSaves);
-    reg.setGauge("repo.raw.bytes", st.bytesResident);
-    reg.setGauge("repo.decodes", st.decodes);
-    reg.setGauge("repo.decoded.hits", st.decodedHits);
-    reg.setGauge("repo.decoded.bytes", st.decodedBytes);
 }
 
 u64
@@ -580,13 +571,8 @@ runSweep(const std::vector<SweepPoint> &points, const ExecutionPolicy &policy)
                             "malformed or unexpected stats frame",
                             reap(w, true));
                 st.generations += m.generations;
-                st.hits += m.hits;
                 st.diskLoads += m.diskLoads;
                 st.storeSaves += m.storeSaves;
-                st.bytesResident += m.bytesResident;
-                st.decodes += m.decodes;
-                st.decodedHits += m.decodedHits;
-                st.decodedBytes += m.decodedBytes;
                 w.statsSeen = true;
                 break;
               }

@@ -62,13 +62,17 @@ struct DistStats
 {
     // Summed over all workers' private trace repositories.
     u64 generations = 0; ///< traces actually generated this run
-    u64 hits = 0;        ///< raw-tier lookups served from worker RAM
-    u64 diskLoads = 0;   ///< lookups served from the on-disk TraceStore
+    u64 diskLoads = 0;   ///< traces read from the on-disk TraceStore
     u64 storeSaves = 0;  ///< traces newly persisted to the store
-    u64 bytesResident = 0; ///< raw trace bytes held across workers at exit
-    u64 decodes = 0;     ///< decoded streams built across workers
-    u64 decodedHits = 0; ///< decoded-tier lookups served from worker RAM
-    u64 decodedBytes = 0; ///< decoded bytes held across workers at exit
+    /** Always 0: a worker only streams, so it holds no trace and runs
+     *  no decode to count.  Kept only because perfbench/vmmx_perf.cc
+     *  still reports them; they go with ROADMAP item 1's perfbench
+     *  change. */
+    u64 hits = 0;
+    u64 bytesResident = 0;
+    u64 decodes = 0;
+    u64 decodedHits = 0;
+    u64 decodedBytes = 0;
     // Driver-side scheduling counters.  Jobs count grid points (the
     // journal/aggregation unit); groups count the batched trace groups
     // those points were dispatched in.
@@ -91,7 +95,7 @@ struct DistStats
 };
 
 /** Publish a run's aggregate counters as "dist.*" gauges (and the
- *  worker repositories' tier aggregate as "repo.*" gauges) in the
+ *  worker repositories' summed counters as "repo.*" gauges) in the
  *  process-wide telemetry registry, for --metrics-json exports. */
 void publishMetrics(const DistStats &st);
 

@@ -57,8 +57,7 @@ static_assert(sizeof(ResultMsg) == sizeof(ResultMsgMirror),
 
 struct StatsMsgMirror
 {
-    u64 generations, hits, diskLoads, storeSaves, bytesResident, decodes,
-        decodedHits, decodedBytes;
+    u64 generations, diskLoads, storeSaves;
 };
 static_assert(sizeof(StatsMsg) == sizeof(StatsMsgMirror),
               "StatsMsg changed: update encode/decode and the mirror");
@@ -200,13 +199,8 @@ encode(const StatsMsg &m)
 {
     wire::Writer w = begin(Msg::Stats);
     w.varint(m.generations);
-    w.varint(m.hits);
     w.varint(m.diskLoads);
     w.varint(m.storeSaves);
-    w.varint(m.bytesResident);
-    w.varint(m.decodes);
-    w.varint(m.decodedHits);
-    w.varint(m.decodedBytes);
     return w.take();
 }
 
@@ -217,13 +211,8 @@ decode(const std::vector<u8> &frame, StatsMsg &m)
         return false;
     wire::Reader r = body(frame);
     m.generations = r.varint();
-    m.hits = r.varint();
     m.diskLoads = r.varint();
     m.storeSaves = r.varint();
-    m.bytesResident = r.varint();
-    m.decodes = r.varint();
-    m.decodedHits = r.varint();
-    m.decodedBytes = r.varint();
     return r.ok() && r.atEnd();
 }
 

@@ -29,8 +29,9 @@
 namespace vmmx::dist
 {
 
-/** v10: Setup no longer carries a fault plan; workerId is the worker's
- *  slot.  (v9 dropped the trace a JobGroup point could carry -- every
+/** v11: Stats carries only what a streaming worker counts: generations,
+ *  disk loads and store saves.  (v10 dropped Setup's fault plan and made
+ *  workerId the worker's slot; v9 dropped the trace a JobGroup point could carry -- every
  *  point is a kernel or app the worker streams by TraceKey, and the
  *  byte that flagged a shipped trace must be 0; v8 retired the
  *  single-point Job frame (type byte 2) and Setup's raw-tier budget; v7
@@ -41,7 +42,7 @@ namespace vmmx::dist
  *  ordinals and fault specs; v3 the tiered-repository budgets; v2
  *  JobGroup frames.)  Result frames are unchanged since v1, so journals
  *  written by every earlier version still resume. */
-constexpr u32 protocolVersion = 10;
+constexpr u32 protocolVersion = 11;
 
 /** Frame type bytes.  The values are wire format -- the journal stores
  *  encoded Result frames, so Result must stay 4 for journals written by
@@ -92,14 +93,9 @@ struct ResultMsg
 
 struct StatsMsg
 {
-    u64 generations = 0;   ///< traces built from scratch (tier-1 fills)
-    u64 hits = 0;          ///< raw-tier lookups served from RAM
-    u64 diskLoads = 0;     ///< tier-1 fills served by the disk tier
-    u64 storeSaves = 0;    ///< traces newly persisted to the store
-    u64 bytesResident = 0; ///< raw-tier bytes resident at exit
-    u64 decodes = 0;       ///< decoded-tier fills (full-trace decodes)
-    u64 decodedHits = 0;   ///< decoded-tier lookups served from RAM
-    u64 decodedBytes = 0;  ///< decoded-tier bytes resident at exit
+    u64 generations = 0; ///< traces streamed from the generator
+    u64 diskLoads = 0;   ///< traces streamed from the store
+    u64 storeSaves = 0;  ///< traces newly persisted to the store
 };
 
 /**

@@ -52,8 +52,8 @@ workerServe(int fd)
         wire::writeFrame(fd, encode(ev));
     };
 
-    // A private repository (not instance()): its statistics then
-    // describe exactly this worker's jobs.
+    // A private repository (not instance()): its counters then describe
+    // exactly this worker's jobs.
     std::unique_ptr<TraceStore> store;
     if (!setup.storeDir.empty())
         store = std::make_unique<TraceStore>(setup.storeDir);
@@ -68,13 +68,8 @@ workerServe(int fd)
             flushTelemetry();
             StatsMsg stats;
             stats.generations = repo.generations();
-            stats.hits = repo.rawStats().hits;
             stats.diskLoads = repo.diskLoads();
             stats.storeSaves = store ? store->saves() : 0;
-            stats.bytesResident = repo.rawStats().bytes;
-            stats.decodes = repo.decodes();
-            stats.decodedHits = repo.decodedStats().hits;
-            stats.decodedBytes = repo.decodedStats().bytes;
             wire::writeFrame(fd, encode(stats));
             rc = 0;
             break;

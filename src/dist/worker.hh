@@ -7,11 +7,11 @@
  * ExecutionPolicy::execPath with "--worker --fd N" (`vmmx_study
  * --worker --fd N`, or a test binary through "/proc/self/exe"), whose
  * main() hands that argv to maybeWorkerMain().  Each worker owns a
- * private tiered TraceRepository so its per-tier statistics describe
- * exactly the jobs it ran, with the shared on-disk TraceStore as the
- * cross-process tier 0.  Trace groups stream their trace from the store
- * (or the generator, writing through to the store) block by block and
- * retain nothing.
+ * private TraceRepository over the shared on-disk TraceStore, so its
+ * counters describe exactly the jobs it ran.  Trace groups stream their
+ * trace from the store (or the generator, writing through to the store)
+ * block by block and retain nothing, so the Stats reply counts
+ * generations, disk loads and store saves, and nothing resident.
  */
 
 #ifndef VMMX_DIST_WORKER_HH

@@ -119,9 +119,9 @@ std::vector<RunResult> replayUnit(const SweepPoint &lead,
 
 /**
  * Run one grid point on the calling thread the reference way: resolve
- * the whole trace through tier 1, then replay it.  A loop over the grid
- * is the materialize-then-replay oracle every backend is checked
- * against (vmmx_study --check and the tests).
+ * the whole trace through the repository's raw() memo, then replay it.
+ * A loop over the grid is the materialize-then-replay oracle every
+ * backend is checked against (vmmx_study --check and the tests).
  */
 SweepResult runSweepPoint(const SweepPoint &point,
                           const ExecutionPolicy &policy);

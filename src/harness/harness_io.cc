@@ -71,8 +71,8 @@ struct SweepPointMirror
 
 struct DistStatsMirror
 {
-    u64 generations, hits, diskLoads, storeSaves, bytesResident, decodes,
-        decodedHits, decodedBytes;
+    u64 generations, diskLoads, storeSaves;
+    u64 hits, bytesResident, decodes, decodedHits, decodedBytes;
     u64 jobsRun, jobsResumed, groupsRun;
     unsigned workers;
     u64 journalSkipped;

@@ -1,5 +1,7 @@
 #include "harness/runner.hh"
 
+#include <algorithm>
+
 namespace vmmx
 {
 
@@ -56,12 +58,12 @@ TraceReplay::~TraceReplay() = default;
 void
 TraceReplay::put(std::vector<InstRecord> &block)
 {
-    borrow(block);
+    feed(block);
     block.clear();
 }
 
 void
-TraceReplay::borrow(std::span<const InstRecord> records)
+TraceReplay::feed(std::span<const InstRecord> records)
 {
     run_->feed(records);
     records_ += records.size();
@@ -89,7 +91,7 @@ runTraceBatch(std::span<const MachineConfig> machines,
               const std::vector<InstRecord> &trace)
 {
     TraceReplay replay(machines);
-    replay.borrow(trace);
+    replay.feed(trace);
     return replay.finish();
 }
 
@@ -97,8 +99,15 @@ std::vector<RunResult>
 runTraceBatch(std::span<const MachineConfig> machines,
               const DecodedStream &stream)
 {
+    // BatchRun::step() block by block, as feed() steps the blocks it
+    // decodes.
     MachineBatch batch(machines);
-    runBatch(stream, batch.span);
+    BatchRun run(batch.span);
+    std::span<const DecodedInst> insts(stream.insts);
+    for (size_t base = 0; base < insts.size(); base += traceBlockRecords)
+        run.step(insts.subspan(
+            base, std::min(traceBlockRecords, insts.size() - base)));
+    run.finish();
     return batch.collect();
 }
 

@@ -6,12 +6,11 @@
  *
  * TraceReplay is the streaming form: a TraceSink that steps the batch
  * through a trace block by block as a source hands it over, and the
- * raw-trace entry points below feed it the whole resident trace.
+ * raw-trace entry points below feed it the whole trace at once.
  *
  * Both entry points come in two shapes: the raw-trace overloads decode
  * on the fly (block-wise), while the DecodedStream overloads replay an
- * already-decoded stream -- typically a TraceRepository tier-2 handle,
- * so the decode is paid once per process instead of once per call.
+ * already-decoded stream (TraceRepository::decoded) without the decode.
  * The per-record step order is identical, so the two shapes produce
  * bit-identical results.
  */
@@ -64,8 +63,10 @@ class TraceReplay : public TraceSink
     ~TraceReplay() override;
 
     void put(std::vector<InstRecord> &block) override;
-    void borrow(std::span<const InstRecord> records) override;
     void restart() override;
+    /** Step through @p records, the next piece of the trace, in place
+     *  (put() without the block buffer). */
+    void feed(std::span<const InstRecord> records);
 
     /** Records replayed since the start (or the last restart). */
     u64 records() const { return records_; }

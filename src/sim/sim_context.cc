@@ -300,15 +300,4 @@ BatchRun::finish()
         batch_->finish();
 }
 
-void
-runBatch(const DecodedStream &stream, std::span<SimContext *const> ctxs)
-{
-    BatchRun run(ctxs);
-    std::span<const DecodedInst> insts(stream.insts);
-    for (size_t base = 0; base < insts.size(); base += decodeBlock)
-        run.step(insts.subspan(base,
-                               std::min(decodeBlock, insts.size() - base)));
-    run.finish();
-}
-
 } // namespace vmmx

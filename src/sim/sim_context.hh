@@ -31,21 +31,20 @@
  *
  * The decode split: everything about an InstRecord that does not depend
  * on the machine configuration is resolved once into a DecodedInst
- * (trace/decoded.hh -- the decode lives in the trace layer so the
- * TraceRepository can cache whole decoded streams as its tier 2) and
- * shared by every context.  Only the configuration-dependent
- * arbitration (gate widths, queue and pool occupancy, cache state) runs
- * per context.
+ * (trace/decoded.hh -- a property of the trace alone, so it lives in the
+ * trace layer) and shared by every context.  Only the
+ * configuration-dependent arbitration (gate widths, queue and pool
+ * occupancy, cache state) runs per context.
  *
  * BatchRun is the one place that steps a group through the trace: it
  * decodes each cache-resident block once, then every context steps
  * through it before the next block -- context-major over the oracle's
  * own step(), or record-major in the SoA kernel when the active host
- * SIMD path has one.  runBatch() is BatchRun over an already-decoded
- * DecodedStream (the repository's tier 2) in the same blocks without
- * the decode.  The per-context step order is identical everywhere, so
- * every shape is bit-identical to running each context over the full
- * trace alone, the guarantee the sweep and dist layers assert.
+ * SIMD path has one.  step() takes an already-decoded block, which is
+ * how an already-decoded DecodedStream replays without the decode.  The
+ * per-context step order is identical everywhere, so every shape is
+ * bit-identical to running each context over the full trace alone, the
+ * guarantee the sweep and dist layers assert.
  */
 
 #ifndef VMMX_SIM_SIM_CONTEXT_HH
@@ -170,17 +169,6 @@ class BatchRun
     simd::StepFn step_ = nullptr;
     std::vector<DecodedInst> block_;
 };
-
-/**
- * Replay an already-decoded stream (e.g. the TraceRepository's tier 2)
- * through every context in @p ctxs: BatchRun::step() over the same
- * blocks BatchRun::feed() decodes, without the decode.  Each context is
- * reset() first; collect results with SimContext::finish().  Step order
- * per context is identical to feed(), so results are bit-identical to
- * it -- and to running each context alone.
- */
-void runBatch(const DecodedStream &stream,
-              std::span<SimContext *const> ctxs);
 
 } // namespace vmmx
 

@@ -5,21 +5,18 @@
  * Everything about an InstRecord that does not depend on the machine
  * configuration -- opcode traits, source/destination register slots,
  * memory footprint bounds, branch kind and outcome -- is resolved once
- * into a DecodedInst.  A DecodedStream is the full trace decoded this
- * way: an immutable, shareable artifact that any number of SimContexts
- * (and any number of sweep groups, threads, and batched passes) can
- * replay without re-deriving a single record.
+ * into a DecodedInst, which every SimContext stepping the trace shares.
+ * A DecodedStream is the full trace decoded this way.
  *
  * The stream lives in the trace layer, not the sim layer, because it is
- * a property of the trace alone: the TraceRepository caches decoded
- * streams as its tier 2, right next to the raw InstRecord tier they are
- * derived from (a decoded stream is ~1.3x the raw bytes).
+ * a property of the trace alone (TraceRepository::decoded() builds one
+ * from a memoized trace).  The executors never hold one: BatchRun
+ * decodes each streamed block as it arrives.
  */
 
 #ifndef VMMX_TRACE_DECODED_HH
 #define VMMX_TRACE_DECODED_HH
 
-#include <memory>
 #include <vector>
 
 #include "isa/inst.hh"
@@ -30,9 +27,9 @@ namespace vmmx
 /**
  * Configuration-independent decode of one InstRecord: opcode traits,
  * packed operand lists and the memory footprint, pre-resolved so the
- * per-context step never re-derives them.  Built once per trace (or
- * once per block on the decode-on-the-fly path) and shared read-only
- * by every simulation context that replays the trace.
+ * per-context step never re-derives them.  Built once per block (or
+ * once per trace in a DecodedStream) and shared read-only by every
+ * simulation context that replays the trace.
  */
 struct DecodedInst
 {
@@ -80,25 +77,16 @@ constexpr size_t decodedReadySlots = 200;
 /** Resolve the configuration-independent properties of @p inst. */
 DecodedInst decodeInst(const InstRecord &inst);
 
-/**
- * A whole trace decoded record for record.  Immutable once built; the
- * TraceRepository hands it out behind SharedDecoded so concurrent sweep
- * groups replay one decode instead of one per group.
- */
+/** A whole trace decoded record for record. */
 struct DecodedStream
 {
     std::vector<DecodedInst> insts;
 
     size_t size() const { return insts.size(); }
     bool empty() const { return insts.empty(); }
-    /** Resident footprint (what decodedStats().bytes counts). */
-    u64 bytes() const { return insts.size() * sizeof(DecodedInst); }
 };
 
-/** Immutable, shareable decoded stream (tier-2 cache handle payload). */
-using SharedDecoded = std::shared_ptr<const DecodedStream>;
-
-/** Decode every record of @p trace (the tier-2 fill operation). */
+/** Decode every record of @p trace. */
 DecodedStream decodeStream(const std::vector<InstRecord> &trace);
 
 } // namespace vmmx

@@ -74,17 +74,6 @@ generateTrace(const TraceKey &key, TraceSink &sink)
     p.finishStream();
 }
 
-/** One trace's RAM tiers.  The build mutex serializes materialization
- *  per entry; both pointers are read and written only under it. */
-struct TraceRepository::Entry
-{
-    std::mutex build;
-    TraceKey key;
-
-    SharedTrace raw;       ///< tier 1 (null until filled)
-    SharedDecoded decoded; ///< tier 2 (null until filled)
-};
-
 TraceRepository::TraceRepository(TraceStore *store, u64 retiredRaw,
                                  u64 retiredDecoded)
     : store_(store)
@@ -93,14 +82,12 @@ TraceRepository::TraceRepository(TraceStore *store, u64 retiredRaw,
                 "the trace repository keeps no RAM budgets");
 }
 
-TraceRepository::~TraceRepository() = default;
-
 TraceRepository &
 TraceRepository::instance()
 {
-    // The disk tier is opt-in for the process-wide repository: a
-    // process should not silently start writing files unless the user
-    // asked for a store.
+    // The store is opt-in for the process-wide repository: a process
+    // should not silently start writing files unless the user asked
+    // for a store.
     static TraceStore *store = []() -> TraceStore * {
         std::string dir = env::str("VMMX_TRACE_STORE");
         if (dir.empty())
@@ -110,52 +97,6 @@ TraceRepository::instance()
     }();
     static TraceRepository repo(store);
     return repo;
-}
-
-// ---- lookups -------------------------------------------------------------
-
-std::shared_ptr<TraceRepository::Entry>
-TraceRepository::entryFor(const TraceKey &key)
-{
-    std::lock_guard<std::mutex> lock(registryMu_);
-    auto it = keyed_.find(key);
-    if (it == keyed_.end()) {
-        auto e = std::make_shared<Entry>();
-        e->key = key;
-        it = keyed_.emplace(key, std::move(e)).first;
-    }
-    return it->second;
-}
-
-void
-TraceRepository::materializeRaw(Entry &e)
-{
-    ++rawFills_;
-    if (store_) {
-        TELEMETRY_SPAN("trace.diskLoad", telemetry::enabled()
-                                             ? e.key.name
-                                             : std::string());
-        if (SharedTrace t = store_->load(e.key)) {
-            e.raw = std::move(t);
-            bytesRaw_ += e.raw->size() * sizeof(InstRecord);
-            ++diskLoads_;
-            return;
-        }
-    }
-
-    std::vector<InstRecord> trace;
-    {
-        TELEMETRY_SPAN("trace.generate", telemetry::enabled()
-                                             ? e.key.name
-                                             : std::string());
-        trace = generateTrace(e.key);
-    }
-
-    e.raw = std::make_shared<const std::vector<InstRecord>>(std::move(trace));
-    bytesRaw_ += e.raw->size() * sizeof(InstRecord);
-    ++generations_;
-    if (store_)
-        store_->save(e.key, *e.raw);
 }
 
 TraceRepository::TraceHandle
@@ -175,40 +116,52 @@ TraceRepository::app(const std::string &name, SimdKind kind, u32 imageBytes,
 TraceRepository::TraceHandle
 TraceRepository::raw(const TraceKey &key)
 {
-    std::shared_ptr<Entry> entry = entryFor(key);
-
-    std::lock_guard<std::mutex> build(entry->build);
-    if (entry->raw)
+    // Built under the lock, so a concurrent lookup of any key waits and
+    // each key is built once.
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = raw_.find(key);
+    if (it != raw_.end()) {
         ++rawHits_;
-    else
-        materializeRaw(*entry);
-    return TraceHandle(entry->raw);
+        return TraceHandle(it->second);
+    }
+
+    const std::string label =
+        telemetry::enabled() ? key.name : std::string();
+    SharedTrace trace;
+    if (store_) {
+        TELEMETRY_SPAN("trace.diskLoad", label);
+        trace = store_->load(key);
+    }
+    if (trace) {
+        ++diskLoads_;
+    } else {
+        {
+            TELEMETRY_SPAN("trace.generate", label);
+            trace = std::make_shared<const std::vector<InstRecord>>(
+                generateTrace(key));
+        }
+        ++generations_;
+        if (store_)
+            store_->save(key, *trace);
+    }
+    rawBytes_ += trace->size() * sizeof(InstRecord);
+    raw_.emplace(key, trace);
+    return TraceHandle(std::move(trace));
+}
+
+TraceRepository::DecodedHandle
+TraceRepository::decoded(const TraceKey &key)
+{
+    TraceHandle trace = raw(key);
+    TELEMETRY_SPAN("trace.decode", telemetry::enabled() ? key.name
+                                                        : std::string());
+    ++decodes_;
+    return DecodedHandle(decodeStream(*trace));
 }
 
 void
 TraceRepository::stream(const TraceKey &key, TraceSink &sink)
 {
-    // A copy an earlier raw() lookup left resident replays in place.
-    std::shared_ptr<Entry> entry;
-    {
-        std::lock_guard<std::mutex> lock(registryMu_);
-        auto it = keyed_.find(key);
-        if (it != keyed_.end())
-            entry = it->second;
-    }
-    if (entry) {
-        SharedTrace resident;
-        {
-            std::lock_guard<std::mutex> build(entry->build);
-            resident = entry->raw;
-        }
-        if (resident) {
-            ++rawHits_;
-            sink.borrow(*resident);
-            return;
-        }
-    }
-
     const std::string label =
         telemetry::enabled() ? key.name : std::string();
     if (store_) {
@@ -230,48 +183,19 @@ TraceRepository::stream(const TraceKey &key, TraceSink &sink)
     out.commit();
 }
 
-TraceRepository::DecodedHandle
-TraceRepository::decoded(const TraceKey &key)
-{
-    std::shared_ptr<Entry> entry = entryFor(key);
-
-    std::lock_guard<std::mutex> build(entry->build);
-    if (entry->decoded) {
-        ++decodedHits_;
-        return DecodedHandle(entry->decoded);
-    }
-    // Fill from tier 1 (itself filling from disk or generation); the
-    // raw copy stays resident for later raw() lookups.
-    if (!entry->raw)
-        materializeRaw(*entry);
-    TELEMETRY_SPAN("trace.decode", telemetry::enabled() ? key.name
-                                                        : std::string());
-    entry->decoded =
-        std::make_shared<const DecodedStream>(decodeStream(*entry->raw));
-    bytesDecoded_ += entry->decoded->bytes();
-    ++decodes_;
-    return DecodedHandle(entry->decoded);
-}
-
 // ---- statistics ----------------------------------------------------------
 
 TraceRepository::TierStats
 TraceRepository::rawStats() const
 {
-    return {rawHits_.load(), rawFills_.load(), bytesRaw_.load()};
+    std::lock_guard<std::mutex> lock(mu_);
+    return {rawHits_, raw_.size(), rawBytes_};
 }
 
 TraceRepository::TierStats
 TraceRepository::decodedStats() const
 {
-    return {decodedHits_.load(), decodes_.load(), bytesDecoded_.load()};
-}
-
-size_t
-TraceRepository::size() const
-{
-    std::lock_guard<std::mutex> lock(registryMu_);
-    return keyed_.size();
+    return {0, decodes_.load(), 0};
 }
 
 void
@@ -281,32 +205,13 @@ TraceRepository::publishMetrics() const
         return;
     telemetry::Registry &reg = telemetry::Registry::instance();
     TierStats rawT = rawStats();
-    TierStats decT = decodedStats();
-    reg.setGauge("repo.traces", size());
     reg.setGauge("repo.generations", generations());
     reg.setGauge("repo.diskLoads", diskLoads());
     reg.setGauge("repo.storeSaves", store_ ? store_->saves() : 0);
     reg.setGauge("repo.raw.hits", rawT.hits);
     reg.setGauge("repo.raw.fills", rawT.fills);
     reg.setGauge("repo.raw.bytes", rawT.bytes);
-    reg.setGauge("repo.decodes", decT.fills);
-    reg.setGauge("repo.decoded.hits", decT.hits);
-    reg.setGauge("repo.decoded.bytes", decT.bytes);
-}
-
-void
-TraceRepository::clear()
-{
-    std::lock_guard<std::mutex> lock(registryMu_);
-    keyed_.clear();
-    bytesRaw_ = 0;
-    bytesDecoded_ = 0;
-    generations_ = 0;
-    diskLoads_ = 0;
-    rawFills_ = 0;
-    decodes_ = 0;
-    rawHits_ = 0;
-    decodedHits_ = 0;
+    reg.setGauge("repo.decodes", decodes_.load());
 }
 
 } // namespace vmmx

@@ -1,33 +1,25 @@
 /**
  * @file
- * Unified trace repository: one home for the whole trace lifecycle.
- *
- *   tier 0  disk     content-addressed TraceStore files (delta+varint
- *                    codec, checksummed, shared across processes)
- *   tier 1  raw      InstRecord vectors in RAM (SharedTrace)
- *   tier 2  decoded  DecodedStream blocks in RAM (~1.3x the raw bytes),
- *                    so the per-record decode is paid once per process,
- *                    not once per sweep group
- *
- * stream() bypasses the RAM tiers: it hands a trace replayed exactly
- * once to a TraceSink block by block -- read from tier 0, or generated
- * and written through to it -- and keeps nothing.  That is how the
- * executors replay every trace group, so no executor fills tier 1; the
- * RAM tiers serve the materialize-then-replay oracle (runSweepPoint)
- * and direct library users.
+ * The trace repository: where a run gets the trace a TraceKey names.
  *
  * Trace generation is execution driven and deterministic in the
- * TraceKey, so every tier is content addressed by construction: a key
- * maps to exactly one raw trace and exactly one decoded stream, and a
- * miss in one tier fills from the tier below (decoded <- raw <- disk <-
- * generate).
+ * TraceKey, so a key names exactly one trace, and an optional
+ * TraceStore keeps it on disk for other processes and later runs
+ * (content-addressed files, delta+varint codec, checksummed).
  *
- * Tiers 1 and 2 are plain memos: a copy, once built, stays until
- * clear(), and a handle is a copyable holder of its shared_ptr.
- * Lookups take a short registry lock to find or create the entry, then
- * build under the entry's own mutex, so each key builds once while
- * different keys build in parallel and concurrent requests for one key
- * wait for the first builder.
+ * stream() is what the executors use: it hands the trace to a
+ * TraceSink block by block -- read from the store, or generated and
+ * written through to it -- and keeps nothing, so every trace group
+ * replays its trace exactly once in bounded memory.
+ *
+ * raw() (and its app()/kernel() spellings) serves the
+ * materialize-then-replay oracle (runSweepPoint) and direct library
+ * users: one memo of whole InstRecord vectors, filled under one mutex
+ * from the store, else the generator, so each key is built once per
+ * repository however many threads ask.  The memo keeps what it built
+ * until the repository goes away; a caller walking many traces bounds
+ * its memory with one repository per trace.  decoded() decodes the
+ * memoized trace afresh on every call and keeps no copy.
  */
 
 #ifndef VMMX_TRACE_TRACE_REPO_HH
@@ -35,7 +27,6 @@
 
 #include <atomic>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 
@@ -60,15 +51,14 @@ class TraceRepository
     static constexpr u64 defaultSeed = 0xbeef;
 
     /**
-     * @param store optional persistent tier 0 (not owned; must outlive
-     *              the repository).
+     * @param store optional trace store (not owned; must outlive the
+     *              repository).
      * The trailing arguments are what is left of the retired RAM
      * budgets: callers that still pass them pass 0, 0, and any other
      * value fails an assertion.
      */
     explicit TraceRepository(TraceStore *store = nullptr, u64 retiredRaw = 0,
                              u64 retiredDecoded = 0);
-    ~TraceRepository();
     TraceRepository(const TraceRepository &) = delete;
     TraceRepository &operator=(const TraceRepository &) = delete;
 
@@ -76,9 +66,7 @@ class TraceRepository
      *  Attaches a store iff $VMMX_TRACE_STORE is set. */
     static TraceRepository &instance();
 
-    TraceStore *store() const { return store_; }
-
-    /** A raw (tier-1) trace: a copyable holder of its shared_ptr. */
+    /** A memoized trace: a copyable holder of its shared_ptr. */
     class TraceHandle
     {
       public:
@@ -96,22 +84,21 @@ class TraceRepository
         SharedTrace trace_;
     };
 
-    /** A decoded (tier-2) stream: a copyable holder of its shared_ptr. */
+    /** A decoded stream, owned by the handle. */
     class DecodedHandle
     {
       public:
-        explicit DecodedHandle(SharedDecoded s) : stream_(std::move(s)) {}
+        explicit DecodedHandle(DecodedStream s) : stream_(std::move(s)) {}
 
-        const DecodedStream &stream() const { return *stream_; }
-        const DecodedStream *get() const { return stream_.get(); }
+        const DecodedStream &stream() const { return stream_; }
         /** Dynamic trace length in records. */
-        u64 records() const { return stream_->size(); }
+        u64 records() const { return stream_.size(); }
 
       private:
-        SharedDecoded stream_;
+        DecodedStream stream_;
     };
 
-    // ---- tier-1 lookups (raw InstRecord traces) ----------------------
+    // ---- whole traces (the raw() memo) -------------------------------
     /** Trace of a Table II kernel, built at most once per key. */
     TraceHandle kernel(const std::string &name, SimdKind kind,
                        u32 imageBytes = kernelImageBytes,
@@ -119,72 +106,56 @@ class TraceRepository
     /** Trace of one of the six applications, built at most once. */
     TraceHandle app(const std::string &name, SimdKind kind,
                     u32 imageBytes = appImageBytes, u64 seed = defaultSeed);
-    /** Generic keyed lookup (distributed workers). */
+    /** The trace for @p key, memoized on first use: loaded from the
+     *  store, else generated (and saved to the store). */
     TraceHandle raw(const TraceKey &key);
 
-    // ---- streaming (no RAM tier) -------------------------------------
+    /** decodeStream() of raw(@p key), run afresh on every call. */
+    DecodedHandle decoded(const TraceKey &key);
+
+    // ---- streaming ---------------------------------------------------
     /**
      * Hand the trace for @p key to @p sink in blocks without retaining
-     * it: replayed in place from a resident tier-1 copy if there is one
-     * (a raw hit), else read from the store (a disk load), else
-     * generated (a generation) -- written through to the store when one
-     * is attached, published once complete.  For a trace replayed once;
-     * each call streams it again.
+     * it: read from the store (a disk load), else generated (a
+     * generation) -- written through to the store when one is attached,
+     * published once complete.  For a trace replayed once: it never
+     * reads the raw() memo, and each call streams the trace again.
      */
     void stream(const TraceKey &key, TraceSink &sink);
-
-    // ---- tier-2 lookups (decoded streams) ----------------------------
-    /** Decoded stream for @p key; fills through raw/disk/generate. */
-    DecodedHandle decoded(const TraceKey &key);
 
     // ---- statistics --------------------------------------------------
     struct TierStats
     {
-        u64 hits = 0;  ///< lookups served from this tier
-        u64 fills = 0; ///< entries materialized into this tier
-        u64 bytes = 0; ///< bytes currently resident in this tier
+        u64 hits = 0;  ///< lookups served from memory
+        u64 fills = 0; ///< traces built into memory
+        u64 bytes = 0; ///< bytes held in memory
     };
 
+    /** The raw() memo's hits, fills and resident bytes. */
     TierStats rawStats() const;
+    /** {0, decodes run, 0}: decoded() keeps nothing to hit. */
     TierStats decodedStats() const;
-    /** Traces actually generated (tier-1 fills and streams). */
+    /** Traces generated (memo fills and streams). */
     u64 generations() const { return generations_.load(); }
-    /** Traces read from the on-disk store (tier-1 fills and streams). */
+    /** Traces read from the store (memo fills and streams). */
     u64 diskLoads() const { return diskLoads_.load(); }
-    /** Tier-2 fills (full-trace decodes). */
-    u64 decodes() const { return decodes_.load(); }
-    /** Number of distinct traces currently known across all tiers. */
-    size_t size() const;
 
-    /** Publish the per-tier counters as "repo.*" gauges in the
-     *  process-wide telemetry registry. */
+    /** Publish the counters as "repo.*" gauges in the process-wide
+     *  telemetry registry. */
     void publishMetrics() const;
 
-    /** Drop every cached trace and decoded stream and reset the stats;
-     *  handles already returned keep their data alive. */
-    void clear();
-
   private:
-    struct Entry;
-
-    std::shared_ptr<Entry> entryFor(const TraceKey &key);
-    /** Fill tier 1 of @p e (store, else generate); build mutex held. */
-    void materializeRaw(Entry &e);
-
     TraceStore *store_ = nullptr;
 
-    mutable std::mutex registryMu_;
-    /** Generated traces, content addressed by TraceKey. */
-    std::map<TraceKey, std::shared_ptr<Entry>> keyed_;
+    mutable std::mutex mu_;
+    /** The raw() memo, content addressed by TraceKey; under mu_. */
+    std::map<TraceKey, SharedTrace> raw_;
+    u64 rawHits_ = 0;  ///< under mu_
+    u64 rawBytes_ = 0; ///< under mu_
 
-    std::atomic<u64> bytesRaw_{0};
-    std::atomic<u64> bytesDecoded_{0};
     std::atomic<u64> generations_{0};
     std::atomic<u64> diskLoads_{0};
-    std::atomic<u64> rawFills_{0};
     std::atomic<u64> decodes_{0};
-    std::atomic<u64> rawHits_{0};
-    std::atomic<u64> decodedHits_{0};
 };
 
 /** Run the workload @p key names and return its whole trace. */

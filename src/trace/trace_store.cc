@@ -202,11 +202,4 @@ TraceStore::Writer::commit()
     return true;
 }
 
-bool
-TraceStore::contains(const TraceKey &key) const
-{
-    std::error_code ec;
-    return fs::exists(path(key), ec) && !ec;
-}
-
 } // namespace vmmx

@@ -40,8 +40,6 @@ class TraceStore
     TraceStore(const TraceStore &) = delete;
     TraceStore &operator=(const TraceStore &) = delete;
 
-    const std::string &dir() const { return dir_; }
-
     /** Store file for @p key, e.g. "<dir>/kernel-idct-vmmx128-....vmtr". */
     std::string path(const TraceKey &key) const;
 
@@ -82,9 +80,6 @@ class TraceStore
         TraceKey key_;
         TraceEncoder enc_;
     };
-
-    /** @return true when a valid-looking file exists for @p key. */
-    bool contains(const TraceKey &key) const;
 
     u64 saves() const { return saves_.load(); }
     u64 misses() const { return misses_.load(); }

@@ -3,13 +3,13 @@
  * Bounded block streams of dynamic instruction traces.
  *
  * A trace need not exist as one InstRecord vector.  The generator
- * (Program::streamTo), the trace-store reader (TraceStore::stream) and
- * a resident trace all hand it over in blocks of at most
- * traceBlockRecords records to a TraceSink, which consumes each block
- * before the next one is produced.  Memory then stays bounded by a few
- * blocks whatever the trace length, and the record sequence -- the only
- * thing the timing model sees -- is the same as the materialized
- * trace's, so streamed and materialized replays are bit-identical.
+ * (Program::streamTo) and the trace-store reader (TraceStore::stream)
+ * hand it over in blocks of at most traceBlockRecords records to a
+ * TraceSink, which consumes each block before the next one is
+ * produced.  Memory then stays bounded by a few blocks whatever the
+ * trace length, and the record sequence -- the only thing the timing
+ * model sees -- is the same as the materialized trace's, so streamed
+ * and materialized replays are bit-identical.
  *
  * TraceRing couples a producer thread to a consumer thread: the
  * producer puts blocks into a ring a few blocks deep, and the consumer
@@ -19,12 +19,10 @@
 #ifndef VMMX_TRACE_TRACE_STREAM_HH
 #define VMMX_TRACE_TRACE_STREAM_HH
 
-#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <exception>
 #include <mutex>
-#include <span>
 #include <vector>
 
 #include "isa/inst.hh"
@@ -47,21 +45,6 @@ class TraceSink
      * producer refills it without reallocating.
      */
     virtual void put(std::vector<InstRecord> &block) = 0;
-
-    /** Consume records borrowed from a resident trace; they are valid
-     *  only during the call.  The default copies them through put(). */
-    virtual void
-    borrow(std::span<const InstRecord> records)
-    {
-        std::vector<InstRecord> block;
-        for (size_t base = 0; base < records.size();
-             base += traceBlockRecords) {
-            size_t n = std::min(traceBlockRecords, records.size() - base);
-            block.assign(records.begin() + std::ptrdiff_t(base),
-                         records.begin() + std::ptrdiff_t(base + n));
-            put(block);
-        }
-    }
 
     /** Forget every record received since the trace began: the source
      *  found its input malformed part way and starts over from the

@@ -131,7 +131,7 @@ seedFrames()
     dist::StatsMsg stats;
     stats.generations = 12;
     stats.diskLoads = 300;
-    stats.bytesResident = u64(1) << 40;
+    stats.storeSaves = u64(1) << 40;
 
     dist::EventMsg event;
     event.workerId = 2;

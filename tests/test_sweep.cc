@@ -7,9 +7,9 @@
  * running N machine configurations through one trace pass
  * (runTraceBatch, or a batched schedule) must be bit-identical to N
  * independent runTrace() calls, for any batch size and any knob
- * overrides -- replaying the repository's pre-decoded tier-2 stream
- * must be bit-identical to decoding on the fly, and sweeps stream their
- * traces instead of keeping them.
+ * overrides -- replaying a pre-decoded stream (decoded()) must be
+ * bit-identical to decoding on the fly, and sweeps stream their traces
+ * instead of keeping them.
  */
 
 #include <gtest/gtest.h>
@@ -84,7 +84,7 @@ TEST_F(EngineTest, RepositoryGeneratesOncePerKey)
     // A different key generates again.
     auto t4 = repo.kernel("idct", SimdKind::MMX64);
     EXPECT_EQ(repo.generations(), 2u);
-    EXPECT_EQ(repo.size(), 2u);
+    EXPECT_EQ(repo.rawStats().fills, 2u);
 }
 
 TEST_F(EngineTest, RepositoryDistinguishesKindAndWorkload)
@@ -122,8 +122,8 @@ TEST_F(EngineTest, CachedTraceMatchesDirectGeneration)
 
 TEST_F(EngineTest, DecodedStreamMatchesOnTheFlyDecode)
 {
-    // The tier-2 contract: replaying the repository's decoded stream is
-    // bit-identical to handing runTrace the raw records.
+    // Replaying the repository's decoded stream is bit-identical to
+    // handing runTrace the raw records.
     auto trace = repo.kernel("h2v2", SimdKind::VMMX128);
     auto stream = repo.decoded(
         {false, "h2v2", SimdKind::VMMX128, TraceRepository::kernelImageBytes,
@@ -167,7 +167,7 @@ TEST_F(EngineTest, ParallelSweepBitIdenticalToSerial)
         EXPECT_TRUE(a[i].sameRun(c[i])) << "point " << i;
 }
 
-TEST_F(EngineTest, SweepStreamsTracesAndReplaysResidentOnesInPlace)
+TEST_F(EngineTest, SweepStreamsEveryTraceAndKeepsNone)
 {
     // 3 widths x 2 flavours of one kernel: 6 points, 2 traces.
     auto points =
@@ -183,8 +183,8 @@ TEST_F(EngineTest, SweepStreamsTracesAndReplaysResidentOnesInPlace)
     ASSERT_EQ(results.size(), 6u);
     EXPECT_EQ(streamed.generations(), 2u);
     EXPECT_EQ(streamed.rawStats().bytes, 0u);
-    EXPECT_EQ(streamed.size(), 0u);
-    EXPECT_EQ(streamed.decodes(), 0u);
+    EXPECT_EQ(streamed.rawStats().fills, 0u);
+    EXPECT_EQ(streamed.decodedStats().fills, 0u);
 
     // Same trace => same dynamic length at every width; the streamed
     // groups agree with the materialize-then-replay oracle bit for bit.
@@ -196,19 +196,6 @@ TEST_F(EngineTest, SweepStreamsTracesAndReplaysResidentOnesInPlace)
     auto expect = runReference(points, oracle);
     for (size_t i = 0; i < results.size(); ++i)
         EXPECT_TRUE(results[i].sameRun(expect[i])) << "point " << i;
-
-    // A sweep over traces a raw() lookup left resident replays them in
-    // place (raw hits) instead of generating again.
-    TraceRepository warm;
-    warm.raw(traceKeyFor(points[0]));
-    warm.raw(traceKeyFor(points[3]));
-    EXPECT_EQ(warm.generations(), 2u);
-    policy.repo = &warm;
-    auto againResults = runPoints(points, policy);
-    EXPECT_EQ(warm.generations(), 2u);
-    EXPECT_EQ(warm.rawStats().hits, 2u);
-    for (size_t i = 0; i < results.size(); ++i)
-        EXPECT_TRUE(results[i].sameRun(againResults[i])) << "point " << i;
 }
 
 TEST_F(EngineTest, LabelIncludesAblationOverrides)
@@ -280,7 +267,7 @@ randomMachine(std::mt19937 &rng, SimdKind kind)
 // The batched-execution contract: one trace pass through N randomized
 // configurations is bit-identical to N independent runTrace() calls --
 // for a batch of one, a pair, and a batch wider than the sweep engine's
-// thread pool -- and the pre-decoded (tier-2) pass agrees with both.
+// thread pool -- and the pre-decoded (decoded()) pass agrees with both.
 // idct runs on both flavours; gsmenc/MMX64 joins it because no Table II
 // kernel's cycles move with core.store_window and gsmenc's do, so a
 // store-window fault in one step path shows here.

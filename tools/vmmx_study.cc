@@ -78,7 +78,7 @@ usage(int rc)
         "                  and exit nonzero unless bit-identical\n"
         "  --verbose       keep warn()/inform() output\n"
         "  --metrics-json FILE  write the run's metrics registry (repo\n"
-        "                  tiers, dist counters, per-unit timing) as JSON\n"
+        "                  and dist counters, per-unit timing) as JSON\n"
         "  --trace-events FILE  write a Chrome trace-event JSON timeline\n"
         "                  for chrome://tracing or ui.perfetto.dev\n"
         "  --help          this text\n"
@@ -196,7 +196,7 @@ main(int argc, char **argv)
     }
 
     if (!metricsPath.empty()) {
-        // The "repo" section: worker-fleet tier aggregate for the
+        // The "repo" section: worker-fleet counters for the
         // processes backend, the in-process repository otherwise.
         if (processesBackend)
             dist::publishMetrics(distStats);
@@ -220,18 +220,20 @@ main(int argc, char **argv)
                       << '\n';
     }
     if (check) {
-        // A private repository: the reference shares nothing with the
-        // run it checks.
-        TraceRepository referenceRepo;
-        ExecutionPolicy reference;
-        reference.repo = &referenceRepo;
+        // A private repository per trace group: the reference shares
+        // nothing with the run it checks, and holds one trace at a time.
         size_t mismatches = 0;
-        for (size_t i = 0; i < points.size(); ++i) {
-            SweepResult expect = runSweepPoint(points[i], reference);
-            if (!results[i].sameRun(expect)) {
-                std::cout << "MISMATCH at " << expect.point.label()
-                          << '\n';
-                ++mismatches;
+        for (const std::vector<u32> &group : groupPointsByTrace(points)) {
+            TraceRepository referenceRepo;
+            ExecutionPolicy reference;
+            reference.repo = &referenceRepo;
+            for (u32 i : group) {
+                SweepResult expect = runSweepPoint(points[i], reference);
+                if (!results[i].sameRun(expect)) {
+                    std::cout << "MISMATCH at " << expect.point.label()
+                              << '\n';
+                    ++mismatches;
+                }
             }
         }
         std::cout << "check vs serial reference: "
